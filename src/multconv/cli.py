@@ -15,10 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Union
 
 from .lifting import lift, lift_inverse
-from .measures import Measure, mconv, symmetrize
+from .measures import AtomicMeasure, Measure, mconv, symmetrize
 from .subsets import GeneratingPair, SubsetMask, all_subsets, gamma, mask_sort_key
 from .sphere import SphereMeasure, sconv
 from .universality import decide_universal_rn, decide_universal_sphere
@@ -29,9 +28,6 @@ from .zonoids import (
     generating_measure,
     singleton_support_check,
 )
-
-AnyMeasure = Union[Measure, SphereMeasure]
-
 
 class InputError(ValueError):
     pass
@@ -45,7 +41,7 @@ def _load_json(path: str):
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _parse_measure(path: str) -> AnyMeasure:
+def _parse_measure(path: str) -> AtomicMeasure:
     data = _load_json(path)
     try:
         atoms = data.get("atoms", [])
@@ -184,7 +180,7 @@ def _cmd_zonoid(args) -> int:
     data = _load_json(args.input)
     try:
         z = Zonotope.from_json(data)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"malformed zonotope in {args.input}: {exc}") from exc
     nu = generating_measure(z)
     if args.check == "singleton-support":

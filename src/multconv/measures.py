@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Union
 
 from .points import (
     Point,
@@ -31,52 +31,62 @@ from .subsets import (
     mask_sort_key,
 )
 
+if TYPE_CHECKING:  # typing.Self is new in Python 3.11
+    from typing import Self
+
 ScalarLike = Union[int, Fraction, Surd]
 
 
-class Measure:
-    """Signed measure with finitely many atoms at rational points."""
+class AtomicMeasure:
+    """Signed measure with finitely many atoms at exact locations.
+
+    The shared core of point and sphere measures.  A subclass fixes the
+    location type through two class attributes: ``_key`` normalises a
+    location (and checks it), ``_loc_field`` names it in JSON.  Locations
+    are tuples of exact numbers, so coordinate-wise operators act on both
+    kinds alike.
+    """
 
     __slots__ = ("dim", "_atoms")
+    _key: Callable[[Iterable], tuple]
+    _loc_field: str
 
-    def __init__(self, dim: int, atoms: Mapping[Point, SurdLike] | Iterable[tuple[Point, SurdLike]] = ()):
+    def __init__(self, dim: int, atoms: Mapping[tuple, SurdLike] | Iterable[tuple[tuple, SurdLike]] = ()):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         items = atoms.items() if isinstance(atoms, Mapping) else atoms
-        acc: dict[Point, Surd] = {}
-        for pt, w in items:
-            pt = make_point(pt)
-            if len(pt) != dim:
-                raise ValueError(f"atom {pt} has dimension {len(pt)}, expected {dim}")
+        key = self._key
+        acc: dict[tuple, Surd] = {}
+        for loc, w in items:
+            loc = key(loc)
+            if len(loc) != dim:
+                raise ValueError(
+                    f"{self._loc_field} {loc} has dimension {len(loc)}, expected {dim}"
+                )
             w = as_surd(w)
-            prev = acc.get(pt)
-            acc[pt] = w if prev is None else prev + w
+            prev = acc.get(loc)
+            acc[loc] = w if prev is None else prev + w
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_atoms", {p: w for p, w in acc.items() if w})
+        object.__setattr__(self, "_atoms", {loc: w for loc, w in acc.items() if w})
 
     def __setattr__(self, name, value):
-        raise AttributeError("Measure is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, dim: int) -> "Measure":
+    def zero(cls, dim: int) -> Self:
         return cls(dim)
-
-    @classmethod
-    def dirac(cls, point: Iterable, weight: SurdLike = 1) -> "Measure":
-        pt = make_point(point)
-        return cls(len(pt), {pt: weight})
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def atoms(self) -> Mapping[Point, Surd]:
+    def atoms(self) -> Mapping[tuple, Surd]:
         return MappingProxyType(self._atoms)
 
-    def support(self) -> tuple[Point, ...]:
+    def support(self) -> tuple[tuple, ...]:
         return tuple(sorted(self._atoms))
 
-    def weight_at(self, point: Iterable) -> Surd:
-        return self._atoms.get(make_point(point), Surd(0))
+    def weight_at(self, loc: Iterable) -> Surd:
+        return self._atoms.get(self._key(loc), Surd(0))
 
     def atom_count(self) -> int:
         return len(self._atoms)
@@ -88,7 +98,8 @@ class Measure:
         return bool(self._atoms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Measure):
+        # exact types: a point measure never equals a sphere measure
+        if type(other) is not type(self):
             return NotImplemented
         return self.dim == other.dim and self._atoms == other._atoms
 
@@ -96,36 +107,39 @@ class Measure:
         return hash((self.dim, frozenset(self._atoms.items())))
 
     def __repr__(self) -> str:
-        n = len(self._atoms)
-        return f"Measure(dim={self.dim}, atoms={n})"
+        return f"{type(self).__name__}(dim={self.dim}, atoms={len(self._atoms)})"
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other: "Measure") -> "Measure":
+    def __add__(self, other: Self) -> Self:
         self._check(other)
         acc = dict(self._atoms)
-        for pt, w in other._atoms.items():
-            prev = acc.get(pt)
-            acc[pt] = w if prev is None else prev + w
-        return Measure(self.dim, acc)
+        for loc, w in other._atoms.items():
+            prev = acc.get(loc)
+            acc[loc] = w if prev is None else prev + w
+        return type(self)(self.dim, acc)
 
-    def __sub__(self, other: "Measure") -> "Measure":
+    def __sub__(self, other: Self) -> Self:
         return self + (-other)
 
-    def __neg__(self) -> "Measure":
-        return Measure(self.dim, {pt: -w for pt, w in self._atoms.items()})
+    def __neg__(self) -> Self:
+        return type(self)(self.dim, {loc: -w for loc, w in self._atoms.items()})
 
-    def __mul__(self, scalar: ScalarLike) -> "Measure":
+    def __mul__(self, scalar: ScalarLike) -> Self:
         c = as_surd(scalar)
         if c is NotImplemented:
             return NotImplemented
-        return Measure(self.dim, {pt: w * c for pt, w in self._atoms.items()})
+        return type(self)(self.dim, {loc: w * c for loc, w in self._atoms.items()})
 
     __rmul__ = __mul__
 
-    def _check(self, other: "Measure") -> None:
+    def _check(self, other: "AtomicMeasure") -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+
+    def _check_mask(self, mask: SubsetMask) -> None:
+        if mask.dim != self.dim:
+            raise ValueError(f"dimension mismatch: measure {self.dim} vs mask {mask.dim}")
 
     # -- mass and Jordan decomposition ----------------------------------------
 
@@ -135,16 +149,16 @@ class Measure:
             total = total + w
         return total
 
-    def jordan(self) -> tuple["Measure", "Measure"]:
+    def jordan(self) -> tuple[Self, Self]:
         """Split into non-negative parts with disjoint supports."""
-        pos: dict[Point, Surd] = {}
-        neg: dict[Point, Surd] = {}
-        for pt, w in self._atoms.items():
+        pos: dict[tuple, Surd] = {}
+        neg: dict[tuple, Surd] = {}
+        for loc, w in self._atoms.items():
             if w.sign() > 0:
-                pos[pt] = w
+                pos[loc] = w
             else:
-                neg[pt] = -w
-        return Measure(self.dim, pos), Measure(self.dim, neg)
+                neg[loc] = -w
+        return type(self)(self.dim, pos), type(self)(self.dim, neg)
 
     def tv_norm(self) -> Surd:
         total = Surd(0)
@@ -152,64 +166,49 @@ class Measure:
             total = total + abs(w)
         return total
 
-    # -- pushforwards and restrictions ---------------------------------------
+    # -- reflections and restrictions ------------------------------------------
 
-    def project(self, e: SubsetMask) -> "Measure":
-        """Marginal on the coordinate subspace of ``e`` (pushforward)."""
-        self._check_mask(e)
-        return Measure(self.dim, ((project_point(pt, e), w) for pt, w in self._atoms.items()))
-
-    def reflect(self, f: SubsetMask) -> "Measure":
+    def reflect(self, f: SubsetMask) -> Self:
         self._check_mask(f)
-        return Measure(self.dim, ((reflect_point(pt, f), w) for pt, w in self._atoms.items()))
+        return type(self)(self.dim, ((reflect_point(loc, f), w) for loc, w in self._atoms.items()))
 
-    def restrict_order(self, e: SubsetMask) -> "Measure":
+    def restrict_order(self, e: SubsetMask) -> Self:
         """Keep the atoms whose zero pattern is exactly ``e``."""
         self._check_mask(e)
-        return Measure(
+        return type(self)(
             self.dim,
-            {pt: w for pt, w in self._atoms.items() if zero_pattern(pt) == e},
+            {loc: w for loc, w in self._atoms.items() if zero_pattern(loc) == e},
         )
 
-    def restrict_positive(self) -> "Measure":
-        """Keep the atoms in the closed positive orthant."""
-        return Measure(
-            self.dim,
-            {pt: w for pt, w in self._atoms.items() if all(c >= 0 for c in pt)},
-        )
-
-    def sign_density(self, j: SubsetMask) -> "Measure":
+    def sign_density(self, j: SubsetMask) -> Self:
         """Multiply weights by the product of coordinate signs over ``j``.
 
         Atoms vanishing on some coordinate of ``j`` pick up sign 0 and drop.
+        A ray and its unit vector share signs, so this is exact on the sphere.
         """
         self._check_mask(j)
-        acc: dict[Point, Surd] = {}
-        for pt, w in self._atoms.items():
+        acc: dict[tuple, Surd] = {}
+        for loc, w in self._atoms.items():
             s = 1
             for i in range(self.dim):
                 if j.bits >> i & 1:
-                    c = pt[i]
+                    c = loc[i]
                     if c == 0:
                         s = 0
                         break
                     if c < 0:
                         s = -s
             if s == 1:
-                acc[pt] = w
+                acc[loc] = w
             elif s == -1:
-                acc[pt] = -w
-        return Measure(self.dim, acc)
-
-    def _check_mask(self, mask: SubsetMask) -> None:
-        if mask.dim != self.dim:
-            raise ValueError(f"dimension mismatch: measure {self.dim} vs mask {mask.dim}")
+                acc[loc] = -w
+        return type(self)(self.dim, acc)
 
     # -- coordinate decomposition ----------------------------------------------
 
     def component_patterns(self) -> frozenset[SubsetMask]:
         """Zero patterns carrying mass (the nonzero coordinate components)."""
-        return frozenset(zero_pattern(pt) for pt in self._atoms)
+        return frozenset(zero_pattern(loc) for loc in self._atoms)
 
     def order_of(self) -> SubsetMask | None:
         """The unique pattern when exactly one component is nonzero."""
@@ -239,19 +238,44 @@ class Measure:
         return {
             "dim": self.dim,
             "atoms": [
-                {"point": [str(c) for c in pt], "weight": w.to_json()}
-                for pt, w in sorted(self._atoms.items())
+                {self._loc_field: [str(c) for c in loc], "weight": w.to_json()}
+                for loc, w in sorted(self._atoms.items())
             ],
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "Measure":
-        dim = int(data["dim"])
+    def from_json(cls, data: dict) -> Self:
+        # locations pass through ``_key``, which refuses float entries
         atoms = [
-            (make_point(entry["point"]), Surd.from_json(entry["weight"]))
+            (entry[cls._loc_field], Surd.from_json(entry["weight"]))
             for entry in data.get("atoms", [])
         ]
-        return cls(dim, atoms)
+        return cls(int(data["dim"]), atoms)
+
+
+class Measure(AtomicMeasure):
+    """Signed measure with finitely many atoms at rational points."""
+
+    __slots__ = ()
+    _key = staticmethod(make_point)
+    _loc_field = "point"
+
+    @classmethod
+    def dirac(cls, point: Iterable, weight: SurdLike = 1) -> "Measure":
+        pt = make_point(point)
+        return cls(len(pt), {pt: weight})
+
+    def project(self, e: SubsetMask) -> "Measure":
+        """Marginal on the coordinate subspace of ``e`` (pushforward)."""
+        self._check_mask(e)
+        return Measure(self.dim, ((project_point(pt, e), w) for pt, w in self._atoms.items()))
+
+    def restrict_positive(self) -> "Measure":
+        """Keep the atoms in the closed positive orthant."""
+        return Measure(
+            self.dim,
+            {pt: w for pt, w in self._atoms.items() if all(c >= 0 for c in pt)},
+        )
 
 
 # -- multiplicative convolution and products --------------------------------------

@@ -104,24 +104,10 @@ def hadamard_ray(d: Ray, e: Ray) -> tuple[int, ...]:
     return tuple(a * b for a, b in zip(d, e))
 
 
-def reflect_ray(d: Ray, f: SubsetMask) -> Ray:
-    if len(d) != f.dim:
-        raise ValueError(f"dimension mismatch: {len(d)} vs {f.dim}")
-    return tuple(-c if f.bits >> i & 1 else c for i, c in enumerate(d))
-
-
 def project_ray(d: Ray, e: SubsetMask) -> tuple[int, ...]:
     if len(d) != e.dim:
         raise ValueError(f"dimension mismatch: {len(d)} vs {e.dim}")
     return tuple(c if e.bits >> i & 1 else 0 for i, c in enumerate(d))
-
-
-def ray_zero_pattern(d: Ray) -> SubsetMask:
-    bits = 0
-    for i, c in enumerate(d):
-        if c:
-            bits |= 1 << i
-    return SubsetMask(bits, len(d))
 
 
 def ray_norm_sq(d: Ray) -> int:

@@ -13,10 +13,9 @@ package: a numerical diagnostic that never feeds an exact decision.
 from __future__ import annotations
 
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Sequence
 
-from .measures import Measure
+from .measures import AtomicMeasure
 from .points import (
     Ray,
     canonical_ray,
@@ -25,143 +24,18 @@ from .points import (
     primitive_ray,
     project_ray,
     ray_norm_sq,
-    ray_zero_pattern,
-    reflect_ray,
     zero_pattern,
 )
-from .scalars import Surd, SurdLike, as_surd
+from .scalars import Surd
 from .subsets import SubsetMask
 
-ScalarLike = Union[int, Fraction, Surd]
 
-
-class SphereMeasure:
+class SphereMeasure(AtomicMeasure):
     """Signed measure with finitely many atoms on the unit sphere."""
 
-    __slots__ = ("dim", "_atoms")
-
-    def __init__(self, dim: int, atoms: Mapping[Ray, SurdLike] | Iterable[tuple[Ray, SurdLike]] = ()):
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        items = atoms.items() if isinstance(atoms, Mapping) else atoms
-        acc: dict[Ray, Surd] = {}
-        for ray, w in items:
-            ray = primitive_ray(ray)
-            if len(ray) != dim:
-                raise ValueError(f"ray {ray} has dimension {len(ray)}, expected {dim}")
-            w = as_surd(w)
-            prev = acc.get(ray)
-            acc[ray] = w if prev is None else prev + w
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_atoms", {r: w for r, w in acc.items() if w})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SphereMeasure is immutable")
-
-    @classmethod
-    def zero(cls, dim: int) -> "SphereMeasure":
-        return cls(dim)
-
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def atoms(self) -> Mapping[Ray, Surd]:
-        return MappingProxyType(self._atoms)
-
-    def support(self) -> tuple[Ray, ...]:
-        return tuple(sorted(self._atoms))
-
-    def weight_at(self, ray: Iterable[int]) -> Surd:
-        return self._atoms.get(primitive_ray(ray), Surd(0))
-
-    def atom_count(self) -> int:
-        return len(self._atoms)
-
-    def is_zero(self) -> bool:
-        return not self._atoms
-
-    def __bool__(self) -> bool:
-        return bool(self._atoms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SphereMeasure):
-            return NotImplemented
-        return self.dim == other.dim and self._atoms == other._atoms
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self._atoms.items())))
-
-    def __repr__(self) -> str:
-        return f"SphereMeasure(dim={self.dim}, atoms={len(self._atoms)})"
-
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other: "SphereMeasure") -> "SphereMeasure":
-        self._check(other)
-        acc = dict(self._atoms)
-        for ray, w in other._atoms.items():
-            prev = acc.get(ray)
-            acc[ray] = w if prev is None else prev + w
-        return SphereMeasure(self.dim, acc)
-
-    def __sub__(self, other: "SphereMeasure") -> "SphereMeasure":
-        return self + (-other)
-
-    def __neg__(self) -> "SphereMeasure":
-        return SphereMeasure(self.dim, {r: -w for r, w in self._atoms.items()})
-
-    def __mul__(self, scalar: ScalarLike) -> "SphereMeasure":
-        c = as_surd(scalar)
-        if c is NotImplemented:
-            return NotImplemented
-        return SphereMeasure(self.dim, {r: w * c for r, w in self._atoms.items()})
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "SphereMeasure") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def _check_mask(self, mask: SubsetMask) -> None:
-        if mask.dim != self.dim:
-            raise ValueError(f"dimension mismatch: measure {self.dim} vs mask {mask.dim}")
-
-    # -- mass, norm, Jordan parts ---------------------------------------------
-
-    def total_mass(self) -> Surd:
-        total = Surd(0)
-        for w in self._atoms.values():
-            total = total + w
-        return total
-
-    def jordan(self) -> tuple["SphereMeasure", "SphereMeasure"]:
-        pos: dict[Ray, Surd] = {}
-        neg: dict[Ray, Surd] = {}
-        for ray, w in self._atoms.items():
-            if w.sign() > 0:
-                pos[ray] = w
-            else:
-                neg[ray] = -w
-        return SphereMeasure(self.dim, pos), SphereMeasure(self.dim, neg)
-
-    def tv_norm(self) -> Surd:
-        total = Surd(0)
-        for w in self._atoms.values():
-            total = total + abs(w)
-        return total
-
-    # -- operators mirroring the point-measure semantics -------------------------
-
-    def reflect(self, f: SubsetMask) -> "SphereMeasure":
-        self._check_mask(f)
-        return SphereMeasure(self.dim, ((reflect_ray(r, f), w) for r, w in self._atoms.items()))
-
-    def restrict_order(self, e: SubsetMask) -> "SphereMeasure":
-        self._check_mask(e)
-        return SphereMeasure(
-            self.dim,
-            {r: w for r, w in self._atoms.items() if ray_zero_pattern(r) == e},
-        )
+    __slots__ = ()
+    _key = staticmethod(primitive_ray)
+    _loc_field = "ray"
 
     def project(self, e: SubsetMask) -> "SphereMeasure":
         """Project onto the coordinate subsphere of ``e``.
@@ -182,73 +56,8 @@ class SphereMeasure:
             acc[ray] = add if prev is None else prev + add
         return SphereMeasure(self.dim, acc)
 
-    def sign_density(self, j: SubsetMask) -> "SphereMeasure":
-        """Weight by the product of direction signs over ``j``; a ray and its
-        unit vector share sign patterns, so this is exact."""
-        self._check_mask(j)
-        acc: dict[Ray, Surd] = {}
-        for r, w in self._atoms.items():
-            s = 1
-            for i in range(self.dim):
-                if j.bits >> i & 1:
-                    c = r[i]
-                    if c == 0:
-                        s = 0
-                        break
-                    if c < 0:
-                        s = -s
-            if s == 1:
-                acc[r] = w
-            elif s == -1:
-                acc[r] = -w
-        return SphereMeasure(self.dim, acc)
 
-    def component_patterns(self) -> frozenset[SubsetMask]:
-        return frozenset(ray_zero_pattern(r) for r in self._atoms)
-
-    def order_of(self) -> SubsetMask | None:
-        patterns = self.component_patterns()
-        if len(patterns) == 1:
-            return next(iter(patterns))
-        return None
-
-    def degree(self) -> int:
-        patterns = self.component_patterns()
-        if not patterns:
-            return -1
-        return max(p.size for p in patterns)
-
-    def is_even_under(self, f: SubsetMask) -> bool:
-        return self.reflect(f) == self
-
-    def is_odd_under(self, f: SubsetMask) -> bool:
-        return self.reflect(f) == -self
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "atoms": [
-                {"ray": [str(c) for c in r], "weight": w.to_json()}
-                for r, w in sorted(self._atoms.items())
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SphereMeasure":
-        dim = int(data["dim"])
-        atoms = [
-            (tuple(int(c) for c in entry["ray"]), Surd.from_json(entry["weight"]))
-            for entry in data.get("atoms", [])
-        ]
-        return cls(dim, atoms)
-
-
-AnyMeasure = Union[Measure, SphereMeasure]
-
-
-def radial_project(mu: AnyMeasure) -> SphereMeasure:
+def radial_project(mu: AtomicMeasure) -> SphereMeasure:
     """Reweight by the Euclidean norm and push to the unit sphere.
 
     Mass at the origin is dropped.  Sphere measures are already fixed
@@ -267,7 +76,7 @@ def radial_project(mu: AnyMeasure) -> SphereMeasure:
     return SphereMeasure(mu.dim, acc)
 
 
-def sconv(a: AnyMeasure, b: AnyMeasure) -> SphereMeasure:
+def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
     """Multiplicative convolution followed by radial projection.
 
     Point-measure inputs are radially projected first; this commutes with
@@ -291,7 +100,7 @@ def sconv(a: AnyMeasure, b: AnyMeasure) -> SphereMeasure:
     return SphereMeasure(sa.dim, acc)
 
 
-def moment_g(mu: AnyMeasure, alpha: Sequence[float]) -> float:
+def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:
     """Floating-point moment diagnostic over the top-order component.
 
     Evaluates the sum of weight times the product of absolute coordinates
@@ -307,25 +116,15 @@ def moment_g(mu: AnyMeasure, alpha: Sequence[float]) -> float:
     if sum(alpha) > 1 + 1e-12:
         raise ValueError("exponents must sum to at most 1")
     full = SubsetMask.full(n)
-    if isinstance(mu, SphereMeasure):
-        bad = [r for r in mu.atoms if ray_zero_pattern(r) != full]
-        if bad:
-            raise ValueError(f"atom at ray {bad[0]} is not of full order")
-        total = 0.0
-        for r, w in mu.atoms.items():
-            norm = ray_norm_sq(r) ** 0.5
-            prod = 1.0
-            for c, a in zip(r, alpha):
-                prod *= (abs(c) / norm) ** a
-            total += float(w) * prod
-        return total
-    bad_pts = [p for p in mu.atoms if zero_pattern(p) != full]
-    if bad_pts:
-        raise ValueError(f"atom at {bad_pts[0]} is not of full order")
+    bad = [loc for loc in mu.atoms if zero_pattern(loc) != full]
+    if bad:
+        raise ValueError(f"atom at {mu._loc_field} {bad[0]} is not of full order")
+    sphere = isinstance(mu, SphereMeasure)
     total = 0.0
-    for pt, w in mu.atoms.items():
+    for loc, w in mu.atoms.items():
+        norm = ray_norm_sq(loc) ** 0.5 if sphere else 1.0
         prod = 1.0
-        for c, a in zip(pt, alpha):
-            prod *= abs(float(c)) ** a
+        for c, a in zip(loc, alpha):
+            prod *= (abs(float(c)) / norm) ** a
         total += float(w) * prod
     return total

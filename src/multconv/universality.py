@@ -13,14 +13,14 @@ verified at construction: nonzero, inside the class, annihilated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Optional, Union
+from typing import Literal, Optional
 
 from .measures import (
+    AtomicMeasure,
     Measure,
     delta_ej,
     mconv,
     msym,
-    munc,
     sigma0_on,
 )
 from .subsets import (
@@ -36,8 +36,6 @@ from .sphere import SphereMeasure, radial_project, sconv
 
 MAX_DECIDER_DIM = 8
 
-Witness = Union[Measure, SphereMeasure]
-
 
 @dataclass(frozen=True, slots=True)
 class ConditionRecord:
@@ -50,7 +48,7 @@ class ConditionRecord:
 class UniversalityReport:
     universal: bool
     conditions: list[ConditionRecord]
-    witness: Optional[Witness]
+    witness: Optional[AtomicMeasure]
     skipped_non_proper: list[SubsetMask] = field(default_factory=list)
 
     def __post_init__(self):
@@ -93,53 +91,54 @@ def _in_class(witness, pair: GeneratingPair, e: SubsetMask) -> bool:
     return all(witness.is_odd_under(f) for f in pair.odds)
 
 
-def _rn_witness(nu: Measure, pair: GeneratingPair, e: SubsetMask, j: SubsetMask) -> Measure:
-    """Counterexample for a failing (E, J) condition on point measures.
+def _product(nu: AtomicMeasure):
+    """The convolution of ``nu``'s setting."""
+    return sconv if isinstance(nu, SphereMeasure) else mconv
+
+
+def _witness(
+    nu: AtomicMeasure, pair: GeneratingPair, e: SubsetMask, j: SubsetMask
+) -> AtomicMeasure:
+    """Counterexample for a failing (E, J) condition.
 
     The parity basis measure alone annihilates when the lower-order parts
     of the projection cooperate; otherwise convolving it with the
-    alternating top-order probe on E removes their contribution.
+    alternating top-order probe on E removes their contribution.  On the
+    sphere the probe is pushed forward radially.
     """
+    conv = _product(nu)
     candidate = delta_ej(e, j)
-    if mconv(nu, candidate):
+    if conv(nu, candidate):
         candidate = mconv(candidate, sigma0_on(e))
+    if isinstance(nu, SphereMeasure):
+        candidate = radial_project(candidate)
     if not candidate:
         raise RuntimeError("witness construction produced the zero measure")
     if not _in_class(candidate, pair, e):
         raise RuntimeError("witness construction left the symmetry class")
-    if mconv(nu, candidate):
+    if conv(nu, candidate):
         raise RuntimeError("witness construction failed to annihilate")
     return candidate
 
 
-def _sphere_witness(
-    nu: SphereMeasure, pair: GeneratingPair, e: SubsetMask, j: SubsetMask
-) -> SphereMeasure:
-    candidate = radial_project(delta_ej(e, j))
-    if sconv(nu, candidate):
-        candidate = radial_project(mconv(delta_ej(e, j), sigma0_on(e)))
-    if not candidate:
-        raise RuntimeError("witness construction produced the zero measure")
-    if not _in_class(candidate, pair, e):
-        raise RuntimeError("witness construction left the symmetry class")
-    if sconv(nu, candidate):
-        raise RuntimeError("witness construction failed to annihilate")
-    return candidate
+def _conclude(
+    nu: AtomicMeasure, pair: GeneratingPair, conditions: list[ConditionRecord], skipped=()
+) -> UniversalityReport:
+    """The report on a condition list, with a witness for its first failure."""
+    fail = next((c for c in conditions if not c.satisfied), None)
+    witness = None if fail is None else _witness(nu, pair, fail.support, fail.index)
+    return UniversalityReport(fail is None, conditions, witness, list(skipped))
 
 
-def decide_universal_rn(nu: Measure, support, pair: GeneratingPair) -> UniversalityReport:
-    """Decide universality of ``nu`` on the class over ``support`` with ``pair``.
-
-    Support sets whose restricted pair is not proper contribute nothing to
-    the class and are recorded as skipped.  Conditions are listed with the
-    support sets by descending size, index sets lexicographically.
-    """
+def _decide(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityReport:
+    """The (E, J) condition loop of every full-space decision; the product
+    follows the setting of ``nu``."""
     _check_dim(nu.dim)
     if pair.dim != nu.dim:
         raise ValueError(f"dimension mismatch: measure {nu.dim} vs pair {pair.dim}")
+    conv = _product(nu)
     conditions: list[ConditionRecord] = []
     skipped: list[SubsetMask] = []
-    first_fail: Optional[tuple[SubsetMask, SubsetMask]] = None
     for e in _ordered_support(support):
         if e.dim != nu.dim:
             raise ValueError(f"support set {e} has dimension {e.dim}, expected {nu.dim}")
@@ -149,12 +148,18 @@ def decide_universal_rn(nu: Measure, support, pair: GeneratingPair) -> Universal
             continue
         base = nu.project(e).restrict_order(e)
         for j in sorted(indices, key=mask_sort_key):
-            ok = bool(mconv(delta_ej(e, j), base))
-            conditions.append(ConditionRecord(e, j, ok))
-            if not ok and first_fail is None:
-                first_fail = (e, j)
-    witness = None if first_fail is None else _rn_witness(nu, pair, *first_fail)
-    return UniversalityReport(first_fail is None, conditions, witness, skipped)
+            conditions.append(ConditionRecord(e, j, bool(conv(delta_ej(e, j), base))))
+    return _conclude(nu, pair, conditions, skipped)
+
+
+def decide_universal_rn(nu: Measure, support, pair: GeneratingPair) -> UniversalityReport:
+    """Decide universality of ``nu`` on the class over ``support`` with ``pair``.
+
+    Support sets whose restricted pair is not proper contribute nothing to
+    the class and are recorded as skipped.  Conditions are listed with the
+    support sets by descending size, index sets lexicographically.
+    """
+    return _decide(nu, support, pair)
 
 
 def decide_universal_sphere(
@@ -165,31 +170,10 @@ def decide_universal_sphere(
     The support family must avoid the empty set; the sphere misses the
     origin cell entirely.
     """
-    _check_dim(nu.dim)
-    if pair.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: measure {nu.dim} vs pair {pair.dim}")
     support = list(support)
-    for e in support:
-        if e.size == 0:
-            raise ValueError("the empty pattern cannot appear in a spherical support family")
-    conditions: list[ConditionRecord] = []
-    skipped: list[SubsetMask] = []
-    first_fail: Optional[tuple[SubsetMask, SubsetMask]] = None
-    for e in _ordered_support(support):
-        if e.dim != nu.dim:
-            raise ValueError(f"support set {e} has dimension {e.dim}, expected {nu.dim}")
-        indices = index_set(e, pair)
-        if not indices:
-            skipped.append(e)
-            continue
-        base = nu.project(e).restrict_order(e)
-        for j in sorted(indices, key=mask_sort_key):
-            ok = bool(sconv(delta_ej(e, j), base))
-            conditions.append(ConditionRecord(e, j, ok))
-            if not ok and first_fail is None:
-                first_fail = (e, j)
-    witness = None if first_fail is None else _sphere_witness(nu, pair, *first_fail)
-    return UniversalityReport(first_fail is None, conditions, witness, skipped)
+    if any(e.size == 0 for e in support):
+        raise ValueError("the empty pattern cannot appear in a spherical support family")
+    return _decide(nu, support, pair)
 
 
 SymmetryClass = Literal["unconditional", "symmetric", "antisymmetric", "none"]
@@ -226,25 +210,24 @@ def _parity_indices(name: SymmetryClass, e: SubsetMask) -> list[SubsetMask]:
 
 
 def decide_special(
-    nu: Witness, klass: SymmetryClass, scope: Scope = "full", sphere: bool = False
+    nu: AtomicMeasure, klass: SymmetryClass, scope: Scope = "full"
 ) -> UniversalityReport:
-    """Decide via the closed-form condition of the matching symmetry class.
+    """Decide universality on a named symmetry class.
 
     ``scope="full"`` decides on the whole space (sphere: all nonempty
-    patterns).  ``scope="top-order"`` uses the simplified condition list
-    available when ``nu`` itself has full order, still deciding on the
-    whole space; other inputs are rejected.  ``scope="positive-orthant"``
-    (point measures, unconditional class only) reports the sufficient
-    condition transferred from the unconditional class.
+    patterns) with the general condition loop.  ``scope="top-order"`` uses
+    the simplified condition list available when ``nu`` itself has full
+    order, still deciding on the whole space; other inputs are rejected.
+    ``scope="positive-orthant"`` (point measures, unconditional class only)
+    reports the sufficient condition transferred from the unconditional
+    class.
 
     The decision always coincides with the general decider run on the
     corresponding pair; the test suite enforces that equality.
     """
     n = nu.dim
     _check_dim(n)
-    if sphere != isinstance(nu, SphereMeasure):
-        kind = type(nu).__name__
-        raise ValueError(f"sphere={sphere} inconsistent with input of type {kind}")
+    sphere = isinstance(nu, SphereMeasure)
     pair = class_pair(klass, n)
     full = SubsetMask.full(n)
 
@@ -253,13 +236,13 @@ def decide_special(
             raise ValueError("positive-orthant scope applies to point measures only")
         if klass != "unconditional":
             raise ValueError("positive-orthant scope requires the unconditional class")
-        return decide_special(nu, "unconditional", "full", sphere=False)
+        return decide_special(nu, "unconditional", "full")
 
     if scope == "top-order":
         if nu.order_of() != full:
             raise ValueError("top-order scope requires a measure of full order")
+        conv = _product(nu)
         conditions: list[ConditionRecord] = []
-        first_fail = None
         for j in _parity_indices(klass, full):
             if sphere and j.size == 0:
                 # the empty index collapses to one condition per axis
@@ -267,64 +250,19 @@ def decide_special(
                     axis = SubsetMask.single(n, i)
                     ok = bool(msym(nu.project(axis)))
                     conditions.append(ConditionRecord(axis, SubsetMask.empty(n), ok))
-                    if not ok and first_fail is None:
-                        first_fail = (axis, SubsetMask.empty(n))
                 continue
-            if sphere:
-                ok = bool(sconv(delta_ej(j, j), nu))
-            else:
-                ok = bool(mconv(delta_ej(j, j), nu))
-            conditions.append(ConditionRecord(j, j, ok))
-            if not ok and first_fail is None:
-                first_fail = (j, j)
-        if first_fail is None:
-            return UniversalityReport(True, conditions, None)
-        e, j = first_fail
-        witness = _sphere_witness(nu, pair, e, j) if sphere else _rn_witness(nu, pair, e, j)
-        return UniversalityReport(False, conditions, witness)
+            conditions.append(ConditionRecord(j, j, bool(conv(delta_ej(j, j), nu))))
+        return _conclude(nu, pair, conditions)
 
     if scope != "full":
         raise ValueError(f"unknown scope {scope!r}")
-
-    if klass == "unconditional":
-        averaged = munc(nu)
-        conditions = []
-        first_fail = None
-        for e in _ordered_support(all_subsets(n)):
-            if sphere and e.size == 0:
-                continue
-            ok = bool(averaged.project(e).restrict_order(e))
-            conditions.append(ConditionRecord(e, SubsetMask.empty(n), ok))
-            if not ok and first_fail is None:
-                first_fail = (e, SubsetMask.empty(n))
-        if first_fail is None:
-            return UniversalityReport(True, conditions, None)
-        e, j = first_fail
-        witness = _sphere_witness(nu, pair, e, j) if sphere else _rn_witness(nu, pair, e, j)
-        return UniversalityReport(False, conditions, witness)
-
-    conditions = []
-    first_fail = None
-    for e in _ordered_support(all_subsets(n)):
-        if sphere and e.size == 0:
-            continue
-        base = nu.project(e).restrict_order(e)
-        for j in _parity_indices(klass, e):
-            if sphere:
-                ok = bool(sconv(delta_ej(e, j), base))
-            else:
-                ok = bool(mconv(delta_ej(e, j), base))
-            conditions.append(ConditionRecord(e, j, ok))
-            if not ok and first_fail is None:
-                first_fail = (e, j)
-    if first_fail is None:
-        return UniversalityReport(True, conditions, None)
-    e, j = first_fail
-    witness = _sphere_witness(nu, pair, e, j) if sphere else _rn_witness(nu, pair, e, j)
-    return UniversalityReport(False, conditions, witness)
+    report = _decide(nu, [e for e in all_subsets(n) if e.size or not sphere], pair)
+    # a named class reports its conditions only
+    report.skipped_non_proper = []
+    return report
 
 
-def symmetry_obstruction(nu: Witness, pair: GeneratingPair) -> list[tuple[SubsetMask, str]]:
+def symmetry_obstruction(nu: AtomicMeasure, pair: GeneratingPair) -> list[tuple[SubsetMask, str]]:
     """Reflections fixing ``nu`` (up to sign) that the pair does not allow.
 
     A measure that is even or odd under a reflection outside the generated

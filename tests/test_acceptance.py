@@ -303,7 +303,7 @@ def test_criterion_08_universality_sphere():
         for trial in range(100):
             n = 1 + trial % 3
             nu = gen_sphere_measure(trial * 19 + CLASSES.index(klass) * 89, n, 1 + trial % 4)
-            special = decide_special(nu, klass, "full", sphere=True)
+            special = decide_special(nu, klass, "full")
             general = decide_universal_sphere(nu, full_support(n, sphere=True), class_pair(klass, n))
             if special.universal != general.universal:
                 failures.append(("special-vs-general", klass, trial))
@@ -324,7 +324,7 @@ def test_criterion_08_universality_sphere():
         )
         if (axis_ok and tail_ok) != general.universal:
             failures.append(("dimension-one", trial))
-        special = decide_special(nu, "unconditional", "top-order", sphere=True)
+        special = decide_special(nu, "unconditional", "top-order")
         general_unc = decide_universal_sphere(
             nu, full_support(n, sphere=True), class_pair("unconditional", n)
         )

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from multconv.cli import main
 from multconv.measures import Measure, mconv, sigma0
 from multconv.sphere import SphereMeasure, radial_project
@@ -182,3 +184,19 @@ def test_pretty_format(tmp_path, capsys):
     assert code == 0
     assert "\n  " in out
     assert json.loads(out)["degree"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["decompose"], {"dim": 2, "atoms": [{"ray": [1.5, 2], "weight": [["1", 1]]}]}),
+        (["zonoid", "--check", "d-universal"], {"dim": 2, "generators": [["1", "1/0"]]}),
+    ],
+    ids=["float-ray", "zero-denominator-generator"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv, payload):
+    path = write_json(tmp_path / "bad.json", payload)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2
+    assert not out
+    assert "bad.json" in err

@@ -208,3 +208,22 @@ def test_sphere_json_round_trip():
 def test_ray_keys_are_primitive():
     mu = SphereMeasure(2, {(2, 4): 1})
     assert set(mu.atoms) == {(1, 2)}
+
+
+def test_sphere_and_point_measures_stay_distinct():
+    point = Measure(2, {(F(3), F(4)): 1})
+    ray = SphereMeasure(2, {(3, 4): 1})
+    assert point != ray and ray != point
+    assert not isinstance(ray, Measure)
+    assert not isinstance(point, SphereMeasure)
+
+
+def test_repr_and_immutability_name_the_class():
+    mu = SphereMeasure(2, {(1, 2): 1})
+    assert repr(mu) == "SphereMeasure(dim=2, atoms=1)"
+    with pytest.raises(AttributeError, match="^SphereMeasure is immutable"):
+        mu.dim = 3
+    nu = dirac(1, 2)
+    assert repr(nu) == "Measure(dim=2, atoms=1)"
+    with pytest.raises(AttributeError, match="^Measure is immutable"):
+        nu.dim = 3

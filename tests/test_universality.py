@@ -228,7 +228,7 @@ def test_special_matches_general_full_scope_sphere():
         n = 1 + seed % 3
         nu = gen_sphere_measure(seed + 9000, n, 1 + seed % 4)
         for klass in ("unconditional", "symmetric", "antisymmetric", "none"):
-            special = decide_special(nu, klass, "full", sphere=True)
+            special = decide_special(nu, klass, "full")
             general = decide_universal_sphere(
                 nu, full_support(n, sphere=True), class_pair(klass, n)
             )
@@ -259,7 +259,7 @@ def test_special_top_order_scope_sphere():
         if nu.order_of() != SubsetMask.full(n):
             continue
         for klass in ("unconditional", "symmetric", "antisymmetric", "none"):
-            special = decide_special(nu, klass, "top-order", sphere=True)
+            special = decide_special(nu, klass, "top-order")
             general = decide_universal_sphere(
                 nu, full_support(n, sphere=True), class_pair(klass, n)
             )
@@ -291,7 +291,7 @@ def test_positive_orthant_scope():
     with pytest.raises(ValueError):
         decide_special(nu, "symmetric", "positive-orthant")
     with pytest.raises(ValueError):
-        decide_special(radial_project(nu), "unconditional", "positive-orthant", sphere=True)
+        decide_special(radial_project(nu), "unconditional", "positive-orthant")
 
 
 def test_nonnegative_degree_criterion():
