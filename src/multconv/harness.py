@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Optional
 from .lifting import lift, lift_class, lift_inverse
 from .measures import (
     Measure,
+    delta_ej,
     delta_j,
     group_average,
     mconv,
@@ -476,6 +477,29 @@ def _suite_universality_witness(seed: int) -> None:
         )
 
 
+def _suite_condition_oracle(seed: int) -> None:
+    rng = _rng("condition", seed)
+    dim = rng.randrange(1, 6)
+    pair = gen_pair(seed * 53 + 1, dim)
+    settings = (
+        (gen_measure(seed * 53 + 2, dim, rng.randrange(0, 7)), decide_universal_rn, mconv),
+        (gen_sphere_measure(seed * 53 + 3, dim, rng.randrange(0, 7)), decide_universal_sphere, sconv),
+    )
+    for nu, decide, conv in settings:
+        if rng.random() < 0.5:
+            # an even measure makes some class sums cancel
+            nu = nu + nu.reflect(gen_mask(seed * 53 + 4, dim))
+        # the sphere has no empty pattern
+        support = [e for e in all_subsets(dim) if (e.size or conv is mconv) and rng.random() < 0.5]
+        for c in decide(nu, support, pair).conditions:
+            base = nu.project(c.support).restrict_order(c.support)
+            _expect(
+                c.satisfied == bool(conv(delta_ej(c.support, c.index), base)),
+                f"condition ({c.support}, {c.index}) disagrees with the convolution",
+                {"nu": nu.to_json(), "pair": pair.to_json()},
+            )
+
+
 def _suite_zonoid(seed: int) -> None:
     rng = _rng("zonoid", seed)
     dim = rng.choice((2, 3))
@@ -537,6 +561,7 @@ PROPERTY_SUITES: dict[str, tuple[str, Callable[[int], None]]] = {
     "unconditional-bijection": ("orthant spreading round trips", _suite_unconditional_bijection),
     "lifting": ("lift round trips and universality transfer", _suite_lifting),
     "universality-witness": ("witness soundness and special-case agreement", _suite_universality_witness),
+    "condition-oracle": ("decider conditions against the convolution they test", _suite_condition_oracle),
     "zonoid": ("support functions and transform evaluations", _suite_zonoid),
     "moment-diagnostic": ("floating moment multiplicativity", _suite_moment_diagnostic),
 }

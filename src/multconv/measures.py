@@ -28,6 +28,7 @@ from .subsets import (
     GeneratingPair,
     SubsetMask,
     all_subsets,
+    json_dim,
     mask_sort_key,
 )
 
@@ -134,6 +135,11 @@ class AtomicMeasure:
     __rmul__ = __mul__
 
     def _check(self, other: "AtomicMeasure") -> None:
+        # a ray read as a point (or back) is a different measure
+        if type(other) is not type(self):
+            raise ValueError(
+                f"setting mismatch: {type(self).__name__} vs {type(other).__name__}"
+            )
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
@@ -250,7 +256,7 @@ class AtomicMeasure:
             (entry[cls._loc_field], Surd.from_json(entry["weight"]))
             for entry in data.get("atoms", [])
         ]
-        return cls(int(data["dim"]), atoms)
+        return cls(json_dim(data), atoms)
 
 
 class Measure(AtomicMeasure):

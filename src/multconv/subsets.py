@@ -3,7 +3,8 @@
 The family of subsets forms a Boolean group under symmetric difference.
 This module carries that group, generating/symmetry pairs of reflection
 sets with their closure map, the parity index families that drive the
-universality deciders, and the dimension-raising helpers used by lifting.
+universality deciders, the dimension-raising helpers used by lifting, and
+the ``dim`` check shared by the JSON loaders.
 """
 
 from __future__ import annotations
@@ -94,6 +95,14 @@ class SubsetMask:
         return "{" + ",".join(map(str, self.indices())) + "}"
 
 
+def json_dim(data: dict) -> int:
+    """The ``dim`` field of a JSON payload; only a true integer is accepted."""
+    dim = data["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValueError(f"field 'dim' must be an integer, got {dim!r}")
+    return dim
+
+
 def symdiff(a: SubsetMask, b: SubsetMask) -> SubsetMask:
     """Symmetric difference (the Boolean group operation)."""
     return a ^ b
@@ -151,7 +160,7 @@ class GeneratingPair:
 
     @classmethod
     def from_json(cls, data: dict) -> "GeneratingPair":
-        dim = int(data["dim"])
+        dim = json_dim(data)
         evens = [SubsetMask.from_json(dim, e) for e in data.get("evens", [])]
         odds = [SubsetMask.from_json(dim, o) for o in data.get("odds", [])]
         return cls.make(dim, evens, odds)

@@ -5,9 +5,14 @@ nonzero member of the class.  For classes cut out by a support family of
 zero patterns and a reflection symmetry pair, universality is equivalent
 to a finite list of non-vanishing conditions indexed by pairs (E, J):
 the parity basis measure of J must not annihilate the top-order part of
-the projection onto E.  Deciders below evaluate those lists exactly and,
-on a negative decision, construct a counterexample measure that is
+the projection onto E.  That product is nonzero exactly when some class
+of base atoms sharing one absolute location has a nonzero sum of weights
+signed by the parity character of J; on the sphere the norm factors are
+the constant ``1/sqrt|E|``, so the same test applies.  Deciders below
+evaluate every condition by these class sums, exactly, and, on a negative
+decision, construct a counterexample measure by convolution that is
 verified at construction: nonzero, inside the class, annihilated.
+Convolutions serve only the witnesses.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .measures import (
     msym,
     sigma0_on,
 )
+from .scalars import Surd
 from .subsets import (
     GeneratingPair,
     SubsetMask,
@@ -91,11 +97,6 @@ def _in_class(witness, pair: GeneratingPair, e: SubsetMask) -> bool:
     return all(witness.is_odd_under(f) for f in pair.odds)
 
 
-def _product(nu: AtomicMeasure):
-    """The convolution of ``nu``'s setting."""
-    return sconv if isinstance(nu, SphereMeasure) else mconv
-
-
 def _witness(
     nu: AtomicMeasure, pair: GeneratingPair, e: SubsetMask, j: SubsetMask
 ) -> AtomicMeasure:
@@ -106,7 +107,7 @@ def _witness(
     alternating top-order probe on E removes their contribution.  On the
     sphere the probe is pushed forward radially.
     """
-    conv = _product(nu)
+    conv = sconv if isinstance(nu, SphereMeasure) else mconv
     candidate = delta_ej(e, j)
     if conv(nu, candidate):
         candidate = mconv(candidate, sigma0_on(e))
@@ -130,13 +131,45 @@ def _conclude(
     return UniversalityReport(fail is None, conditions, witness, list(skipped))
 
 
+def _sign_classes(nu: AtomicMeasure, e: SubsetMask) -> list[list[tuple[int, Surd]]]:
+    """The top-order part of the projection of ``nu`` onto ``e``, grouped.
+
+    Atoms sharing one absolute location form a class; each member keeps the
+    bit mask of its negative coordinates and its weight.
+    """
+    coords = [i for i in range(e.dim) if e.bits >> i & 1]
+    classes: dict[tuple, list[tuple[int, Surd]]] = {}
+    for loc, w in nu.project(e).atoms.items():
+        bits = 0
+        for i in coords:
+            c = loc[i]
+            if not c:
+                break  # a lower-order atom
+            if c < 0:
+                bits |= 1 << i
+        else:
+            classes.setdefault(tuple(abs(c) for c in loc), []).append((bits, w))
+    return list(classes.values())
+
+
+def _satisfied(classes: list[list[tuple[int, Surd]]], j: SubsetMask) -> bool:
+    """Whether the parity basis measure of ``j`` leaves the grouped base
+    nonzero: some class has a nonzero sum of weights signed by the parity
+    of their negative coordinates inside ``j``."""
+    for members in classes:
+        total = Surd(0)
+        for bits, w in members:
+            total = total - w if (bits & j.bits).bit_count() & 1 else total + w
+        if total:
+            return True
+    return False
+
+
 def _decide(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityReport:
-    """The (E, J) condition loop of every full-space decision; the product
-    follows the setting of ``nu``."""
+    """The (E, J) condition loop of every full-space decision."""
     _check_dim(nu.dim)
     if pair.dim != nu.dim:
         raise ValueError(f"dimension mismatch: measure {nu.dim} vs pair {pair.dim}")
-    conv = _product(nu)
     conditions: list[ConditionRecord] = []
     skipped: list[SubsetMask] = []
     for e in _ordered_support(support):
@@ -146,9 +179,9 @@ def _decide(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityRep
         if not indices:
             skipped.append(e)
             continue
-        base = nu.project(e).restrict_order(e)
+        classes = _sign_classes(nu, e)
         for j in sorted(indices, key=mask_sort_key):
-            conditions.append(ConditionRecord(e, j, bool(conv(delta_ej(e, j), base))))
+            conditions.append(ConditionRecord(e, j, _satisfied(classes, j)))
     return _conclude(nu, pair, conditions, skipped)
 
 
@@ -241,7 +274,6 @@ def decide_special(
     if scope == "top-order":
         if nu.order_of() != full:
             raise ValueError("top-order scope requires a measure of full order")
-        conv = _product(nu)
         conditions: list[ConditionRecord] = []
         for j in _parity_indices(klass, full):
             if sphere and j.size == 0:
@@ -251,7 +283,8 @@ def decide_special(
                     ok = bool(msym(nu.project(axis)))
                     conditions.append(ConditionRecord(axis, SubsetMask.empty(n), ok))
                 continue
-            conditions.append(ConditionRecord(j, j, bool(conv(delta_ej(j, j), nu))))
+            # on a measure of full order, the (J, J) condition on its projection
+            conditions.append(ConditionRecord(j, j, _satisfied(_sign_classes(nu, j), j)))
         return _conclude(nu, pair, conditions)
 
     if scope != "full":

@@ -24,7 +24,7 @@ from .points import (
     ray_norm_sq,
 )
 from .scalars import HALF, Surd
-from .subsets import GeneratingPair, SubsetMask, all_subsets
+from .subsets import GeneratingPair, SubsetMask, all_subsets, json_dim
 from .sphere import SphereMeasure, sconv
 from .universality import UniversalityReport, decide_universal_sphere
 
@@ -66,7 +66,7 @@ class Zonotope:
 
     @classmethod
     def from_json(cls, data: dict) -> "Zonotope":
-        return cls.make(int(data["dim"]), data.get("generators", []))
+        return cls.make(json_dim(data), data.get("generators", []))
 
 
 def generating_measure(z: Zonotope) -> SphereMeasure:

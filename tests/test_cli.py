@@ -191,8 +191,11 @@ def test_pretty_format(tmp_path, capsys):
     [
         (["decompose"], {"dim": 2, "atoms": [{"ray": [1.5, 2], "weight": [["1", 1]]}]}),
         (["zonoid", "--check", "d-universal"], {"dim": 2, "generators": [["1", "1/0"]]}),
+        (["decompose"], {"dim": 2.5, "atoms": [{"point": ["1", "1"], "weight": [["1", 1]]}]}),
+        (["decompose"], {"dim": True, "atoms": [{"point": ["1"], "weight": [["1", 1]]}]}),
+        (["zonoid", "--check", "d-universal"], {"dim": 2.5, "generators": [["1", "1"]]}),
     ],
-    ids=["float-ray", "zero-denominator-generator"],
+    ids=["float-ray", "zero-denominator-generator", "float-dim", "bool-dim", "float-dim-zonotope"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, payload):
     path = write_json(tmp_path / "bad.json", payload)

@@ -23,6 +23,7 @@ from multconv.measures import (
 )
 from multconv.points import zero_pattern
 from multconv.scalars import Surd
+from multconv.sphere import SphereMeasure
 from multconv.subsets import (
     GeneratingPair,
     SubsetMask,
@@ -31,6 +32,7 @@ from multconv.subsets import (
     index_set,
     subsets_of,
 )
+from multconv.zonoids import Zonotope
 
 F = Fraction
 
@@ -490,3 +492,19 @@ def test_zero_pattern_partition():
     for pt in mu.atoms:
         seen.add(zero_pattern(pt))
     assert seen == set(mu.component_patterns())
+
+
+@pytest.mark.parametrize("dim", [2.5, True, "2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize(
+    "load, payload",
+    [
+        (Measure.from_json, {"atoms": []}),
+        (SphereMeasure.from_json, {"atoms": []}),
+        (Zonotope.from_json, {"generators": []}),
+        (GeneratingPair.from_json, {}),
+    ],
+    ids=["measure", "sphere", "zonotope", "pair"],
+)
+def test_json_dim_must_be_an_integer(load, payload, dim):
+    with pytest.raises(ValueError, match="field 'dim' must be an integer"):
+        load({"dim": dim, **payload})

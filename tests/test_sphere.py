@@ -218,6 +218,24 @@ def test_sphere_and_point_measures_stay_distinct():
     assert not isinstance(point, SphereMeasure)
 
 
+@pytest.mark.parametrize(
+    "op", [lambda a, b: a + b, lambda a, b: a - b, mconv], ids=["add", "sub", "mconv"]
+)
+def test_mixed_settings_are_refused(op):
+    point = Measure(2, {(F(1), F(2)): 1})
+    ray = SphereMeasure(2, {(1, 2): 1})
+    with pytest.raises(ValueError, match="Measure vs SphereMeasure"):
+        op(point, ray)
+    with pytest.raises(ValueError, match="SphereMeasure vs Measure"):
+        op(ray, point)
+
+
+def test_sphere_product_projects_mixed_settings_first():
+    point = Measure(2, {(F(1), F(2)): 1})
+    ray = SphereMeasure(2, {(1, 2): 1})
+    assert sconv(point, ray) == sconv(ray, point) == sconv(radial_project(point), ray)
+
+
 def test_repr_and_immutability_name_the_class():
     mu = SphereMeasure(2, {(1, 2): 1})
     assert repr(mu) == "SphereMeasure(dim=2, atoms=1)"

@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from multconv.harness import gen_measure, gen_pair, gen_proper_pair, gen_sphere_measure
+from multconv.harness import (
+    gen_measure,
+    gen_pair,
+    gen_proper_pair,
+    gen_sphere_measure,
+    run_property_suite,
+)
 from multconv.measures import (
     Measure,
     delta_ej,
@@ -190,6 +196,12 @@ def test_sphere_witness_fallback_under_lower_order_interference():
     assert not report.universal
     assert report.witness != direct
     verify_sphere_report(nu, pair, report)
+
+
+def test_conditions_match_the_convolution_oracle():
+    # every trial decides a point measure and a sphere measure, n = 1..5
+    report = run_property_suite("condition-oracle", 0, 60)
+    assert report["passed"], report["failures"]
 
 
 def test_sphere_random_reports_are_sound():
