@@ -20,7 +20,7 @@ from .lifting import lift, lift_inverse
 from .measures import AtomicMeasure, Measure, mconv, symmetrize
 from .subsets import GeneratingPair, SubsetMask, all_subsets, gamma, mask_sort_key
 from .sphere import SphereMeasure, sconv
-from .universality import decide_universal_rn, decide_universal_sphere
+from .universality import _check_dim, decide_universal_rn, decide_universal_sphere
 from .harness import run_property_suite
 from .zonoids import (
     Zonotope,
@@ -164,6 +164,8 @@ def _cmd_universal(args) -> int:
     sphere = args.sphere or isinstance(nu, SphereMeasure)
     if sphere and isinstance(nu, Measure):
         raise InputError("--sphere requires a sphere measure input")
+    # before "all" enumerates 2**dim support sets
+    _check_dim(nu.dim)
     pair = GeneratingPair.make(
         nu.dim, _parse_family(args.evens, nu.dim), _parse_family(args.odds, nu.dim)
     )

@@ -59,7 +59,7 @@ def lift_inverse(mu: SphereMeasure) -> Measure:
         add = w * factor
         prev = acc.get(point)
         acc[point] = add if prev is None else prev + add
-    return Measure(n, acc)
+    return Measure._of(n, acc)
 
 
 def lift_class(

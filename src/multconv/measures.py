@@ -46,6 +46,11 @@ class AtomicMeasure:
     location (and checks it), ``_loc_field`` names it in JSON.  Locations
     are tuples of exact numbers, so coordinate-wise operators act on both
     kinds alike.
+
+    The public constructor normalises every location, checks its
+    dimension and merges repeats; it is the entry for user input.  Atoms
+    the library built itself, already normalised, merged and of the right
+    dimension, go through the trusted constructor ``_of`` instead.
     """
 
     __slots__ = ("dim", "_atoms")
@@ -69,6 +74,20 @@ class AtomicMeasure:
             acc[loc] = w if prev is None else prev + w
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_atoms", {loc: w for loc, w in acc.items() if w})
+
+    @classmethod
+    def _of(cls, dim: int, acc: dict[tuple, Surd]) -> Self:
+        """Trusted constructor: take ownership of ``acc``, drop its zero weights.
+
+        Every key must already be a normalised location of dimension
+        ``dim`` and every value a :class:`Surd`; nothing is re-keyed.
+        """
+        for loc in [loc for loc, w in acc.items() if not w]:
+            del acc[loc]
+        out = cls.__new__(cls)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "_atoms", acc)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -118,19 +137,19 @@ class AtomicMeasure:
         for loc, w in other._atoms.items():
             prev = acc.get(loc)
             acc[loc] = w if prev is None else prev + w
-        return type(self)(self.dim, acc)
+        return self._of(self.dim, acc)
 
     def __sub__(self, other: Self) -> Self:
         return self + (-other)
 
     def __neg__(self) -> Self:
-        return type(self)(self.dim, {loc: -w for loc, w in self._atoms.items()})
+        return self._of(self.dim, {loc: -w for loc, w in self._atoms.items()})
 
     def __mul__(self, scalar: ScalarLike) -> Self:
         c = as_surd(scalar)
         if c is NotImplemented:
             return NotImplemented
-        return type(self)(self.dim, {loc: w * c for loc, w in self._atoms.items()})
+        return self._of(self.dim, {loc: w * c for loc, w in self._atoms.items()})
 
     __rmul__ = __mul__
 
@@ -164,7 +183,7 @@ class AtomicMeasure:
                 pos[loc] = w
             else:
                 neg[loc] = -w
-        return type(self)(self.dim, pos), type(self)(self.dim, neg)
+        return self._of(self.dim, pos), self._of(self.dim, neg)
 
     def tv_norm(self) -> Surd:
         total = Surd(0)
@@ -176,12 +195,13 @@ class AtomicMeasure:
 
     def reflect(self, f: SubsetMask) -> Self:
         self._check_mask(f)
-        return type(self)(self.dim, ((reflect_point(loc, f), w) for loc, w in self._atoms.items()))
+        # a bijection on locations: no two atoms merge
+        return self._of(self.dim, {reflect_point(loc, f): w for loc, w in self._atoms.items()})
 
     def restrict_order(self, e: SubsetMask) -> Self:
         """Keep the atoms whose zero pattern is exactly ``e``."""
         self._check_mask(e)
-        return type(self)(
+        return self._of(
             self.dim,
             {loc: w for loc, w in self._atoms.items() if zero_pattern(loc) == e},
         )
@@ -208,7 +228,7 @@ class AtomicMeasure:
                 acc[loc] = w
             elif s == -1:
                 acc[loc] = -w
-        return type(self)(self.dim, acc)
+        return self._of(self.dim, acc)
 
     # -- coordinate decomposition ----------------------------------------------
 
@@ -274,11 +294,16 @@ class Measure(AtomicMeasure):
     def project(self, e: SubsetMask) -> "Measure":
         """Marginal on the coordinate subspace of ``e`` (pushforward)."""
         self._check_mask(e)
-        return Measure(self.dim, ((project_point(pt, e), w) for pt, w in self._atoms.items()))
+        acc: dict[Point, Surd] = {}
+        for pt, w in self._atoms.items():
+            loc = project_point(pt, e)
+            prev = acc.get(loc)
+            acc[loc] = w if prev is None else prev + w
+        return Measure._of(self.dim, acc)
 
     def restrict_positive(self) -> "Measure":
         """Keep the atoms in the closed positive orthant."""
-        return Measure(
+        return Measure._of(
             self.dim,
             {pt: w for pt, w in self._atoms.items() if all(c >= 0 for c in pt)},
         )
@@ -287,9 +312,19 @@ class Measure(AtomicMeasure):
 # -- multiplicative convolution and products --------------------------------------
 
 
+def _check_points(*measures: AtomicMeasure) -> None:
+    # these results are built by ``Measure._of``, which trusts its keys to be
+    # points; a ray read as a point would break that (``sconv`` is the sphere
+    # product)
+    for mu in measures:
+        if not isinstance(mu, Measure):
+            raise ValueError(f"expected a point measure, got {type(mu).__name__}")
+
+
 def mconv(a: Measure, b: Measure) -> Measure:
     """Pushforward of the product measure under the componentwise product."""
     a._check(b)
+    _check_points(a)
     acc: dict[Point, Surd] = {}
     for x, wx in a._atoms.items():
         for y, wy in b._atoms.items():
@@ -297,16 +332,17 @@ def mconv(a: Measure, b: Measure) -> Measure:
             w = wx * wy
             prev = acc.get(pt)
             acc[pt] = w if prev is None else prev + w
-    return Measure(a.dim, acc)
+    return Measure._of(a.dim, acc)
 
 
 def tensor(a: Measure, b: Measure) -> Measure:
     """Product measure on concatenated coordinates."""
+    _check_points(a, b)
     acc: dict[Point, Surd] = {}
     for x, wx in a._atoms.items():
         for y, wy in b._atoms.items():
             acc[x + y] = wx * wy
-    return Measure(a.dim + b.dim, acc)
+    return Measure._of(a.dim + b.dim, acc)
 
 
 def unit(dim: int) -> Measure:
@@ -442,6 +478,7 @@ def unc_inverse(mu: Measure) -> Measure:
     Each component of zero pattern E regains the factor ``2**|E|`` that the
     orthant average distributed over its reflected copies.
     """
+    _check_points(mu)
     for i in range(1, mu.dim + 1):
         if not mu.is_even_under(SubsetMask.single(mu.dim, i)):
             raise ValueError("measure is not unconditional")
@@ -449,7 +486,7 @@ def unc_inverse(mu: Measure) -> Measure:
     for pt, w in mu._atoms.items():
         if all(c >= 0 for c in pt):
             acc[pt] = w * (1 << zero_pattern(pt).size)
-    return Measure(mu.dim, acc)
+    return Measure._of(mu.dim, acc)
 
 
 def phat(mu):

@@ -18,7 +18,14 @@ Point = tuple[Fraction, ...]
 Ray = tuple[int, ...]
 
 
+def refuse_text(loc) -> None:
+    """Refuse a string location, which would be split into characters."""
+    if isinstance(loc, (str, bytes)):
+        raise TypeError(f"a location must be a sequence of coordinates, got {loc!r}")
+
+
 def make_point(coords: Iterable) -> Point:
+    refuse_text(coords)
     values = tuple(coords)
     if not values:
         raise ValueError("points must have dimension >= 1")
@@ -84,6 +91,7 @@ def canonical_ray(x: Point) -> Ray:
 
 
 def primitive_ray(v: Iterable[int]) -> Ray:
+    refuse_text(v)
     values = tuple(v)
     if any(isinstance(c, float) for c in values):
         raise TypeError("refusing float ray entries; use integers")

@@ -84,8 +84,13 @@ class Surd:
 
     @classmethod
     def _from_map(cls, terms: dict[int, Fraction]) -> "Surd":
+        return cls._of(tuple(sorted((r, c) for r, c in terms.items() if c)))
+
+    @classmethod
+    def _of(cls, terms: tuple[tuple[int, Fraction], ...]) -> "Surd":
+        # trusted: ``terms`` is already in canonical form
         out = cls.__new__(cls)
-        out._terms = tuple(sorted((r, c) for r, c in terms.items() if c))
+        out._terms = terms
         out._hash = None
         return out
 
@@ -129,6 +134,10 @@ class Surd:
         other = as_surd(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b = self._terms, other._terms
+        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+            c = a[0][1] + b[0][1]
+            return Surd._of(((a[0][0], c),) if c else ())
         acc = dict(self._terms)
         for r, c in other._terms:
             acc[r] = acc.get(r, Fraction(0)) + c
@@ -152,6 +161,16 @@ class Surd:
         other = as_surd(other)
         if other is NotImplemented:
             return NotImplemented
+        if len(self._terms) == 1 and len(other._terms) == 1:
+            # nonzero coefficients have a nonzero product
+            (r1, c1), = self._terms
+            (r2, c2), = other._terms
+            if r1 == 1:
+                return Surd._of(((r2, c1 * c2),))
+            if r2 == 1:
+                return Surd._of(((r1, c1 * c2),))
+            g = math.gcd(r1, r2)
+            return Surd._of((((r1 // g) * (r2 // g), c1 * c2 * g),))
         acc: dict[int, Fraction] = {}
         for r1, c1 in self._terms:
             for r2, c2 in other._terms:

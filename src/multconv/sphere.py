@@ -54,7 +54,7 @@ class SphereMeasure(AtomicMeasure):
             add = w * factor
             prev = acc.get(ray)
             acc[ray] = add if prev is None else prev + add
-        return SphereMeasure(self.dim, acc)
+        return SphereMeasure._of(self.dim, acc)
 
 
 def radial_project(mu: AtomicMeasure) -> SphereMeasure:
@@ -73,7 +73,7 @@ def radial_project(mu: AtomicMeasure) -> SphereMeasure:
         add = w * norm_surd(pt)
         prev = acc.get(ray)
         acc[ray] = add if prev is None else prev + add
-    return SphereMeasure(mu.dim, acc)
+    return SphereMeasure._of(mu.dim, acc)
 
 
 def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
@@ -97,7 +97,7 @@ def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
             add = wd * we * factor
             prev = acc.get(ray)
             acc[ray] = add if prev is None else prev + add
-    return SphereMeasure(sa.dim, acc)
+    return SphereMeasure._of(sa.dim, acc)
 
 
 def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:

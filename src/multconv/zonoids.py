@@ -22,6 +22,7 @@ from .points import (
     negate_ray,
     norm_surd,
     ray_norm_sq,
+    refuse_text,
 )
 from .scalars import HALF, Surd
 from .subsets import GeneratingPair, SubsetMask, all_subsets, json_dim
@@ -47,7 +48,11 @@ class Zonotope:
 
     @classmethod
     def make(cls, dim: int, generators: Iterable[Iterable]) -> "Zonotope":
-        return cls(dim, tuple(tuple(Fraction(c) for c in g) for g in generators))
+        gens = []
+        for g in generators:
+            refuse_text(g)
+            gens.append(tuple(Fraction(c) for c in g))
+        return cls(dim, tuple(gens))
 
     @classmethod
     def cube(cls, dim: int) -> "Zonotope":
@@ -66,7 +71,10 @@ class Zonotope:
 
     @classmethod
     def from_json(cls, data: dict) -> "Zonotope":
-        return cls.make(json_dim(data), data.get("generators", []))
+        dim = json_dim(data)
+        if "generators" not in data:
+            raise ValueError("missing field 'generators'")
+        return cls.make(dim, data["generators"])
 
 
 def generating_measure(z: Zonotope) -> SphereMeasure:

@@ -1,0 +1,26 @@
+from fractions import Fraction
+
+import pytest
+
+from multconv.measures import Measure
+from multconv.scalars import Surd
+
+
+def _check_trusted(results: dict) -> None:
+    for name, r in results.items():
+        # what the public constructor builds from the same atoms
+        assert r == type(r)(r.dim, dict(r.atoms)), name
+        coord = Fraction if isinstance(r, Measure) else int
+        for loc, w in r.atoms.items():
+            assert type(w) is Surd and w, (name, loc, w)
+            # ``type(c) is`` rather than ``==``: an int key equals its Fraction
+            assert len(loc) == r.dim and all(type(c) is coord for c in loc), (name, loc)
+            assert type(r)._key(loc) == loc, (name, loc)
+
+
+@pytest.fixture
+def assert_trusted():
+    """Check that named results of the library's own operators are canonical:
+    equal to their public re-construction, free of zero weights, and keyed by
+    exact normal forms."""
+    return _check_trusted

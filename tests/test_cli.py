@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from multconv import cli
 from multconv.cli import main
 from multconv.measures import Measure, mconv, sigma0
 from multconv.sphere import SphereMeasure, radial_project
@@ -194,8 +195,20 @@ def test_pretty_format(tmp_path, capsys):
         (["decompose"], {"dim": 2.5, "atoms": [{"point": ["1", "1"], "weight": [["1", 1]]}]}),
         (["decompose"], {"dim": True, "atoms": [{"point": ["1"], "weight": [["1", 1]]}]}),
         (["zonoid", "--check", "d-universal"], {"dim": 2.5, "generators": [["1", "1"]]}),
+        (["decompose"], {"dim": 2, "atoms": [{"point": "12", "weight": [["1", 1]]}]}),
+        (["decompose"], {"dim": 2, "atoms": [{"ray": "12", "weight": [["1", 1]]}]}),
+        (["zonoid", "--check", "d-universal"], {"dim": 2, "generators": ["12"]}),
     ],
-    ids=["float-ray", "zero-denominator-generator", "float-dim", "bool-dim", "float-dim-zonotope"],
+    ids=[
+        "float-ray",
+        "zero-denominator-generator",
+        "float-dim",
+        "bool-dim",
+        "float-dim-zonotope",
+        "string-point",
+        "string-ray",
+        "string-generator",
+    ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, payload):
     path = write_json(tmp_path / "bad.json", payload)
@@ -203,3 +216,24 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, payload):
     assert code == 2
     assert not out
     assert "bad.json" in err
+
+
+def test_zonoid_without_generators_exits_2(tmp_path, capsys):
+    # a measure file is not a zonotope, not the empty zonotope
+    path = write_json(tmp_path / "m.json", {"dim": 2, "atoms": []})
+    code, out, err = run(capsys, "zonoid", path, "--check", "d-universal")
+    assert code == 2
+    assert not out
+    assert "generators" in err
+
+
+def test_universal_dimension_bound_checked_before_enumeration(tmp_path, capsys, monkeypatch):
+    def enumerate_all(dim):
+        raise AssertionError(f"enumerated all 2**{dim} support sets")
+
+    monkeypatch.setattr(cli, "all_subsets", enumerate_all)
+    path = write_json(tmp_path / "m.json", {"dim": 18, "atoms": []})
+    code, out, err = run(capsys, "universal", path, "--support", "all")
+    assert code == 2
+    assert not out
+    assert "dimension 18 exceeds the enumeration bound 8" in err

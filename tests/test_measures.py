@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from multconv.harness import gen_measure, gen_pair
+from multconv.lifting import lift, lift_inverse
 from multconv.measures import (
     Measure,
     delta_ej,
@@ -508,3 +509,45 @@ def test_zero_pattern_partition():
 def test_json_dim_must_be_an_integer(load, payload, dim):
     with pytest.raises(ValueError, match="field 'dim' must be an integer"):
         load({"dim": dim, **payload})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trusted_constructor_results_are_canonical(seed, assert_trusted):
+    n = 2 + seed % 2
+    mu = gen_measure(seed, n, 6)
+    nu = gen_measure(seed + 100, n, 5)
+    f = SubsetMask(seed % (1 << n) or 1, n)
+    e = SubsetMask((seed + 1) % (1 << n), n)
+    pos, neg = mu.jordan()
+    positive = mu.restrict_positive()
+    assert_trusted(
+        {
+            "add": mu + nu,
+            "sub-self": mu - mu,
+            "neg": -mu,
+            "mul": mu * Surd.sqrt(2),
+            "mul-zero": mu * 0,
+            "reflect": mu.reflect(f),
+            "restrict_order": mu.restrict_order(e),
+            "sign_density": mu.sign_density(f),
+            "jordan+": pos,
+            "jordan-": neg,
+            "project": mu.project(e),
+            "restrict_positive": positive,
+            "mconv": mconv(mu, nu),
+            "tensor": tensor(mu, nu),
+            "symmetrize": symmetrize(mu, gen_pair(seed, n)),
+            "symmetrize-odd": symmetrize(msym(mu), GeneratingPair.make(n, odds=[SubsetMask.full(n)])),
+            "lift_inverse": lift_inverse(lift(mu)),
+            "unc_inverse": unc_inverse(unc_forward(positive)),
+        }
+    )
+
+
+def test_public_constructors_normalise():
+    mu = Measure(2, [((1, 2), 1), ((F(1), F(2)), 1), ((3, 4), 0)])
+    assert dict(mu.atoms) == {(F(1), F(2)): Surd(2)}
+    assert all(type(c) is Fraction for c in mu.support()[0])
+    nu = SphereMeasure(2, [((2, 4), 1), ((1, 2), 1)])
+    assert dict(nu.atoms) == {(1, 2): Surd(2)}
+    assert Measure.from_json(mu.to_json()) == mu

@@ -131,3 +131,10 @@ def test_primitive_ray():
 
 def test_inner():
     assert inner(F(1, 2), F(3, 4)) == Fraction(11)
+
+
+@pytest.mark.parametrize("make", [make_point, primitive_ray], ids=["point", "ray"])
+@pytest.mark.parametrize("loc", ["12", b"12"], ids=["str", "bytes"])
+def test_string_location_refused(make, loc):
+    with pytest.raises(TypeError, match="12"):
+        make(loc)

@@ -27,6 +27,8 @@ def surds(draw):
 
 def test_additive_inverse_cancels():
     assert Surd.sqrt(2) + (-Surd.sqrt(2)) == Surd(0)
+    assert (Surd.sqrt(2) + (-Surd.sqrt(2))).terms == ()
+    assert not (Surd.sqrt(2) + (-Surd.sqrt(2)))
     assert not (Surd.sqrt(2) - Surd.sqrt(2))
 
 
@@ -162,3 +164,54 @@ def test_ordering_via_sign():
     assert Surd.sqrt(2) < Surd.sqrt(3)
     assert Surd.sqrt(2) <= Surd.sqrt(2)
     assert Surd(3) > Surd.sqrt(8)
+
+
+def general(terms: dict) -> Surd:
+    """The value as the general dict route builds it."""
+    return Surd._from_map({r: Fraction(c) for r, c in terms.items()})
+
+
+@pytest.mark.parametrize(
+    "got, terms",
+    [
+        (Surd.sqrt(6) * Surd.sqrt(10), {15: 2}),
+        (Surd(Fraction(3, 2)) * Surd.sqrt(5), {5: Fraction(3, 2)}),
+        (Surd.sqrt(5) * Surd(Fraction(3, 2)), {5: Fraction(3, 2)}),
+        (Surd.sqrt(2) + (-Surd.sqrt(2)), {}),
+        (Surd(Fraction(1, 3)) + Surd(Fraction(2, 3)), {1: 1}),
+        (Surd.sqrt(2) * (Surd(1) + Surd.sqrt(2)), {1: 2, 2: 1}),
+        ((Surd(1) + Surd.sqrt(2)) * Surd.sqrt(2), {1: 2, 2: 1}),
+    ],
+    ids=[
+        "surd-times-surd",
+        "rational-times-surd",
+        "surd-times-rational",
+        "cancelling-sum",
+        "rational-sum",
+        "one-term-times-two-term",
+        "two-term-times-one-term",
+    ],
+)
+def test_fast_paths_match_general_route(got, terms):
+    want = general(terms)
+    assert got.terms == want.terms
+    assert all(type(r) is int and type(c) is Fraction for r, c in got.terms)
+    assert got == want
+    assert hash(got) == hash(want)
+
+
+nonzero = rationals.filter(bool)
+
+
+@given(st.sampled_from(SQUARE_FREE), nonzero, st.sampled_from(SQUARE_FREE), nonzero)
+@settings(max_examples=150, deadline=None)
+def test_one_term_products_and_sums(r1, c1, r2, c2):
+    a = c1 * Surd.sqrt(r1)
+    b = c2 * Surd.sqrt(r2)
+    # c1*sqrt(r1) * c2*sqrt(r2) = c1*c2*k*sqrt(f) with r1*r2 = k**2 * f
+    k, f = square_free_decompose(r1 * r2)
+    assert a * b == general({f: c1 * c2 * k})
+    assert hash(a * b) == hash(general({f: c1 * c2 * k}))
+    if r1 == r2:
+        assert a + b == general({r1: c1 + c2})
+        assert hash(a + b) == hash(general({r1: c1 + c2}))

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from multconv.harness import gen_measure, gen_sphere_measure
-from multconv.measures import Measure, mconv, msym, munc, phat
+from multconv.harness import gen_measure, gen_pair, gen_sphere_measure
+from multconv.lifting import lift
+from multconv.measures import Measure, mconv, msym, munc, phat, symmetrize, tensor, unc_inverse
 from multconv.scalars import Surd
 from multconv.sphere import SphereMeasure, moment_g, radial_project, sconv
-from multconv.subsets import SubsetMask, all_subsets
+from multconv.subsets import GeneratingPair, SubsetMask, all_subsets
 
 F = Fraction
 
@@ -230,6 +231,15 @@ def test_mixed_settings_are_refused(op):
         op(ray, point)
 
 
+@pytest.mark.parametrize(
+    "op", [mconv, tensor, lambda a, b: unc_inverse(a)], ids=["mconv", "tensor", "unc_inverse"]
+)
+def test_point_products_refuse_sphere_measures(op):
+    ray = SphereMeasure(2, {(1, 2): 1})
+    with pytest.raises(ValueError, match="expected a point measure, got SphereMeasure"):
+        op(ray, ray)
+
+
 def test_sphere_product_projects_mixed_settings_first():
     point = Measure(2, {(F(1), F(2)): 1})
     ray = SphereMeasure(2, {(1, 2): 1})
@@ -245,3 +255,34 @@ def test_repr_and_immutability_name_the_class():
     assert repr(nu) == "Measure(dim=2, atoms=1)"
     with pytest.raises(AttributeError, match="^Measure is immutable"):
         nu.dim = 3
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trusted_constructor_results_are_canonical(seed, assert_trusted):
+    n = 2 + seed % 2
+    mu = gen_sphere_measure(seed, n, 6)
+    nu = gen_sphere_measure(seed + 100, n, 5)
+    f = SubsetMask(seed % (1 << n) or 1, n)
+    e = SubsetMask((seed + 1) % (1 << n) or 1, n)
+    pos, neg = mu.jordan()
+    assert_trusted(
+        {
+            "add": mu + nu,
+            "sub-self": mu - mu,
+            "neg": -mu,
+            "mul": mu * Surd.sqrt(3),
+            "mul-zero": mu * 0,
+            "reflect": mu.reflect(f),
+            "restrict_order": mu.restrict_order(e),
+            "sign_density": mu.sign_density(f),
+            "jordan+": pos,
+            "jordan-": neg,
+            "project": mu.project(e),
+            "sconv": sconv(mu, nu),
+            "sconv-points": sconv(gen_measure(seed, n, 6), gen_measure(seed + 100, n, 5)),
+            "radial_project": radial_project(gen_measure(seed, n, 6)),
+            "symmetrize": symmetrize(mu, gen_pair(seed, n)),
+            "symmetrize-odd": symmetrize(msym(mu), GeneratingPair.make(n, odds=[SubsetMask.full(n)])),
+            "lift": lift(gen_measure(seed, n, 6)),
+        }
+    )

@@ -146,3 +146,10 @@ def test_singleton_support_check():
 def test_zonotope_json_round_trip():
     z = Zonotope.make(2, [(1, 2), (F(1, 2), F(-3, 4))])
     assert Zonotope.from_json(z.to_json()) == z
+
+
+
+def test_zonotope_generators_key_is_required_in_json_only():
+    assert Zonotope.make(2, []).generators == ()
+    with pytest.raises(ValueError, match="generators"):
+        Zonotope.from_json({"dim": 2, "atoms": []})
