@@ -23,6 +23,7 @@ from .measures import (
     mconv,
     msym,
     phat,
+    sigma0_on,
     symmetrize,
     unc_forward,
     unc_inverse,
@@ -101,6 +102,21 @@ def gen_measure(
     while len(points) < atom_count:
         points.add(tuple(rng.choice(coords) for _ in range(dim)))
     return Measure(dim, {pt: rng.choice(weights) for pt in sorted(points)})
+
+
+_NONZERO_COORDS = tuple(Fraction(v) for v in (-2, -1, Fraction(1, 2), 1, 2))
+
+
+def gen_interfering_measure(seed: int, dim: int, atom_count: int) -> Measure:
+    """An origin-odd full-order part plus a Dirac mass at ``(0, 1, ..., 1)``.
+
+    On the symmetric class (the origin reflection even) every full-order
+    condition fails, and the lower-order atom keeps the bare parity basis
+    measure from being annihilated, so a negative decision's witness needs
+    the alternating top-order probe.
+    """
+    mu = gen_measure(seed, dim, atom_count, coordinate_pool=_NONZERO_COORDS)
+    return mu - mu.reflect(SubsetMask.full(dim)) + Measure.dirac((0,) + (1,) * (dim - 1))
 
 
 def gen_sphere_measure(seed: int, dim: int, atom_count: int) -> SphereMeasure:
@@ -458,15 +474,44 @@ def _suite_lifting(seed: int) -> None:
 
 def _suite_universality_witness(seed: int) -> None:
     rng = _rng("universality", seed)
-    dim = rng.choice((1, 2, 3))
-    nu = gen_measure(seed * 41 + 1, dim, rng.randrange(0, 5))
-    pair = gen_pair(seed * 41 + 2, dim)
+    dim = rng.randrange(1, 6)
+    if rng.random() < 0.5:
+        nu = gen_interfering_measure(seed * 41 + 1, dim, rng.randrange(1, 5))
+        pair = GeneratingPair.make(dim, evens=[SubsetMask.full(dim)])
+    else:
+        nu = gen_measure(seed * 41 + 1, dim, rng.randrange(0, 5))
+        pair = gen_pair(seed * 41 + 2, dim)
+    settings = (
+        (nu, decide_universal_rn, mconv),
+        (radial_project(nu), decide_universal_sphere, sconv),
+    )
+    for mu, decide, conv in settings:
+        # the sphere has no empty pattern
+        support = [e for e in all_subsets(dim) if e.size or conv is mconv]
+        report = decide(mu, support, pair)
+        if report.universal:
+            continue
+        fail = report.failing()[0]
+        e, j, w = fail.support, fail.index, report.witness
+        context = {"nu": mu.to_json(), "pair": pair.to_json()}
+        _expect(bool(w), "witness must be nonzero", context)
+        _expect(conv(mu, w).is_zero(), "witness must be annihilated", context)
+        _expect(
+            w.component_patterns() == frozenset({e})
+            and all(w.is_even_under(f) for f in pair.evens)
+            and all(w.is_odd_under(f) for f in pair.odds),
+            "witness must lie in the class",
+            context,
+        )
+        # the convolution route: the parity basis measure, or its product
+        # with the alternating probe when the whole measure does not kill it
+        want = delta_ej(e, j)
+        if conv(mu, want):
+            want = mconv(want, sigma0_on(e))
+        if conv is sconv:
+            want = radial_project(want)
+        _expect(w == want, "witness differs from the convolution route", context)
     support = list(all_subsets(dim))
-    report = decide_universal_rn(nu, support, pair)
-    if not report.universal:
-        w = report.witness
-        _expect(bool(w), "witness must be nonzero")
-        _expect(mconv(nu, w).is_zero(), "witness must be annihilated")
     for klass in ("unconditional", "symmetric", "antisymmetric", "none"):
         special = decide_special(nu, klass, "full")
         general = decide_universal_rn(nu, support, class_pair(klass, dim))
@@ -560,7 +605,7 @@ PROPERTY_SUITES: dict[str, tuple[str, Callable[[int], None]]] = {
     "density-convolution": ("sign densities against products", _suite_density_convolution),
     "unconditional-bijection": ("orthant spreading round trips", _suite_unconditional_bijection),
     "lifting": ("lift round trips and universality transfer", _suite_lifting),
-    "universality-witness": ("witness soundness and special-case agreement", _suite_universality_witness),
+    "universality-witness": ("witnesses against the full convolution and the convolution route; special-case agreement", _suite_universality_witness),
     "condition-oracle": ("decider conditions against the convolution they test", _suite_condition_oracle),
     "zonoid": ("support functions and transform evaluations", _suite_zonoid),
     "moment-diagnostic": ("floating moment multiplicativity", _suite_moment_diagnostic),

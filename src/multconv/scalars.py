@@ -8,6 +8,7 @@ zero test is exact, and the sign of any value is decidable.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -24,11 +25,14 @@ class FactorLimitError(ValueError):
     """A radicand could not be certified square-free by trial division."""
 
 
+@functools.lru_cache(maxsize=1 << 12, typed=True)
 def square_free_decompose(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, int]:
     """Split ``m >= 1`` as ``k**2 * f`` with ``f`` square-free.
 
     Uses trial division.  Raises :class:`FactorLimitError` when a divisor
-    beyond ``bound`` would be required to certify the result.
+    beyond ``bound`` would be required to certify the result.  Results are
+    memoised: square roots recur on a handful of distinct norms.  A raised
+    error is not cached, so it is raised again on every call.
     """
     if m < 1:
         raise ValueError(f"expected a positive integer, got {m}")
@@ -103,7 +107,7 @@ class Surd:
         if q == 0:
             return cls(0)
         # sqrt(a/b) = sqrt(a*b)/b = (k/b) * sqrt(f)  with  a*b = k^2 * f
-        k, f = square_free_decompose(q.numerator * q.denominator, bound=factor_bound)
+        k, f = square_free_decompose(q.numerator * q.denominator, factor_bound)
         return cls._from_map({f: Fraction(k, q.denominator)})
 
     # -- structure ---------------------------------------------------------

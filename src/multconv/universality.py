@@ -7,17 +7,33 @@ to a finite list of non-vanishing conditions indexed by pairs (E, J):
 the parity basis measure of J must not annihilate the top-order part of
 the projection onto E.  That product is nonzero exactly when some class
 of base atoms sharing one absolute location has a nonzero sum of weights
-signed by the parity character of J; on the sphere the norm factors are
-the constant ``1/sqrt|E|``, so the same test applies.  Deciders below
-evaluate every condition by these class sums, exactly, and, on a negative
-decision, construct a counterexample measure by convolution that is
-verified at construction: nonzero, inside the class, annihilated.
-Convolutions serve only the witnesses.
+signed by the parity character of J.
+
+Deciders below evaluate every condition by these class sums, exactly,
+from integer-coded atoms: each atom is encoded once per decision by its
+nonzero and negative coordinate masks, its absolute coordinates as
+integers and its weight, and the classes on E group the atoms nonzero on
+all of E by their absolute coordinates there.  On the sphere the
+projection rescales a weight by the norm ratio of the projected ray;
+absorbing ``1/|r|`` into the weight once per atom and the gcd of the
+coordinates on E per class member leaves only the class's common norm,
+which drops out of the zero test.
+
+On a negative decision the counterexample is proved by its factors: it is
+either the parity basis measure of J (convolved with the whole measure to
+prove annihilation) or that measure times the alternating top-order probe
+on E, built directly as a product.  The product is annihilated because
+the probe's factors have zero mass, which kills every lower-order atom,
+and the top-order part is killed by the failing condition, which is
+checked by convolution independently of the class sums.  Convolution
+serves only these checks on the ``2**|E|``-atom parity factor.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Literal, Optional
 
 from .measures import (
@@ -26,9 +42,9 @@ from .measures import (
     delta_ej,
     mconv,
     msym,
-    sigma0_on,
 )
-from .scalars import Surd
+from .points import ray_norm_sq
+from .scalars import ZERO, Surd
 from .subsets import (
     GeneratingPair,
     SubsetMask,
@@ -97,29 +113,64 @@ def _in_class(witness, pair: GeneratingPair, e: SubsetMask) -> bool:
     return all(witness.is_odd_under(f) for f in pair.odds)
 
 
+def _probe_product(e: SubsetMask, j: SubsetMask) -> Measure:
+    """``mconv(delta_ej(e, j), sigma0_on(e))``, built directly as a product.
+
+    On a coordinate of ``e`` the factor is
+    ``(delta_2 - delta_1 + chi*delta_{-2} - chi*delta_{-1}) / 2``, with ``chi``
+    the parity character of ``j`` there; elsewhere it is the Dirac mass at 0.
+    The ``4**|e|`` atoms are distinct, so nothing merges, and every weight is
+    ``+-2**-|e|``.
+    """
+    one, two, zero = Fraction(1), Fraction(2), Fraction(0)
+    atoms: list[tuple[tuple, int]] = [((), 1)]
+    for i in range(e.dim):
+        if e.bits >> i & 1:
+            chi = -1 if j.bits >> i & 1 else 1
+            factor = ((two, 1), (one, -1), (-two, chi), (-one, -chi))
+        else:
+            factor = ((zero, 1),)
+        atoms = [(loc + (c,), s * t) for loc, s in atoms for c, t in factor]
+    scale = Fraction(1, 1 << e.size)
+    weight = {1: Surd(scale), -1: Surd(-scale)}
+    return Measure._of(e.dim, {loc: weight[s] for loc, s in atoms})
+
+
 def _witness(
     nu: AtomicMeasure, pair: GeneratingPair, e: SubsetMask, j: SubsetMask
 ) -> AtomicMeasure:
-    """Counterexample for a failing (E, J) condition.
+    """Counterexample for a failing (E, J) condition, proved by its factors.
 
-    The parity basis measure alone annihilates when the lower-order parts
-    of the projection cooperate; otherwise convolving it with the
-    alternating top-order probe on E removes their contribution.  On the
-    sphere the probe is pushed forward radially.
+    The parity basis measure of J is the witness when ``nu`` annihilates it;
+    that convolution is its proof.  Otherwise lower-order atoms of the
+    projection onto E interfere, and the witness is the parity basis measure
+    times the alternating top-order probe on E.  It vanishes off E, so
+    ``nu`` acts on it through its projection onto E; every proper marginal
+    of the probe vanishes, which kills the lower-order atoms; and the
+    top-order part annihilates the parity factor, which is the failing
+    condition, checked here by convolution.  Class membership is checked on
+    the parity factor: reflections act on one factor of a product.  On the
+    sphere the witness is pushed forward radially, which commutes with the
+    product and the reflections.
     """
-    conv = sconv if isinstance(nu, SphereMeasure) else mconv
-    candidate = delta_ej(e, j)
-    if conv(nu, candidate):
-        candidate = mconv(candidate, sigma0_on(e))
-    if isinstance(nu, SphereMeasure):
-        candidate = radial_project(candidate)
-    if not candidate:
-        raise RuntimeError("witness construction produced the zero measure")
-    if not _in_class(candidate, pair, e):
+    sphere = isinstance(nu, SphereMeasure)
+    conv = sconv if sphere else mconv
+    parity = delta_ej(e, j)
+    if not _in_class(parity, pair, e):
         raise RuntimeError("witness construction left the symmetry class")
-    if conv(nu, candidate):
+    if not conv(nu, parity):
+        witness = parity
+    elif conv(nu.project(e).restrict_order(e), parity):
         raise RuntimeError("witness construction failed to annihilate")
-    return candidate
+    else:
+        witness = _probe_product(e, j)
+    if sphere:
+        witness = radial_project(witness)
+    if not witness:
+        raise RuntimeError("witness construction produced the zero measure")
+    if witness.component_patterns() != frozenset({e}):
+        raise RuntimeError("witness construction left the symmetry class")
+    return witness
 
 
 def _conclude(
@@ -131,36 +182,72 @@ def _conclude(
     return UniversalityReport(fail is None, conditions, witness, list(skipped))
 
 
-def _sign_classes(nu: AtomicMeasure, e: SubsetMask) -> list[list[tuple[int, Surd]]]:
-    """The top-order part of the projection of ``nu`` onto ``e``, grouped.
+# an atom once per decision: nonzero mask, negative mask, absolute
+# coordinates as integers, weight
+_Code = list[tuple[int, int, tuple[int, ...], Surd]]
 
-    Atoms sharing one absolute location form a class; each member keeps the
-    bit mask of its negative coordinates and its weight.
+
+def _code(nu: AtomicMeasure) -> _Code:
+    """Encode every atom of ``nu`` once.
+
+    Point coordinates are coded by integer ids of their absolute values.  Ray
+    entries are integers already, and a ray's weight absorbs ``1/|r|``.
     """
-    coords = [i for i in range(e.dim) if e.bits >> i & 1]
-    classes: dict[tuple, list[tuple[int, Surd]]] = {}
-    for loc, w in nu.project(e).atoms.items():
-        bits = 0
-        for i in coords:
-            c = loc[i]
-            if not c:
-                break  # a lower-order atom
-            if c < 0:
-                bits |= 1 << i
+    sphere = isinstance(nu, SphereMeasure)
+    ids: dict[Fraction, int] = {}
+    code: _Code = []
+    for loc, w in nu.atoms.items():
+        nonzero = negative = 0
+        for i, c in enumerate(loc):
+            if c:
+                nonzero |= 1 << i
+                if c < 0:
+                    negative |= 1 << i
+        if sphere:
+            absolute = tuple(abs(c) for c in loc)
+            w = w * Surd.sqrt(Fraction(1, ray_norm_sq(loc)))
         else:
-            classes.setdefault(tuple(abs(c) for c in loc), []).append((bits, w))
+            absolute = tuple(ids.setdefault(abs(c), len(ids)) for c in loc)
+        code.append((nonzero, negative, absolute, w))
+    return code
+
+
+def _classes(code: _Code, e: SubsetMask, sphere: bool) -> list[list[tuple[int, Surd]]]:
+    """The top-order part of the projection onto ``e``, grouped.
+
+    Atoms nonzero on all of ``e`` sharing their absolute coordinates there
+    form a class; each member keeps its negative mask and its weight.  On
+    the sphere the key is divided by its gcd g, the member's projected ray
+    is g times the class's primitive ray, and the weight scales by g.
+    """
+    bits = e.bits
+    on_e = [i for i in range(e.dim) if bits >> i & 1]
+    classes: dict[tuple[int, ...], list[tuple[int, Surd]]] = {}
+    for nonzero, negative, absolute, w in code:
+        if nonzero & bits != bits:
+            continue  # a lower-order atom of the projection
+        key = tuple([absolute[i] for i in on_e])
+        if sphere:
+            g = math.gcd(*key)
+            if g != 1:
+                key = tuple([v // g for v in key])
+                w = w * g
+        classes.setdefault(key, []).append((negative, w))
     return list(classes.values())
 
 
-def _satisfied(classes: list[list[tuple[int, Surd]]], j: SubsetMask) -> bool:
-    """Whether the parity basis measure of ``j`` leaves the grouped base
-    nonzero: some class has a nonzero sum of weights signed by the parity
-    of their negative coordinates inside ``j``."""
+def _satisfied(classes: list[list[tuple[int, Surd]]], j: int) -> bool:
+    """Whether the parity basis measure of the index mask ``j`` leaves the
+    grouped base nonzero: some class has a nonzero sum of weights signed by
+    the parity of their negative coordinates inside ``j``."""
     for members in classes:
-        total = Surd(0)
-        for bits, w in members:
-            total = total - w if (bits & j.bits).bit_count() & 1 else total + w
-        if total:
+        sums: list[Optional[Surd]] = [None, None]
+        for negative, w in members:
+            odd = (negative & j).bit_count() & 1
+            s = sums[odd]
+            sums[odd] = w if s is None else s + w
+        even, odd = sums
+        if (even or ZERO) != (odd or ZERO):
             return True
     return False
 
@@ -170,6 +257,8 @@ def _decide(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityRep
     _check_dim(nu.dim)
     if pair.dim != nu.dim:
         raise ValueError(f"dimension mismatch: measure {nu.dim} vs pair {pair.dim}")
+    sphere = isinstance(nu, SphereMeasure)
+    code = _code(nu)
     conditions: list[ConditionRecord] = []
     skipped: list[SubsetMask] = []
     for e in _ordered_support(support):
@@ -179,9 +268,11 @@ def _decide(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityRep
         if not indices:
             skipped.append(e)
             continue
-        classes = _sign_classes(nu, e)
+        classes = _classes(code, e, sphere)
+        # a class of one atom has a nonzero sum under every J
+        single = any(len(members) == 1 for members in classes)
         for j in sorted(indices, key=mask_sort_key):
-            conditions.append(ConditionRecord(e, j, _satisfied(classes, j)))
+            conditions.append(ConditionRecord(e, j, single or _satisfied(classes, j.bits)))
     return _conclude(nu, pair, conditions, skipped)
 
 
@@ -274,6 +365,7 @@ def decide_special(
     if scope == "top-order":
         if nu.order_of() != full:
             raise ValueError("top-order scope requires a measure of full order")
+        code = _code(nu)
         conditions: list[ConditionRecord] = []
         for j in _parity_indices(klass, full):
             if sphere and j.size == 0:
@@ -284,7 +376,8 @@ def decide_special(
                     conditions.append(ConditionRecord(axis, SubsetMask.empty(n), ok))
                 continue
             # on a measure of full order, the (J, J) condition on its projection
-            conditions.append(ConditionRecord(j, j, _satisfied(_sign_classes(nu, j), j)))
+            ok = _satisfied(_classes(code, j, sphere), j.bits)
+            conditions.append(ConditionRecord(j, j, ok))
         return _conclude(nu, pair, conditions)
 
     if scope != "full":

@@ -27,7 +27,7 @@ from .points import (
 from .scalars import HALF, Surd
 from .subsets import GeneratingPair, SubsetMask, all_subsets, json_dim
 from .sphere import SphereMeasure, sconv
-from .universality import UniversalityReport, decide_universal_sphere
+from .universality import UniversalityReport, _check_dim, decide_universal_sphere
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,6 +140,8 @@ def decide_d_universal(nu: SphereMeasure, unconditional: bool = False) -> Univer
     symmetric (or unconditional) measures over all nonempty patterns.
     """
     n = nu.dim
+    # before the 2**n support sets and the 2**n-member unconditional pair
+    _check_dim(n)
     if not nu.is_even_under(SubsetMask.full(n)):
         raise ValueError("generating measures are origin-symmetric")
     if unconditional:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from multconv import cli
+from multconv import cli, zonoids
 from multconv.cli import main
 from multconv.measures import Measure, mconv, sigma0
 from multconv.sphere import SphereMeasure, radial_project
@@ -237,3 +237,17 @@ def test_universal_dimension_bound_checked_before_enumeration(tmp_path, capsys, 
     assert code == 2
     assert not out
     assert "dimension 18 exceeds the enumeration bound 8" in err
+
+
+@pytest.mark.parametrize("check", ["d-universal", "unc-d-universal"])
+def test_zonoid_dimension_bound_checked_before_enumeration(tmp_path, capsys, monkeypatch, check):
+    def enumerate_all(dim):
+        raise AssertionError(f"enumerated all 2**{dim} support sets")
+
+    monkeypatch.setattr(zonoids, "all_subsets", enumerate_all)
+    generator = ["1"] * 16
+    path = write_json(tmp_path / "z.json", {"dim": 16, "generators": [generator]})
+    code, out, err = run(capsys, "zonoid", path, "--check", check)
+    assert code == 2
+    assert not out
+    assert "dimension 16 exceeds the enumeration bound 8" in err

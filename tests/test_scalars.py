@@ -102,6 +102,27 @@ def test_square_free_decompose_certifies_prime_cofactor():
     assert square_free_decompose(4 * 1009, bound=50) == (2, 1009)
 
 
+def test_square_free_decompose_memo_returns_and_raises_as_before():
+    plain = square_free_decompose.__wrapped__
+    for m in list(range(1, 200)) + [4 * 1009, 2**40 * 3]:
+        for _ in range(2):
+            assert square_free_decompose(m) == plain(m)
+            assert square_free_decompose(m, 50) == plain(m, 50)
+    # an over-bound radicand raises every time, with the same message
+    messages = []
+    for _ in range(3):
+        with pytest.raises(FactorLimitError) as exc:
+            square_free_decompose(101 * 103, 50)
+        messages.append(str(exc.value))
+    assert messages == [messages[0]] * 3
+    assert "exceeds the trial-division bound 50" in messages[0]
+    # a larger bound on the same radicand is a separate entry
+    assert square_free_decompose(101 * 103, 200) == (1, 101 * 103)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="expected a positive integer"):
+            square_free_decompose(0)
+
+
 @given(surds(), surds(), surds())
 @settings(max_examples=150, deadline=None)
 def test_field_laws(a, b, c):

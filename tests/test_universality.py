@@ -17,13 +17,15 @@ from multconv.measures import (
     msym,
     munc,
     sigma0,
+    sigma0_on,
     sigma_sym,
     symmetrize,
     unit,
 )
 from multconv.sphere import radial_project, sconv
-from multconv.subsets import GeneratingPair, SubsetMask, all_subsets, index_set
+from multconv.subsets import GeneratingPair, SubsetMask, all_subsets, index_set, subsets_of
 from multconv.universality import (
+    _probe_product,
     class_pair,
     decide_special,
     decide_universal_rn,
@@ -202,6 +204,21 @@ def test_conditions_match_the_convolution_oracle():
     # every trial decides a point measure and a sphere measure, n = 1..5
     report = run_property_suite("condition-oracle", 0, 60)
     assert report["passed"], report["failures"]
+
+
+def test_witnesses_match_the_full_convolution():
+    # half the trials take the interfering construction, whose witness is
+    # the parity basis measure times the alternating probe; every witness is
+    # convolved with the whole measure and compared with the mconv route
+    report = run_property_suite("universality-witness", 0, 40)
+    assert report["passed"], report["failures"]
+
+
+def test_probe_product_equals_its_convolution():
+    for n in (1, 2, 3):
+        for e in all_subsets(n):
+            for j in subsets_of(e):
+                assert _probe_product(e, j) == mconv(delta_ej(e, j), sigma0_on(e))
 
 
 def test_sphere_random_reports_are_sound():
