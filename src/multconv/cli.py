@@ -19,7 +19,7 @@ import sys
 from .lifting import lift, lift_inverse
 from .measures import AtomicMeasure, Measure, mconv, symmetrize
 from .subsets import GeneratingPair, SubsetMask, all_subsets, gamma, mask_sort_key
-from .sphere import SphereMeasure, sconv
+from .sphere import SphereMeasure, radial_project, sconv
 from .universality import _check_dim, decide_universal_rn, decide_universal_sphere
 from .harness import run_property_suite
 from .zonoids import (
@@ -65,7 +65,7 @@ def _parse_subset(text: str, dim: int) -> SubsetMask:
 def _parse_family(text: str | None, dim: int) -> list[SubsetMask]:
     if text is None or not text.strip():
         return []
-    return [_parse_subset(part, dim) for part in text.split(";") if part.strip() or part == "0"]
+    return [_parse_subset(part, dim) for part in text.split(";") if part.strip()]
 
 
 def _emit(payload, fmt: str) -> None:
@@ -92,8 +92,6 @@ def _cmd_project(args) -> int:
     mu = _parse_measure(args.input)
     e = _parse_subset(args.E, mu.dim)
     if args.sphere and isinstance(mu, Measure):
-        from .sphere import radial_project
-
         mu = radial_project(mu)
     _emit(mu.project(e).to_json(), args.format)
     return 0
@@ -280,10 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # an InputError is a ValueError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .measures import Measure, msym, tensor
-from .points import Point, ray_norm_sq
+from .points import Point
 from .scalars import Surd
 from .subsets import (
     GeneratingPair,
@@ -51,12 +51,11 @@ def lift_inverse(mu: SphereMeasure) -> Measure:
     if not mu.is_even_under(SubsetMask.full(mu.dim)):
         raise ValueError("measure is not origin-symmetric")
     acc: dict[Point, Surd] = {}
-    for ray, w in mu.atoms.items():
+    for ray, m in mu.masses():
         if ray[0] < 0:
             continue
         point = tuple(Fraction(c, ray[0]) for c in ray[1:])
-        factor = 2 * ray[0] * Surd.sqrt(Fraction(1, ray_norm_sq(ray)))
-        add = w * factor
+        add = m * (2 * ray[0])
         prev = acc.get(point)
         acc[point] = add if prev is None else prev + add
     return Measure._of(n, acc)

@@ -73,6 +73,12 @@ def norm_surd(x: Point) -> Surd:
     return Surd.sqrt(inner(x, x))
 
 
+def clear_denominators(x: Point) -> tuple[int, tuple[int, ...]]:
+    """The least positive integer ``s`` with ``s * x`` integral, and ``s * x``."""
+    scale = math.lcm(*(c.denominator for c in x))
+    return scale, tuple(c.numerator * (scale // c.denominator) for c in x)
+
+
 def canonical_ray(x: Point) -> Ray:
     """Primitive integer representative of the open ray through ``x``.
 
@@ -81,8 +87,7 @@ def canonical_ray(x: Point) -> Ray:
     """
     if not any(x):
         raise ValueError("the zero point spans no ray")
-    scale = math.lcm(*(c.denominator for c in x))
-    ints = [int(c * scale) for c in x]
+    _, ints = clear_denominators(x)
     g = math.gcd(*ints)
     return tuple(v // g for v in ints)
 
@@ -102,10 +107,6 @@ def primitive_ray(v: Iterable[int]) -> Ray:
     return tuple(c // g for c in ints)
 
 
-def ray_point(d: Ray) -> Point:
-    return tuple(Fraction(c) for c in d)
-
-
 def hadamard_ray(d: Ray, e: Ray) -> tuple[int, ...]:
     if len(d) != len(e):
         raise ValueError(f"dimension mismatch: {len(d)} vs {len(e)}")
@@ -121,6 +122,3 @@ def project_ray(d: Ray, e: SubsetMask) -> tuple[int, ...]:
 def ray_norm_sq(d: Ray) -> int:
     return sum(c * c for c in d)
 
-
-def negate_ray(d: Ray) -> Ray:
-    return tuple(-c for c in d)

@@ -264,14 +264,18 @@ class Surd:
     @classmethod
     def from_json(cls, data) -> "Surd":
         acc: dict[int, Fraction] = {}
-        for coeff, radicand in data:
-            r = int(radicand)
+        for coeff, r in data:
+            # a bool is an int to Python, and a float would be truncated
+            if isinstance(coeff, bool):
+                raise TypeError(f"refusing bool coefficient {coeff!r}")
+            if isinstance(r, bool) or not isinstance(r, int):
+                raise TypeError(f"radicand must be an integer, got {r!r}")
             if r < 1:
                 raise ValueError(f"radicand must be >= 1, got {r}")
             _, free = square_free_decompose(r)
             if free != r:
                 raise ValueError(f"radicand {r} is not square-free")
-            acc[r] = acc.get(r, Fraction(0)) + Fraction(coeff)
+            acc[r] = acc.get(r, Fraction(0)) + _coerce_rational(coeff)
         return cls._from_map(acc)
 
     def __repr__(self) -> str:

@@ -2,9 +2,12 @@
 
 An atom stored at ray ``d`` with weight ``w`` represents mass ``w`` at the
 unit vector ``d/|d|``; all radial normalisations are absorbed into surd
-weights, so locations compare exactly.  The module provides the radial
-projection from point measures, the induced product on the sphere, and
-the coordinate-subsphere projections.
+weights, so locations compare exactly.  That convention lives here alone,
+in two functions: :meth:`SphereMeasure.masses` reads each atom as the
+point mass ``w/|d|`` at the integer vector ``d``, and ``_push`` moves point
+masses at integer vectors radially back to the sphere.  The radial
+projection from point measures, the induced product on the sphere and the
+coordinate-subsphere projections are each one push.
 
 ``moment_g`` at the bottom is the single floating-point surface of the
 package: a numerical diagnostic that never feeds an exact decision.
@@ -12,15 +15,15 @@ package: a numerical diagnostic that never feeds an exact decision.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .measures import AtomicMeasure
 from .points import (
     Ray,
-    canonical_ray,
+    clear_denominators,
     hadamard_ray,
-    norm_surd,
     primitive_ray,
     project_ray,
     ray_norm_sq,
@@ -37,43 +40,58 @@ class SphereMeasure(AtomicMeasure):
     _key = staticmethod(primitive_ray)
     _loc_field = "ray"
 
+    def masses(self) -> list[tuple[Ray, Surd]]:
+        """Each atom as the point mass ``w/|d|`` at its integer ray ``d``."""
+        out = []
+        for d, w in self._atoms.items():
+            out.append((d, w * Surd.sqrt(Fraction(1, ray_norm_sq(d)))))
+        return out
+
     def project(self, e: SubsetMask) -> "SphereMeasure":
         """Project onto the coordinate subsphere of ``e``.
 
-        Each surviving direction is renormalised back to the sphere, which
-        scales its weight by the norm ratio of the projected ray.
+        Each mass moves to its projected ray, and the push renormalises it
+        back to the sphere.
         """
         self._check_mask(e)
-        acc: dict[Ray, Surd] = {}
-        for r, w in self._atoms.items():
-            c = project_ray(r, e)
-            if not any(c):
-                continue
-            factor = Surd.sqrt(Fraction(ray_norm_sq(c), ray_norm_sq(r)))
-            ray = primitive_ray(c)
-            add = w * factor
-            prev = acc.get(ray)
-            acc[ray] = add if prev is None else prev + add
-        return SphereMeasure._of(self.dim, acc)
+        pushed = []
+        for d, m in self.masses():
+            pushed.append((project_ray(d, e), m))
+        return _push(self.dim, pushed)
+
+
+def _push(dim: int, masses: Iterable[tuple[tuple[int, ...], Surd]]) -> SphereMeasure:
+    """Push point masses at integer vectors radially to the sphere.
+
+    Mass ``m`` at a nonzero vector ``v`` adds ``m * |v|`` at ``v`` divided by
+    its gcd, the primitive ray through ``v``; mass at the origin is dropped.
+    """
+    acc: dict[Ray, Surd] = {}
+    for v, m in masses:
+        g = math.gcd(*v)
+        if g == 0:
+            continue  # the origin spans no ray
+        ray = tuple([c // g for c in v])
+        add = m * Surd.sqrt(ray_norm_sq(v))
+        prev = acc.get(ray)
+        acc[ray] = add if prev is None else prev + add
+    return SphereMeasure._of(dim, acc)
 
 
 def radial_project(mu: AtomicMeasure) -> SphereMeasure:
     """Reweight by the Euclidean norm and push to the unit sphere.
 
-    Mass at the origin is dropped.  Sphere measures are already fixed
-    points of the projection and pass through unchanged.
+    A point ``x`` is pushed as the integer vector ``s * x`` with mass
+    ``w / s``.  Mass at the origin is dropped.  Sphere measures are already
+    fixed points of the projection and pass through unchanged.
     """
     if isinstance(mu, SphereMeasure):
         return mu
-    acc: dict[Ray, Surd] = {}
-    for pt, w in mu.atoms.items():
-        if not any(pt):
-            continue
-        ray = canonical_ray(pt)
-        add = w * norm_surd(pt)
-        prev = acc.get(ray)
-        acc[ray] = add if prev is None else prev + add
-    return SphereMeasure._of(mu.dim, acc)
+    pushed = []
+    for x, w in mu.atoms.items():
+        scale, v = clear_denominators(x)
+        pushed.append((v, w * Fraction(1, scale)))
+    return _push(mu.dim, pushed)
 
 
 def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
@@ -85,19 +103,12 @@ def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
     sa = radial_project(a)
     sb = radial_project(b)
     sa._check(sb)
-    acc: dict[Ray, Surd] = {}
-    for d, wd in sa._atoms.items():
-        nd = ray_norm_sq(d)
-        for e, we in sb._atoms.items():
-            prod = hadamard_ray(d, e)
-            if not any(prod):
-                continue
-            factor = Surd.sqrt(Fraction(ray_norm_sq(prod), nd * ray_norm_sq(e)))
-            ray = primitive_ray(prod)
-            add = wd * we * factor
-            prev = acc.get(ray)
-            acc[ray] = add if prev is None else prev + add
-    return SphereMeasure._of(sa.dim, acc)
+    right = sb.masses()
+    pushed = []
+    for d, md in sa.masses():
+        for e, me in right:
+            pushed.append((hadamard_ray(d, e), md * me))
+    return _push(sa.dim, pushed)
 
 
 def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:

@@ -13,11 +13,12 @@ Deciders below evaluate every condition by these class sums, exactly,
 from integer-coded atoms: each atom is encoded once per decision by its
 nonzero and negative coordinate masks, its absolute coordinates as
 integers and its weight, and the classes on E group the atoms nonzero on
-all of E by their absolute coordinates there.  On the sphere the
-projection rescales a weight by the norm ratio of the projected ray;
-absorbing ``1/|r|`` into the weight once per atom and the gcd of the
-coordinates on E per class member leaves only the class's common norm,
-which drops out of the zero test.
+all of E by their absolute coordinates there.  On the sphere an atom is
+coded as its point mass ``w/|r|`` at the integer ray ``r``
+(``SphereMeasure.masses``), which the projection pushes back with the
+norm of the projected ray; scaling each class member by the gcd of its
+coordinates on E leaves only the class's common norm, which drops out of
+the zero test.
 
 On a negative decision the counterexample is proved by its factors: it is
 either the parity basis measure of J (convolved with the whole measure to
@@ -36,14 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional
 
-from .measures import (
-    AtomicMeasure,
-    Measure,
-    delta_ej,
-    mconv,
-    msym,
-)
-from .points import ray_norm_sq
+from .measures import AtomicMeasure, Measure, delta_ej, mconv
 from .scalars import ZERO, Surd
 from .subsets import (
     GeneratingPair,
@@ -52,7 +46,6 @@ from .subsets import (
     gamma,
     index_set,
     mask_sort_key,
-    subsets_of,
 )
 from .sphere import SphereMeasure, radial_project, sconv
 
@@ -190,13 +183,15 @@ _Code = list[tuple[int, int, tuple[int, ...], Surd]]
 def _code(nu: AtomicMeasure) -> _Code:
     """Encode every atom of ``nu`` once.
 
-    Point coordinates are coded by integer ids of their absolute values.  Ray
-    entries are integers already, and a ray's weight absorbs ``1/|r|``.
+    Point coordinates are coded by integer ids of their absolute values.  A
+    sphere atom is read as its point mass ``w/|r|`` at the integer ray ``r``
+    (:meth:`SphereMeasure.masses`), whose entries are integers already.
     """
     sphere = isinstance(nu, SphereMeasure)
+    atoms = nu.masses() if sphere else nu.atoms.items()
     ids: dict[Fraction, int] = {}
     code: _Code = []
-    for loc, w in nu.atoms.items():
+    for loc, w in atoms:
         nonzero = negative = 0
         for i, c in enumerate(loc):
             if c:
@@ -205,7 +200,6 @@ def _code(nu: AtomicMeasure) -> _Code:
                     negative |= 1 << i
         if sphere:
             absolute = tuple(abs(c) for c in loc)
-            w = w * Surd.sqrt(Fraction(1, ray_norm_sq(loc)))
         else:
             absolute = tuple(ids.setdefault(abs(c), len(ids)) for c in loc)
         code.append((nonzero, negative, absolute, w))
@@ -320,19 +314,6 @@ def class_pair(name: SymmetryClass, dim: int) -> GeneratingPair:
     return factory(dim)
 
 
-def _parity_indices(name: SymmetryClass, e: SubsetMask) -> list[SubsetMask]:
-    if name == "unconditional":
-        return [SubsetMask.empty(e.dim)]
-    out = []
-    for j in subsets_of(e):
-        if name == "symmetric" and j.size % 2:
-            continue
-        if name == "antisymmetric" and j.size % 2 == 0:
-            continue
-        out.append(j)
-    return sorted(out, key=mask_sort_key)
-
-
 def decide_special(
     nu: AtomicMeasure, klass: SymmetryClass, scope: Scope = "full"
 ) -> UniversalityReport:
@@ -367,12 +348,12 @@ def decide_special(
             raise ValueError("top-order scope requires a measure of full order")
         code = _code(nu)
         conditions: list[ConditionRecord] = []
-        for j in _parity_indices(klass, full):
+        for j in sorted(index_set(full, pair), key=mask_sort_key):
             if sphere and j.size == 0:
                 # the empty index collapses to one condition per axis
                 for i in range(1, n + 1):
                     axis = SubsetMask.single(n, i)
-                    ok = bool(msym(nu.project(axis)))
+                    ok = _satisfied(_classes(code, axis, True), 0)
                     conditions.append(ConditionRecord(axis, SubsetMask.empty(n), ok))
                 continue
             # on a measure of full order, the (J, J) condition on its projection

@@ -13,20 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .measures import msym
-from .points import (
-    Point,
-    canonical_ray,
-    inner,
-    make_point,
-    negate_ray,
-    norm_surd,
-    ray_norm_sq,
-    refuse_text,
-)
-from .scalars import HALF, Surd
+from .measures import Measure, msym
+from .points import Point, inner, make_point, ray_norm_sq, refuse_text
+from .scalars import Surd
 from .subsets import GeneratingPair, SubsetMask, all_subsets, json_dim
-from .sphere import SphereMeasure, sconv
+from .sphere import SphereMeasure, radial_project, sconv
 from .universality import UniversalityReport, _check_dim, decide_universal_sphere
 
 
@@ -81,16 +72,10 @@ def generating_measure(z: Zonotope) -> SphereMeasure:
     """Symmetric non-negative sphere measure reproducing the support function.
 
     Each generator v contributes half its length at the two opposite rays
-    through v, so integrating ``|<., u>|`` gives exactly ``|<v, u>|``.
+    through v, so integrating ``|<., u>|`` gives exactly ``|<v, u>|``: the
+    radial projection of the unit masses at the generators, symmetrised.
     """
-    acc: dict[tuple[int, ...], Surd] = {}
-    for g in z.generators:
-        ray = canonical_ray(g)
-        w = norm_surd(g) * HALF
-        for r in (ray, negate_ray(ray)):
-            prev = acc.get(r)
-            acc[r] = w if prev is None else prev + w
-    return SphereMeasure(z.dim, acc)
+    return radial_project(msym(Measure(z.dim, [(g, 1) for g in z.generators])))
 
 
 def support_function(nu: SphereMeasure, u: Iterable) -> Surd:
@@ -99,9 +84,9 @@ def support_function(nu: SphereMeasure, u: Iterable) -> Surd:
     if len(u) != nu.dim:
         raise ValueError(f"dimension mismatch: {len(u)} vs {nu.dim}")
     total = Surd(0)
-    for ray, w in nu.atoms.items():
+    for ray, m in nu.masses():
         ip = inner(tuple(Fraction(c) for c in ray), u)
-        total = total + w * abs(ip) * Surd.sqrt(Fraction(1, ray_norm_sq(ray)))
+        total = total + m * abs(ip)
     return total
 
 

@@ -198,6 +198,10 @@ def test_pretty_format(tmp_path, capsys):
         (["decompose"], {"dim": 2, "atoms": [{"point": "12", "weight": [["1", 1]]}]}),
         (["decompose"], {"dim": 2, "atoms": [{"ray": "12", "weight": [["1", 1]]}]}),
         (["zonoid", "--check", "d-universal"], {"dim": 2, "generators": ["12"]}),
+        (["decompose"], {"dim": 2, "atoms": [{"point": ["1", "1"], "weight": [["1", 2.5]]}]}),
+        (["decompose"], {"dim": 2, "atoms": [{"point": ["1", "1"], "weight": [[0.1, 1]]}]}),
+        (["universal"], {"dim": 2, "atoms": [{"point": ["1", "1"], "weight": [["1", True]]}]}),
+        (["decompose"], {"dim": 2, "atoms": [{"ray": [1, 1], "weight": [[True, 1]]}]}),
     ],
     ids=[
         "float-ray",
@@ -208,6 +212,10 @@ def test_pretty_format(tmp_path, capsys):
         "string-point",
         "string-ray",
         "string-generator",
+        "float-radicand",
+        "float-coefficient",
+        "bool-radicand",
+        "bool-coefficient",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, payload):

@@ -181,6 +181,19 @@ def test_json_rejects_non_square_free():
         Surd.from_json([["1", 4]])
 
 
+@pytest.mark.parametrize(
+    "data",
+    [[["1", 2.5]], [["1", 2.0]], [[0.1, 1]], [["1", True]], [[True, 1]], [["1", "2"]]],
+    ids=["float-radicand", "integral-float-radicand", "float-coefficient", "bool-radicand",
+         "bool-coefficient", "string-radicand"],
+)
+def test_json_refuses_floats_bools_and_text(data):
+    # a float radicand used to be truncated, a float coefficient read as its
+    # binary fraction, and True taken as the radicand 1
+    with pytest.raises(TypeError):
+        Surd.from_json(data)
+
+
 def test_ordering_via_sign():
     assert Surd.sqrt(2) < Surd.sqrt(3)
     assert Surd.sqrt(2) <= Surd.sqrt(2)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,11 @@ import pytest
 from multconv.harness import gen_measure, gen_pair, gen_sphere_measure
 from multconv.lifting import lift
 from multconv.measures import Measure, mconv, msym, munc, phat, symmetrize, tensor, unc_inverse
+from multconv.points import primitive_ray
 from multconv.scalars import Surd
 from multconv.sphere import SphereMeasure, moment_g, radial_project, sconv
 from multconv.subsets import GeneratingPair, SubsetMask, all_subsets
+from multconv.zonoids import Zonotope, generating_measure
 
 F = Fraction
 
@@ -286,3 +289,108 @@ def test_trusted_constructor_results_are_canonical(seed, assert_trusted):
             "lift": lift(gen_measure(seed, n, 6)),
         }
     )
+
+
+# -- reference formulas: one norm-ratio square root per atom or pair ---------
+
+
+def _norm_sq(x):
+    return sum(c * c for c in x)
+
+
+def _reference_radial(mu):
+    """Weight ``w * |x|`` at the primitive ray through each nonzero point."""
+    acc = {}
+    for x, w in mu.atoms.items():
+        if not any(x):
+            continue
+        scale = math.lcm(*(c.denominator for c in x))
+        ray = primitive_ray([int(c * scale) for c in x])
+        acc[ray] = acc.get(ray, Surd(0)) + w * Surd.sqrt(_norm_sq(x))
+    return SphereMeasure(mu.dim, acc)
+
+
+def _reference_project(mu, e):
+    """Weight ``w * |c|/|r|`` at the primitive ray of each projection ``c``."""
+    acc = {}
+    for r, w in mu.atoms.items():
+        c = [v if e.bits >> i & 1 else 0 for i, v in enumerate(r)]
+        if not any(c):
+            continue
+        ray = primitive_ray(c)
+        acc[ray] = acc.get(ray, Surd(0)) + w * Surd.sqrt(F(_norm_sq(c), _norm_sq(r)))
+    return SphereMeasure(mu.dim, acc)
+
+
+def _reference_sconv(a, b):
+    """Weight ``wd * we * |d*e|/(|d| |e|)`` at the primitive ray of ``d*e``."""
+    sa = a if isinstance(a, SphereMeasure) else _reference_radial(a)
+    sb = b if isinstance(b, SphereMeasure) else _reference_radial(b)
+    acc = {}
+    for d, wd in sa.atoms.items():
+        for e, we in sb.atoms.items():
+            prod = [x * y for x, y in zip(d, e)]
+            if not any(prod):
+                continue
+            ray = primitive_ray(prod)
+            ratio = F(_norm_sq(prod), _norm_sq(d) * _norm_sq(e))
+            acc[ray] = acc.get(ray, Surd(0)) + wd * we * Surd.sqrt(ratio)
+    return SphereMeasure(sa.dim, acc)
+
+
+_RATIONAL_POOL = tuple(F(v) for v in (-3, -2, F(-2, 3), F(-1, 2), 0, F(1, 3), 1, F(3, 2), 2))
+
+
+def _reference_inputs(seed, n):
+    """Point measures with rational coordinates, an origin atom and a scaled
+    copy of one atom (which lands on the same ray), and sphere measures."""
+    mu = gen_measure(seed, n, 5, coordinate_pool=_RATIONAL_POOL)
+    x = next(x for x in mu.atoms if any(x))
+    mu = mu + dirac(*([0] * n)) * 3 + Measure(n, {tuple(F(7, 2) * c for c in x): 1})
+    return mu, gen_sphere_measure(seed + 1, n, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sphere_layer_matches_reference_formulas(n):
+    for seed in range(6):
+        mu, sigma = _reference_inputs(seed + 200 * n, n)
+        nu, tau = _reference_inputs(seed + 200 * n + 100, n)
+        assert radial_project(mu) == _reference_radial(mu)
+        assert radial_project(nu) == _reference_radial(nu)
+        for a, b in ((sigma, tau), (mu, nu), (mu, tau), (sigma, nu)):
+            assert sconv(a, b) == _reference_sconv(a, b)
+        for e in all_subsets(n):
+            assert sigma.project(e) == _reference_project(sigma, e)
+            assert sconv(mu, tau).project(e) == _reference_project(_reference_sconv(mu, tau), e)
+
+
+def _reference_generating(z):
+    """Half the length of each generator at the two opposite rays through it."""
+    acc = {}
+    for g in z.generators:
+        half = Surd.sqrt(_norm_sq(g)) * F(1, 2)
+        scale = math.lcm(*(c.denominator for c in g))
+        ray = primitive_ray([int(c * scale) for c in g])
+        for r in (ray, tuple(-c for c in ray)):
+            acc[r] = acc.get(r, Surd(0)) + half
+    return SphereMeasure(z.dim, acc)
+
+
+def test_generating_measure_matches_reference():
+    cases = [
+        [(1, 2), (1, 2)],  # repeated
+        [(1, 2), (-1, -2)],  # opposite
+        [(1, 2), (F(1, 2), 1), (3, 6)],  # scaled
+        [(1, 0), (0, 1), (1, -1), (F(2, 3), F(-4, 3))],
+    ]
+    for gens in cases:
+        z = Zonotope.make(2, gens)
+        assert generating_measure(z) == _reference_generating(z)
+    for n in (1, 2, 3, 4):
+        for seed in range(4):
+            mu = gen_measure(seed + 40 * n, n, 4, coordinate_pool=_RATIONAL_POOL)
+            gens = [x for x in mu.atoms if any(x)]
+            first = gens[0]
+            gens += [tuple(-c for c in first), tuple(2 * c for c in first), first]
+            z = Zonotope.make(n, gens)
+            assert generating_measure(z) == _reference_generating(z)

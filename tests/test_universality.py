@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,8 @@ from multconv.measures import (
     symmetrize,
     unit,
 )
-from multconv.sphere import radial_project, sconv
+from multconv.scalars import Surd
+from multconv.sphere import SphereMeasure, radial_project, sconv
 from multconv.subsets import GeneratingPair, SubsetMask, all_subsets, index_set, subsets_of
 from multconv.universality import (
     _probe_product,
@@ -446,3 +448,43 @@ def test_dimension_bound_enforced():
     big = Measure.dirac([F(1)] * 9)
     with pytest.raises(ValueError):
         decide_universal_rn(big, [SubsetMask.full(9)], GeneratingPair.make(9))
+
+
+def _axis_balanced(seed, n):
+    """Two full-order sphere atoms whose masses cancel on the projection onto
+    one axis: the sum of ``w * |r_i| / |r|`` over that axis is zero."""
+    rng = random.Random(seed)
+    i = rng.randrange(n)
+    rays = set()
+    while len(rays) < 2:
+        rays.add(tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)))
+    atoms = {}
+    for sign, r in zip((1, -1), sorted(rays)):
+        atoms[r] = Surd.sqrt(sum(c * c for c in r)) * F(sign, abs(r[i]))
+    return SphereMeasure(n, atoms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_special_top_order_sphere_axis_conditions(n):
+    # each empty-index condition of the top-order scope on the sphere is the
+    # nonvanishing of the symmetrised projection onto its axis
+    full = SubsetMask.full(n)
+    checked = failed = 0
+    for seed in range(8):
+        base = radial_project(_top_order_measure(seed + 12_000 + 100 * n, n))
+        balanced = _axis_balanced(seed + 13_000 + 100 * n, n)
+        for nu in (base, base - base.reflect(full), balanced, base + balanced):
+            if nu.order_of() != full:
+                continue
+            for klass in ("unconditional", "symmetric", "antisymmetric", "none"):
+                report = decide_special(nu, klass, "top-order")
+                axes = [c for c in report.conditions if c.index.size == 0]
+                has_empty = SubsetMask.empty(n) in index_set(full, class_pair(klass, n))
+                assert [c.support for c in axes] == (
+                    [SubsetMask.single(n, i) for i in range(1, n + 1)] if has_empty else []
+                )
+                for c in axes:
+                    assert c.satisfied == bool(msym(nu.project(c.support)))
+                    checked += 1
+                    failed += not c.satisfied
+    assert checked and failed and failed < checked
