@@ -1,0 +1,286 @@
+#!/usr/bin/env python3
+"""Digest the package's observable behaviour on seeded inputs.
+
+Prints one ``group count sha256`` line per group, so that two trees can be
+compared by running this script against each of them and diffing the
+output:
+
+- ``decisions``: the report JSON of both general deciders and of
+  ``decide_special`` at every scope and class, on random, reflection-even
+  and interfering inputs, as point measures and radially projected; an
+  error is recorded as its message;
+- ``grids``: the atoms of ``delta_ej`` and ``sigma0_on`` in insertion
+  order, and the witness probe ``_probe_product`` as JSON;
+- ``sphere``: ``sconv``, subsphere projections, ``radial_project`` and the
+  lift round trip;
+- ``cli``: stdout, stderr and exit code of well-formed command-line
+  requests on seeded files;
+- ``cli-malformed``: the same for malformed input files and arguments.
+
+The cli requests run in-process in a temporary directory, with relative
+file names, so the output does not depend on where that directory is.
+
+    PYTHONPATH=src python scripts/behaviour_digest.py --max-dim 3
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from fractions import Fraction
+
+from multconv import (
+    SubsetMask,
+    all_subsets,
+    decide_special,
+    decide_universal_rn,
+    decide_universal_sphere,
+    delta_ej,
+    lift,
+    lift_inverse,
+    radial_project,
+    sconv,
+    sigma0_on,
+    subsets_of,
+)
+from multconv.cli import main as cli_main
+from multconv.harness import (
+    gen_interfering_measure,
+    gen_mask,
+    gen_measure,
+    gen_pair,
+    gen_sphere_measure,
+)
+from multconv.universality import _probe_product
+
+F = Fraction
+SEEDS = 16
+CLASSES = ("unconditional", "symmetric", "antisymmetric", "none")
+SCOPES = ("full", "top-order", "positive-orthant")
+NONZERO = tuple(F(v) for v in (-2, -1, F(1, 2), 1, 2))
+SUITES = (
+    "field-laws",
+    "convolution-oracle",
+    "symmetry-decomposition",
+    "radial-projection",
+    "lifting",
+    "universality-witness",
+    "condition-oracle",
+    "zonoid",
+)
+
+
+class Group:
+    def __init__(self):
+        self.count = 0
+        self.hash = hashlib.sha256()
+
+    def add(self, record) -> None:
+        self.count += 1
+        self.hash.update(json.dumps(record, separators=(",", ":")).encode())
+        self.hash.update(b"\n")
+
+
+def outcome(call, *args):
+    try:
+        return call(*args).to_json()
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+def decision_inputs(seed: int, n: int):
+    full = gen_measure(seed, n, 1 + seed % 5, coordinate_pool=NONZERO)
+    yield "random", gen_measure(seed, n, 1 + seed % 6)
+    yield "full-order", full
+    yield "reflection-even", full + full.reflect(gen_mask(seed, n))
+    yield "interfering", gen_interfering_measure(seed, n, 1 + seed % 4)
+
+
+def decisions(group: Group, n: int) -> None:
+    supports = list(all_subsets(n))
+    for seed in range(SEEDS):
+        pair = gen_pair(seed, n)
+        some = [e for k, e in enumerate(supports) if seed >> k % 4 & 1]
+        for kind, mu in decision_inputs(seed, n):
+            settings = (
+                ("point", mu, decide_universal_rn, lambda e: True),
+                # the sphere has no empty pattern
+                ("sphere", radial_project(mu), decide_universal_sphere, lambda e: e.size),
+            )
+            for setting, nu, decide, allowed in settings:
+                label = [n, seed, kind, setting]
+                for name, family in (("all", supports), ("some", some)):
+                    family = [e for e in family if allowed(e)]
+                    group.add(label + [name, outcome(decide, nu, family, pair)])
+                for klass in CLASSES:
+                    for scope in SCOPES:
+                        group.add(label + [klass, scope, outcome(decide_special, nu, klass, scope)])
+
+
+def grids(group: Group, n: int) -> None:
+    def atoms(mu):
+        return [[[str(c) for c in loc], w.to_json()] for loc, w in mu.atoms.items()]
+
+    for e in all_subsets(n):
+        group.add([n, e.to_json(), "sigma0_on", atoms(sigma0_on(e))])
+        for j in subsets_of(e):
+            group.add([n, e.to_json(), j.to_json(), "delta_ej", atoms(delta_ej(e, j))])
+            group.add([n, e.to_json(), j.to_json(), "probe", _probe_product(e, j).to_json()])
+    group.add([n, "delta_ej", outcome(delta_ej, SubsetMask.empty(n), SubsetMask.full(n))])
+
+
+def sphere_layer(group: Group, n: int) -> None:
+    for seed in range(SEEDS):
+        mu = gen_sphere_measure(seed, n, 1 + seed % 6)
+        nu = gen_sphere_measure(seed + 500, n, 1 + (seed + 3) % 6)
+        raw = gen_measure(seed + 1000, n, 1 + seed % 6)
+        lifted = lift(raw)
+        group.add([n, seed, "sconv", sconv(mu, nu).to_json()])
+        group.add([n, seed, "radial_project", radial_project(raw).to_json()])
+        group.add([n, seed, "lift", lifted.to_json(), lift_inverse(lifted).to_json()])
+        for e in all_subsets(n):
+            group.add([n, seed, "project", e.to_json(), mu.project(e).to_json()])
+
+
+def subset_arg(mask: SubsetMask) -> str:
+    return ",".join(str(i) for i in mask.indices()) or "0"
+
+
+def cli_requests(n: int, seed: int):
+    """One seeded battery: a list of ``(malformed, argv)`` and a dict from
+    relative file names to the JSON they hold."""
+    a = gen_measure(seed, n, 1 + seed % 6)
+    b = gen_measure(seed + 500, n, 1 + (seed + 2) % 6)
+    s = gen_sphere_measure(seed + 1000, n, 1 + seed % 5)
+    full = gen_measure(seed, n, 1 + seed % 5, coordinate_pool=NONZERO)
+    gens = [[str(c) for c in pt] for pt in full.support()]
+    files = {
+        "a.json": a.to_json(),
+        "b.json": b.to_json(),
+        "s.json": s.to_json(),
+        "f.json": full.to_json(),
+        "l.json": lift(a).to_json(),
+        "z.json": {"dim": n, "generators": gens},
+    }
+    e = subset_arg(gen_mask(seed, n))
+    pair = gen_pair(seed, n)
+    evens = ";".join(subset_arg(m) for m in sorted(pair.evens, key=lambda m: m.bits))
+    odds = ";".join(subset_arg(m) for m in sorted(pair.odds, key=lambda m: m.bits))
+    ok = [
+        ["convolve", "a.json", "b.json"],
+        ["convolve", "a.json", "b.json", "--sphere"],
+        ["convolve", "s.json", "s.json"],
+        # a point operand of the sphere product is projected radially
+        ["convolve", "a.json", "s.json"],
+        ["project", "a.json", "--E", e],
+        ["project", "a.json", "--E", e, "--sphere"],
+        ["project", "s.json", "--E", e],
+        ["decompose", "a.json"],
+        ["--format", "pretty", "decompose", "s.json"],
+        ["symmetrize", "a.json", "--evens", evens, "--odds", odds],
+        ["lift", "a.json"],
+        ["lift-inverse", "l.json"],
+        ["universal", "a.json", "--evens", evens, "--odds", odds],
+        ["universal", "f.json", "--support", "top", "--evens", evens],
+        ["universal", "s.json", "--sphere", "--odds", odds],
+        ["universal", "a.json", "--support", e if e != "0" else "1"],
+        ["zonoid", "z.json", "--check", "d-universal"],
+        ["zonoid", "z.json", "--check", "unc-d-universal"],
+        ["zonoid", "z.json", "--check", "singleton-support"],
+        ["verify", "--suite", SUITES[seed % len(SUITES)], "--seed", str(seed), "--trials", "2"],
+    ]
+    def atom(field, loc, weight=(("1", 1),)):
+        return {"dim": n, "atoms": [{field: loc, "weight": weight}]}
+
+    rest = ["1"] * (n - 1)
+    bad = {
+        "float-point.json": atom("point", [0.5] + rest),
+        "bool-point.json": atom("point", [True] + rest),
+        "float-ray.json": atom("ray", [1.5] + [1] * (n - 1)),
+        "bool-ray.json": atom("ray", [True] + [1] * (n - 1)),
+        "float-generator.json": {"dim": n, "generators": [rest + [1.5]]},
+        "bool-generator.json": {"dim": n, "generators": [[True] + rest]},
+        "zero-generator.json": {"dim": n, "generators": [["0"] * n]},
+        "zero-denominator.json": atom("point", ["1/0"] + rest),
+        "radicand.json": atom("point", ["2"] * n, [["1", 12]]),
+        "float-dim.json": {"dim": n + 0.5, "atoms": []},
+        "top-level-list.json": [atom("point", ["1"] * n)],
+        "big.json": {"dim": 9, "atoms": []},
+    }
+    files.update(bad)
+    files["bad-json.json"] = '{"dim": 1, "atoms": ['
+    malformed = [
+        ["decompose", "float-point.json"],
+        ["decompose", "bool-point.json"],
+        ["decompose", "float-ray.json"],
+        ["decompose", "bool-ray.json"],
+        ["zonoid", "float-generator.json", "--check", "d-universal"],
+        ["zonoid", "bool-generator.json", "--check", "d-universal"],
+        ["zonoid", "zero-generator.json", "--check", "d-universal"],
+        ["zonoid", "a.json", "--check", "d-universal"],
+        ["universal", "zero-denominator.json"],
+        ["decompose", "float-dim.json"],
+        ["convolve", "radicand.json", "a.json"],
+        ["decompose", "top-level-list.json"],
+        ["universal", "big.json"],
+        ["project", "bad-json.json", "--E", "1"],
+        ["project", "missing.json", "--E", "1"],
+        ["project", "a.json", "--E", str(n + 1)],
+        ["universal", "a.json", "--sphere"],
+        ["lift", "s.json"],
+        ["verify", "--suite", "no-such-suite"],
+        ["verify", "--suite", "field-laws", "--trials", "0"],
+        ["verify", "--suite", "field-laws", "--trials", "-1"],
+        ["frobnicate", "a.json"],
+    ]
+    return [(False, argv) for argv in ok] + [(True, argv) for argv in malformed], files
+
+
+def run_cli(argv: list[str]) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:  # a traceback escaping main()
+        code = f"escaped: {type(exc).__name__}"
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def cli(groups: tuple[Group, Group], n: int) -> None:
+    for seed in range(4):
+        requests, files = cli_requests(n, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            home = os.getcwd()
+            os.chdir(tmp)
+            try:
+                for name, payload in files.items():
+                    with open(name, "w", encoding="utf-8") as fh:
+                        fh.write(payload if isinstance(payload, str) else json.dumps(payload))
+                for malformed, argv in requests:
+                    groups[malformed].add([n, seed, argv, run_cli(argv)])
+            finally:
+                os.chdir(home)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--max-dim", type=int, default=3)
+    max_dim = parser.parse_args().max_dim
+    names = ("decisions", "grids", "sphere", "cli", "cli-malformed")
+    groups = {name: Group() for name in names}
+    for n in range(1, max_dim + 1):
+        decisions(groups["decisions"], n)
+        grids(groups["grids"], n)
+        sphere_layer(groups["sphere"], n)
+        cli((groups["cli"], groups["cli-malformed"]), n)
+    for name in names:
+        print(f"{name} {groups[name].count} {groups[name].hash.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -10,7 +10,6 @@ they check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -53,6 +52,8 @@ from .zonoids import (
     k_transform_direct,
 )
 
+# zero is in the coordinate pool on purpose, so random atoms populate
+# lower-order coordinate components as well
 _DEFAULT_COORDS = tuple(
     Fraction(v) for v in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 2)
 )
@@ -60,21 +61,7 @@ _DEFAULT_WEIGHTS = tuple(
     Fraction(v)
     for v in (-2, Fraction(-3, 2), -1, Fraction(-1, 2), Fraction(1, 2), 1, Fraction(3, 2), 2)
 )
-
-@dataclass(frozen=True)
-class HarnessConfig:
-    """Pools and bounds for the seeded generators.
-
-    The default coordinate pool contains zero on purpose, so random atoms
-    populate lower-order coordinate components as well.
-    """
-
-    coordinate_pool: tuple[Fraction, ...] = _DEFAULT_COORDS
-    weight_pool: tuple[Fraction, ...] = _DEFAULT_WEIGHTS
-    max_dim: int = 8
-
-
-DEFAULT_CONFIG = HarnessConfig()
+MAX_GENERATOR_DIM = 8
 
 
 def _rng(*key) -> random.Random:
@@ -86,14 +73,11 @@ def gen_measure(
     dim: int,
     atom_count: int,
     coordinate_pool: Optional[Iterable[Fraction]] = None,
-    weight_pool: Optional[Iterable[Fraction]] = None,
-    config: HarnessConfig = DEFAULT_CONFIG,
 ) -> Measure:
     """Deterministic pseudo-random measure with small rational data."""
-    if dim > config.max_dim:
-        raise ValueError(f"dimension {dim} exceeds the generator bound {config.max_dim}")
-    coords = tuple(coordinate_pool) if coordinate_pool is not None else config.coordinate_pool
-    weights = tuple(weight_pool) if weight_pool is not None else config.weight_pool
+    if dim > MAX_GENERATOR_DIM:
+        raise ValueError(f"dimension {dim} exceeds the generator bound {MAX_GENERATOR_DIM}")
+    coords = _DEFAULT_COORDS if coordinate_pool is None else tuple(coordinate_pool)
     rng = _rng("measure", seed, dim, atom_count)
     points: set[Point] = set()
     limit = len(coords) ** dim
@@ -101,7 +85,7 @@ def gen_measure(
         raise ValueError(f"cannot place {atom_count} distinct atoms on a {limit}-point grid")
     while len(points) < atom_count:
         points.add(tuple(rng.choice(coords) for _ in range(dim)))
-    return Measure(dim, {pt: rng.choice(weights) for pt in sorted(points)})
+    return Measure(dim, {pt: rng.choice(_DEFAULT_WEIGHTS) for pt in sorted(points)})
 
 
 _NONZERO_COORDS = tuple(Fraction(v) for v in (-2, -1, Fraction(1, 2), 1, 2))
@@ -121,8 +105,7 @@ def gen_interfering_measure(seed: int, dim: int, atom_count: int) -> Measure:
 
 def gen_sphere_measure(seed: int, dim: int, atom_count: int) -> SphereMeasure:
     """Radial projection of a random measure (origin atoms drop out)."""
-    pool = tuple(c for c in _DEFAULT_COORDS)
-    return radial_project(gen_measure(seed, dim, atom_count, coordinate_pool=pool))
+    return radial_project(gen_measure(seed, dim, atom_count))
 
 
 def gen_mask(seed: int, dim: int) -> SubsetMask:
@@ -617,6 +600,9 @@ def run_property_suite(suite_id: str, seed: int, trials: int) -> dict:
     if suite_id not in PROPERTY_SUITES:
         known = ", ".join(sorted(PROPERTY_SUITES))
         raise ValueError(f"unknown suite {suite_id!r}; known suites: {known}")
+    if trials < 1:
+        # no trial run is no evidence: a vacuous pass would read as verified
+        raise ValueError(f"trials must be >= 1, got {trials}")
     description, runner = PROPERTY_SUITES[suite_id]
     failures = []
     for trial in range(trials):

@@ -6,7 +6,9 @@ Dirac mass at the all-ones vector as unit.  The module also carries the
 coordinate decomposition by zero patterns, multiple reflections and the
 symmetrisation operators they induce, the signed atomic basis measures of
 the symmetry decomposition, and the alternating projection sum used as a
-top-order criterion.
+top-order criterion.  The parity basis measures, the alternating top-order
+probe and their product are signed grids, all built by one product
+builder, ``_parity_grid``.
 """
 
 from __future__ import annotations
@@ -353,6 +355,33 @@ def unit(dim: int) -> Measure:
 # -- distinguished atomic measures -------------------------------------------------
 
 
+def _parity_grid(
+    e: SubsetMask,
+    j: SubsetMask,
+    factor: tuple[tuple[int, int], ...],
+    scale: Fraction,
+) -> Measure:
+    """Product over the coordinates of ``e`` of one signed factor.
+
+    The factor lists ``(value, sign)`` pairs with distinct values; on a
+    coordinate of ``j`` a negative value also takes the parity character
+    there.  Off ``e`` the factor is the Dirac mass at 0.  Every atom weighs
+    ``+-scale`` and no two atoms merge.  The first coordinate varies
+    fastest.
+    """
+    n = e.dim
+    weight = {1: Surd(scale), -1: Surd(-scale)}
+    atoms: list[tuple[tuple, int]] = [((), 1)]
+    for i in reversed(range(n)):
+        if e.bits >> i & 1:
+            flip = -1 if j.bits >> i & 1 else 1
+            values = [(Fraction(v), s * flip if v < 0 else s) for v, s in factor]
+        else:
+            values = [(Fraction(0), 1)]
+        atoms = [((c,) + loc, s * t) for loc, s in atoms for c, t in values]
+    return Measure._of(n, {loc: weight[s] for loc, s in atoms})
+
+
 def sigma0_on(e: SubsetMask) -> Measure:
     """Alternating atoms on the {1,2}-grid of the coordinates in ``e``.
 
@@ -360,18 +389,7 @@ def sigma0_on(e: SubsetMask) -> Measure:
     it a top-order probe within the subspace of ``e``.  For the empty set
     this degenerates to the Dirac mass at the origin.
     """
-    n = e.dim
-    idx = [i for i in range(n) if e.bits >> i & 1]
-    atoms: dict[Point, Surd] = {}
-    for choice in range(1 << len(idx)):
-        coords = [Fraction(0)] * n
-        total = 0
-        for k, i in enumerate(idx):
-            v = 1 + (choice >> k & 1)
-            coords[i] = Fraction(v)
-            total += v
-        atoms[tuple(coords)] = Surd(-1 if total % 2 else 1)
-    return Measure(n, atoms)
+    return _parity_grid(e, SubsetMask.empty(e.dim), ((1, -1), (2, 1)), Fraction(1))
 
 
 def sigma0(dim: int) -> Measure:
@@ -388,22 +406,7 @@ def delta_ej(e: SubsetMask, j: SubsetMask) -> Measure:
     """
     if not j.issubset(e):
         raise ValueError(f"index set {j} is not a subset of the support {e}")
-    n = e.dim
-    idx = [i for i in range(n) if e.bits >> i & 1]
-    scale = Fraction(1, 1 << len(idx))
-    acc: dict[Point, Surd] = {}
-    for choice in range(1 << len(idx)):
-        coords = [Fraction(0)] * n
-        parity = 0
-        for k, i in enumerate(idx):
-            if choice >> k & 1:
-                coords[i] = Fraction(-1)
-                if j.bits >> i & 1:
-                    parity ^= 1
-            else:
-                coords[i] = Fraction(1)
-        acc[tuple(coords)] = Surd(-scale if parity else scale)
-    return Measure(n, acc)
+    return _parity_grid(e, j, ((1, 1), (-1, 1)), Fraction(1, 1 << e.size))
 
 
 def delta_j(dim: int, j: SubsetMask) -> Measure:

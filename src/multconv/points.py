@@ -29,8 +29,11 @@ def make_point(coords: Iterable) -> Point:
     values = tuple(coords)
     if not values:
         raise ValueError("points must have dimension >= 1")
-    if any(isinstance(c, float) for c in values):
-        raise TypeError("refusing float coordinates; use Fraction, int, or 'p/q' strings")
+    for c in values:
+        if isinstance(c, (float, bool)):
+            raise TypeError(
+                f"refusing {type(c).__name__} coordinates; use Fraction, int, or 'p/q' strings"
+            )
     return tuple(Fraction(c) for c in values)
 
 
@@ -98,8 +101,9 @@ def canonical_ray(x: Point) -> Ray:
 def primitive_ray(v: Iterable[int]) -> Ray:
     refuse_text(v)
     values = tuple(v)
-    if any(isinstance(c, float) for c in values):
-        raise TypeError("refusing float ray entries; use integers")
+    for c in values:
+        if isinstance(c, (float, bool)):
+            raise TypeError(f"refusing {type(c).__name__} ray entries; use integers")
     ints = tuple(int(c) for c in values)
     if not any(ints):
         raise ValueError("the zero vector spans no ray")

@@ -9,11 +9,12 @@ the projection onto E.  That product is nonzero exactly when some class
 of base atoms sharing one absolute location has a nonzero sum of weights
 signed by the parity character of J.
 
-Deciders below evaluate every condition by these class sums, exactly,
-from integer-coded atoms: each atom is encoded once per decision by its
-nonzero and negative coordinate masks, its absolute coordinates as
-integers and its weight, and the classes on E group the atoms nonzero on
-all of E by their absolute coordinates there.  On the sphere an atom is
+Every decider, at every scope, only lists its (E, J) pairs; one condition
+pass evaluates them by these class sums, exactly, from integer-coded
+atoms: each atom is encoded once per decision by its nonzero and negative
+coordinate masks, its absolute coordinates as integers and its weight,
+and the classes on E group the atoms nonzero on all of E by their
+absolute coordinates there.  On the sphere an atom is
 coded as its point mass ``w/|r|`` at the integer ray ``r``
 (``SphereMeasure.masses``), which the projection pushes back with the
 norm of the projected ray; scaling each class member by the gcd of its
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional
 
-from .measures import AtomicMeasure, Measure, delta_ej, mconv
+from .measures import AtomicMeasure, Measure, _parity_grid, delta_ej, mconv
 from .scalars import ZERO, Surd
 from .subsets import (
     GeneratingPair,
@@ -111,22 +112,9 @@ def _probe_product(e: SubsetMask, j: SubsetMask) -> Measure:
 
     On a coordinate of ``e`` the factor is
     ``(delta_2 - delta_1 + chi*delta_{-2} - chi*delta_{-1}) / 2``, with ``chi``
-    the parity character of ``j`` there; elsewhere it is the Dirac mass at 0.
-    The ``4**|e|`` atoms are distinct, so nothing merges, and every weight is
-    ``+-2**-|e|``.
+    the parity character of ``j`` there.
     """
-    one, two, zero = Fraction(1), Fraction(2), Fraction(0)
-    atoms: list[tuple[tuple, int]] = [((), 1)]
-    for i in range(e.dim):
-        if e.bits >> i & 1:
-            chi = -1 if j.bits >> i & 1 else 1
-            factor = ((two, 1), (one, -1), (-two, chi), (-one, -chi))
-        else:
-            factor = ((zero, 1),)
-        atoms = [(loc + (c,), s * t) for loc, s in atoms for c, t in factor]
-    scale = Fraction(1, 1 << e.size)
-    weight = {1: Surd(scale), -1: Surd(-scale)}
-    return Measure._of(e.dim, {loc: weight[s] for loc, s in atoms})
+    return _parity_grid(e, j, ((2, 1), (1, -1), (-2, 1), (-1, -1)), Fraction(1, 1 << e.size))
 
 
 def _witness(
@@ -246,14 +234,33 @@ def _satisfied(classes: list[list[tuple[int, Surd]]], j: int) -> bool:
     return False
 
 
+def _evaluate(
+    nu: AtomicMeasure, pairs: list[tuple[SubsetMask, SubsetMask]]
+) -> list[ConditionRecord]:
+    """One record per (E, J) pair, by the class sums: the one condition pass.
+
+    Consecutive pairs with equal E share one grouping of the atoms.
+    """
+    sphere = isinstance(nu, SphereMeasure)
+    code = _code(nu)
+    records: list[ConditionRecord] = []
+    last = None
+    for e, j in pairs:
+        if e != last:
+            last = e
+            classes = _classes(code, e, sphere)
+            # a class of one atom has a nonzero sum under every J
+            single = any(len(members) == 1 for members in classes)
+        records.append(ConditionRecord(e, j, single or _satisfied(classes, j.bits)))
+    return records
+
+
 def _decide(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityReport:
-    """The (E, J) condition loop of every full-space decision."""
+    """List the (E, J) pairs of a full-space decision and evaluate them."""
     _check_dim(nu.dim)
     if pair.dim != nu.dim:
         raise ValueError(f"dimension mismatch: measure {nu.dim} vs pair {pair.dim}")
-    sphere = isinstance(nu, SphereMeasure)
-    code = _code(nu)
-    conditions: list[ConditionRecord] = []
+    pairs: list[tuple[SubsetMask, SubsetMask]] = []
     skipped: list[SubsetMask] = []
     for e in _ordered_support(support):
         if e.dim != nu.dim:
@@ -262,12 +269,8 @@ def _decide(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityRep
         if not indices:
             skipped.append(e)
             continue
-        classes = _classes(code, e, sphere)
-        # a class of one atom has a nonzero sum under every J
-        single = any(len(members) == 1 for members in classes)
-        for j in sorted(indices, key=mask_sort_key):
-            conditions.append(ConditionRecord(e, j, single or _satisfied(classes, j.bits)))
-    return _conclude(nu, pair, conditions, skipped)
+        pairs.extend((e, j) for j in sorted(indices, key=mask_sort_key))
+    return _conclude(nu, pair, _evaluate(nu, pairs), skipped)
 
 
 def decide_universal_rn(nu: Measure, support, pair: GeneratingPair) -> UniversalityReport:
@@ -346,20 +349,15 @@ def decide_special(
     if scope == "top-order":
         if nu.order_of() != full:
             raise ValueError("top-order scope requires a measure of full order")
-        code = _code(nu)
-        conditions: list[ConditionRecord] = []
+        pairs: list[tuple[SubsetMask, SubsetMask]] = []
         for j in sorted(index_set(full, pair), key=mask_sort_key):
             if sphere and j.size == 0:
                 # the empty index collapses to one condition per axis
-                for i in range(1, n + 1):
-                    axis = SubsetMask.single(n, i)
-                    ok = _satisfied(_classes(code, axis, True), 0)
-                    conditions.append(ConditionRecord(axis, SubsetMask.empty(n), ok))
-                continue
-            # on a measure of full order, the (J, J) condition on its projection
-            ok = _satisfied(_classes(code, j, sphere), j.bits)
-            conditions.append(ConditionRecord(j, j, ok))
-        return _conclude(nu, pair, conditions)
+                pairs.extend((SubsetMask.single(n, i), j) for i in range(1, n + 1))
+            else:
+                # on a measure of full order, the (J, J) condition on its projection
+                pairs.append((j, j))
+        return _conclude(nu, pair, _evaluate(nu, pairs))
 
     if scope != "full":
         raise ValueError(f"unknown scope {scope!r}")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .measures import Measure, msym
-from .points import Point, inner, make_point, ray_norm_sq, refuse_text
+from .points import Point, inner, make_point, ray_norm_sq
 from .scalars import Surd
 from .subsets import GeneratingPair, SubsetMask, all_subsets, json_dim
 from .sphere import SphereMeasure, radial_project, sconv
@@ -39,11 +39,8 @@ class Zonotope:
 
     @classmethod
     def make(cls, dim: int, generators: Iterable[Iterable]) -> "Zonotope":
-        gens = []
-        for g in generators:
-            refuse_text(g)
-            gens.append(tuple(Fraction(c) for c in g))
-        return cls(dim, tuple(gens))
+        # the constructor normalises each generator through ``make_point``
+        return cls(dim, tuple(generators))
 
     @classmethod
     def cube(cls, dim: int) -> "Zonotope":

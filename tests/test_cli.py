@@ -154,6 +154,15 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_refuses_no_trials(capsys, trials):
+    # no trial run is no evidence, not a pass
+    code, out, err = run(capsys, "verify", "--suite", "field-laws", "--trials", trials)
+    assert code == 2
+    assert not out
+    assert "trials" in err
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -202,6 +211,10 @@ def test_pretty_format(tmp_path, capsys):
         (["decompose"], {"dim": 2, "atoms": [{"point": ["1", "1"], "weight": [[0.1, 1]]}]}),
         (["universal"], {"dim": 2, "atoms": [{"point": ["1", "1"], "weight": [["1", True]]}]}),
         (["decompose"], {"dim": 2, "atoms": [{"ray": [1, 1], "weight": [[True, 1]]}]}),
+        (["zonoid", "--check", "d-universal"], {"dim": 2, "generators": [["1", 1.5]]}),
+        (["decompose"], {"dim": 2, "atoms": [{"point": [True, "1"], "weight": [["1", 1]]}]}),
+        (["decompose"], {"dim": 2, "atoms": [{"ray": [1, True], "weight": [["1", 1]]}]}),
+        (["zonoid", "--check", "d-universal"], {"dim": 2, "generators": [[True, "1"]]}),
     ],
     ids=[
         "float-ray",
@@ -216,6 +229,10 @@ def test_pretty_format(tmp_path, capsys):
         "float-coefficient",
         "bool-radicand",
         "bool-coefficient",
+        "float-generator",
+        "bool-point",
+        "bool-ray",
+        "bool-generator",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, payload):

@@ -14,6 +14,7 @@ from multconv.measures import (
     munc,
     phat,
     sigma0,
+    sigma0_on,
     sigma_sym,
     sigma_unc,
     symmetrize,
@@ -33,6 +34,7 @@ from multconv.subsets import (
     index_set,
     subsets_of,
 )
+from multconv.universality import _probe_product
 from multconv.zonoids import Zonotope
 
 F = Fraction
@@ -245,6 +247,58 @@ def test_norm_submultiplicative():
 def test_delta_ej_expansion():
     d = delta_ej(mask(1, 1), mask(1, 1))
     assert d == Measure(1, {(F(1),): F(1, 2), (F(-1),): F(-1, 2)})
+
+
+def _reference_delta_ej(e, j):
+    # one choice bit per coordinate of e, the first coordinate lowest: set
+    # bit means -1, and a set bit on a coordinate of j flips the parity
+    n = e.dim
+    idx = [i for i in range(n) if e.bits >> i & 1]
+    scale = F(1, 1 << len(idx))
+    atoms = {}
+    for choice in range(1 << len(idx)):
+        coords = [F(0)] * n
+        parity = 0
+        for k, i in enumerate(idx):
+            if choice >> k & 1:
+                coords[i] = F(-1)
+                parity ^= j.bits >> i & 1
+            else:
+                coords[i] = F(1)
+        atoms[tuple(coords)] = Surd(-scale if parity else scale)
+    return atoms
+
+
+def _reference_sigma0_on(e):
+    # one choice bit per coordinate of e, the first coordinate lowest: the
+    # coordinate is 1 plus the bit, the sign alternates with their sum
+    n = e.dim
+    idx = [i for i in range(n) if e.bits >> i & 1]
+    atoms = {}
+    for choice in range(1 << len(idx)):
+        coords = [F(0)] * n
+        total = 0
+        for k, i in enumerate(idx):
+            coords[i] = F(1 + (choice >> k & 1))
+            total += 1 + (choice >> k & 1)
+        atoms[tuple(coords)] = Surd(-1 if total % 2 else 1)
+    return atoms
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grid_measures_match_choice_bit_loops(n):
+    # equal atoms in the same insertion order, so float sums over them
+    # (moment_g) run in the same order
+    for e in all_subsets(n):
+        want = _reference_sigma0_on(e)
+        got = sigma0_on(e)
+        assert got == Measure(n, want)
+        assert list(got.atoms) == list(want)
+        for j in subsets_of(e):
+            want = _reference_delta_ej(e, j)
+            got = delta_ej(e, j)
+            assert got == Measure(n, want)
+            assert list(got.atoms) == list(want)
 
 
 def test_delta_ej_requires_nested_masks():
@@ -540,6 +594,9 @@ def test_trusted_constructor_results_are_canonical(seed, assert_trusted):
             "symmetrize-odd": symmetrize(msym(mu), GeneratingPair.make(n, odds=[SubsetMask.full(n)])),
             "lift_inverse": lift_inverse(lift(mu)),
             "unc_inverse": unc_inverse(unc_forward(positive)),
+            "delta_ej": delta_ej(e, e & f),
+            "sigma0_on": sigma0_on(e),
+            "probe_product": _probe_product(e, e & f),
         }
     )
 

@@ -297,6 +297,31 @@ def test_special_top_order_scope_sphere():
             assert special.universal == general.universal
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_special_top_order_conditions_are_general_conditions(n):
+    # each top-order condition is one of the general decider's conditions
+    # over all supports, with the same outcome
+    full = SubsetMask.full(n)
+    checked = failed = 0
+    for seed in range(6):
+        base = _top_order_measure(seed + 21_000 + 100 * n, n)
+        for mu in (base, base - base.reflect(full), base + base.reflect(SubsetMask.single(n, 1))):
+            settings = ((mu, decide_universal_rn), (radial_project(mu), decide_universal_sphere))
+            for nu, decide in settings:
+                if nu.order_of() != full:
+                    continue
+                sphere = decide is decide_universal_sphere
+                for klass in ("unconditional", "symmetric", "antisymmetric", "none"):
+                    special = decide_special(nu, klass, "top-order")
+                    general = decide(nu, full_support(n, sphere), class_pair(klass, n))
+                    outcome = {(c.support, c.index): c.satisfied for c in general.conditions}
+                    for c in special.conditions:
+                        assert outcome[(c.support, c.index)] == c.satisfied
+                        checked += 1
+                        failed += not c.satisfied
+    assert checked and failed and failed < checked
+
+
 def test_top_order_scope_rejects_mixed_order():
     nu = dirac(1, 0) + dirac(1, 1)
     with pytest.raises(ValueError):
