@@ -21,6 +21,10 @@ The cli requests run in-process in a temporary directory, with relative
 file names, so the output does not depend on where that directory is.
 
     PYTHONPATH=src python scripts/behaviour_digest.py --max-dim 3
+
+``scripts/behaviour_digest_dim3.txt`` holds the output at ``--max-dim 3``,
+and CI diffs against it; a change that alters behaviour on purpose
+refreshes that file and says so.
 """
 
 import argparse

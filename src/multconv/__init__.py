@@ -1,7 +1,7 @@
 """Exact algebra of finitely-atomic signed measures under componentwise
 multiplicative convolution, on Euclidean space and on the sphere."""
 
-from .scalars import FactorLimitError, Rational, Surd, square_free_decompose
+from .scalars import FactorLimitError, Surd, square_free_decompose
 from .subsets import (
     GeneratingPair,
     SubsetMask,

@@ -18,9 +18,9 @@ import sys
 
 from .lifting import lift, lift_inverse
 from .measures import AtomicMeasure, Measure, mconv, symmetrize
-from .subsets import GeneratingPair, SubsetMask, all_subsets, gamma, mask_sort_key
+from .subsets import GeneratingPair, SubsetMask, gamma, mask_sort_key
 from .sphere import SphereMeasure, radial_project, sconv
-from .universality import _check_dim, decide_universal_rn, decide_universal_sphere
+from .universality import _check_dim, _whole_space, decide_universal_rn
 from .harness import run_property_suite
 from .zonoids import (
     Zonotope,
@@ -148,10 +148,7 @@ def _cmd_lift_inverse(args) -> int:
 
 def _parse_support(text: str, dim: int, sphere: bool) -> list[SubsetMask]:
     if text == "all":
-        out = list(all_subsets(dim))
-        if sphere:
-            out = [e for e in out if e.size]
-        return out
+        return _whole_space(dim, sphere)
     if text == "top":
         return [SubsetMask.full(dim)]
     return [_parse_subset(part, dim) for part in text.split(";")]
@@ -167,11 +164,7 @@ def _cmd_universal(args) -> int:
     pair = GeneratingPair.make(
         nu.dim, _parse_family(args.evens, nu.dim), _parse_family(args.odds, nu.dim)
     )
-    support = _parse_support(args.support, nu.dim, sphere)
-    if sphere:
-        report = decide_universal_sphere(nu, support, pair)
-    else:
-        report = decide_universal_rn(nu, support, pair)
+    report = decide_universal_rn(nu, _parse_support(args.support, nu.dim, sphere), pair)
     _emit(report.to_json(), args.format)
     return 0 if report.universal else 3
 

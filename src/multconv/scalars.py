@@ -13,8 +13,6 @@ import math
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 SurdLike = Union[int, Fraction, "Surd"]
 
@@ -121,16 +119,6 @@ class Surd:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def is_rational(self) -> bool:
-        return len(self._terms) == 0 or (len(self._terms) == 1 and self._terms[0][0] == 1)
-
-    def rational_value(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if self.is_rational():
-            return self._terms[0][1]
-        raise ValueError(f"{self} is irrational")
 
     # -- arithmetic --------------------------------------------------------
 
@@ -310,5 +298,4 @@ def as_surd(value: SurdLike) -> "Surd":
 
 
 ZERO = Surd(0)
-ONE = Surd(1)
 HALF = Fraction(1, 2)

@@ -58,15 +58,9 @@ class SubsetMask:
     def indices(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in range(self.dim) if self.bits >> i & 1)
 
-    def contains(self, index: int) -> bool:
-        return bool(self.bits >> (index - 1) & 1)
-
     def issubset(self, other: "SubsetMask") -> bool:
         self._check(other)
         return self.bits & ~other.bits == 0
-
-    def complement(self) -> "SubsetMask":
-        return SubsetMask(~self.bits & (1 << self.dim) - 1, self.dim)
 
     def _check(self, other: "SubsetMask") -> None:
         if self.dim != other.dim:
@@ -170,8 +164,8 @@ class GeneratingPair:
 class SymmetryPair:
     """Even and odd parts of the reflection group generated by a pair.
 
-    ``evens`` is a subgroup containing the empty set; the odd part is a
-    coset-like family; ``proper`` records whether the two parts are
+    ``evens`` is a subgroup containing the empty set; the odd part is empty
+    or one coset of it; ``proper`` records whether the two parts are
     disjoint (exactly the pairs admitting nonzero invariant measures).
     """
 
@@ -183,21 +177,23 @@ class SymmetryPair:
     def __post_init__(self):
         object.__setattr__(self, "evens", _coerce_family(self.dim, self.evens))
         object.__setattr__(self, "odds", _coerce_family(self.dim, self.odds))
-        empty = SubsetMask.empty(self.dim)
-        if empty not in self.evens:
+        if SubsetMask.empty(self.dim) not in self.evens:
             raise ValueError("even part must contain the empty set")
+        # the members lie in their span, which has 2**rank elements, so the
+        # family is a subgroup exactly when that span does not outgrow it
+        basis: list[int] = []  # distinct leading bits, each reduced by the earlier ones
         for a in self.evens:
-            for b in self.evens:
-                if a ^ b not in self.evens:
+            bits = a.bits
+            for b in basis:
+                bits = min(bits, bits ^ b)
+            if bits:
+                basis.append(bits)
+                if 1 << len(basis) > len(self.evens):
                     raise ValueError("even part is not a subgroup")
-        for a in self.odds:
-            for b in self.odds:
-                if a ^ b not in self.evens:
-                    raise ValueError("odd part not closed into the even part")
-        for a in self.evens:
-            for b in self.odds:
-                if a ^ b not in self.odds:
-                    raise ValueError("even*odd does not land in the odd part")
+        # the odd part is empty or one coset of the even part
+        some_odd = next(iter(self.odds), None)
+        if some_odd is not None and self.odds != {some_odd ^ a for a in self.evens}:
+            raise ValueError("odd part is not a coset of the even part")
         if self.proper != self.evens.isdisjoint(self.odds):
             raise ValueError("proper flag inconsistent with the parts")
 

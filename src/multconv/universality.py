@@ -9,17 +9,19 @@ the projection onto E.  That product is nonzero exactly when some class
 of base atoms sharing one absolute location has a nonzero sum of weights
 signed by the parity character of J.
 
-Every decider, at every scope, only lists its (E, J) pairs; one condition
-pass evaluates them by these class sums, exactly, from integer-coded
-atoms: each atom is encoded once per decision by its nonzero and negative
-coordinate masks, its absolute coordinates as integers and its weight,
-and the classes on E group the atoms nonzero on all of E by their
-absolute coordinates there.  On the sphere an atom is
-coded as its point mass ``w/|r|`` at the integer ray ``r``
-(``SphereMeasure.masses``), which the projection pushes back with the
-norm of the projected ray; scaling each class member by the gcd of its
-coordinates on E leaves only the class's common norm, which drops out of
-the zero test.
+One general decider serves points in R^n and the sphere alike and reads
+the setting from the type of the measure; the sphere misses the origin
+cell, so its whole space is every nonempty pattern.  Every decider, at
+every scope, only lists its (E, J) pairs; one condition pass evaluates
+them by these class sums, exactly, from integer-coded atoms: each atom is
+encoded once per decision by its nonzero and negative coordinate masks,
+its absolute coordinates as integers and its weight, and the classes on E
+group the atoms nonzero on all of E by their absolute coordinates there.
+On the sphere an atom is coded as its point mass ``w/|r|`` at the integer
+ray ``r`` (``SphereMeasure.masses``), which the projection pushes back
+with the norm of the projected ray; scaling each class member by the gcd
+of its coordinates on E leaves only the class's common norm, which drops
+out of the zero test.
 
 On a negative decision the counterexample is proved by its factors: it is
 either the parity basis measure of J (convolved with the whole measure to
@@ -239,24 +241,41 @@ def _evaluate(
 ) -> list[ConditionRecord]:
     """One record per (E, J) pair, by the class sums: the one condition pass.
 
-    Consecutive pairs with equal E share one grouping of the atoms.
+    The atoms are grouped once per distinct E, whatever the pair order.
     """
     sphere = isinstance(nu, SphereMeasure)
     code = _code(nu)
+    groupings: dict[SubsetMask, tuple[list[list[tuple[int, Surd]]], bool]] = {}
     records: list[ConditionRecord] = []
-    last = None
     for e, j in pairs:
-        if e != last:
-            last = e
+        grouping = groupings.get(e)
+        if grouping is None:
             classes = _classes(code, e, sphere)
             # a class of one atom has a nonzero sum under every J
-            single = any(len(members) == 1 for members in classes)
+            grouping = groupings[e] = (classes, any(len(m) == 1 for m in classes))
+        classes, single = grouping
         records.append(ConditionRecord(e, j, single or _satisfied(classes, j.bits)))
     return records
 
 
-def _decide(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityReport:
-    """List the (E, J) pairs of a full-space decision and evaluate them."""
+def _whole_space(dim: int, sphere: bool) -> list[SubsetMask]:
+    """Every zero pattern of a setting; the sphere misses the origin cell."""
+    return [e for e in all_subsets(dim) if e.size or not sphere]
+
+
+def decide_universal_rn(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityReport:
+    """Decide universality of ``nu`` on the class over ``support`` with ``pair``.
+
+    The one general decider for both settings, read from the type of
+    ``nu``: a :class:`SphereMeasure` is decided on the sphere, whose support
+    family must avoid the empty pattern (the sphere misses the origin cell).
+    Support sets whose restricted pair is not proper contribute nothing to
+    the class and are recorded as skipped.  Conditions are listed with the
+    support sets by descending size, index sets lexicographically.
+    """
+    support = list(support)
+    if isinstance(nu, SphereMeasure) and any(e.size == 0 for e in support):
+        raise ValueError("the empty pattern cannot appear in a spherical support family")
     _check_dim(nu.dim)
     if pair.dim != nu.dim:
         raise ValueError(f"dimension mismatch: measure {nu.dim} vs pair {pair.dim}")
@@ -273,28 +292,8 @@ def _decide(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityRep
     return _conclude(nu, pair, _evaluate(nu, pairs), skipped)
 
 
-def decide_universal_rn(nu: Measure, support, pair: GeneratingPair) -> UniversalityReport:
-    """Decide universality of ``nu`` on the class over ``support`` with ``pair``.
-
-    Support sets whose restricted pair is not proper contribute nothing to
-    the class and are recorded as skipped.  Conditions are listed with the
-    support sets by descending size, index sets lexicographically.
-    """
-    return _decide(nu, support, pair)
-
-
-def decide_universal_sphere(
-    nu: SphereMeasure, support, pair: GeneratingPair
-) -> UniversalityReport:
-    """Spherical counterpart of :func:`decide_universal_rn`.
-
-    The support family must avoid the empty set; the sphere misses the
-    origin cell entirely.
-    """
-    support = list(support)
-    if any(e.size == 0 for e in support):
-        raise ValueError("the empty pattern cannot appear in a spherical support family")
-    return _decide(nu, support, pair)
+# the setting is read from the measure, so the sphere needs no decider of its own
+decide_universal_sphere = decide_universal_rn
 
 
 SymmetryClass = Literal["unconditional", "symmetric", "antisymmetric", "none"]
@@ -322,13 +321,13 @@ def decide_special(
 ) -> UniversalityReport:
     """Decide universality on a named symmetry class.
 
-    ``scope="full"`` decides on the whole space (sphere: all nonempty
-    patterns) with the general condition loop.  ``scope="top-order"`` uses
+    ``scope="full"`` decides on the whole space of the setting (sphere: all
+    nonempty patterns) with the general decider.  ``scope="top-order"`` uses
     the simplified condition list available when ``nu`` itself has full
     order, still deciding on the whole space; other inputs are rejected.
     ``scope="positive-orthant"`` (point measures, unconditional class only)
     reports the sufficient condition transferred from the unconditional
-    class.
+    class, which is the full-scope decision.
 
     The decision always coincides with the general decider run on the
     corresponding pair; the test suite enforces that equality.
@@ -344,9 +343,7 @@ def decide_special(
             raise ValueError("positive-orthant scope applies to point measures only")
         if klass != "unconditional":
             raise ValueError("positive-orthant scope requires the unconditional class")
-        return decide_special(nu, "unconditional", "full")
-
-    if scope == "top-order":
+    elif scope == "top-order":
         if nu.order_of() != full:
             raise ValueError("top-order scope requires a measure of full order")
         pairs: list[tuple[SubsetMask, SubsetMask]] = []
@@ -358,10 +355,9 @@ def decide_special(
                 # on a measure of full order, the (J, J) condition on its projection
                 pairs.append((j, j))
         return _conclude(nu, pair, _evaluate(nu, pairs))
-
-    if scope != "full":
+    elif scope != "full":
         raise ValueError(f"unknown scope {scope!r}")
-    report = _decide(nu, [e for e in all_subsets(n) if e.size or not sphere], pair)
+    report = decide_universal_rn(nu, _whole_space(n, sphere), pair)
     # a named class reports its conditions only
     report.skipped_non_proper = []
     return report

@@ -16,9 +16,9 @@ from typing import Iterable
 from .measures import Measure, msym
 from .points import Point, inner, make_point, ray_norm_sq
 from .scalars import Surd
-from .subsets import GeneratingPair, SubsetMask, all_subsets, json_dim
+from .subsets import SubsetMask, json_dim
 from .sphere import SphereMeasure, radial_project, sconv
-from .universality import UniversalityReport, _check_dim, decide_universal_sphere
+from .universality import UniversalityReport, _check_dim, decide_special
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,14 +124,11 @@ def decide_d_universal(nu: SphereMeasure, unconditional: bool = False) -> Univer
     n = nu.dim
     # before the 2**n support sets and the 2**n-member unconditional pair
     _check_dim(n)
+    if not isinstance(nu, SphereMeasure):
+        raise ValueError(f"generating measures are sphere measures, got {type(nu).__name__}")
     if not nu.is_even_under(SubsetMask.full(n)):
         raise ValueError("generating measures are origin-symmetric")
-    if unconditional:
-        pair = GeneratingPair.make(n, evens=list(all_subsets(n)))
-    else:
-        pair = GeneratingPair.make(n, evens=[SubsetMask.full(n)])
-    support = [e for e in all_subsets(n) if e.size > 0]
-    return decide_universal_sphere(nu, support, pair)
+    return decide_special(nu, "unconditional" if unconditional else "symmetric")
 
 
 def singleton_support_check(nu: SphereMeasure) -> bool:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from multconv import cli, zonoids
+from multconv import universality
 from multconv.cli import main
 from multconv.measures import Measure, mconv, sigma0
 from multconv.sphere import SphereMeasure, radial_project
@@ -256,7 +256,7 @@ def test_universal_dimension_bound_checked_before_enumeration(tmp_path, capsys, 
     def enumerate_all(dim):
         raise AssertionError(f"enumerated all 2**{dim} support sets")
 
-    monkeypatch.setattr(cli, "all_subsets", enumerate_all)
+    monkeypatch.setattr(universality, "all_subsets", enumerate_all)
     path = write_json(tmp_path / "m.json", {"dim": 18, "atoms": []})
     code, out, err = run(capsys, "universal", path, "--support", "all")
     assert code == 2
@@ -269,7 +269,7 @@ def test_zonoid_dimension_bound_checked_before_enumeration(tmp_path, capsys, mon
     def enumerate_all(dim):
         raise AssertionError(f"enumerated all 2**{dim} support sets")
 
-    monkeypatch.setattr(zonoids, "all_subsets", enumerate_all)
+    monkeypatch.setattr(universality, "all_subsets", enumerate_all)
     generator = ["1"] * 16
     path = write_json(tmp_path / "z.json", {"dim": 16, "generators": [generator]})
     code, out, err = run(capsys, "zonoid", path, "--check", check)

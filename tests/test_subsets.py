@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from multconv.subsets import (
     GeneratingPair,
     SubsetMask,
+    SymmetryPair,
     all_subsets,
     gamma,
     index_set,
@@ -86,6 +87,34 @@ def test_gamma_empty_pair():
 def test_gamma_odd_empty_set_is_not_proper():
     sym = gamma(GeneratingPair.make(2, odds=[SubsetMask.empty(2)]))
     assert not sym.proper
+
+
+def test_gamma_dim14_coordinate_reflections():
+    # 2**14 group members: the closure checks stay linear in the group size
+    n = 14
+    evens = [SubsetMask.single(n, i) for i in range(1, n)]
+    sym = gamma(GeneratingPair.make(n, evens=evens, odds=[SubsetMask.single(n, n)]))
+    assert len(sym.evens) == len(sym.odds) == 1 << (n - 1)
+    assert sym.evens == {m for m in all_subsets(n) if not m.bits >> (n - 1)}
+    assert sym.proper
+
+
+@pytest.mark.parametrize(
+    "evens, odds, proper, rule",
+    [
+        ([(1,)], [], True, "must contain the empty set"),
+        ([(), (1,), (2,)], [], True, "not a subgroup"),
+        ([(), (1,), (2,), (1, 2), (3,)], [], True, "not a subgroup"),
+        ([()], [(1,), (2,)], True, "not a coset"),
+        ([(), (1,)], [(2,)], True, "not a coset"),
+        ([(), (1,)], [(2,), (1, 2)], False, "proper flag"),
+        ([(), (1,)], [(), (1,)], True, "proper flag"),
+    ],
+)
+def test_symmetry_pair_refuses_each_broken_rule(evens, odds, proper, rule):
+    family = lambda members: frozenset(mask(3, *m) for m in members)  # noqa: E731
+    with pytest.raises(ValueError, match=rule):
+        SymmetryPair(family(evens), family(odds), proper, 3)
 
 
 @given(pairs())

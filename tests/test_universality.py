@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from multconv import universality
 from multconv.harness import (
     gen_measure,
     gen_pair,
@@ -170,9 +171,11 @@ def test_sphere_sigma0_universal():
 
 
 def test_sphere_rejects_empty_pattern_in_support():
+    # the refusal follows the measure's type, whichever name is called
     nu = gen_sphere_measure(6, 2, 3)
-    with pytest.raises(ValueError):
-        decide_universal_sphere(nu, [SubsetMask.empty(2)], GeneratingPair.make(2))
+    for decide in (decide_universal_sphere, decide_universal_rn):
+        with pytest.raises(ValueError, match="empty pattern"):
+            decide(nu, [SubsetMask.empty(2)], GeneratingPair.make(2))
 
 
 def test_sphere_negative_decision_with_witness():
@@ -310,7 +313,7 @@ def test_special_top_order_conditions_are_general_conditions(n):
             for nu, decide in settings:
                 if nu.order_of() != full:
                     continue
-                sphere = decide is decide_universal_sphere
+                sphere = isinstance(nu, SphereMeasure)
                 for klass in ("unconditional", "symmetric", "antisymmetric", "none"):
                     special = decide_special(nu, klass, "top-order")
                     general = decide(nu, full_support(n, sphere), class_pair(klass, n))
@@ -513,3 +516,27 @@ def test_special_top_order_sphere_axis_conditions(n):
                     checked += 1
                     failed += not c.satisfied
     assert checked and failed and failed < checked
+
+
+@pytest.mark.parametrize("sphere", [False, True])
+def test_condition_pass_groups_each_support_once(monkeypatch, sphere):
+    # the sphere's top-order scope lists (axis, {}) before (J, J), so a
+    # support set can come back after another one
+    grouped = []
+    classes = universality._classes
+
+    def counting(code, e, on_sphere):
+        grouped.append(e)
+        return classes(code, e, on_sphere)
+
+    monkeypatch.setattr(universality, "_classes", counting)
+    n = 3
+    nu = _top_order_measure(14_000, n)
+    nu = radial_project(nu) if sphere else nu
+    assert nu.order_of() == SubsetMask.full(n)
+    for klass in ("unconditional", "symmetric", "antisymmetric", "none"):
+        for scope in ("full", "top-order"):
+            grouped.clear()
+            report = decide_special(nu, klass, scope)
+            assert len(grouped) == len(set(grouped))
+            assert set(grouped) == {c.support for c in report.conditions}

@@ -137,6 +137,13 @@ def test_d_universal_requires_symmetric_measure():
         decide_d_universal(SphereMeasure(2, {(1, 1): 1}))
 
 
+def test_d_universal_refuses_point_measure():
+    # a point measure would gain the empty-pattern conditions of R^n
+    mu = msym(Measure(2, [((1, 1), 1), ((1, -2), 1)]))
+    with pytest.raises(ValueError, match="sphere measures, got Measure"):
+        decide_d_universal(mu)
+
+
 def test_singleton_support_check():
     assert not singleton_support_check(generating_measure(Zonotope.cube(2)))
     assert singleton_support_check(radial_project(msym(sigma0(2))))
