@@ -15,7 +15,10 @@ output:
   lift round trip;
 - ``cli``: stdout, stderr and exit code of well-formed command-line
   requests on seeded files;
-- ``cli-malformed``: the same for malformed input files and arguments.
+- ``cli-malformed``: the same for malformed input files and arguments;
+- ``groups``: the closure ``gamma`` of seeded pairs (both parts and
+  ``proper``), ``gen_subgroup``, ``is_group`` on subgroups, on closures and
+  on families one member away from them, and ``j_dual``.
 
 The cli requests run in-process in a temporary directory, with relative
 file names, so the output does not depend on where that directory is.
@@ -43,6 +46,7 @@ from multconv import (
     decide_universal_rn,
     decide_universal_sphere,
     delta_ej,
+    gamma,
     lift,
     lift_inverse,
     radial_project,
@@ -57,7 +61,9 @@ from multconv.harness import (
     gen_measure,
     gen_pair,
     gen_sphere_measure,
+    gen_subgroup,
 )
+from multconv.subsets import is_group, j_dual
 from multconv.universality import _probe_product
 
 F = Fraction
@@ -147,6 +153,22 @@ def sphere_layer(group: Group, n: int) -> None:
         group.add([n, seed, "lift", lifted.to_json(), lift_inverse(lifted).to_json()])
         for e in all_subsets(n):
             group.add([n, seed, "project", e.to_json(), mu.project(e).to_json()])
+
+
+def reflection_groups(group: Group, n: int) -> None:
+    def members(family):
+        return sorted(m.to_json() for m in family)
+
+    for seed in range(SEEDS):
+        for max_members in (3, 5):
+            sym = gamma(gen_pair(seed, n, max_members))
+            label = [n, seed, max_members]
+            group.add(label + ["gamma", members(sym.evens), members(sym.odds), sym.proper])
+            group.add(label + ["is_group", is_group(sym.evens), is_group(sym.evens | sym.odds)])
+        sub = gen_subgroup(seed, n)
+        near = gen_mask(seed, n)
+        group.add([n, seed, "gen_subgroup", members(sub), members(j_dual(sub))])
+        group.add([n, seed, "is_group", is_group(sub - {near}), is_group(sub | {near})])
 
 
 def subset_arg(mask: SubsetMask) -> str:
@@ -275,13 +297,14 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-dim", type=int, default=3)
     max_dim = parser.parse_args().max_dim
-    names = ("decisions", "grids", "sphere", "cli", "cli-malformed")
+    names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups")
     groups = {name: Group() for name in names}
     for n in range(1, max_dim + 1):
         decisions(groups["decisions"], n)
         grids(groups["grids"], n)
         sphere_layer(groups["sphere"], n)
         cli((groups["cli"], groups["cli-malformed"]), n)
+        reflection_groups(groups["groups"], n)
     for name in names:
         print(f"{name} {groups[name].count} {groups[name].hash.hexdigest()}")
 

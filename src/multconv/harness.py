@@ -133,19 +133,9 @@ def gen_proper_pair(seed: int, dim: int, max_members: int = 3) -> GeneratingPair
 
 def gen_subgroup(seed: int, dim: int, max_generators: int = 3) -> frozenset[SubsetMask]:
     rng = _rng("subgroup", seed, dim)
-    gens = [rng.randrange(1 << dim) for _ in range(rng.randrange(max_generators + 1))]
-    closure = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for bits in frontier:
-            for g in gens:
-                v = bits ^ g
-                if v not in closure:
-                    closure.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return frozenset(SubsetMask(b, dim) for b in closure)
+    count = rng.randrange(max_generators + 1)
+    drawn = [SubsetMask(rng.randrange(1 << dim), dim) for _ in range(count)]
+    return gamma(GeneratingPair.make(dim, evens=drawn)).evens
 
 
 def brute_force_convolution(mu: Measure, nu: Measure) -> Measure:

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .scalars import Surd
+from .scalars import Surd, _coerce_rational
 from .subsets import SubsetMask
 
 Point = tuple[Fraction, ...]
@@ -34,7 +34,7 @@ def make_point(coords: Iterable) -> Point:
             raise TypeError(
                 f"refusing {type(c).__name__} coordinates; use Fraction, int, or 'p/q' strings"
             )
-    return tuple(Fraction(c) for c in values)
+    return tuple(_coerce_rational(c) for c in values)
 
 
 def hadamard(x: Point, y: Point) -> Point:

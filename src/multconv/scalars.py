@@ -64,6 +64,9 @@ def _sqrt_bounds(r: int, prec: int) -> tuple[Fraction, Fraction]:
 def _coerce_rational(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("refusing float input; use Fraction or int for exactness")
+    # Fraction parses "1e10000000" by building the power, which takes seconds
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"refusing exponent notation {value!r}; write 'p/q' or a plain decimal")
     return Fraction(value)
 
 

@@ -2,9 +2,9 @@
 
 The family of subsets forms a Boolean group under symmetric difference.
 This module carries that group, generating/symmetry pairs of reflection
-sets with their closure map, the parity index families that drive the
-universality deciders, the dimension-raising helpers used by lifting, and
-the ``dim`` check shared by the JSON loaders.
+sets with their closure map (the span of one GF(2) basis), the parity
+index families that drive the universality deciders, the dimension-raising
+helpers used by lifting, and the ``dim`` check shared by the JSON loaders.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 MAX_DIM = 63
+# the most independent generators a closed group may have: it lists 2**rank members
+MAX_GROUP_RANK = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,17 +181,8 @@ class SymmetryPair:
         object.__setattr__(self, "odds", _coerce_family(self.dim, self.odds))
         if SubsetMask.empty(self.dim) not in self.evens:
             raise ValueError("even part must contain the empty set")
-        # the members lie in their span, which has 2**rank elements, so the
-        # family is a subgroup exactly when that span does not outgrow it
-        basis: list[int] = []  # distinct leading bits, each reduced by the earlier ones
-        for a in self.evens:
-            bits = a.bits
-            for b in basis:
-                bits = min(bits, bits ^ b)
-            if bits:
-                basis.append(bits)
-                if 1 << len(basis) > len(self.evens):
-                    raise ValueError("even part is not a subgroup")
+        if not is_group(self.evens):
+            raise ValueError("even part is not a subgroup")
         # the odd part is empty or one coset of the even part
         some_odd = next(iter(self.odds), None)
         if some_odd is not None and self.odds != {some_odd ^ a for a in self.evens}:
@@ -205,32 +198,44 @@ class SymmetryPair:
         return GeneratingPair(self.evens, self.odds, self.dim)
 
 
+def _basis(bits: Iterable[int]) -> list[int]:
+    """A GF(2) basis of the span: each member reduced by the earlier ones,
+    so their leading bits are distinct and the length is the rank."""
+    basis: list[int] = []
+    for v in bits:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return basis
+
+
+def _span(basis: list[int]) -> list[int]:
+    span = [0]
+    for b in basis:
+        span += [v ^ b for v in span]
+    return span
+
+
 def gamma(pair: GeneratingPair) -> SymmetryPair:
     """Close a generating pair into the symmetry pair it generates.
 
-    Breadth-first closure over (subset, parity) states, where the parity
-    tracks how many odd generators occur in a product representation.  An
-    element reachable with both parities makes the pair non-proper.
+    A product is even when it uses an even number of odd generators, so
+    the even part is spanned by the even generators and the sums ``o ^ o0``
+    of the odd ones with the smallest, ``o0``, and the odd part is
+    ``o0 ^`` that span.  The pair is proper exactly when ``o0`` raises the
+    rank.
     """
     n = pair.dim
-    gens = [(f.bits, 0) for f in pair.evens] + [(f.bits, 1) for f in pair.odds]
-    if not gens:
-        empty = SubsetMask.empty(n)
-        return SymmetryPair(frozenset({empty}), frozenset(), True, n)
-    seen: set[tuple[int, int]] = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        nxt = []
-        for bits, par in frontier:
-            for gb, gp in gens:
-                state = (bits ^ gb, par ^ gp)
-                if state not in seen:
-                    seen.add(state)
-                    nxt.append(state)
-        frontier = nxt
-    evens = frozenset(SubsetMask(b, n) for b, p in seen if p == 0)
-    odds = frozenset(SubsetMask(b, n) for b, p in seen if p == 1)
-    return SymmetryPair(evens, odds, (0, 1) not in seen, n)
+    odds = sorted(f.bits for f in pair.odds)
+    basis = _basis([f.bits for f in pair.evens] + [o ^ odds[0] for o in odds[1:]])
+    if len(basis) > MAX_GROUP_RANK:
+        raise ValueError(f"group rank {len(basis)} exceeds the enumeration bound {MAX_GROUP_RANK}")
+    span = _span(basis)
+    evens = frozenset(SubsetMask(v, n) for v in span)
+    odd_part = frozenset(SubsetMask(o ^ v, n) for o in odds[:1] for v in span)
+    proper = not odds or len(_basis(basis + odds[:1])) > len(basis)
+    return SymmetryPair(evens, odd_part, proper, n)
 
 
 def restrict_pair(pair: GeneratingPair, e: SubsetMask) -> GeneratingPair:
@@ -267,7 +272,8 @@ def is_group(masks: Iterable[SubsetMask]) -> bool:
         return False
     if SubsetMask.empty(dims.pop()) not in fam:
         return False
-    return all(a ^ b in fam for a in fam for b in fam)
+    # the members lie in their span, so they fill it exactly when they are as many
+    return 1 << len(_basis(m.bits for m in fam)) == len(fam)
 
 
 def j_dual(group: Iterable[SubsetMask]) -> frozenset[SubsetMask]:

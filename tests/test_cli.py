@@ -84,6 +84,15 @@ def test_symmetrize_explicit_empty_odd_set(tmp_path, capsys):
     assert Measure.from_json(payload["result"]).is_zero()
 
 
+def test_symmetrize_refuses_group_beyond_rank_bound(tmp_path, capsys):
+    # 30 independent reflections would generate 2**30 group members
+    a = write_json(tmp_path / "a.json", dirac(*[1] * 30))
+    code, out, err = run(capsys, "symmetrize", a, "--evens", ";".join(map(str, range(1, 31))))
+    assert code == 2
+    assert not out
+    assert "rank 30 exceeds the enumeration bound 16" in err
+
+
 def test_lift_round_trip_via_cli(tmp_path, capsys):
     path = write_json(tmp_path / "m.json", dirac(1, -2))
     code, out, _ = run(capsys, "lift", path)
@@ -215,6 +224,9 @@ def test_pretty_format(tmp_path, capsys):
         (["decompose"], {"dim": 2, "atoms": [{"point": [True, "1"], "weight": [["1", 1]]}]}),
         (["decompose"], {"dim": 2, "atoms": [{"ray": [1, True], "weight": [["1", 1]]}]}),
         (["zonoid", "--check", "d-universal"], {"dim": 2, "generators": [[True, "1"]]}),
+        (["decompose"], {"dim": 2, "atoms": [{"point": ["1e5", "1"], "weight": [["1", 1]]}]}),
+        (["zonoid", "--check", "d-universal"], {"dim": 2, "generators": [["1", "1E5"]]}),
+        (["decompose"], {"dim": 2, "atoms": [{"point": ["1", "1"], "weight": [["1e5", 1]]}]}),
     ],
     ids=[
         "float-ray",
@@ -233,6 +245,9 @@ def test_pretty_format(tmp_path, capsys):
         "bool-point",
         "bool-ray",
         "bool-generator",
+        "exponent-point",
+        "exponent-generator",
+        "exponent-coefficient",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, payload):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multconv.subsets import (
+    MAX_GROUP_RANK,
     GeneratingPair,
     SubsetMask,
     SymmetryPair,
@@ -31,9 +32,9 @@ def masks(draw, dim=None):
 
 
 @st.composite
-def pairs(draw, dim=None):
+def pairs(draw, dim=None, max_members=3):
     d = dim if dim is not None else draw(st.integers(1, 4))
-    members = st.lists(masks(dim=d), max_size=3)
+    members = st.lists(masks(dim=d), max_size=max_members)
     return GeneratingPair.make(d, draw(members), draw(members))
 
 
@@ -97,6 +98,130 @@ def test_gamma_dim14_coordinate_reflections():
     assert len(sym.evens) == len(sym.odds) == 1 << (n - 1)
     assert sym.evens == {m for m in all_subsets(n) if not m.bits >> (n - 1)}
     assert sym.proper
+
+
+def test_gamma_refuses_rank_beyond_bound():
+    # 2**17 even members: refused before any member is listed
+    n = MAX_GROUP_RANK + 1
+    singletons = [SubsetMask.single(n, i) for i in range(1, n + 1)]
+    with pytest.raises(ValueError, match=f"rank {n} exceeds the enumeration bound {MAX_GROUP_RANK}"):
+        gamma(GeneratingPair.make(n, evens=singletons))
+    # the odd generator adds a coset, not a basis member
+    sym = gamma(GeneratingPair.make(n, evens=singletons[1:], odds=singletons[:1]))
+    assert len(sym.evens) == 1 << MAX_GROUP_RANK
+
+
+def bfs_closure(pair):
+    """Breadth-first closure over (subset, parity) states: evens, odds, proper."""
+    gens = [(f.bits, 0) for f in pair.evens] + [(f.bits, 1) for f in pair.odds]
+    seen = frontier = {(0, 0)}
+    while frontier:
+        frontier = {(b ^ gb, p ^ gp) for b, p in frontier for gb, gp in gens} - seen
+        seen = seen | frontier
+    part = lambda parity: {SubsetMask(b, pair.dim) for b, p in seen if p == parity}  # noqa: E731
+    return part(0), part(1), (0, 1) not in seen
+
+
+def pairwise_is_group(masks):
+    fam = set(masks)
+    if not fam or len({m.dim for m in fam}) != 1:
+        return False
+    return SubsetMask.empty(next(iter(fam)).dim) in fam and all(a ^ b in fam for a in fam for b in fam)
+
+
+def assert_gamma_matches_bfs(pair):
+    sym = gamma(pair)
+    assert (sym.evens, sym.odds, sym.proper) == bfs_closure(pair)
+
+
+@pytest.mark.parametrize(
+    "evens, odds",
+    [
+        ([], []),
+        ([], [()]),
+        ([(1,)], [(1,)]),
+        ([(1,), (2,)], [(1, 2)]),
+        ([(1,), (2,), (1, 2)], []),
+        ([], [(1,), (2,), (1, 2)]),
+        ([], [(1,), (2,), (3,), (1, 2, 3)]),
+        ([()], [(3,)]),
+        ([(1, 2), (2, 3)], [(1, 3), (2,)]),
+    ],
+    ids=[
+        "empty-pair",
+        "odd-empty-set",
+        "same-set-both-parities",
+        "odd-in-even-span",
+        "dependent-evens",
+        "dependent-odds",
+        "odd-product-is-odd",
+        "even-empty-set",
+        "mixed",
+    ],
+)
+def test_gamma_matches_bfs_closure(evens, odds):
+    family = lambda members: [mask(3, *m) for m in members]  # noqa: E731
+    assert_gamma_matches_bfs(GeneratingPair.make(3, family(evens), family(odds)))
+
+
+@given(st.integers(1, 6).flatmap(lambda d: pairs(dim=d, max_members=5)))
+@settings(max_examples=300, deadline=None)
+def test_gamma_matches_bfs_closure_random(p):
+    assert_gamma_matches_bfs(p)
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        [],
+        [()],
+        [(1,), (2,), (1, 2)],
+        [(), (1,), (2,), (1, 2)],
+        [(), (1,), (2,)],
+        [(), (1,), (2,), (1, 2), (3,)],
+        [(), (1, 2), (2, 3), (1, 3)],
+    ],
+    ids=[
+        "empty-family",
+        "trivial-group",
+        "closed-but-no-empty-set",
+        "group",
+        "missing-one-member",
+        "one-member-too-many",
+        "even-sized-sets",
+    ],
+)
+def test_is_group_matches_pairwise_test(members):
+    family = [mask(3, *m) for m in members]
+    assert is_group(family) == pairwise_is_group(family)
+
+
+def test_is_group_refuses_mixed_dimensions():
+    family = [SubsetMask.empty(2), SubsetMask.empty(3)]
+    assert not is_group(family) and not pairwise_is_group(family)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 6), st.integers(0, 63), st.sampled_from(["drop", "add", "keep"]))
+@settings(max_examples=300, deadline=None)
+def test_is_group_matches_pairwise_test_near_groups(seed, dim, bits, edit):
+    # a subgroup, the same less one member, or plus one
+    from multconv.harness import gen_subgroup
+
+    family = set(gen_subgroup(seed, dim, max_generators=4))
+    member = SubsetMask(bits % (1 << dim), dim)
+    if edit == "drop":
+        family.discard(member)
+    elif edit == "add":
+        family.add(member)
+    assert is_group(family) == pairwise_is_group(family)
+
+
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(masks(dim=d), min_size=1, max_size=8)), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_is_group_matches_pairwise_test_random(family, with_empty):
+    if with_empty:
+        family.append(SubsetMask.empty(family[0].dim))
+    assert is_group(family) == pairwise_is_group(family)
 
 
 @pytest.mark.parametrize(
