@@ -18,7 +18,10 @@ output:
 - ``cli-malformed``: the same for malformed input files and arguments;
 - ``groups``: the closure ``gamma`` of seeded pairs (both parts and
   ``proper``), ``gen_subgroup``, ``is_group`` on subgroups, on closures and
-  on families one member away from them, and ``j_dual``.
+  on families one member away from them, and ``j_dual``;
+- ``algebra``: on point measures, ``mconv`` (its atoms in insertion order
+  too), ``tensor``, ``project``, ``restrict_order``, ``symmetrize`` by
+  seeded, dependent and improper pairs, ``msym`` and ``munc``.
 
 The cli requests run in-process in a temporary directory, with relative
 file names, so the output does not depend on where that directory is.
@@ -40,6 +43,7 @@ import tempfile
 from fractions import Fraction
 
 from multconv import (
+    GeneratingPair,
     SubsetMask,
     all_subsets,
     decide_special,
@@ -49,10 +53,15 @@ from multconv import (
     gamma,
     lift,
     lift_inverse,
+    mconv,
+    msym,
+    munc,
     radial_project,
     sconv,
     sigma0_on,
     subsets_of,
+    symmetrize,
+    tensor,
 )
 from multconv.cli import main as cli_main
 from multconv.harness import (
@@ -169,6 +178,31 @@ def reflection_groups(group: Group, n: int) -> None:
         near = gen_mask(seed, n)
         group.add([n, seed, "gen_subgroup", members(sub), members(j_dual(sub))])
         group.add([n, seed, "is_group", is_group(sub - {near}), is_group(sub | {near})])
+
+
+def algebra(group: Group, n: int) -> None:
+    full = SubsetMask.full(n)
+    for seed in range(SEEDS):
+        a = gen_measure(seed + 2000, n, 1 + seed % 7)
+        b = gen_measure(seed + 2500, n, 1 + (seed + 3) % 6)
+        e, f = gen_mask(seed, n), gen_mask(seed + 1, n)
+        m = mconv(a, b)
+        pairs = (
+            gen_pair(seed, n, 5),
+            # a generator that is the sum of two others, on each side
+            GeneratingPair.make(n, evens=[e, f, e ^ f], odds=[full, full ^ e]),
+            # improper: the odd generator lies in the span of the evens
+            GeneratingPair.make(n, evens=[e, f], odds=[e ^ f]),
+        )
+        label = [n, seed]
+        group.add(label + ["mconv", [[str(c) for c in pt] for pt in m.atoms], m.to_json()])
+        group.add(label + ["tensor", tensor(a, b).to_json()])
+        group.add(label + ["project", e.to_json(), m.project(e).to_json()])
+        group.add(label + ["restrict_order", e.to_json(), m.restrict_order(e).to_json()])
+        for pair in pairs:
+            group.add(label + ["symmetrize", pair.to_json(), symmetrize(m, pair).to_json()])
+        group.add(label + ["msym", msym(m).to_json()])
+        group.add(label + ["munc", munc(m).to_json()])
 
 
 def subset_arg(mask: SubsetMask) -> str:
@@ -297,7 +331,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-dim", type=int, default=3)
     max_dim = parser.parse_args().max_dim
-    names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups")
+    names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra")
     groups = {name: Group() for name in names}
     for n in range(1, max_dim + 1):
         decisions(groups["decisions"], n)
@@ -305,6 +339,7 @@ def main():
         sphere_layer(groups["sphere"], n)
         cli((groups["cli"], groups["cli-malformed"]), n)
         reflection_groups(groups["groups"], n)
+        algebra(groups["algebra"], n)
     for name in names:
         print(f"{name} {groups[name].count} {groups[name].hash.hexdigest()}")
 

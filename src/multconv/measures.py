@@ -9,6 +9,12 @@ the symmetry decomposition, and the alternating projection sum used as a
 top-order criterion.  The parity basis measures, the alternating top-order
 probe and their product are signed grids, all built by one product
 builder, ``_parity_grid``.
+
+The convolution works on integer-coded coordinates (``_ids``, shared with
+the deciders' atom coding) and decodes each output point once.  Every
+symmetrisation factor ``(I +- T_F)/2`` is one pass over the atoms
+(``_reflection_average``), and ``symmetrize`` applies one factor per
+member of a GF(2) basis of its pair, not one per listed generator.
 """
 
 from __future__ import annotations
@@ -17,18 +23,12 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Union
 
-from .points import (
-    Point,
-    hadamard,
-    make_point,
-    project_point,
-    reflect_point,
-    zero_pattern,
-)
+from .points import Point, make_point, project_point, reflect_point, zero_pattern
 from .scalars import HALF, Surd, SurdLike, as_surd
 from .subsets import (
     GeneratingPair,
     SubsetMask,
+    _reduce_pair,
     all_subsets,
     json_dim,
     mask_sort_key,
@@ -323,18 +323,37 @@ def _check_points(*measures: AtomicMeasure) -> None:
             raise ValueError(f"expected a point measure, got {type(mu).__name__}")
 
 
+def _ids(ids: dict, loc: Iterable) -> tuple[int, ...]:
+    """``loc`` coded by value ids; an unseen value takes the next id."""
+    return tuple([ids.setdefault(c, len(ids)) for c in loc])
+
+
 def mconv(a: Measure, b: Measure) -> Measure:
-    """Pushforward of the product measure under the componentwise product."""
+    """Pushforward of the product measure under the componentwise product.
+
+    Coordinates are coded by value ids, a table codes each product of a
+    value of ``a`` with one of ``b``, and weights accumulate under tuples
+    of product ids; each output point is decoded once, at the end, in the
+    order of its first product.
+    """
     a._check(b)
     _check_points(a)
-    acc: dict[Point, Surd] = {}
-    for x, wx in a._atoms.items():
-        for y, wy in b._atoms.items():
-            pt = hadamard(x, y)
+    left_ids: dict[Fraction, int] = {}
+    right_ids: dict[Fraction, int] = {}
+    left = [(_ids(left_ids, x), w) for x, w in a._atoms.items()]
+    right = [(_ids(right_ids, y), w) for y, w in b._atoms.items()]
+    products: dict[Fraction, int] = {}
+    table = [[products.setdefault(u * v, len(products)) for v in right_ids] for u in left_ids]
+    acc: dict[tuple[int, ...], Surd] = {}
+    for x, wx in left:
+        rows = [table[u] for u in x]
+        for y, wy in right:
+            key = tuple([row[v] for row, v in zip(rows, y)])
             w = wx * wy
-            prev = acc.get(pt)
-            acc[pt] = w if prev is None else prev + w
-    return Measure._of(a.dim, acc)
+            prev = acc.get(key)
+            acc[key] = w if prev is None else prev + w
+    values = list(products)
+    return Measure._of(a.dim, {tuple([values[i] for i in key]): w for key, w in acc.items() if w})
 
 
 def tensor(a: Measure, b: Measure) -> Measure:
@@ -360,26 +379,27 @@ def _parity_grid(
     j: SubsetMask,
     factor: tuple[tuple[int, int], ...],
     scale: Fraction,
-) -> Measure:
-    """Product over the coordinates of ``e`` of one signed factor.
+    coord: Callable[[int], object] = Fraction,
+) -> list[tuple[tuple, Surd]]:
+    """Atoms of the product over the coordinates of ``e`` of one signed factor.
 
-    The factor lists ``(value, sign)`` pairs with distinct values; on a
-    coordinate of ``j`` a negative value also takes the parity character
-    there.  Off ``e`` the factor is the Dirac mass at 0.  Every atom weighs
-    ``+-scale`` and no two atoms merge.  The first coordinate varies
-    fastest.
+    The factor lists ``(value, sign)`` pairs with distinct integer values;
+    on a coordinate of ``j`` a negative value also takes the parity
+    character there.  Off ``e`` the factor is the Dirac mass at 0.  Every
+    atom weighs ``+-scale`` and no two atoms merge.  The first coordinate
+    varies fastest.  Coordinates are ``coord`` of the values: ``Fraction``
+    for a point, ``int`` for an integer vector to push to the sphere.
     """
-    n = e.dim
     weight = {1: Surd(scale), -1: Surd(-scale)}
     atoms: list[tuple[tuple, int]] = [((), 1)]
-    for i in reversed(range(n)):
+    for i in reversed(range(e.dim)):
         if e.bits >> i & 1:
             flip = -1 if j.bits >> i & 1 else 1
-            values = [(Fraction(v), s * flip if v < 0 else s) for v, s in factor]
+            values = [(coord(v), s * flip if v < 0 else s) for v, s in factor]
         else:
-            values = [(Fraction(0), 1)]
+            values = [(coord(0), 1)]
         atoms = [((c,) + loc, s * t) for loc, s in atoms for c, t in values]
-    return Measure._of(n, {loc: weight[s] for loc, s in atoms})
+    return [(loc, weight[s]) for loc, s in atoms]
 
 
 def sigma0_on(e: SubsetMask) -> Measure:
@@ -389,7 +409,7 @@ def sigma0_on(e: SubsetMask) -> Measure:
     it a top-order probe within the subspace of ``e``.  For the empty set
     this degenerates to the Dirac mass at the origin.
     """
-    return _parity_grid(e, SubsetMask.empty(e.dim), ((1, -1), (2, 1)), Fraction(1))
+    return Measure._of(e.dim, dict(_parity_grid(e, SubsetMask.empty(e.dim), ((1, -1), (2, 1)), Fraction(1))))
 
 
 def sigma0(dim: int) -> Measure:
@@ -406,7 +426,7 @@ def delta_ej(e: SubsetMask, j: SubsetMask) -> Measure:
     """
     if not j.issubset(e):
         raise ValueError(f"index set {j} is not a subset of the support {e}")
-    return _parity_grid(e, j, ((1, 1), (-1, 1)), Fraction(1, 1 << e.size))
+    return Measure._of(e.dim, dict(_parity_grid(e, j, ((1, 1), (-1, 1)), Fraction(1, 1 << e.size))))
 
 
 def delta_j(dim: int, j: SubsetMask) -> Measure:
@@ -428,21 +448,48 @@ def sigma_unc(dim: int) -> Measure:
 # -- symmetrisation operators -------------------------------------------------------
 
 
+def _reflection_average(mu, f: SubsetMask, sign: int):
+    """``(I + sign * T_F) / 2`` in one pass, for ``sign`` in {1, -1}: the
+    weight at ``x`` becomes ``(w_x + sign * w_{F x}) / 2``.  Atoms come out
+    in the order of ``mu + sign * mu.reflect(f)``."""
+    mu._check_mask(f)
+    atoms = mu._atoms
+    flips = [f.bits >> i & 1 for i in range(mu.dim)]
+    half = Surd(HALF)
+    acc: dict[tuple, Surd] = {}
+    images: dict[tuple, Surd] = {}
+    for x, w in atoms.items():
+        y = tuple([-c if flip else c for c, flip in zip(x, flips)])
+        wy = atoms.get(y)
+        if wy is None:
+            acc[x] = h = w * half
+            images[y] = h if sign > 0 else -h
+        else:
+            acc[x] = (w + wy if sign > 0 else w - wy) * half
+    acc.update(images)
+    return mu._of(mu.dim, acc)
+
+
 def symmetrize(mu, pair: GeneratingPair):
     """Project onto the even/odd symmetry class of the pair.
 
-    Applies one averaging factor per generator: ``(I - T_F)/2`` for odd
-    generators, then ``(I + T_F)/2`` for even ones.  Idempotent; the zero
-    operator exactly when the pair is not proper.  Works for both point
-    measures and sphere measures.
+    The generators reduce to a GF(2) basis (``subsets._reduce_pair``), so
+    the projection takes at most ``dim`` one-pass factors: ``(I - T_F)/2``
+    for the smallest odd generator, then ``(I + T_F)/2`` for each basis
+    member of the even part.  Idempotent; the zero operator exactly when
+    the pair is not proper.  Works for both point measures and sphere
+    measures.
     """
     if pair.dim != mu.dim:
         raise ValueError(f"dimension mismatch: measure {mu.dim} vs pair {pair.dim}")
+    basis, odd, proper = _reduce_pair(pair)
+    if not proper:
+        return mu.zero(mu.dim)
     out = mu
-    for f in sorted(pair.odds, key=mask_sort_key):
-        out = (out - out.reflect(f)) * HALF
-    for f in sorted(pair.evens, key=mask_sort_key):
-        out = (out + out.reflect(f)) * HALF
+    if odd is not None:
+        out = _reflection_average(out, SubsetMask(odd, mu.dim), -1)
+    for f in basis:
+        out = _reflection_average(out, SubsetMask(f, mu.dim), 1)
     return out
 
 
@@ -459,8 +506,7 @@ def group_average(mu, group: Iterable[SubsetMask]):
 
 def msym(mu):
     """Average with the origin reflection."""
-    full = SubsetMask.full(mu.dim)
-    return (mu + mu.reflect(full)) * HALF
+    return _reflection_average(mu, SubsetMask.full(mu.dim), 1)
 
 
 def munc(mu):

@@ -5,9 +5,11 @@ unit vector ``d/|d|``; all radial normalisations are absorbed into surd
 weights, so locations compare exactly.  That convention lives here alone,
 in two functions: :meth:`SphereMeasure.masses` reads each atom as the
 point mass ``w/|d|`` at the integer vector ``d``, and ``_push`` moves point
-masses at integer vectors radially back to the sphere.  The radial
-projection from point measures, the induced product on the sphere and the
-coordinate-subsphere projections are each one push.
+masses at integer vectors radially back to the sphere, summing the masses
+of each ray before it takes the ray's norm, once.  The radial projection
+from point measures, the induced product on the sphere, the
+coordinate-subsphere projections and the deciders' probe witness are each
+one push.
 
 ``moment_g`` at the bottom is the single floating-point surface of the
 package: a numerical diagnostic that never feeds an exact decision.
@@ -64,18 +66,23 @@ def _push(dim: int, masses: Iterable[tuple[tuple[int, ...], Surd]]) -> SphereMea
     """Push point masses at integer vectors radially to the sphere.
 
     Mass ``m`` at a nonzero vector ``v`` adds ``m * |v|`` at ``v`` divided by
-    its gcd, the primitive ray through ``v``; mass at the origin is dropped.
+    its gcd ``g``, the primitive ray ``r`` through ``v``; mass at the origin
+    is dropped.  As ``|v| = g * |r|``, the sums of ``m * g`` accumulate per
+    ray and take the root ``|r|`` once, at the end.
     """
     acc: dict[Ray, Surd] = {}
     for v, m in masses:
         g = math.gcd(*v)
         if g == 0:
             continue  # the origin spans no ray
-        ray = tuple([c // g for c in v])
-        add = m * Surd.sqrt(ray_norm_sq(v))
-        prev = acc.get(ray)
-        acc[ray] = add if prev is None else prev + add
-    return SphereMeasure._of(dim, acc)
+        if g != 1:
+            v = tuple([c // g for c in v])
+            m = m * g
+        prev = acc.get(v)
+        acc[v] = m if prev is None else prev + m
+    return SphereMeasure._of(
+        dim, {ray: s * Surd.sqrt(ray_norm_sq(ray)) for ray, s in acc.items() if s}
+    )
 
 
 def radial_project(mu: AtomicMeasure) -> SphereMeasure:

@@ -217,24 +217,31 @@ def _span(basis: list[int]) -> list[int]:
     return span
 
 
-def gamma(pair: GeneratingPair) -> SymmetryPair:
-    """Close a generating pair into the symmetry pair it generates.
+def _reduce_pair(pair: GeneratingPair) -> tuple[list[int], int | None, bool]:
+    """A GF(2) basis of the even part, the smallest odd generator ``o0``
+    (None without odd generators), and whether the pair is proper.
 
     A product is even when it uses an even number of odd generators, so
     the even part is spanned by the even generators and the sums ``o ^ o0``
-    of the odd ones with the smallest, ``o0``, and the odd part is
-    ``o0 ^`` that span.  The pair is proper exactly when ``o0`` raises the
-    rank.
+    of the odd ones with ``o0``, and the odd part is ``o0 ^`` that span.
+    The pair is proper exactly when ``o0`` raises the rank.
     """
-    n = pair.dim
     odds = sorted(f.bits for f in pair.odds)
-    basis = _basis([f.bits for f in pair.evens] + [o ^ odds[0] for o in odds[1:]])
+    basis = _basis(sorted(f.bits for f in pair.evens) + [o ^ odds[0] for o in odds[1:]])
+    if not odds:
+        return basis, None, True
+    return basis, odds[0], len(_basis(basis + odds[:1])) > len(basis)
+
+
+def gamma(pair: GeneratingPair) -> SymmetryPair:
+    """Close a generating pair into the symmetry pair it generates."""
+    n = pair.dim
+    basis, odd, proper = _reduce_pair(pair)
     if len(basis) > MAX_GROUP_RANK:
         raise ValueError(f"group rank {len(basis)} exceeds the enumeration bound {MAX_GROUP_RANK}")
     span = _span(basis)
     evens = frozenset(SubsetMask(v, n) for v in span)
-    odd_part = frozenset(SubsetMask(o ^ v, n) for o in odds[:1] for v in span)
-    proper = not odds or len(_basis(basis + odds[:1])) > len(basis)
+    odd_part = frozenset() if odd is None else frozenset(SubsetMask(odd ^ v, n) for v in span)
     return SymmetryPair(evens, odd_part, proper, n)
 
 

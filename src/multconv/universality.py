@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional
 
-from .measures import AtomicMeasure, Measure, _parity_grid, delta_ej, mconv
+from .measures import AtomicMeasure, Measure, _ids, _parity_grid, delta_ej, mconv
 from .scalars import ZERO, Surd
 from .subsets import (
     GeneratingPair,
@@ -50,7 +50,7 @@ from .subsets import (
     index_set,
     mask_sort_key,
 )
-from .sphere import SphereMeasure, radial_project, sconv
+from .sphere import SphereMeasure, _push, radial_project, sconv
 
 MAX_DECIDER_DIM = 8
 
@@ -109,14 +109,15 @@ def _in_class(witness, pair: GeneratingPair, e: SubsetMask) -> bool:
     return all(witness.is_odd_under(f) for f in pair.odds)
 
 
-def _probe_product(e: SubsetMask, j: SubsetMask) -> Measure:
-    """``mconv(delta_ej(e, j), sigma0_on(e))``, built directly as a product.
+# on a coordinate of E the probe product's factor is
+# ``(delta_2 - delta_1 + chi*delta_{-2} - chi*delta_{-1}) / 2``, with ``chi``
+# the parity character of J there
+_PROBE = ((2, 1), (1, -1), (-2, 1), (-1, -1))
 
-    On a coordinate of ``e`` the factor is
-    ``(delta_2 - delta_1 + chi*delta_{-2} - chi*delta_{-1}) / 2``, with ``chi``
-    the parity character of ``j`` there.
-    """
-    return _parity_grid(e, j, ((2, 1), (1, -1), (-2, 1), (-1, -1)), Fraction(1, 1 << e.size))
+
+def _probe_product(e: SubsetMask, j: SubsetMask) -> Measure:
+    """``mconv(delta_ej(e, j), sigma0_on(e))``, built directly as a product."""
+    return Measure._of(e.dim, dict(_parity_grid(e, j, _PROBE, Fraction(1, 1 << e.size))))
 
 
 def _witness(
@@ -134,7 +135,8 @@ def _witness(
     condition, checked here by convolution.  Class membership is checked on
     the parity factor: reflections act on one factor of a product.  On the
     sphere the witness is pushed forward radially, which commutes with the
-    product and the reflections.
+    product and the reflections; the probe product's coordinates are
+    integers, so its atoms are pushed as integer vectors.
     """
     sphere = isinstance(nu, SphereMeasure)
     conv = sconv if sphere else mconv
@@ -142,13 +144,13 @@ def _witness(
     if not _in_class(parity, pair, e):
         raise RuntimeError("witness construction left the symmetry class")
     if not conv(nu, parity):
-        witness = parity
+        witness = radial_project(parity) if sphere else parity
     elif conv(nu.project(e).restrict_order(e), parity):
         raise RuntimeError("witness construction failed to annihilate")
+    elif sphere:
+        witness = _push(e.dim, _parity_grid(e, j, _PROBE, Fraction(1, 1 << e.size), int))
     else:
         witness = _probe_product(e, j)
-    if sphere:
-        witness = radial_project(witness)
     if not witness:
         raise RuntimeError("witness construction produced the zero measure")
     if witness.component_patterns() != frozenset({e}):
@@ -191,7 +193,7 @@ def _code(nu: AtomicMeasure) -> _Code:
         if sphere:
             absolute = tuple(abs(c) for c in loc)
         else:
-            absolute = tuple(ids.setdefault(abs(c), len(ids)) for c in loc)
+            absolute = _ids(ids, [abs(c) for c in loc])
         code.append((nonzero, negative, absolute, w))
     return code
 

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from multconv.harness import gen_measure, gen_pair
+from multconv.harness import brute_force_convolution, gen_measure, gen_pair, gen_sphere_measure
 from multconv.lifting import lift, lift_inverse
 from multconv.measures import (
     Measure,
+    _reflection_average,
     delta_ej,
     delta_j,
     group_average,
@@ -24,7 +26,7 @@ from multconv.measures import (
     unit,
 )
 from multconv.points import zero_pattern
-from multconv.scalars import Surd
+from multconv.scalars import HALF, Surd
 from multconv.sphere import SphereMeasure
 from multconv.subsets import (
     GeneratingPair,
@@ -32,6 +34,7 @@ from multconv.subsets import (
     all_subsets,
     gamma,
     index_set,
+    mask_sort_key,
     subsets_of,
 )
 from multconv.universality import _probe_product
@@ -608,3 +611,116 @@ def test_public_constructors_normalise():
     nu = SphereMeasure(2, [((2, 4), 1), ((1, 2), 1)])
     assert dict(nu.atoms) == {(1, 2): Surd(2)}
     assert Measure.from_json(mu.to_json()) == mu
+
+
+# -- coded kernels against their definitions ------------------------------------
+
+_KERNEL_WEIGHTS = (Surd(1), Surd(-1), Surd(F(1, 2)), Surd.sqrt(2), -Surd.sqrt(2), Surd(3))
+
+
+def _kernel_inputs(seed, n):
+    """Two point measures with repeated values, zeros and negatives, plus
+    atoms at ``p, 2p`` and ``2q, q`` whose products ``p*2q`` and ``2p*q``
+    coincide with cancelling weights."""
+    rng = random.Random(f"kernels-{seed}-{n}")
+    pool = tuple(F(v) for v in (-2, -1, F(-1, 2), 0, 0, F(1, 2), 1, 1, 2))
+
+    def measure(k):
+        return Measure(n, [(tuple(rng.choice(pool) for _ in range(n)), rng.choice(_KERNEL_WEIGHTS)) for _ in range(k)])
+
+    p = tuple(rng.choice((-1, 1, 2)) for _ in range(n))
+    q = tuple(rng.choice((-2, F(1, 2), 1)) for _ in range(n))
+    w = rng.choice(_KERNEL_WEIGHTS)
+    a = measure(6) + Measure(n, {p: 1, tuple(2 * c for c in p): 1})
+    b = measure(5) + Measure(n, {tuple(2 * c for c in q): w, q: -w})
+    return a, b
+
+
+def _first_products(a, b):
+    """The points of the double loop in the order of their first product,
+    keeping those whose weights do not cancel."""
+    acc = {}
+    for x, wx in a.atoms.items():
+        for y, wy in b.atoms.items():
+            pt = tuple(u * v for u, v in zip(x, y))
+            acc[pt] = acc.get(pt, Surd(0)) + wx * wy
+    return [pt for pt, w in acc.items() if w]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mconv_matches_the_double_loop(n, assert_trusted):
+    for seed in range(8):
+        a, b = _kernel_inputs(seed, n)
+        got = mconv(a, b)
+        assert got == brute_force_convolution(a, b)
+        assert list(got.atoms) == _first_products(a, b)
+        assert_trusted({"mconv": got, "mconv-swapped": mconv(b, a)})
+    # (x + 2x) * (2*1 - 1): the two products at 2x cancel
+    x = tuple(F(1 + i) for i in range(n))
+    a = Measure(n, {x: 1, tuple(2 * c for c in x): 1})
+    b = Measure(n, {tuple(F(2) for _ in range(n)): 1, tuple(F(1) for _ in range(n)): -1})
+    assert mconv(a, b) == Measure(n, {x: -1, tuple(4 * c for c in x): 1})
+
+
+def _kernel_measures(seed, n):
+    """A point and a sphere measure with atoms whose mirrors carry weight,
+    atoms fixed by some reflections and atoms alone in their orbits."""
+    mu = gen_measure(seed, n, 5) + gen_measure(seed + 1, n, 3).reflect(SubsetMask(seed % (1 << n), n))
+    mu = mu + mu.reflect(SubsetMask((seed + 1) % (1 << n), n)) * Surd.sqrt(2)
+    sigma = gen_sphere_measure(seed, n, 5)
+    sigma = sigma + sigma.reflect(SubsetMask((seed + 3) % (1 << n), n)) * 3
+    return mu, sigma
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_pass_reflection_average_matches_sum_and_half(n):
+    for seed in range(4):
+        for mu in _kernel_measures(seed + 10 * n, n):
+            for f in all_subsets(n):
+                for sign in (1, -1):
+                    got = _reflection_average(mu, f, sign)
+                    expected = (mu + mu.reflect(f) * sign) * HALF
+                    assert got == expected
+                    assert list(got.atoms) == list(expected.atoms)
+
+
+def _per_generator(mu, pair):
+    """One averaging factor per listed generator, odd ones first."""
+    out = mu
+    for f in sorted(pair.odds, key=mask_sort_key):
+        out = (out - out.reflect(f)) * HALF
+    for f in sorted(pair.evens, key=mask_sort_key):
+        out = (out + out.reflect(f)) * HALF
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symmetrize_by_basis_matches_per_generator_factors(n):
+    full = SubsetMask.full(n)
+    for seed in range(6):
+        e = SubsetMask(seed % (1 << n), n)
+        f = SubsetMask((3 * seed + 1) % (1 << n), n)
+        pairs = [
+            gen_pair(seed + 30 * n, n, 5),
+            # dependent generators on both sides
+            GeneratingPair.make(n, evens=[e, f, e ^ f, e], odds=[full, full ^ e, full ^ f]),
+            GeneratingPair.make(n, odds=[e, f, e ^ f ^ full]),
+            # improper: an odd generator in the span of the evens, or odd sums in it
+            GeneratingPair.make(n, evens=[e, f], odds=[e ^ f]),
+            GeneratingPair.make(n, odds=[e, f, e ^ f]),
+            GeneratingPair.make(n, odds=[SubsetMask.empty(n)]),
+        ]
+        for mu in _kernel_measures(seed + 40 * n, n):
+            for pair in pairs:
+                got = symmetrize(mu, pair)
+                assert type(got) is type(mu)
+                assert got == _per_generator(mu, pair), pair
+                if not gamma(pair).proper:
+                    assert got.is_zero()
+
+
+def test_symmetrize_by_a_whole_group_takes_its_basis():
+    # every subset listed as even: the unconditional projection, at most n passes
+    n = 6
+    mu = gen_measure(5, n, 5)
+    assert symmetrize(mu, GeneratingPair.make(n, evens=list(all_subsets(n)))) == munc(mu)

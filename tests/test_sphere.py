@@ -394,3 +394,28 @@ def test_generating_measure_matches_reference():
             gens += [tuple(-c for c in first), tuple(2 * c for c in first), first]
             z = Zonotope.make(n, gens)
             assert generating_measure(z) == _reference_generating(z)
+
+
+def test_push_sums_each_ray_before_its_root():
+    from multconv.sphere import _push
+
+    rays = [(1, 2, 0), (-1, 1, 1), (3, 0, -2)]
+    masses = []
+    for k, ray in enumerate(rays):
+        for g in (1, 2, 3, 6):
+            masses.append((tuple(g * c for c in ray), Surd(F(k + 1, g)) * Surd.sqrt(g + k)))
+    # cancels on the first ray: 2 * |r| - 1 * |2r| = 0
+    masses += [((1, 2, 0), Surd(2)), ((2, 4, 0), Surd(-1))]
+    masses += [((0, 0, 0), Surd(5))]  # the origin spans no ray
+    # per pair: mass m at v adds m * |v| at the primitive ray through v
+    expected = {}
+    for v, m in masses:
+        if any(v):
+            ray = primitive_ray(v)
+            expected[ray] = expected.get(ray, Surd(0)) + m * Surd.sqrt(sum(c * c for c in v))
+    got = _push(3, masses)
+    assert dict(got.atoms) == {r: w for r, w in expected.items() if w}
+    assert list(got.atoms) == [r for r, w in expected.items() if w]
+    # a ray whose sum cancels to zero is dropped
+    cancel = [((1, 1), Surd(1)), ((2, 2), Surd(F(-1, 2))), ((3, -1), Surd(1))]
+    assert _push(2, cancel) == SphereMeasure(2, {(3, -1): Surd.sqrt(10)})
