@@ -8,13 +8,8 @@ symmetrisation operators they induce, the signed atomic basis measures of
 the symmetry decomposition, and the alternating projection sum used as a
 top-order criterion.  The parity basis measures, the alternating top-order
 probe and their product are signed grids, all built by one product
-builder, ``_parity_grid``.
-
-The convolution works on integer-coded coordinates (``_ids``, shared with
-the deciders' atom coding) and decodes each output point once.  Every
-symmetrisation factor ``(I +- T_F)/2`` is one pass over the atoms
-(``_reflection_average``), and ``symmetrize`` applies one factor per
-member of a GF(2) basis of its pair, not one per listed generator.
+builder, ``_parity_grid``.  The convolution codes each coordinate's values
+by integer ids (``_ids``); each symmetrisation factor ``(I +- T_F)/2`` is one pass.
 """
 
 from __future__ import annotations
@@ -323,36 +318,40 @@ def _check_points(*measures: AtomicMeasure) -> None:
             raise ValueError(f"expected a point measure, got {type(mu).__name__}")
 
 
-def _ids(ids: dict, loc: Iterable) -> tuple[int, ...]:
-    """``loc`` coded by value ids; an unseen value takes the next id."""
-    return tuple([ids.setdefault(c, len(ids)) for c in loc])
+def _ids(ids: list[dict], loc: Iterable) -> tuple[int, ...]:
+    """``loc`` coded by one value-id dict per coordinate; new values take the next id."""
+    return tuple([d.setdefault(c, len(d)) for d, c in zip(ids, loc)])
 
 
 def mconv(a: Measure, b: Measure) -> Measure:
     """Pushforward of the product measure under the componentwise product.
 
-    Coordinates are coded by value ids, a table codes each product of a
-    value of ``a`` with one of ``b``, and weights accumulate under tuples
-    of product ids; each output point is decoded once, at the end, in the
-    order of its first product.
-    """
+    Per coordinate, a table codes the products of the values of ``a`` and
+    ``b`` there; weights accumulate under tuples of product ids, and each
+    output point is decoded once, in the order of its first product."""
     a._check(b)
     _check_points(a)
-    left_ids: dict[Fraction, int] = {}
-    right_ids: dict[Fraction, int] = {}
+    left_ids, right_ids = [{} for _ in range(a.dim)], [{} for _ in range(a.dim)]
     left = [(_ids(left_ids, x), w) for x, w in a._atoms.items()]
     right = [(_ids(right_ids, y), w) for y, w in b._atoms.items()]
-    products: dict[Fraction, int] = {}
-    table = [[products.setdefault(u * v, len(products)) for v in right_ids] for u in left_ids]
+    values: list[Fraction] = []
+    product_ids: dict[tuple[int, int], int] = {}  # a ratio of ints hashes faster than a Fraction
+
+    def product_id(p: Fraction) -> int:
+        i = product_ids.setdefault(p.as_integer_ratio(), len(values))
+        if i == len(values):
+            values.append(p)
+        return i
+
+    tables = [[[product_id(u * v) for v in vs] for u in us] for us, vs in zip(left_ids, right_ids)]
     acc: dict[tuple[int, ...], Surd] = {}
     for x, wx in left:
-        rows = [table[u] for u in x]
+        rows = [table[u] for table, u in zip(tables, x)]
         for y, wy in right:
             key = tuple([row[v] for row, v in zip(rows, y)])
             w = wx * wy
             prev = acc.get(key)
             acc[key] = w if prev is None else prev + w
-    values = list(products)
     return Measure._of(a.dim, {tuple([values[i] for i in key]): w for key, w in acc.items() if w})
 
 
@@ -379,17 +378,18 @@ def _parity_grid(
     j: SubsetMask,
     factor: tuple[tuple[int, int], ...],
     scale: Fraction,
-    coord: Callable[[int], object] = Fraction,
-) -> list[tuple[tuple, Surd]]:
-    """Atoms of the product over the coordinates of ``e`` of one signed factor.
+    push: Callable | None = None,
+) -> AtomicMeasure:
+    """Product over the coordinates of ``e`` of one signed factor.
 
     The factor lists ``(value, sign)`` pairs with distinct integer values;
     on a coordinate of ``j`` a negative value also takes the parity
     character there.  Off ``e`` the factor is the Dirac mass at 0.  Every
     atom weighs ``+-scale`` and no two atoms merge.  The first coordinate
-    varies fastest.  Coordinates are ``coord`` of the values: ``Fraction``
-    for a point, ``int`` for an integer vector to push to the sphere.
+    varies fastest.  Given ``push`` (``sphere._push``), the atoms are
+    integer vectors pushed to the sphere; otherwise they are points.
     """
+    coord = Fraction if push is None else int
     weight = {1: Surd(scale), -1: Surd(-scale)}
     atoms: list[tuple[tuple, int]] = [((), 1)]
     for i in reversed(range(e.dim)):
@@ -399,7 +399,9 @@ def _parity_grid(
         else:
             values = [(coord(0), 1)]
         atoms = [((c,) + loc, s * t) for loc, s in atoms for c, t in values]
-    return [(loc, weight[s]) for loc, s in atoms]
+    if push is None:
+        return Measure._of(e.dim, {loc: weight[s] for loc, s in atoms})
+    return push(e.dim, [(loc, weight[s]) for loc, s in atoms])
 
 
 def sigma0_on(e: SubsetMask) -> Measure:
@@ -409,7 +411,7 @@ def sigma0_on(e: SubsetMask) -> Measure:
     it a top-order probe within the subspace of ``e``.  For the empty set
     this degenerates to the Dirac mass at the origin.
     """
-    return Measure._of(e.dim, dict(_parity_grid(e, SubsetMask.empty(e.dim), ((1, -1), (2, 1)), Fraction(1))))
+    return _parity_grid(e, SubsetMask.empty(e.dim), ((1, -1), (2, 1)), Fraction(1))
 
 
 def sigma0(dim: int) -> Measure:
@@ -426,7 +428,7 @@ def delta_ej(e: SubsetMask, j: SubsetMask) -> Measure:
     """
     if not j.issubset(e):
         raise ValueError(f"index set {j} is not a subset of the support {e}")
-    return Measure._of(e.dim, dict(_parity_grid(e, j, ((1, 1), (-1, 1)), Fraction(1, 1 << e.size))))
+    return _parity_grid(e, j, ((1, 1), (-1, 1)), Fraction(1, 1 << e.size))
 
 
 def delta_j(dim: int, j: SubsetMask) -> Measure:
@@ -473,12 +475,10 @@ def _reflection_average(mu, f: SubsetMask, sign: int):
 def symmetrize(mu, pair: GeneratingPair):
     """Project onto the even/odd symmetry class of the pair.
 
-    The generators reduce to a GF(2) basis (``subsets._reduce_pair``), so
-    the projection takes at most ``dim`` one-pass factors: ``(I - T_F)/2``
-    for the smallest odd generator, then ``(I + T_F)/2`` for each basis
-    member of the even part.  Idempotent; the zero operator exactly when
-    the pair is not proper.  Works for both point measures and sphere
-    measures.
+    Applies at most ``dim`` one-pass factors: ``(I - T_F)/2`` for the
+    smallest odd generator, then ``(I + T_F)/2`` per GF(2) basis member of
+    the even part (``subsets._reduce_pair``).  Idempotent; the zero operator
+    exactly when the pair is not proper.  Works for points and the sphere.
     """
     if pair.dim != mu.dim:
         raise ValueError(f"dimension mismatch: measure {mu.dim} vs pair {pair.dim}")

@@ -5,11 +5,10 @@ unit vector ``d/|d|``; all radial normalisations are absorbed into surd
 weights, so locations compare exactly.  That convention lives here alone,
 in two functions: :meth:`SphereMeasure.masses` reads each atom as the
 point mass ``w/|d|`` at the integer vector ``d``, and ``_push`` moves point
-masses at integer vectors radially back to the sphere, summing the masses
-of each ray before it takes the ray's norm, once.  The radial projection
-from point measures, the induced product on the sphere, the
-coordinate-subsphere projections and the deciders' probe witness are each
-one push.
+masses at integer vectors radially back to the sphere, one root per ray.
+The radial projection from point measures, the induced product on the
+sphere, the coordinate-subsphere projections and the probe witness are
+each one push.
 
 ``moment_g`` at the bottom is the single floating-point surface of the
 package: a numerical diagnostic that never feeds an exact decision.
@@ -80,9 +79,7 @@ def _push(dim: int, masses: Iterable[tuple[tuple[int, ...], Surd]]) -> SphereMea
             m = m * g
         prev = acc.get(v)
         acc[v] = m if prev is None else prev + m
-    return SphereMeasure._of(
-        dim, {ray: s * Surd.sqrt(ray_norm_sq(ray)) for ray, s in acc.items() if s}
-    )
+    return SphereMeasure._of(dim, {r: s * Surd.sqrt(ray_norm_sq(r)) for r, s in acc.items() if s})
 
 
 def radial_project(mu: AtomicMeasure) -> SphereMeasure:

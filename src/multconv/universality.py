@@ -117,7 +117,7 @@ _PROBE = ((2, 1), (1, -1), (-2, 1), (-1, -1))
 
 def _probe_product(e: SubsetMask, j: SubsetMask) -> Measure:
     """``mconv(delta_ej(e, j), sigma0_on(e))``, built directly as a product."""
-    return Measure._of(e.dim, dict(_parity_grid(e, j, _PROBE, Fraction(1, 1 << e.size))))
+    return _parity_grid(e, j, _PROBE, Fraction(1, 1 << e.size))
 
 
 def _witness(
@@ -147,10 +147,8 @@ def _witness(
         witness = radial_project(parity) if sphere else parity
     elif conv(nu.project(e).restrict_order(e), parity):
         raise RuntimeError("witness construction failed to annihilate")
-    elif sphere:
-        witness = _push(e.dim, _parity_grid(e, j, _PROBE, Fraction(1, 1 << e.size), int))
     else:
-        witness = _probe_product(e, j)
+        witness = _parity_grid(e, j, _PROBE, Fraction(1, 1 << e.size), _push if sphere else None)
     if not witness:
         raise RuntimeError("witness construction produced the zero measure")
     if witness.component_patterns() != frozenset({e}):
@@ -175,13 +173,14 @@ _Code = list[tuple[int, int, tuple[int, ...], Surd]]
 def _code(nu: AtomicMeasure) -> _Code:
     """Encode every atom of ``nu`` once.
 
-    Point coordinates are coded by integer ids of their absolute values.  A
-    sphere atom is read as its point mass ``w/|r|`` at the integer ray ``r``
-    (:meth:`SphereMeasure.masses`), whose entries are integers already.
+    Point coordinates are coded by integer ids of their absolute values,
+    per coordinate (``measures._ids``).  A sphere atom is read as its point
+    mass ``w/|r|`` at the integer ray ``r`` (:meth:`SphereMeasure.masses`),
+    whose entries are integers already.
     """
     sphere = isinstance(nu, SphereMeasure)
     atoms = nu.masses() if sphere else nu.atoms.items()
-    ids: dict[Fraction, int] = {}
+    ids: list[dict[Fraction, int]] = [{} for _ in range(nu.dim)]
     code: _Code = []
     for loc, w in atoms:
         nonzero = negative = 0

@@ -662,6 +662,46 @@ def test_mconv_matches_the_double_loop(n, assert_trusted):
     assert mconv(a, b) == Measure(n, {x: -1, tuple(4 * c for c in x): 1})
 
 
+class _Counted(Fraction):
+    """A rational that counts the products taken with it on the left."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return Fraction.__mul__(self, other)
+
+
+def _counted(n, rows):
+    return Measure._of(n, {tuple(_Counted(c) for c in row): Surd(1 + i) for i, row in enumerate(rows)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_mconv_takes_no_product_the_double_loop_skips(n):
+    # all coordinates distinct: every product is new, and the tables take
+    # exactly the double loop's n*|a|*|b|
+    rng = random.Random(f"distinct-{n}")
+
+    def distinct_rows(k):
+        return [[F(rng.randrange(1, 10**6), rng.randrange(1, 10**6)) for _ in range(n)] for _ in range(k)]
+
+    a, b = _counted(n, distinct_rows(7)), _counted(n, distinct_rows(5))
+    _Counted.products = 0
+    got = mconv(a, b)
+    assert _Counted.products == n * 7 * 5
+    assert got == brute_force_convolution(a, b)
+    assert list(got.atoms) == _first_products(a, b)
+    # values repeated within a coordinate but not across: one product per
+    # pair of values of a coordinate, never one per pair of values overall
+    rows_a = [[F(1 + r)] + [F(2 + i + 10 * (r % 3)) for i in range(1, n)] for r in range(6)]
+    a, b = _counted(n, rows_a), _counted(n, [[F(3 + i + 7 * k) for i in range(n)] for k in range(4)])
+    expected = sum(len({x[i] for x in a.atoms}) * len({y[i] for y in b.atoms}) for i in range(n))
+    _Counted.products = 0
+    got = mconv(a, b)
+    assert _Counted.products == expected <= n * len(a.atoms) * len(b.atoms)
+    assert got == brute_force_convolution(a, b)
+
+
 def _kernel_measures(seed, n):
     """A point and a sphere measure with atoms whose mirrors carry weight,
     atoms fixed by some reflections and atoms alone in their orbits."""
