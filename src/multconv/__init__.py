@@ -21,11 +21,9 @@ from .subsets import (
 from .points import (
     Point,
     Ray,
-    canonical_ray,
     hadamard,
     inner,
     make_point,
-    norm_surd,
     project_point,
     reflect_point,
     zero_pattern,

@@ -510,8 +510,12 @@ def msym(mu):
 
 
 def munc(mu):
-    """Average over all multiple reflections."""
-    return group_average(mu, all_subsets(mu.dim))
+    """Average over all multiple reflections: ``(I + T_{i})/2`` for each
+    coordinate ``i``, one pass per factor."""
+    out = mu
+    for i in range(1, mu.dim + 1):
+        out = _reflection_average(out, SubsetMask.single(mu.dim, i), 1)
+    return out
 
 
 def unc_forward(mu: Measure) -> Measure:

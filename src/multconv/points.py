@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .scalars import Surd, _coerce_rational
+from .scalars import _coerce_rational
 from .subsets import SubsetMask
 
 Point = tuple[Fraction, ...]
@@ -71,28 +71,10 @@ def inner(x: Point, y: Point) -> Fraction:
     return sum((a * b for a, b in zip(x, y)), Fraction(0))
 
 
-def norm_surd(x: Point) -> Surd:
-    """Exact Euclidean norm as a surd."""
-    return Surd.sqrt(inner(x, x))
-
-
 def clear_denominators(x: Point) -> tuple[int, tuple[int, ...]]:
     """The least positive integer ``s`` with ``s * x`` integral, and ``s * x``."""
     scale = math.lcm(*(c.denominator for c in x))
     return scale, tuple(c.numerator * (scale // c.denominator) for c in x)
-
-
-def canonical_ray(x: Point) -> Ray:
-    """Primitive integer representative of the open ray through ``x``.
-
-    Clears denominators and divides by the gcd; only positive scaling is
-    applied, so the sign pattern is preserved.
-    """
-    if not any(x):
-        raise ValueError("the zero point spans no ray")
-    _, ints = clear_denominators(x)
-    g = math.gcd(*ints)
-    return tuple(v // g for v in ints)
 
 
 # -- integer-ray counterparts ------------------------------------------------

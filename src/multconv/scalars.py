@@ -2,8 +2,10 @@
 
 A :class:`Surd` is a finite rational combination of square roots of
 distinct square-free positive integers (radicand 1 carries the rational
-part).  The representation is canonical, so equality is structural, the
-zero test is exact, and the sign of any value is decidable.
+part).  Each term is stored as an integer triple ``(r, p, q)`` for
+``(p/q) * sqrt(r)``, with the coefficient reduced, so the arithmetic makes
+no ``Fraction`` objects.  The representation is canonical, so equality is
+structural, the zero test is exact, and the sign of any value is decidable.
 """
 
 from __future__ import annotations
@@ -61,6 +63,30 @@ def _sqrt_bounds(r: int, prec: int) -> tuple[Fraction, Fraction]:
     return Fraction(m, 1 << prec), Fraction(m + 1, 1 << prec)
 
 
+def _term(r: int, p: int, q: int) -> tuple[tuple[int, int, int], ...]:
+    """The terms of ``(p/q) * sqrt(r)`` for ``q > 0``: none when ``p`` is 0."""
+    if not p:
+        return ()
+    g = math.gcd(p, q)
+    return ((r, p // g, q // g),)
+
+
+def _accumulate(acc: dict[int, tuple[int, int]], r: int, p: int, q: int) -> None:
+    """Add ``p/q`` to the unreduced coefficient of radicand ``r``."""
+    if r in acc:
+        p0, q0 = acc[r]
+        p, q = (p0 + p, q) if q0 == q else (p0 * q + p * q0, q0 * q)
+    acc[r] = (p, q)
+
+
+def _canonical(acc: dict[int, tuple[int, int]]) -> tuple[tuple[int, int, int], ...]:
+    """Sorted, reduced terms of a radicand -> ``(p, q)`` map, zeros dropped."""
+    out = ()
+    for r in sorted(acc):
+        out += _term(r, *acc[r])
+    return out
+
+
 def _coerce_rational(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("refusing float input; use Fraction or int for exactness")
@@ -71,28 +97,31 @@ def _coerce_rational(value) -> Fraction:
 
 
 class Surd:
-    """Exact value of the form ``sum_i c_i * sqrt(r_i)``.
+    """Exact value of the form ``sum_i (p_i/q_i) * sqrt(r_i)``.
 
-    Terms are stored sorted by radicand with no zero coefficients, all
-    radicands square-free, so two equal values always have identical term
-    tuples.
+    ``_terms`` holds one ``(r, p, q)`` triple of ints per term, sorted by
+    radicand: every ``r`` is square-free, ``p != 0``, ``q > 0`` and
+    ``gcd(p, q) == 1``.  Two equal values therefore have identical term
+    tuples, and the arithmetic runs on ints with one ``gcd`` per coefficient
+    produced.  :attr:`terms` presents the coefficients as ``Fraction``.
     """
 
     __slots__ = ("_terms", "_hash")
 
-    _terms: tuple[tuple[int, Fraction], ...]
+    _terms: tuple[tuple[int, int, int], ...]
 
     def __init__(self, value: RationalLike = 0):
-        q = _coerce_rational(value)
-        self._terms = ((1, q),) if q else ()
+        if not isinstance(value, (int, Fraction)):
+            value = _coerce_rational(value)
+        self._terms = ((1, value.numerator, value.denominator),) if value else ()
         self._hash = None
 
     @classmethod
     def _from_map(cls, terms: dict[int, Fraction]) -> "Surd":
-        return cls._of(tuple(sorted((r, c) for r, c in terms.items() if c)))
+        return cls._of(_canonical({r: (c.numerator, c.denominator) for r, c in terms.items()}))
 
     @classmethod
-    def _of(cls, terms: tuple[tuple[int, Fraction], ...]) -> "Surd":
+    def _of(cls, terms: tuple[tuple[int, int, int], ...]) -> "Surd":
         # trusted: ``terms`` is already in canonical form
         out = cls.__new__(cls)
         out._terms = terms
@@ -102,20 +131,23 @@ class Surd:
     @classmethod
     def sqrt(cls, value: RationalLike, *, factor_bound: int = DEFAULT_FACTOR_BOUND) -> "Surd":
         """Exact square root of a non-negative rational."""
-        q = _coerce_rational(value)
-        if q < 0:
-            raise ValueError(f"square root of a negative rational: {q}")
-        if q == 0:
+        if not isinstance(value, (int, Fraction)):
+            value = _coerce_rational(value)
+        if value < 0:
+            raise ValueError(f"square root of a negative rational: {value}")
+        if not value:
             return cls(0)
         # sqrt(a/b) = sqrt(a*b)/b = (k/b) * sqrt(f)  with  a*b = k^2 * f
-        k, f = square_free_decompose(q.numerator * q.denominator, factor_bound)
-        return cls._from_map({f: Fraction(k, q.denominator)})
+        a, b = value.numerator, value.denominator
+        k, f = square_free_decompose(a * b, factor_bound)
+        g = math.gcd(k, b)
+        return cls._of(((f, k // g, b // g),))
 
     # -- structure ---------------------------------------------------------
 
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        return self._terms
+        return tuple((r, Fraction(p, q)) for r, p, q in self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -126,22 +158,28 @@ class Surd:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: SurdLike) -> "Surd":
-        other = as_surd(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Surd:
+            other = as_surd(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self._terms, other._terms
+        if not b:
+            return self
+        if not a:
+            return other
         if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
-            c = a[0][1] + b[0][1]
-            return Surd._of(((a[0][0], c),) if c else ())
-        acc = dict(self._terms)
-        for r, c in other._terms:
-            acc[r] = acc.get(r, Fraction(0)) + c
-        return Surd._from_map(acc)
+            (r, p1, q1), = a
+            (_, p2, q2), = b
+            return Surd._of(_term(r, p1 * q2 + p2 * q1, q1 * q2))
+        acc = {r: (p, q) for r, p, q in a}
+        for r, p, q in b:
+            _accumulate(acc, r, p, q)
+        return Surd._of(_canonical(acc))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Surd":
-        return Surd._from_map({r: -c for r, c in self._terms})
+        return Surd._of(tuple((r, -p, q) for r, p, q in self._terms))
 
     def __sub__(self, other: SurdLike) -> "Surd":
         other = as_surd(other)
@@ -153,28 +191,29 @@ class Surd:
         return (-self) + other
 
     def __mul__(self, other: SurdLike) -> "Surd":
-        other = as_surd(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if len(self._terms) == 1 and len(other._terms) == 1:
+        if type(other) is not Surd:
+            other = as_surd(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self._terms, other._terms
+        if len(a) == 1 and len(b) == 1:
             # nonzero coefficients have a nonzero product
-            (r1, c1), = self._terms
-            (r2, c2), = other._terms
-            if r1 == 1:
-                return Surd._of(((r2, c1 * c2),))
-            if r2 == 1:
-                return Surd._of(((r1, c1 * c2),))
-            g = math.gcd(r1, r2)
-            return Surd._of((((r1 // g) * (r2 // g), c1 * c2 * g),))
-        acc: dict[int, Fraction] = {}
-        for r1, c1 in self._terms:
-            for r2, c2 in other._terms:
+            (r1, p1, q1), = a
+            (r2, p2, q2), = b
+            if r1 == 1 or r2 == 1:
+                r, p = r1 * r2, p1 * p2
+            else:
+                g = math.gcd(r1, r2)
+                r, p = (r1 // g) * (r2 // g), p1 * p2 * g
+            return Surd._of(_term(r, p, q1 * q2))
+        acc: dict[int, tuple[int, int]] = {}
+        for r1, p1, q1 in a:
+            for r2, p2, q2 in b:
                 # sqrt(r1)*sqrt(r2) = g*sqrt((r1/g)*(r2/g)) with g = gcd;
                 # the product of coprime square-free numbers is square-free
                 g = math.gcd(r1, r2)
-                rad = (r1 // g) * (r2 // g)
-                acc[rad] = acc.get(rad, Fraction(0)) + c1 * c2 * g
-        return Surd._from_map(acc)
+                _accumulate(acc, (r1 // g) * (r2 // g), p1 * p2 * g, q1 * q2)
+        return Surd._of(_canonical(acc))
 
     __rmul__ = __mul__
 
@@ -195,11 +234,12 @@ class Surd:
             return 0
         if len(self._terms) == 1:
             return -1 if self._terms[0][1] < 0 else 1
+        terms = self.terms
         prec = 16
         while True:
             lo = Fraction(0)
             hi = Fraction(0)
-            for r, c in self._terms:
+            for r, c in terms:
                 if r == 1:
                     lo += c
                     hi += c
@@ -246,11 +286,11 @@ class Surd:
     # -- conversions -------------------------------------------------------
 
     def __float__(self) -> float:
-        return sum(float(c) * math.sqrt(r) for r, c in self._terms)
+        return sum(p / q * math.sqrt(r) for r, p, q in self._terms)
 
     def to_json(self) -> list:
         """``[["p/q", radicand], ...]`` sorted by radicand."""
-        return [[str(c), r] for r, c in self._terms]
+        return [[str(c), r] for r, c in self.terms]
 
     @classmethod
     def from_json(cls, data) -> "Surd":
@@ -276,7 +316,7 @@ class Surd:
         if not self._terms:
             return "0"
         parts = []
-        for r, c in self._terms:
+        for r, c in self.terms:
             if r == 1:
                 text = str(c)
             elif c == 1:

@@ -405,6 +405,16 @@ def test_msym_munc_via_convolution():
         assert munc(mu) == mconv(mu, sigma_unc(dim))
 
 
+def test_munc_is_the_average_over_all_reflections():
+    # the n one-coordinate factors give the same measure as the 2**n-term sum
+    for seed in range(8):
+        n = 1 + seed % 4
+        for mu in (gen_measure(seed + 1100, n, 6), gen_sphere_measure(seed + 1200, n, 6)):
+            got = munc(mu)
+            assert type(got) is type(mu)
+            assert got == group_average(mu, all_subsets(n))
+
+
 def test_symmetrized_unit_characterises_properness():
     # exhaustive over n = 2 generating pairs
     n = 2

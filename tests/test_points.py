@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multconv.points import (
-    canonical_ray,
+    clear_denominators,
     hadamard,
     inner,
     make_point,
-    norm_surd,
     primitive_ray,
     project_point,
+    ray_norm_sq,
     reflect_point,
     zero_pattern,
 )
@@ -28,6 +28,17 @@ def points(draw, dim=None):
 
 def F(*values):
     return make_point(values)
+
+
+def ray_through(x):
+    """The primitive integer ray through a rational point."""
+    return primitive_ray(clear_denominators(x)[1])
+
+
+def norm(x):
+    """The exact Euclidean norm of a rational point, through its integer ray."""
+    scale, ints = clear_denominators(x)
+    return Surd.sqrt(ray_norm_sq(ints)) * Fraction(1, scale)
 
 
 def test_hadamard_examples():
@@ -90,14 +101,14 @@ def test_projection_slides_through_product(x, y):
 
 
 def test_canonical_ray_examples():
-    assert canonical_ray(F(Fraction(1, 2), Fraction(1, 2))) == (1, 1)
-    assert canonical_ray(F(2, -4)) == (1, -2)
-    assert canonical_ray(F(3, 4)) == canonical_ray(F(Fraction(3, 5), Fraction(4, 5)))
+    assert ray_through(F(Fraction(1, 2), Fraction(1, 2))) == (1, 1)
+    assert ray_through(F(2, -4)) == (1, -2)
+    assert ray_through(F(3, 4)) == ray_through(F(Fraction(3, 5), Fraction(4, 5)))
 
 
 def test_canonical_ray_rejects_zero():
     with pytest.raises(ValueError):
-        canonical_ray(F(0, 0))
+        ray_through(F(0, 0))
 
 
 @given(points(dim=3), st.fractions(min_value=Fraction(1, 5), max_value=Fraction(9), max_denominator=5))
@@ -106,20 +117,20 @@ def test_canonical_ray_scale_invariant(x, a):
     if not any(x):
         return
     scaled = tuple(a * c for c in x)
-    assert canonical_ray(scaled) == canonical_ray(x)
+    assert ray_through(scaled) == ray_through(x)
 
 
 def test_norm_examples():
-    assert norm_surd(F(3, 4)) == Surd(5)
-    assert norm_surd(F(1, 1)) == Surd.sqrt(2)
-    assert norm_surd(F(0, 0)) == Surd(0)
+    assert norm(F(3, 4)) == Surd(5)
+    assert norm(F(1, 1)) == Surd.sqrt(2)
+    assert norm(F(0, 0)) == Surd(0)
 
 
 @given(points(dim=2), points(dim=2))
 @settings(max_examples=80, deadline=None)
 def test_norm_submultiplicative(x, y):
-    prod = norm_surd(hadamard(x, y))
-    bound = norm_surd(x) * norm_surd(y)
+    prod = norm(hadamard(x, y))
+    bound = norm(x) * norm(y)
     assert (bound - prod).sign() >= 0
 
 

@@ -1,3 +1,5 @@
+import decimal
+import math
 from fractions import Fraction
 
 import pytest
@@ -249,3 +251,113 @@ def test_one_term_products_and_sums(r1, c1, r2, c2):
     if r1 == r2:
         assert a + b == general({r1: c1 + c2})
         assert hash(a + b) == hash(general({r1: c1 + c2}))
+
+
+# -- the integer-triple representation ------------------------------------------
+
+
+def assert_canonical(s: Surd) -> None:
+    radicands = [t[0] for t in s._terms]
+    assert radicands == sorted(set(radicands))
+    for r, p, q in s._terms:
+        assert type(r) is int and type(p) is int and type(q) is int
+        assert square_free_decompose(r) == (1, r)
+        assert p != 0 and q > 0 and math.gcd(p, q) == 1
+
+
+OPS = ("add", "sub", "rsub", "mul", "neg", "sqrt", "json", "rational")
+
+
+@given(surds(), st.lists(st.tuples(st.sampled_from(OPS), surds(), rationals), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_chains_stay_canonical(start, steps):
+    acc = start
+    assert_canonical(acc)
+    for op, other, q in steps:
+        if op == "add":
+            acc = acc + other
+        elif op == "sub":
+            acc = acc - other
+        elif op == "rsub":
+            acc = q - acc
+        elif op == "mul":
+            acc = acc * other
+        elif op == "neg":
+            acc = -acc
+        elif op == "sqrt":
+            acc = acc * Surd.sqrt(abs(q))
+        elif op == "json":
+            acc = Surd.from_json(acc.to_json() + other.to_json())
+        else:
+            acc = acc * q + q
+        assert_canonical(acc)
+
+
+def ref_add(x: dict, y: dict) -> dict:
+    acc = dict(x)
+    for r, c in y.items():
+        acc[r] = acc.get(r, Fraction(0)) + c
+    return {r: c for r, c in acc.items() if c}
+
+
+def ref_mul(x: dict, y: dict) -> dict:
+    acc: dict = {}
+    for r1, c1 in x.items():
+        for r2, c2 in y.items():
+            k, f = square_free_decompose(r1 * r2)
+            acc[f] = acc.get(f, Fraction(0)) + c1 * c2 * k
+    return {r: c for r, c in acc.items() if c}
+
+
+def ref_sign(x: dict) -> int:
+    # 120 digits separate from zero every nonzero value these small
+    # coefficients and radicands can form
+    with decimal.localcontext(decimal.Context(prec=120)):
+        total = sum(
+            (decimal.Decimal(c.numerator) / c.denominator * decimal.Decimal(r).sqrt() for r, c in x.items()),
+            decimal.Decimal(0),
+        )
+    return (total > 0) - (total < 0)
+
+
+@given(surds(), surds())
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_matches_fraction_maps(a, b):
+    x, y = dict(a.terms), dict(b.terms)
+    assert all(type(c) is Fraction for c in x.values())
+    assert dict((a + b).terms) == ref_add(x, y)
+    assert dict((a - b).terms) == ref_add(x, {r: -c for r, c in y.items()})
+    assert dict((a * b).terms) == ref_mul(x, y)
+    for v in (a, b, a + b, a - b, a * b):
+        assert v.sign() == ref_sign(dict(v.terms))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (Surd(Fraction(2, 4)), Surd.sqrt(Fraction(1, 4))),
+        (Surd.sqrt(8), 2 * Surd.sqrt(2)),
+        (Surd.sqrt(Fraction(9, 2)), Fraction(3, 2) * Surd.sqrt(2)),
+        (Surd("-6/4"), -Surd(Fraction(3, 2))),
+        (Surd.from_json([["2/4", 3], ["1", 1]]), Surd(1) + Surd.sqrt(Fraction(3, 4))),
+        (Surd._from_map({2: Fraction(3), 5: Fraction(0)}), Surd.sqrt(18)),
+        (Surd.sqrt(2) * Surd.sqrt(2), Surd(2)),
+        ((Surd(1) + Surd.sqrt(2)) - Surd(1), Surd.sqrt(2)),
+        (Surd.sqrt(0), Surd.sqrt(3) - Surd.sqrt(3)),
+    ],
+    ids=["half", "sqrt8", "sqrt-9/2", "text", "json", "map", "square", "cancel", "zero"],
+)
+def test_equal_values_hash_equal_across_routes(left, right):
+    assert left == right
+    assert left._terms == right._terms
+    assert hash(left) == hash(right)
+
+
+@given(surds(), surds())
+@settings(max_examples=100, deadline=None)
+def test_rebuilt_values_hash_equal(a, b):
+    for rebuilt in (Surd.from_json(a.to_json()), Surd._from_map(dict(a.terms)), a + 0, 1 * a,
+                    -(-a), (a + b) - b, (b + a) - b):
+        assert_canonical(rebuilt)
+        assert rebuilt == a
+        assert hash(rebuilt) == hash(a)
