@@ -17,8 +17,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .measures import Measure, msym, tensor
-from .points import Point
-from .scalars import Surd
 from .subsets import (
     GeneratingPair,
     SubsetMask,
@@ -50,15 +48,8 @@ def lift_inverse(mu: SphereMeasure) -> Measure:
             raise ValueError(f"atom at ray {ray} sits on the equator of the lifted coordinate")
     if not mu.is_even_under(SubsetMask.full(mu.dim)):
         raise ValueError("measure is not origin-symmetric")
-    acc: dict[Point, Surd] = {}
-    for ray, m in mu.masses():
-        if ray[0] < 0:
-            continue
-        point = tuple(Fraction(c, ray[0]) for c in ray[1:])
-        add = m * (2 * ray[0])
-        prev = acc.get(point)
-        acc[point] = add if prev is None else prev + add
-    return Measure._of(n, acc)
+    kept = [(r, m) for r, m in mu.masses() if r[0] > 0]
+    return Measure._gather(n, [(tuple(Fraction(c, r[0]) for c in r[1:]), m * (2 * r[0])) for r, m in kept])
 
 
 def lift_class(

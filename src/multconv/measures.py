@@ -8,8 +8,10 @@ symmetrisation operators they induce, the signed atomic basis measures of
 the symmetry decomposition, and the alternating projection sum used as a
 top-order criterion.  The parity basis measures, the alternating top-order
 probe and their product are signed grids, all built by one product
-builder, ``_parity_grid``.  The convolution codes each coordinate's values
-by integer ids (``_ids``); each symmetrisation factor ``(I +- T_F)/2`` is one pass.
+builder, ``_parity_grid``.  Every pushforward goes through a setting's two
+hooks, ``masses`` and ``_gather``; the product kernel ``_products`` under
+``mconv`` and the sphere product codes each coordinate's values by integer
+ids (``_ids``); each symmetrisation factor ``(I +- T_F)/2`` is one pass.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Union
 
-from .points import Point, make_point, project_point, reflect_point, zero_pattern
+from .points import Point, make_point, reflect_point, zero_pattern
 from .scalars import HALF, Surd, SurdLike, as_surd
 from .subsets import (
     GeneratingPair,
@@ -39,10 +41,12 @@ class AtomicMeasure:
     """Signed measure with finitely many atoms at exact locations.
 
     The shared core of point and sphere measures.  A subclass fixes the
-    location type through two class attributes: ``_key`` normalises a
-    location (and checks it), ``_loc_field`` names it in JSON.  Locations
-    are tuples of exact numbers, so coordinate-wise operators act on both
-    kinds alike.
+    location type through class attributes: ``_key`` normalises a location
+    (and checks it), ``_loc_field`` names it in JSON, ``_zero`` is its zero
+    coordinate; and its pushforward through two hooks: ``masses`` lists the
+    atoms as point masses, the trusted ``_gather`` sums point masses per
+    location.  Locations are tuples of exact numbers, so coordinate-wise
+    operators act on both kinds alike.
 
     The public constructor normalises every location, checks its
     dimension and merges repeats; it is the entry for user input.  Atoms
@@ -53,6 +57,7 @@ class AtomicMeasure:
     __slots__ = ("dim", "_atoms")
     _key: Callable[[Iterable], tuple]
     _loc_field: str
+    _zero: Union[Fraction, int]
 
     def __init__(self, dim: int, atoms: Mapping[tuple, SurdLike] | Iterable[tuple[tuple, SurdLike]] = ()):
         if dim < 1:
@@ -188,7 +193,15 @@ class AtomicMeasure:
             total = total + abs(w)
         return total
 
-    # -- reflections and restrictions ------------------------------------------
+    # -- reflections, projections and restrictions ------------------------------
+
+    def project(self, e: SubsetMask) -> Self:
+        """Marginal on the coordinate subspace (or subsphere) of ``e``: each
+        mass moves to its location with the coordinates off ``e`` zeroed."""
+        self._check_mask(e)
+        zero, keep = self._zero, [e.bits >> i & 1 for i in range(self.dim)]
+        moved = ((tuple([c if k else zero for c, k in zip(loc, keep)]), m) for loc, m in self.masses())
+        return self._gather(self.dim, moved)
 
     def reflect(self, f: SubsetMask) -> Self:
         self._check_mask(f)
@@ -282,21 +295,27 @@ class Measure(AtomicMeasure):
     __slots__ = ()
     _key = staticmethod(make_point)
     _loc_field = "point"
+    _zero = Fraction(0)
 
     @classmethod
     def dirac(cls, point: Iterable, weight: SurdLike = 1) -> "Measure":
         pt = make_point(point)
         return cls(len(pt), {pt: weight})
 
-    def project(self, e: SubsetMask) -> "Measure":
-        """Marginal on the coordinate subspace of ``e`` (pushforward)."""
-        self._check_mask(e)
+    def masses(self) -> Iterable[tuple[Point, Surd]]:
+        """The atoms as they are."""
+        return self._atoms.items()
+
+    @classmethod
+    def _gather(cls, dim: int, masses: Iterable[tuple[Point, Surd]]) -> "Measure":
+        """Sum point masses per point (normalised, of dimension ``dim``)."""
         acc: dict[Point, Surd] = {}
-        for pt, w in self._atoms.items():
-            loc = project_point(pt, e)
-            prev = acc.get(loc)
-            acc[loc] = w if prev is None else prev + w
-        return Measure._of(self.dim, acc)
+        for loc, m in masses:
+            size = len(acc)
+            prev = acc.setdefault(loc, m)
+            if len(acc) == size:  # a merge; atoms may share one Surd object
+                acc[loc] = prev + m
+        return cls._of(dim, acc)
 
     def restrict_positive(self) -> "Measure":
         """Keep the atoms in the closed positive orthant."""
@@ -323,21 +342,21 @@ def _ids(ids: list[dict], loc: Iterable) -> tuple[int, ...]:
     return tuple([d.setdefault(c, len(d)) for d, c in zip(ids, loc)])
 
 
-def mconv(a: Measure, b: Measure) -> Measure:
-    """Pushforward of the product measure under the componentwise product.
+def _products(dim: int, left: Iterable[tuple[tuple, Surd]], right: Iterable[tuple[tuple, Surd]]) -> list:
+    """The summed weight per product location of two lists of point masses.
 
-    Per coordinate, a table codes the products of the values of ``a`` and
-    ``b`` there; weights accumulate under tuples of product ids, and each
-    output point is decoded once, in the order of its first product."""
-    a._check(b)
-    _check_points(a)
-    left_ids, right_ids = [{} for _ in range(a.dim)], [{} for _ in range(a.dim)]
-    left = [(_ids(left_ids, x), w) for x, w in a._atoms.items()]
-    right = [(_ids(right_ids, y), w) for y, w in b._atoms.items()]
-    values: list[Fraction] = []
+    Per coordinate, a table codes the products of the values of ``left``
+    and ``right`` there; weights accumulate under tuples of product ids, and
+    each location is decoded once, in the order of its first product.  The
+    result is a list, so that ``mconv`` hashes only its nonzero locations;
+    zero sums stay in it for the sphere, whose rays keep their order."""
+    left_ids, right_ids = [{} for _ in range(dim)], [{} for _ in range(dim)]
+    left = [(_ids(left_ids, x), w) for x, w in left]
+    right = [(_ids(right_ids, y), w) for y, w in right]
+    values: list = []
     product_ids: dict[tuple[int, int], int] = {}  # a ratio of ints hashes faster than a Fraction
 
-    def product_id(p: Fraction) -> int:
+    def product_id(p) -> int:
         i = product_ids.setdefault(p.as_integer_ratio(), len(values))
         if i == len(values):
             values.append(p)
@@ -352,7 +371,14 @@ def mconv(a: Measure, b: Measure) -> Measure:
             w = wx * wy
             prev = acc.get(key)
             acc[key] = w if prev is None else prev + w
-    return Measure._of(a.dim, {tuple([values[i] for i in key]): w for key, w in acc.items() if w})
+    return [(tuple([values[i] for i in key]), w) for key, w in acc.items()]
+
+
+def mconv(a: Measure, b: Measure) -> Measure:
+    """Pushforward of the product measure under the componentwise product."""
+    a._check(b)
+    _check_points(a)
+    return Measure._of(a.dim, {x: w for x, w in _products(a.dim, a.masses(), b.masses()) if w})
 
 
 def tensor(a: Measure, b: Measure) -> Measure:
@@ -378,7 +404,7 @@ def _parity_grid(
     j: SubsetMask,
     factor: tuple[tuple[int, int], ...],
     scale: Fraction,
-    push: Callable | None = None,
+    cls: type[AtomicMeasure] = Measure,
 ) -> AtomicMeasure:
     """Product over the coordinates of ``e`` of one signed factor.
 
@@ -386,10 +412,10 @@ def _parity_grid(
     on a coordinate of ``j`` a negative value also takes the parity
     character there.  Off ``e`` the factor is the Dirac mass at 0.  Every
     atom weighs ``+-scale`` and no two atoms merge.  The first coordinate
-    varies fastest.  Given ``push`` (``sphere._push``), the atoms are
-    integer vectors pushed to the sphere; otherwise they are points.
+    varies fastest.  The atoms are point masses of the setting ``cls``,
+    which gathers them (the sphere pushes them radially).
     """
-    coord = Fraction if push is None else int
+    coord = type(cls._zero)
     weight = {1: Surd(scale), -1: Surd(-scale)}
     atoms: list[tuple[tuple, int]] = [((), 1)]
     for i in reversed(range(e.dim)):
@@ -397,11 +423,9 @@ def _parity_grid(
             flip = -1 if j.bits >> i & 1 else 1
             values = [(coord(v), s * flip if v < 0 else s) for v, s in factor]
         else:
-            values = [(coord(0), 1)]
+            values = [(cls._zero, 1)]
         atoms = [((c,) + loc, s * t) for loc, s in atoms for c, t in values]
-    if push is None:
-        return Measure._of(e.dim, {loc: weight[s] for loc, s in atoms})
-    return push(e.dim, [(loc, weight[s]) for loc, s in atoms])
+    return cls._gather(e.dim, ((loc, weight[s]) for loc, s in atoms))
 
 
 def sigma0_on(e: SubsetMask) -> Measure:

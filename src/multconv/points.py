@@ -82,27 +82,19 @@ def clear_denominators(x: Point) -> tuple[int, tuple[int, ...]]:
 
 def primitive_ray(v: Iterable[int]) -> Ray:
     refuse_text(v)
-    values = tuple(v)
-    for c in values:
+    ints = []
+    for c in v:
         if isinstance(c, (float, bool)):
             raise TypeError(f"refusing {type(c).__name__} ray entries; use integers")
-    ints = tuple(int(c) for c in values)
+        i = int(c)
+        # int() truncates a Fraction; a string is parsed as an integer or refused
+        if i != c and not isinstance(c, str):
+            raise ValueError(f"ray entry {c} is not an integer")
+        ints.append(i)
     if not any(ints):
         raise ValueError("the zero vector spans no ray")
     g = math.gcd(*ints)
     return tuple(c // g for c in ints)
-
-
-def hadamard_ray(d: Ray, e: Ray) -> tuple[int, ...]:
-    if len(d) != len(e):
-        raise ValueError(f"dimension mismatch: {len(d)} vs {len(e)}")
-    return tuple(a * b for a, b in zip(d, e))
-
-
-def project_ray(d: Ray, e: SubsetMask) -> tuple[int, ...]:
-    if len(d) != e.dim:
-        raise ValueError(f"dimension mismatch: {len(d)} vs {e.dim}")
-    return tuple(c if e.bits >> i & 1 else 0 for i, c in enumerate(d))
 
 
 def ray_norm_sq(d: Ray) -> int:

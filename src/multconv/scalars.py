@@ -88,8 +88,9 @@ def _canonical(acc: dict[int, tuple[int, int]]) -> tuple[tuple[int, int, int], .
 
 
 def _coerce_rational(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("refusing float input; use Fraction or int for exactness")
+    # a bool is an int to Python: True would read as 1
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"refusing {type(value).__name__} input; use Fraction or int for exactness")
     # Fraction parses "1e10000000" by building the power, which takes seconds
     if isinstance(value, str) and ("e" in value or "E" in value):
         raise ValueError(f"refusing exponent notation {value!r}; write 'p/q' or a plain decimal")
@@ -111,7 +112,7 @@ class Surd:
     _terms: tuple[tuple[int, int, int], ...]
 
     def __init__(self, value: RationalLike = 0):
-        if not isinstance(value, (int, Fraction)):
+        if type(value) is bool or not isinstance(value, (int, Fraction)):
             value = _coerce_rational(value)
         self._terms = ((1, value.numerator, value.denominator),) if value else ()
         self._hash = None
@@ -131,7 +132,7 @@ class Surd:
     @classmethod
     def sqrt(cls, value: RationalLike, *, factor_bound: int = DEFAULT_FACTOR_BOUND) -> "Surd":
         """Exact square root of a non-negative rational."""
-        if not isinstance(value, (int, Fraction)):
+        if type(value) is bool or not isinstance(value, (int, Fraction)):
             value = _coerce_rational(value)
         if value < 0:
             raise ValueError(f"square root of a negative rational: {value}")

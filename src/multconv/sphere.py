@@ -3,12 +3,13 @@
 An atom stored at ray ``d`` with weight ``w`` represents mass ``w`` at the
 unit vector ``d/|d|``; all radial normalisations are absorbed into surd
 weights, so locations compare exactly.  That convention lives here alone,
-in two functions: :meth:`SphereMeasure.masses` reads each atom as the
-point mass ``w/|d|`` at the integer vector ``d``, and ``_push`` moves point
-masses at integer vectors radially back to the sphere, one root per ray.
-The radial projection from point measures, the induced product on the
-sphere, the coordinate-subsphere projections and the probe witness are
-each one push.
+in the two hooks of the setting: :meth:`SphereMeasure.masses` reads each
+atom as the point mass ``w/|d|`` at the integer vector ``d``, and
+:meth:`SphereMeasure._gather` pushes point masses at integer vectors
+radially back to the sphere, one root per ray.  The radial projection from
+point measures, the induced product on the sphere (``measures._products``
+on the masses), the coordinate-subsphere projections and the probe witness
+are each one gather.
 
 ``moment_g`` at the bottom is the single floating-point surface of the
 package: a numerical diagnostic that never feeds an exact decision.
@@ -20,16 +21,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .measures import AtomicMeasure
-from .points import (
-    Ray,
-    clear_denominators,
-    hadamard_ray,
-    primitive_ray,
-    project_ray,
-    ray_norm_sq,
-    zero_pattern,
-)
+from .measures import AtomicMeasure, _products
+from .points import Ray, clear_denominators, primitive_ray, ray_norm_sq, zero_pattern
 from .scalars import Surd
 from .subsets import SubsetMask
 
@@ -40,46 +33,34 @@ class SphereMeasure(AtomicMeasure):
     __slots__ = ()
     _key = staticmethod(primitive_ray)
     _loc_field = "ray"
+    _zero = 0
 
     def masses(self) -> list[tuple[Ray, Surd]]:
         """Each atom as the point mass ``w/|d|`` at its integer ray ``d``."""
-        out = []
-        for d, w in self._atoms.items():
-            out.append((d, w * Surd.sqrt(Fraction(1, ray_norm_sq(d)))))
-        return out
+        return [(d, w * Surd.sqrt(Fraction(1, ray_norm_sq(d)))) for d, w in self._atoms.items()]
 
-    def project(self, e: SubsetMask) -> "SphereMeasure":
-        """Project onto the coordinate subsphere of ``e``.
+    @classmethod
+    def _gather(cls, dim: int, masses: Iterable[tuple[tuple[int, ...], Surd]]) -> "SphereMeasure":
+        """Push point masses at integer vectors radially to the sphere.
 
-        Each mass moves to its projected ray, and the push renormalises it
-        back to the sphere.
+        Mass ``m`` at a nonzero vector ``v`` adds ``m * |v|`` at ``v`` divided
+        by its gcd ``g``, the primitive ray ``r`` through ``v``; mass at the
+        origin is dropped.  As ``|v| = g * |r|``, the sums of ``m * g``
+        accumulate per ray and take the root ``|r|`` once, at the end.
         """
-        self._check_mask(e)
-        pushed = []
-        for d, m in self.masses():
-            pushed.append((project_ray(d, e), m))
-        return _push(self.dim, pushed)
-
-
-def _push(dim: int, masses: Iterable[tuple[tuple[int, ...], Surd]]) -> SphereMeasure:
-    """Push point masses at integer vectors radially to the sphere.
-
-    Mass ``m`` at a nonzero vector ``v`` adds ``m * |v|`` at ``v`` divided by
-    its gcd ``g``, the primitive ray ``r`` through ``v``; mass at the origin
-    is dropped.  As ``|v| = g * |r|``, the sums of ``m * g`` accumulate per
-    ray and take the root ``|r|`` once, at the end.
-    """
-    acc: dict[Ray, Surd] = {}
-    for v, m in masses:
-        g = math.gcd(*v)
-        if g == 0:
-            continue  # the origin spans no ray
-        if g != 1:
-            v = tuple([c // g for c in v])
-            m = m * g
-        prev = acc.get(v)
-        acc[v] = m if prev is None else prev + m
-    return SphereMeasure._of(dim, {r: s * Surd.sqrt(ray_norm_sq(r)) for r, s in acc.items() if s})
+        acc: dict[Ray, Surd] = {}
+        for v, m in masses:
+            g = math.gcd(*v)
+            if g == 0:
+                continue  # the origin spans no ray
+            if g != 1:
+                v = tuple([c // g for c in v])
+                m = m * g
+            size = len(acc)
+            prev = acc.setdefault(v, m)
+            if len(acc) == size:  # a merge; masses may share one Surd object
+                acc[v] = prev + m
+        return cls._of(dim, {r: s * Surd.sqrt(ray_norm_sq(r)) for r, s in acc.items() if s})
 
 
 def radial_project(mu: AtomicMeasure) -> SphereMeasure:
@@ -92,10 +73,10 @@ def radial_project(mu: AtomicMeasure) -> SphereMeasure:
     if isinstance(mu, SphereMeasure):
         return mu
     pushed = []
-    for x, w in mu.atoms.items():
+    for x, w in mu.masses():
         scale, v = clear_denominators(x)
         pushed.append((v, w * Fraction(1, scale)))
-    return _push(mu.dim, pushed)
+    return SphereMeasure._gather(mu.dim, pushed)
 
 
 def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
@@ -107,12 +88,7 @@ def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
     sa = radial_project(a)
     sb = radial_project(b)
     sa._check(sb)
-    right = sb.masses()
-    pushed = []
-    for d, md in sa.masses():
-        for e, me in right:
-            pushed.append((hadamard_ray(d, e), md * me))
-    return _push(sa.dim, pushed)
+    return SphereMeasure._gather(sa.dim, _products(sa.dim, sa.masses(), sb.masses()))
 
 
 def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:

@@ -17,19 +17,20 @@ them by these class sums, exactly, from integer-coded atoms: each atom is
 encoded once per decision by its nonzero and negative coordinate masks,
 its absolute coordinates as integers and its weight, and the classes on E
 group the atoms nonzero on all of E by their absolute coordinates there.
-On the sphere an atom is coded as its point mass ``w/|r|`` at the integer
-ray ``r`` (``SphereMeasure.masses``), which the projection pushes back
-with the norm of the projected ray; scaling each class member by the gcd
-of its coordinates on E leaves only the class's common norm, which drops
-out of the zero test.
+Atoms are read through the setting's ``masses``: on the sphere an atom is
+the point mass ``w/|r|`` at the integer ray ``r``, which the projection
+gathers back with the norm of the projected ray; scaling each class
+member by the gcd of its coordinates on E leaves only the class's common
+norm, which drops out of the zero test.
 
 On a negative decision the counterexample is proved by its factors: it is
 either the parity basis measure of J (convolved with the whole measure to
 prove annihilation) or that measure times the alternating top-order probe
-on E, built directly as a product.  The product is annihilated because
-the probe's factors have zero mass, which kills every lower-order atom,
-and the top-order part is killed by the failing condition, which is
-checked by convolution independently of the class sums.  Convolution
+on E, built directly as a product in the setting.  The product is
+annihilated because the probe's factors have zero mass, which kills every
+lower-order atom, and the top-order part is killed by the failing
+condition, which is checked by convolution independently of the class
+sums.  Convolution
 serves only these checks on the ``2**|E|``-atom parity factor.
 """
 
@@ -50,7 +51,7 @@ from .subsets import (
     index_set,
     mask_sort_key,
 )
-from .sphere import SphereMeasure, _push, radial_project, sconv
+from .sphere import SphereMeasure, radial_project, sconv
 
 MAX_DECIDER_DIM = 8
 
@@ -115,9 +116,9 @@ def _in_class(witness, pair: GeneratingPair, e: SubsetMask) -> bool:
 _PROBE = ((2, 1), (1, -1), (-2, 1), (-1, -1))
 
 
-def _probe_product(e: SubsetMask, j: SubsetMask) -> Measure:
-    """``mconv(delta_ej(e, j), sigma0_on(e))``, built directly as a product."""
-    return _parity_grid(e, j, _PROBE, Fraction(1, 1 << e.size))
+def _probe_product(e: SubsetMask, j: SubsetMask, cls: type[AtomicMeasure] = Measure) -> AtomicMeasure:
+    """``mconv(delta_ej(e, j), sigma0_on(e))``, built as a product in the setting ``cls``."""
+    return _parity_grid(e, j, _PROBE, Fraction(1, 1 << e.size), cls)
 
 
 def _witness(
@@ -136,7 +137,7 @@ def _witness(
     the parity factor: reflections act on one factor of a product.  On the
     sphere the witness is pushed forward radially, which commutes with the
     product and the reflections; the probe product's coordinates are
-    integers, so its atoms are pushed as integer vectors.
+    integers, so the sphere gathers its atoms as integer vectors.
     """
     sphere = isinstance(nu, SphereMeasure)
     conv = sconv if sphere else mconv
@@ -148,7 +149,7 @@ def _witness(
     elif conv(nu.project(e).restrict_order(e), parity):
         raise RuntimeError("witness construction failed to annihilate")
     else:
-        witness = _parity_grid(e, j, _PROBE, Fraction(1, 1 << e.size), _push if sphere else None)
+        witness = _probe_product(e, j, type(nu))
     if not witness:
         raise RuntimeError("witness construction produced the zero measure")
     if witness.component_patterns() != frozenset({e}):
@@ -174,15 +175,14 @@ def _code(nu: AtomicMeasure) -> _Code:
     """Encode every atom of ``nu`` once.
 
     Point coordinates are coded by integer ids of their absolute values,
-    per coordinate (``measures._ids``).  A sphere atom is read as its point
-    mass ``w/|r|`` at the integer ray ``r`` (:meth:`SphereMeasure.masses`),
-    whose entries are integers already.
+    per coordinate (``measures._ids``).  Atoms are read through the
+    setting's ``masses``: a sphere atom is the point mass ``w/|r|`` at the
+    integer ray ``r``, whose entries are integers already.
     """
     sphere = isinstance(nu, SphereMeasure)
-    atoms = nu.masses() if sphere else nu.atoms.items()
     ids: list[dict[Fraction, int]] = [{} for _ in range(nu.dim)]
     code: _Code = []
-    for loc, w in atoms:
+    for loc, w in nu.masses():
         nonzero = negative = 0
         for i, c in enumerate(loc):
             if c:

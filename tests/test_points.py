@@ -138,6 +138,12 @@ def test_primitive_ray():
     assert primitive_ray((2, -4, 6)) == (1, -2, 3)
     with pytest.raises(ValueError):
         primitive_ray((0, 0))
+    # integral Fractions and the integer strings of to_json still load
+    assert primitive_ray((Fraction(6), Fraction(-4))) == (3, -2)
+    assert primitive_ray(("3", "-6")) == (1, -2)
+    # a non-integral entry used to be truncated: (3/2, 1) loaded as (1, 1)
+    with pytest.raises(ValueError, match="3/2"):
+        primitive_ray((Fraction(3, 2), 1))
 
 
 def test_inner():

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multconv.measures import Measure
 from multconv.scalars import (
     FactorLimitError,
     Surd,
+    as_surd,
     square_free_decompose,
 )
 
@@ -89,6 +91,19 @@ def test_sign_close_call():
 def test_float_rejected():
     with pytest.raises(TypeError):
         Surd(0.5)
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("make", [Surd, Surd.sqrt, as_surd], ids=["surd", "sqrt", "as_surd"])
+def test_bool_refused(make, value):
+    # a bool is an int to Python, so True used to read as 1
+    with pytest.raises(TypeError, match="bool"):
+        make(value)
+
+
+def test_measure_refuses_bool_weight():
+    with pytest.raises(TypeError, match="bool"):
+        Measure(1, {(1,): True})
 
 
 def test_factor_bound_exceeded():

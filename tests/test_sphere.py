@@ -397,8 +397,6 @@ def test_generating_measure_matches_reference():
 
 
 def test_push_sums_each_ray_before_its_root():
-    from multconv.sphere import _push
-
     rays = [(1, 2, 0), (-1, 1, 1), (3, 0, -2)]
     masses = []
     for k, ray in enumerate(rays):
@@ -413,9 +411,44 @@ def test_push_sums_each_ray_before_its_root():
         if any(v):
             ray = primitive_ray(v)
             expected[ray] = expected.get(ray, Surd(0)) + m * Surd.sqrt(sum(c * c for c in v))
-    got = _push(3, masses)
+    got = SphereMeasure._gather(3, masses)
     assert dict(got.atoms) == {r: w for r, w in expected.items() if w}
     assert list(got.atoms) == [r for r, w in expected.items() if w]
     # a ray whose sum cancels to zero is dropped
     cancel = [((1, 1), Surd(1)), ((2, 2), Surd(F(-1, 2))), ((3, -1), Surd(1))]
-    assert _push(2, cancel) == SphereMeasure(2, {(3, -1): Surd.sqrt(10)})
+    assert SphereMeasure._gather(2, cancel) == SphereMeasure(2, {(3, -1): Surd.sqrt(10)})
+
+
+def test_project_merges_masses_sharing_one_surd():
+    # an identity test on the stored weight would take the second atom for
+    # the first and skip the merge
+    w = Surd.sqrt(2)
+    axis = SubsetMask.single(2, 1)
+    mu = Measure(2, {(1, 2): w, (1, 3): w})
+    assert mu.atoms[(F(1), F(2))] is mu.atoms[(F(1), F(3))]
+    assert mu.project(axis) == Measure(2, {(1, 0): 2 * w})
+    sigma = SphereMeasure(2, {(1, 2): w, (1, 3): w})
+    expected = w * Surd.sqrt(F(1, 5)) + w * Surd.sqrt(F(1, 10))
+    assert sigma.project(axis) == SphereMeasure(2, {(1, 0): expected})
+    # the same object twice, at one vector and at a multiple of it
+    assert SphereMeasure._gather(2, [((1, 2), w), ((1, 2), w)]) == SphereMeasure(
+        2, {(1, 2): 2 * w * Surd.sqrt(5)}
+    )
+    assert SphereMeasure._gather(2, [((1, 2), w), ((2, 4), w)]) == SphereMeasure(
+        2, {(1, 2): 3 * w * Surd.sqrt(5)}
+    )
+
+
+def test_project_keeps_coordinate_types():
+    point = Measure(3, {(F(1, 2), 2, -3): 1, (0, 4, 6): 2})
+    ray = SphereMeasure(3, {(1, 2, -3): 1, (0, 4, 6): 2})
+    for e in all_subsets(3):
+        assert {type(c) for loc in point.project(e).atoms for c in loc} == {Fraction}
+        if e.size:  # the sphere misses the origin
+            assert {type(c) for loc in ray.project(e).atoms for c in loc} == {int}
+
+
+def test_sphere_measure_refuses_non_integral_ray():
+    with pytest.raises(ValueError, match="3/2"):
+        SphereMeasure(2, {(F(3, 2), 1): 1})
+    assert SphereMeasure(2, {(F(3), 6): 1}) == SphereMeasure(2, {(1, 2): 1})
