@@ -40,6 +40,8 @@ def lift_inverse(mu: SphereMeasure) -> Measure:
     the radial reweighting and the symmetrisation half.  Inputs with mass
     on the equator or without origin symmetry are rejected.
     """
+    if not isinstance(mu, SphereMeasure):
+        raise ValueError(f"expected a sphere measure, got {type(mu).__name__}")
     if mu.dim < 2:
         raise ValueError("lifted measures have dimension >= 2")
     n = mu.dim - 1

@@ -71,7 +71,8 @@ class AtomicMeasure:
                 raise ValueError(
                     f"{self._loc_field} {loc} has dimension {len(loc)}, expected {dim}"
                 )
-            w = as_surd(w)
+            if not isinstance(w, Surd):
+                w = Surd(w)  # refuses float, bool and None weights
             prev = acc.get(loc)
             acc[loc] = w if prev is None else prev + w
         object.__setattr__(self, "dim", dim)

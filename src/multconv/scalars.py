@@ -3,8 +3,8 @@
 A :class:`Surd` is a finite rational combination of square roots of
 distinct square-free positive integers (radicand 1 carries the rational
 part).  Each term is stored as an integer triple ``(r, p, q)`` for
-``(p/q) * sqrt(r)``, with the coefficient reduced, so the arithmetic makes
-no ``Fraction`` objects.  The representation is canonical, so equality is
+``(p/q) * sqrt(r)``, with the coefficient reduced, so the arithmetic and
+the sign make no ``Fraction`` objects.  The representation is canonical, so equality is
 structural, the zero test is exact, and the sign of any value is decidable.
 """
 
@@ -57,12 +57,6 @@ def square_free_decompose(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[in
     return square, free * m
 
 
-def _sqrt_bounds(r: int, prec: int) -> tuple[Fraction, Fraction]:
-    # m/2^prec <= sqrt(r) < (m+1)/2^prec
-    m = math.isqrt(r << (2 * prec))
-    return Fraction(m, 1 << prec), Fraction(m + 1, 1 << prec)
-
-
 def _term(r: int, p: int, q: int) -> tuple[tuple[int, int, int], ...]:
     """The terms of ``(p/q) * sqrt(r)`` for ``q > 0``: none when ``p`` is 0."""
     if not p:
@@ -107,7 +101,7 @@ class Surd:
     produced.  :attr:`terms` presents the coefficients as ``Fraction``.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     _terms: tuple[tuple[int, int, int], ...]
 
@@ -115,7 +109,6 @@ class Surd:
         if type(value) is bool or not isinstance(value, (int, Fraction)):
             value = _coerce_rational(value)
         self._terms = ((1, value.numerator, value.denominator),) if value else ()
-        self._hash = None
 
     @classmethod
     def _from_map(cls, terms: dict[int, Fraction]) -> "Surd":
@@ -126,7 +119,6 @@ class Surd:
         # trusted: ``terms`` is already in canonical form
         out = cls.__new__(cls)
         out._terms = terms
-        out._hash = None
         return out
 
     @classmethod
@@ -227,31 +219,29 @@ class Surd:
         """Exact sign in {-1, 0, +1}.
 
         Zero is structural.  A nonzero value is separated from zero by
-        interval enclosures of doubling precision; termination follows from
-        the linear independence over Q of square roots of distinct
-        square-free integers.
+        interval enclosures of doubling precision, on ints over the common
+        denominator; termination follows from the linear independence over
+        Q of square roots of distinct square-free integers.
         """
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return 0
-        if len(self._terms) == 1:
-            return -1 if self._terms[0][1] < 0 else 1
-        terms = self.terms
+        if len(terms) == 1:
+            return -1 if terms[0][1] < 0 else 1
+        d = math.lcm(*[q for _, _, q in terms])
+        coeffs = [(r, p * (d // q)) for r, p, q in terms]
         prec = 16
         while True:
-            lo = Fraction(0)
-            hi = Fraction(0)
-            for r, c in terms:
-                if r == 1:
-                    lo += c
-                    hi += c
-                    continue
-                slo, shi = _sqrt_bounds(r, prec)
+            lo = hi = 0
+            for r, c in coeffs:
+                # m <= 2^prec * sqrt(r) < m + 1
+                m = math.isqrt(r << (2 * prec))
                 if c > 0:
-                    lo += c * slo
-                    hi += c * shi
+                    lo += c * m
+                    hi += c * (m + 1)
                 else:
-                    lo += c * shi
-                    hi += c * slo
+                    lo += c * (m + 1)
+                    hi += c * m
             if lo > 0:
                 return 1
             if hi < 0:
@@ -266,9 +256,7 @@ class Surd:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._terms)
-        return self._hash
+        return hash(self._terms)
 
     def __lt__(self, other: SurdLike) -> bool:
         diff = self - as_surd(other)

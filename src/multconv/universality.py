@@ -15,10 +15,11 @@ cell, so its whole space is every nonempty pattern.  Every decider, at
 every scope, only lists its (E, J) pairs; one condition pass evaluates
 them by these class sums, exactly, from integer-coded atoms: each atom is
 encoded once per decision by its nonzero and negative coordinate masks,
-its absolute coordinates as integers and its weight, and the classes on E
-group the atoms nonzero on all of E by their absolute coordinates there.
-Atoms are read through the setting's ``masses``: on the sphere an atom is
-the point mass ``w/|r|`` at the integer ray ``r``, which the projection
+its absolute coordinates as integers over one common denominator, and its
+weight; the classes on E group the atoms nonzero on all of E by their
+absolute coordinates there, a location scaled by one number.  Atoms are
+read through the setting's ``masses``: on the sphere an atom is the point
+mass ``w/|r|`` at the integer ray ``r`` (scale 1), which the projection
 gathers back with the norm of the projected ray; scaling each class
 member by the gcd of its coordinates on E leaves only the class's common
 norm, which drops out of the zero test.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional
 
-from .measures import AtomicMeasure, Measure, _ids, _parity_grid, delta_ej, mconv
+from .measures import AtomicMeasure, Measure, _parity_grid, delta_ej, mconv
 from .scalars import ZERO, Surd
 from .subsets import (
     GeneratingPair,
@@ -174,25 +175,22 @@ _Code = list[tuple[int, int, tuple[int, ...], Surd]]
 def _code(nu: AtomicMeasure) -> _Code:
     """Encode every atom of ``nu`` once.
 
-    Point coordinates are coded by integer ids of their absolute values,
-    per coordinate (``measures._ids``).  Atoms are read through the
-    setting's ``masses``: a sphere atom is the point mass ``w/|r|`` at the
-    integer ray ``r``, whose entries are integers already.
+    Atoms are read through the setting's ``masses``; a location is scaled
+    by the ``lcm`` of all coordinate denominators, so absolute coordinates
+    are integers, equal exactly when the locations' are.  A sphere atom is
+    the point mass ``w/|r|`` at the integer ray ``r``: its scale is 1.
     """
-    sphere = isinstance(nu, SphereMeasure)
-    ids: list[dict[Fraction, int]] = [{} for _ in range(nu.dim)]
+    masses = list(nu.masses())
+    scale = math.lcm(*{c.denominator for loc, _ in masses for c in loc})
     code: _Code = []
-    for loc, w in nu.masses():
+    for loc, w in masses:
         nonzero = negative = 0
         for i, c in enumerate(loc):
             if c:
                 nonzero |= 1 << i
                 if c < 0:
                     negative |= 1 << i
-        if sphere:
-            absolute = tuple(abs(c) for c in loc)
-        else:
-            absolute = _ids(ids, [abs(c) for c in loc])
+        absolute = tuple([abs(c.numerator) * (scale // c.denominator) for c in loc])
         code.append((nonzero, negative, absolute, w))
     return code
 

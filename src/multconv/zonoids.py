@@ -82,8 +82,7 @@ def support_function(nu: SphereMeasure, u: Iterable) -> Surd:
         raise ValueError(f"dimension mismatch: {len(u)} vs {nu.dim}")
     total = Surd(0)
     for ray, m in nu.masses():
-        ip = inner(tuple(Fraction(c) for c in ray), u)
-        total = total + m * abs(ip)
+        total = total + m * abs(inner(ray, u))
     return total
 
 

@@ -7,6 +7,7 @@ from multconv import universality
 from multconv.cli import main
 from multconv.measures import Measure, mconv, sigma0
 from multconv.sphere import SphereMeasure, radial_project
+from multconv.subsets import SubsetMask
 from multconv.zonoids import Zonotope
 
 F = Fraction
@@ -136,6 +137,43 @@ def test_universal_sphere(tmp_path, capsys):
     path = write_json(tmp_path / "s.json", nu.to_json())
     code, out, _ = run(capsys, "universal", path, "--support", "top", "--sphere")
     assert code == 0
+
+
+def test_universal_default_support_is_the_whole_space(tmp_path, capsys):
+    path = write_json(tmp_path / "s.json", sigma0(2).to_json())
+    code, out, _ = run(capsys, "universal", path)
+    assert code == 3
+    explicit = run(capsys, "universal", path, "--support", "all")
+    assert (code, out) == explicit[:2]
+    assert {tuple(c["E"]) for c in json.loads(out)["conditions"]} == {(1, 2), (1,), (2,), ()}
+
+
+def test_project_sphere_flag_on_point_file(tmp_path, capsys):
+    mu = Measure.dirac([F(3), F(4)]) + Measure.dirac([F(-1), F(2)])
+    path = write_json(tmp_path / "m.json", mu.to_json())
+    code, out, _ = run(capsys, "project", path, "--E", "2", "--sphere")
+    assert code == 0
+    e = SubsetMask.single(2, 2)
+    assert SphereMeasure.from_json(json.loads(out)) == radial_project(mu).project(e)
+
+
+@pytest.mark.parametrize(
+    "argv, sphere, message",
+    [
+        (["universal", "--sphere"], False, "--sphere requires a sphere measure input"),
+        (["lift"], True, "lift expects a point measure"),
+        (["lift-inverse"], False, "lift-inverse expects a sphere measure"),
+        (["project", "--E", "1,3"], False, "bad subset '1,3'"),
+    ],
+    ids=["universal-sphere-on-points", "lift-on-sphere", "lift-inverse-on-points", "bad-subset"],
+)
+def test_wrong_setting_or_subset_exits_2(tmp_path, capsys, argv, sphere, message):
+    mu = Measure.dirac([F(1), F(2)])
+    path = write_json(tmp_path / "m.json", (radial_project(mu) if sphere else mu).to_json())
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2
+    assert not out
+    assert message in err
 
 
 def test_zonoid_checks(tmp_path, capsys):

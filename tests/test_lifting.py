@@ -156,3 +156,9 @@ def test_sigma0_lift_is_universal():
     pair = GeneratingPair.make(n)
     lifted_support, lifted_pair = lift_class(support, pair)
     assert decide_universal_sphere(lift(mu), lifted_support, lifted_pair).universal
+
+
+def test_lift_inverse_refuses_point_measures():
+    # read as rays, these atoms invert to 2/5*sqrt(5) at the point 2
+    with pytest.raises(ValueError, match="expected a sphere measure, got Measure"):
+        lift_inverse(Measure(2, {(1, 2): 1, (-1, -2): 1}))

@@ -774,3 +774,23 @@ def test_symmetrize_by_a_whole_group_takes_its_basis():
     n = 6
     mu = gen_measure(5, n, 5)
     assert symmetrize(mu, GeneratingPair.make(n, evens=list(all_subsets(n)))) == munc(mu)
+
+
+ONE_ATOM_SETTINGS = pytest.mark.parametrize(
+    "cls, loc", [(Measure, (F(1), F(2))), (SphereMeasure, (1, 2))], ids=["points", "sphere"]
+)
+
+
+@ONE_ATOM_SETTINGS
+@pytest.mark.parametrize("weight", [1.5, None], ids=["float", "none"])
+def test_constructor_refuses_inexact_weights(cls, loc, weight):
+    # a weight that is not an exact rational must not be stored as an atom
+    with pytest.raises(TypeError):
+        cls(2, {loc: weight})
+
+
+@ONE_ATOM_SETTINGS
+def test_constructor_parses_text_weights(cls, loc):
+    mu = cls(2, {loc: "3/2"})
+    assert mu.weight_at(loc) == Surd(F(3, 2))
+    assert cls.from_json(mu.to_json()) == mu

@@ -88,6 +88,30 @@ def test_sign_close_call():
     assert (Surd.sqrt(2) - Surd(Fraction(1393, 985))).sign() == 1
 
 
+def _convergents(k: int, steps: int) -> list[Fraction]:
+    # x -> (x + k)/(x + 1) converges to sqrt(k) from alternating sides
+    x, out = Fraction(1), []
+    for _ in range(steps):
+        x = (x + k) / (x + 1)
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_sign_of_convergent_combinations_matches_decimals(k):
+    # close calls on both sides of zero, over several radicands and denominators
+    root, cross = Surd.sqrt(k), Surd.sqrt(5 * k)
+    for a in _convergents(k, 30):
+        for v in (
+            a - root,
+            root - a,
+            a * Surd.sqrt(5) - cross,
+            (a - root) + Fraction(1, 10**12) * (Surd.sqrt(7) - Surd(Fraction(53, 20))),
+            (a - root) * Fraction(3, 7) + (root - a) * Fraction(2, 5) * Surd.sqrt(11),
+        ):
+            assert v.sign() == ref_sign(dict(v.terms)), v
+
+
 def test_float_rejected():
     with pytest.raises(TypeError):
         Surd(0.5)
@@ -180,6 +204,24 @@ def test_structural_equality_is_semantic(a, b):
     assert (a == b) == ((a - b).sign() == 0)
     if a == b:
         assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Surd(0), "0"),
+        (Surd(Fraction(-3, 4)), "-3/4"),
+        (Surd.sqrt(2), "sqrt(2)"),
+        (-Surd.sqrt(2), "-sqrt(2)"),
+        (Fraction(2, 3) * Surd.sqrt(5), "2/3*sqrt(5)"),
+        (Surd(Fraction(1, 2)) - Surd.sqrt(2) + Surd.sqrt(3) - 2 * Surd.sqrt(5), "1/2-sqrt(2)+sqrt(3)-2*sqrt(5)"),
+        (Surd.sqrt(3) + Surd(-1), "-1+sqrt(3)"),
+    ],
+    ids=["zero", "rational", "root", "minus-root", "scaled-root", "mixed", "leading-sign"],
+)
+def test_str_and_repr_show_every_term_form(value, text):
+    assert str(value) == text
+    assert repr(value) == f"Surd({text!r})"
 
 
 @given(surds())

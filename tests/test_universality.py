@@ -429,6 +429,14 @@ def test_obstruction_for_symmetric_measure():
     assert (SubsetMask.full(n), "even") in obstructions
 
 
+def test_obstruction_for_origin_odd_measure():
+    nu = dirac(1, 2) - dirac(-1, -2)
+    obstructions = symmetry_obstruction(nu, GeneratingPair.make(2))
+    assert obstructions == [(SubsetMask.full(2), "odd")]
+    # once the origin reflection is an odd generator, nothing obstructs
+    assert symmetry_obstruction(nu, GeneratingPair.make(2, odds=[SubsetMask.full(2)])) == []
+
+
 def test_no_obstruction_for_own_pair():
     for seed in range(10):
         n = 1 + seed % 3
