@@ -26,9 +26,9 @@ output:
 The cli requests run in-process in a temporary directory, with relative
 file names, so the output does not depend on where that directory is.
 
-    PYTHONPATH=src python scripts/behaviour_digest.py --max-dim 4
+    PYTHONPATH=src python scripts/behaviour_digest.py --max-dim 5
 
-``scripts/behaviour_digest_dim4.txt`` holds the output at ``--max-dim 4``,
+``scripts/behaviour_digest_dim5.txt`` holds the output at ``--max-dim 5``,
 and CI diffs against it; a change that alters behaviour on purpose
 refreshes that file and says so.
 """

@@ -13,6 +13,7 @@ so it serialises as index 1 in the lifted dimension.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -45,13 +46,17 @@ def lift_inverse(mu: SphereMeasure) -> Measure:
     if mu.dim < 2:
         raise ValueError("lifted measures have dimension >= 2")
     n = mu.dim - 1
-    for ray in mu.atoms:
+    for ray in mu._atoms:
         if ray[0] == 0:
             raise ValueError(f"atom at ray {ray} sits on the equator of the lifted coordinate")
     if not mu.is_even_under(SubsetMask.full(mu.dim)):
         raise ValueError("measure is not origin-symmetric")
     kept = [(r, m) for r, m in mu.masses() if r[0] > 0]
-    return Measure._gather(n, [(tuple(Fraction(c, r[0]) for c in r[1:]), m * (2 * r[0])) for r, m in kept])
+    # the point ``r[1:] / r[0]``, over the common denominator of the kept rays
+    den = math.lcm(*[r[0] for r, _ in kept])
+    return Measure._gather(
+        n, [(tuple([c * (den // r[0]) for c in r[1:]]), m * (2 * r[0])) for r, m in kept], den
+    )
 
 
 def lift_class(

@@ -10,13 +10,20 @@ top-order criterion.  The parity basis measures, the alternating top-order
 probe and their product are signed grids, all built by one product
 builder, ``_parity_grid``.  Every pushforward goes through a setting's two
 hooks, ``masses`` and ``_gather``; the product kernel ``_products`` under
-``mconv`` and the sphere product codes each coordinate's values by integer
-ids (``_ids``); each symmetrisation factor ``(I +- T_F)/2`` is one pass.
+``mconv`` and the sphere product is a double loop over integer vectors;
+each symmetrisation factor ``(I +- T_F)/2`` is one pass.
+
+Atoms are stored at integer vectors over one least common denominator per
+measure, so every operator hashes tuples of ints; locations are decoded to
+``Fraction`` points only at the public surface.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Union
 
@@ -37,27 +44,39 @@ if TYPE_CHECKING:  # typing.Self is new in Python 3.11
 ScalarLike = Union[int, Fraction, Surd]
 
 
+def _scaled(loc: Iterable, den: int) -> tuple[int, ...]:
+    """The integer vector ``loc * den``; every coordinate's denominator divides ``den``."""
+    return tuple([c.numerator * (den // c.denominator) for c in loc])
+
+
 class AtomicMeasure:
     """Signed measure with finitely many atoms at exact locations.
 
     The shared core of point and sphere measures.  A subclass fixes the
     location type through class attributes: ``_key`` normalises a location
-    (and checks it), ``_loc_field`` names it in JSON, ``_zero`` is its zero
-    coordinate; and its pushforward through two hooks: ``masses`` lists the
-    atoms as point masses, the trusted ``_gather`` sums point masses per
-    location.  Locations are tuples of exact numbers, so coordinate-wise
-    operators act on both kinds alike.
+    (and checks it), ``_loc_field`` names it in JSON, ``_decode`` turns a
+    stored key back into a location; and its pushforward through two
+    hooks: ``masses`` lists the atoms as point masses, the trusted
+    ``_gather`` sums point masses per location.
+
+    Every atom is stored at a tuple of ints ``v`` in ``_atoms``, and one
+    denominator ``_den`` per measure scales them all: the location of ``v``
+    is ``v / _den``.  ``_den`` is the least common denominator of the
+    coordinates, so the stored form is canonical, and it is 1 on the
+    sphere, whose rays are integers already.  Coordinate-wise operators act
+    on the keys alike in both settings; ``atoms``, ``support``,
+    ``weight_at`` and ``to_json`` decode them.
 
     The public constructor normalises every location, checks its
     dimension and merges repeats; it is the entry for user input.  Atoms
-    the library built itself, already normalised, merged and of the right
-    dimension, go through the trusted constructor ``_of`` instead.
+    the library built itself, already merged, of the right dimension and
+    keyed over a common denominator, go through the trusted constructor
+    ``_of`` instead.
     """
 
-    __slots__ = ("dim", "_atoms")
+    __slots__ = ("dim", "_atoms", "_den")
     _key: Callable[[Iterable], tuple]
     _loc_field: str
-    _zero: Union[Fraction, int]
 
     def __init__(self, dim: int, atoms: Mapping[tuple, SurdLike] | Iterable[tuple[tuple, SurdLike]] = ()):
         if dim < 1:
@@ -75,22 +94,33 @@ class AtomicMeasure:
                 w = Surd(w)  # refuses float, bool and None weights
             prev = acc.get(loc)
             acc[loc] = w if prev is None else prev + w
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_atoms", {loc: w for loc, w in acc.items() if w})
+        den = math.lcm(*{c.denominator for loc in acc for c in loc})
+        self._init(dim, {_scaled(loc, den): w for loc, w in acc.items()}, den)
 
     @classmethod
-    def _of(cls, dim: int, acc: dict[tuple, Surd]) -> Self:
-        """Trusted constructor: take ownership of ``acc``, drop its zero weights.
+    def _of(cls, dim: int, acc: dict[tuple[int, ...], Surd], den: int = 1) -> Self:
+        """Trusted constructor: take ownership of ``acc``, an atom per integer
+        vector ``v`` at the location ``v / den``.
 
-        Every key must already be a normalised location of dimension
-        ``dim`` and every value a :class:`Surd`; nothing is re-keyed.
+        Every key must be a tuple of ``dim`` ints (a primitive ray on the
+        sphere) and every value a :class:`Surd`.  Zero weights are dropped,
+        and ``den`` is reduced to the least common denominator.
         """
-        for loc in [loc for loc, w in acc.items() if not w]:
-            del acc[loc]
         out = cls.__new__(cls)
-        object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "_atoms", acc)
+        out._init(dim, acc, den)
         return out
+
+    def _init(self, dim: int, acc: dict[tuple[int, ...], Surd], den: int) -> None:
+        for v in [v for v, w in acc.items() if not w]:
+            del acc[v]
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(acc))
+            if g != 1:
+                den //= g
+                acc = {tuple([c // g for c in v]): w for v, w in acc.items()}
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_atoms", acc)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -103,13 +133,19 @@ class AtomicMeasure:
 
     @property
     def atoms(self) -> Mapping[tuple, Surd]:
-        return MappingProxyType(self._atoms)
+        """The atoms by location, decoded."""
+        decode = self._decode
+        return MappingProxyType({decode(v): w for v, w in self._atoms.items()})
 
     def support(self) -> tuple[tuple, ...]:
-        return tuple(sorted(self._atoms))
+        # a positive denominator keeps the order of the keys
+        return tuple([self._decode(v) for v in sorted(self._atoms)])
 
     def weight_at(self, loc: Iterable) -> Surd:
-        return self._atoms.get(self._key(loc), Surd(0))
+        loc, den = self._key(loc), self._den
+        if any(den % c.denominator for c in loc):
+            return Surd(0)  # no atom sits at a finer denominator
+        return self._atoms.get(_scaled(loc, den), Surd(0))
 
     def atom_count(self) -> int:
         return len(self._atoms)
@@ -124,10 +160,10 @@ class AtomicMeasure:
         # exact types: a point measure never equals a sphere measure
         if type(other) is not type(self):
             return NotImplemented
-        return self.dim == other.dim and self._atoms == other._atoms
+        return self.dim == other.dim and self._den == other._den and self._atoms == other._atoms
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self._atoms.items())))
+        return hash((self.dim, self._den, frozenset(self._atoms.items())))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim}, atoms={len(self._atoms)})"
@@ -136,25 +172,33 @@ class AtomicMeasure:
 
     def __add__(self, other: Self) -> Self:
         self._check(other)
-        acc = dict(self._atoms)
-        for loc, w in other._atoms.items():
-            prev = acc.get(loc)
-            acc[loc] = w if prev is None else prev + w
-        return self._of(self.dim, acc)
+        den = math.lcm(self._den, other._den)
+        acc = dict(self._over(den))
+        for v, w in other._over(den):
+            prev = acc.get(v)
+            acc[v] = w if prev is None else prev + w
+        return self._of(self.dim, acc, den)
 
     def __sub__(self, other: Self) -> Self:
         return self + (-other)
 
     def __neg__(self) -> Self:
-        return self._of(self.dim, {loc: -w for loc, w in self._atoms.items()})
+        return self._of(self.dim, {v: -w for v, w in self._atoms.items()}, self._den)
 
     def __mul__(self, scalar: ScalarLike) -> Self:
         c = as_surd(scalar)
         if c is NotImplemented:
             return NotImplemented
-        return self._of(self.dim, {loc: w * c for loc, w in self._atoms.items()})
+        return self._of(self.dim, {v: w * c for v, w in self._atoms.items()}, self._den)
 
     __rmul__ = __mul__
+
+    def _over(self, den: int) -> Iterable[tuple[tuple[int, ...], Surd]]:
+        """The atoms keyed over ``den``, a multiple of ``_den``."""
+        s = den // self._den
+        if s == 1:
+            return self._atoms.items()
+        return [(tuple([c * s for c in v]), w) for v, w in self._atoms.items()]
 
     def _check(self, other: "AtomicMeasure") -> None:
         # a ray read as a point (or back) is a different measure
@@ -186,7 +230,7 @@ class AtomicMeasure:
                 pos[loc] = w
             else:
                 neg[loc] = -w
-        return self._of(self.dim, pos), self._of(self.dim, neg)
+        return self._of(self.dim, pos, self._den), self._of(self.dim, neg, self._den)
 
     def tv_norm(self) -> Surd:
         total = Surd(0)
@@ -200,21 +244,22 @@ class AtomicMeasure:
         """Marginal on the coordinate subspace (or subsphere) of ``e``: each
         mass moves to its location with the coordinates off ``e`` zeroed."""
         self._check_mask(e)
-        zero, keep = self._zero, [e.bits >> i & 1 for i in range(self.dim)]
-        moved = ((tuple([c if k else zero for c, k in zip(loc, keep)]), m) for loc, m in self.masses())
-        return self._gather(self.dim, moved)
+        keep = [e.bits >> i & 1 for i in range(self.dim)]
+        moved = ((tuple([c if k else 0 for c, k in zip(v, keep)]), m) for v, m in self.masses())
+        return self._gather(self.dim, moved, self._den)
 
     def reflect(self, f: SubsetMask) -> Self:
         self._check_mask(f)
         # a bijection on locations: no two atoms merge
-        return self._of(self.dim, {reflect_point(loc, f): w for loc, w in self._atoms.items()})
+        return self._of(self.dim, {reflect_point(v, f): w for v, w in self._atoms.items()}, self._den)
 
     def restrict_order(self, e: SubsetMask) -> Self:
         """Keep the atoms whose zero pattern is exactly ``e``."""
         self._check_mask(e)
         return self._of(
             self.dim,
-            {loc: w for loc, w in self._atoms.items() if zero_pattern(loc) == e},
+            {v: w for v, w in self._atoms.items() if zero_pattern(v) == e},
+            self._den,
         )
 
     def sign_density(self, j: SubsetMask) -> Self:
@@ -239,7 +284,7 @@ class AtomicMeasure:
                 acc[loc] = w
             elif s == -1:
                 acc[loc] = -w
-        return self._of(self.dim, acc)
+        return self._of(self.dim, acc, self._den)
 
     # -- coordinate decomposition ----------------------------------------------
 
@@ -272,11 +317,12 @@ class AtomicMeasure:
     # -- serialization -------------------------------------------------------------
 
     def to_json(self) -> dict:
+        decode = self._decode
         return {
             "dim": self.dim,
             "atoms": [
-                {self._loc_field: [str(c) for c in loc], "weight": w.to_json()}
-                for loc, w in sorted(self._atoms.items())
+                {self._loc_field: [str(c) for c in decode(v)], "weight": w.to_json()}
+                for v, w in sorted(self._atoms.items())
             ],
         }
 
@@ -296,33 +342,38 @@ class Measure(AtomicMeasure):
     __slots__ = ()
     _key = staticmethod(make_point)
     _loc_field = "point"
-    _zero = Fraction(0)
+
+    def _decode(self, v: tuple[int, ...]) -> Point:
+        den = self._den
+        return tuple([Fraction(c, den) for c in v])
 
     @classmethod
     def dirac(cls, point: Iterable, weight: SurdLike = 1) -> "Measure":
         pt = make_point(point)
         return cls(len(pt), {pt: weight})
 
-    def masses(self) -> Iterable[tuple[Point, Surd]]:
-        """The atoms as they are."""
+    def masses(self) -> Iterable[tuple[tuple[int, ...], Surd]]:
+        """The atoms at their integer keys, over the denominator ``_den``."""
         return self._atoms.items()
 
     @classmethod
-    def _gather(cls, dim: int, masses: Iterable[tuple[Point, Surd]]) -> "Measure":
-        """Sum point masses per point (normalised, of dimension ``dim``)."""
-        acc: dict[Point, Surd] = {}
+    def _gather(cls, dim: int, masses: Iterable[tuple[tuple[int, ...], Surd]], den: int = 1) -> "Measure":
+        """Sum point masses per point ``v / den``, for integer vectors ``v``
+        of dimension ``dim``."""
+        acc: dict[tuple[int, ...], Surd] = {}
         for loc, m in masses:
             size = len(acc)
             prev = acc.setdefault(loc, m)
             if len(acc) == size:  # a merge; atoms may share one Surd object
                 acc[loc] = prev + m
-        return cls._of(dim, acc)
+        return cls._of(dim, acc, den)
 
     def restrict_positive(self) -> "Measure":
         """Keep the atoms in the closed positive orthant."""
         return Measure._of(
             self.dim,
-            {pt: w for pt, w in self._atoms.items() if all(c >= 0 for c in pt)},
+            {v: w for v, w in self._atoms.items() if all(c >= 0 for c in v)},
+            self._den,
         )
 
 
@@ -338,58 +389,40 @@ def _check_points(*measures: AtomicMeasure) -> None:
             raise ValueError(f"expected a point measure, got {type(mu).__name__}")
 
 
-def _ids(ids: list[dict], loc: Iterable) -> tuple[int, ...]:
-    """``loc`` coded by one value-id dict per coordinate; new values take the next id."""
-    return tuple([d.setdefault(c, len(d)) for d, c in zip(ids, loc)])
-
-
-def _products(dim: int, left: Iterable[tuple[tuple, Surd]], right: Iterable[tuple[tuple, Surd]]) -> list:
-    """The summed weight per product location of two lists of point masses.
-
-    Per coordinate, a table codes the products of the values of ``left``
-    and ``right`` there; weights accumulate under tuples of product ids, and
-    each location is decoded once, in the order of its first product.  The
-    result is a list, so that ``mconv`` hashes only its nonzero locations;
-    zero sums stay in it for the sphere, whose rays keep their order."""
-    left_ids, right_ids = [{} for _ in range(dim)], [{} for _ in range(dim)]
-    left = [(_ids(left_ids, x), w) for x, w in left]
-    right = [(_ids(right_ids, y), w) for y, w in right]
-    values: list = []
-    product_ids: dict[tuple[int, int], int] = {}  # a ratio of ints hashes faster than a Fraction
-
-    def product_id(p) -> int:
-        i = product_ids.setdefault(p.as_integer_ratio(), len(values))
-        if i == len(values):
-            values.append(p)
-        return i
-
-    tables = [[[product_id(u * v) for v in vs] for u in us] for us, vs in zip(left_ids, right_ids)]
+def _products(
+    left: Iterable[tuple[tuple[int, ...], Surd]], right: Iterable[tuple[tuple[int, ...], Surd]]
+) -> dict[tuple[int, ...], Surd]:
+    """The summed weight per product vector of two lists of point masses at
+    integer vectors, in the order of first product.  Zero sums stay in it
+    for the sphere, whose rays keep their order."""
+    right = list(right)
     acc: dict[tuple[int, ...], Surd] = {}
     for x, wx in left:
-        rows = [table[u] for table, u in zip(tables, x)]
         for y, wy in right:
-            key = tuple([row[v] for row, v in zip(rows, y)])
+            key = tuple(map(mul, x, y))
             w = wx * wy
             prev = acc.get(key)
             acc[key] = w if prev is None else prev + w
-    return [(tuple([values[i] for i in key]), w) for key, w in acc.items()]
+    return acc
 
 
 def mconv(a: Measure, b: Measure) -> Measure:
     """Pushforward of the product measure under the componentwise product."""
     a._check(b)
     _check_points(a)
-    return Measure._of(a.dim, {x: w for x, w in _products(a.dim, a.masses(), b.masses()) if w})
+    return Measure._of(a.dim, _products(a.masses(), b.masses()), a._den * b._den)
 
 
 def tensor(a: Measure, b: Measure) -> Measure:
     """Product measure on concatenated coordinates."""
     _check_points(a, b)
-    acc: dict[Point, Surd] = {}
-    for x, wx in a._atoms.items():
-        for y, wy in b._atoms.items():
+    den = math.lcm(a._den, b._den)
+    right = b._over(den)
+    acc: dict[tuple[int, ...], Surd] = {}
+    for x, wx in a._over(den):
+        for y, wy in right:
             acc[x + y] = wx * wy
-    return Measure._of(a.dim + b.dim, acc)
+    return Measure._of(a.dim + b.dim, acc, den)
 
 
 def unit(dim: int) -> Measure:
@@ -413,18 +446,17 @@ def _parity_grid(
     on a coordinate of ``j`` a negative value also takes the parity
     character there.  Off ``e`` the factor is the Dirac mass at 0.  Every
     atom weighs ``+-scale`` and no two atoms merge.  The first coordinate
-    varies fastest.  The atoms are point masses of the setting ``cls``,
-    which gathers them (the sphere pushes them radially).
+    varies fastest.  The atoms are point masses at integer vectors of the
+    setting ``cls``, which gathers them (the sphere pushes them radially).
     """
-    coord = type(cls._zero)
     weight = {1: Surd(scale), -1: Surd(-scale)}
     atoms: list[tuple[tuple, int]] = [((), 1)]
     for i in reversed(range(e.dim)):
         if e.bits >> i & 1:
             flip = -1 if j.bits >> i & 1 else 1
-            values = [(coord(v), s * flip if v < 0 else s) for v, s in factor]
+            values = [(v, s * flip if v < 0 else s) for v, s in factor]
         else:
-            values = [(cls._zero, 1)]
+            values = [(0, 1)]
         atoms = [((c,) + loc, s * t) for loc, s in atoms for c, t in values]
     return cls._gather(e.dim, ((loc, weight[s]) for loc, s in atoms))
 
@@ -494,7 +526,7 @@ def _reflection_average(mu, f: SubsetMask, sign: int):
         else:
             acc[x] = (w + wy if sign > 0 else w - wy) * half
     acc.update(images)
-    return mu._of(mu.dim, acc)
+    return mu._of(mu.dim, acc, mu._den)
 
 
 def symmetrize(mu, pair: GeneratingPair):
@@ -560,11 +592,11 @@ def unc_inverse(mu: Measure) -> Measure:
     for i in range(1, mu.dim + 1):
         if not mu.is_even_under(SubsetMask.single(mu.dim, i)):
             raise ValueError("measure is not unconditional")
-    acc: dict[Point, Surd] = {}
-    for pt, w in mu._atoms.items():
-        if all(c >= 0 for c in pt):
-            acc[pt] = w * (1 << zero_pattern(pt).size)
-    return Measure._of(mu.dim, acc)
+    acc: dict[tuple[int, ...], Surd] = {}
+    for v, w in mu._atoms.items():
+        if all(c >= 0 for c in v):
+            acc[v] = w * (1 << zero_pattern(v).size)
+    return Measure._of(mu.dim, acc, mu._den)
 
 
 def phat(mu):

@@ -258,19 +258,27 @@ class Surd:
     def __hash__(self) -> int:
         return hash(self._terms)
 
+    def _compare(self, other: SurdLike):
+        """The sign of ``self - other``, or ``NotImplemented`` for an operand
+        that is not exact, so that Python raises the ``TypeError``."""
+        other = as_surd(other)
+        return other if other is NotImplemented else (self - other).sign()
+
     def __lt__(self, other: SurdLike) -> bool:
-        diff = self - as_surd(other)
-        return diff.sign() < 0
+        s = self._compare(other)
+        return s if s is NotImplemented else s < 0
 
     def __le__(self, other: SurdLike) -> bool:
-        diff = self - as_surd(other)
-        return diff.sign() <= 0
+        s = self._compare(other)
+        return s if s is NotImplemented else s <= 0
 
     def __gt__(self, other: SurdLike) -> bool:
-        return as_surd(other) < self
+        s = self._compare(other)
+        return s if s is NotImplemented else s > 0
 
     def __ge__(self, other: SurdLike) -> bool:
-        return as_surd(other) <= self
+        s = self._compare(other)
+        return s if s is NotImplemented else s >= 0
 
     # -- conversions -------------------------------------------------------
 

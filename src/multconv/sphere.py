@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .measures import AtomicMeasure, _products
-from .points import Ray, clear_denominators, primitive_ray, ray_norm_sq, zero_pattern
+from .points import Ray, primitive_ray, ray_norm_sq, zero_pattern
 from .scalars import Surd
 from .subsets import SubsetMask
 
@@ -33,20 +33,25 @@ class SphereMeasure(AtomicMeasure):
     __slots__ = ()
     _key = staticmethod(primitive_ray)
     _loc_field = "ray"
-    _zero = 0
+
+    def _decode(self, v: Ray) -> Ray:
+        return v
 
     def masses(self) -> list[tuple[Ray, Surd]]:
         """Each atom as the point mass ``w/|d|`` at its integer ray ``d``."""
         return [(d, w * Surd.sqrt(Fraction(1, ray_norm_sq(d)))) for d, w in self._atoms.items()]
 
     @classmethod
-    def _gather(cls, dim: int, masses: Iterable[tuple[tuple[int, ...], Surd]]) -> "SphereMeasure":
-        """Push point masses at integer vectors radially to the sphere.
+    def _gather(
+        cls, dim: int, masses: Iterable[tuple[tuple[int, ...], Surd]], den: int = 1
+    ) -> "SphereMeasure":
+        """Push point masses at the vectors ``v / den`` radially to the sphere.
 
         Mass ``m`` at a nonzero vector ``v`` adds ``m * |v|`` at ``v`` divided
         by its gcd ``g``, the primitive ray ``r`` through ``v``; mass at the
         origin is dropped.  As ``|v| = g * |r|``, the sums of ``m * g``
-        accumulate per ray and take the root ``|r|`` once, at the end.
+        accumulate per ray and take the root ``|r|`` (and the scale
+        ``1/den``) once, at the end.
         """
         acc: dict[Ray, Surd] = {}
         for v, m in masses:
@@ -60,23 +65,22 @@ class SphereMeasure(AtomicMeasure):
             prev = acc.setdefault(v, m)
             if len(acc) == size:  # a merge; masses may share one Surd object
                 acc[v] = prev + m
+        if den != 1:
+            inverse = Surd(Fraction(1, den))
+            acc = {r: s * inverse for r, s in acc.items()}
         return cls._of(dim, {r: s * Surd.sqrt(ray_norm_sq(r)) for r, s in acc.items() if s})
 
 
 def radial_project(mu: AtomicMeasure) -> SphereMeasure:
     """Reweight by the Euclidean norm and push to the unit sphere.
 
-    A point ``x`` is pushed as the integer vector ``s * x`` with mass
-    ``w / s``.  Mass at the origin is dropped.  Sphere measures are already
-    fixed points of the projection and pass through unchanged.
+    The atoms are pushed at their integer keys over the measure's common
+    denominator.  Mass at the origin is dropped.  Sphere measures are
+    already fixed points of the projection and pass through unchanged.
     """
     if isinstance(mu, SphereMeasure):
         return mu
-    pushed = []
-    for x, w in mu.masses():
-        scale, v = clear_denominators(x)
-        pushed.append((v, w * Fraction(1, scale)))
-    return SphereMeasure._gather(mu.dim, pushed)
+    return SphereMeasure._gather(mu.dim, mu.masses(), mu._den)
 
 
 def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
@@ -88,7 +92,7 @@ def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
     sa = radial_project(a)
     sb = radial_project(b)
     sa._check(sb)
-    return SphereMeasure._gather(sa.dim, _products(sa.dim, sa.masses(), sb.masses()))
+    return SphereMeasure._gather(sa.dim, _products(sa.masses(), sb.masses()).items())
 
 
 def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:
@@ -107,15 +111,16 @@ def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:
     if sum(alpha) > 1 + 1e-12:
         raise ValueError("exponents must sum to at most 1")
     full = SubsetMask.full(n)
-    bad = [loc for loc in mu.atoms if zero_pattern(loc) != full]
+    bad = [v for v in mu._atoms if zero_pattern(v) != full]
     if bad:
-        raise ValueError(f"atom at {mu._loc_field} {bad[0]} is not of full order")
+        raise ValueError(f"atom at {mu._loc_field} {mu._decode(bad[0])} is not of full order")
     sphere = isinstance(mu, SphereMeasure)
     total = 0.0
-    for loc, w in mu.atoms.items():
-        norm = ray_norm_sq(loc) ** 0.5 if sphere else 1.0
+    for v, w in mu._atoms.items():
+        # the location of a stored key ``v`` is ``v / _den``
+        norm = ray_norm_sq(v) ** 0.5 if sphere else mu._den
         prod = 1.0
-        for c, a in zip(loc, alpha):
+        for c, a in zip(v, alpha):
             prod *= (abs(float(c)) / norm) ** a
         total += float(w) * prod
     return total

@@ -175,22 +175,21 @@ _Code = list[tuple[int, int, tuple[int, ...], Surd]]
 def _code(nu: AtomicMeasure) -> _Code:
     """Encode every atom of ``nu`` once.
 
-    Atoms are read through the setting's ``masses``; a location is scaled
-    by the ``lcm`` of all coordinate denominators, so absolute coordinates
-    are integers, equal exactly when the locations' are.  A sphere atom is
-    the point mass ``w/|r|`` at the integer ray ``r``: its scale is 1.
+    Atoms are read through the setting's ``masses``, at integer vectors
+    over one common denominator: a point atom at its stored key, scaled by
+    the measure's least common denominator, and a sphere atom as the point
+    mass ``w/|r|`` at the integer ray ``r``.  So absolute coordinates are
+    integers, equal exactly when the locations' are.
     """
-    masses = list(nu.masses())
-    scale = math.lcm(*{c.denominator for loc, _ in masses for c in loc})
     code: _Code = []
-    for loc, w in masses:
+    for loc, w in nu.masses():
         nonzero = negative = 0
         for i, c in enumerate(loc):
             if c:
                 nonzero |= 1 << i
                 if c < 0:
                     negative |= 1 << i
-        absolute = tuple([abs(c.numerator) * (scale // c.denominator) for c in loc])
+        absolute = tuple([abs(c) for c in loc])
         code.append((nonzero, negative, absolute, w))
     return code
 

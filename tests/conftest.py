@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,12 @@ def _check_trusted(results: dict) -> None:
     for name, r in results.items():
         # what the public constructor builds from the same atoms
         assert r == type(r)(r.dim, dict(r.atoms)), name
+        # the stored form: integer keys over the least common denominator,
+        # which is 1 on the sphere
+        for v in r._atoms:
+            assert len(v) == r.dim and all(type(c) is int for c in v), (name, v)
+        assert r._den >= 1 and math.gcd(r._den, *(c for v in r._atoms for c in v)) == 1, (name, r._den)
+        assert isinstance(r, Measure) or r._den == 1, (name, r._den)
         coord = Fraction if isinstance(r, Measure) else int
         for loc, w in r.atoms.items():
             assert type(w) is Surd and w, (name, loc, w)
@@ -21,6 +28,6 @@ def _check_trusted(results: dict) -> None:
 @pytest.fixture
 def assert_trusted():
     """Check that named results of the library's own operators are canonical:
-    equal to their public re-construction, free of zero weights, and keyed by
-    exact normal forms."""
+    equal to their public re-construction, free of zero weights, keyed by
+    exact normal forms and stored over their least common denominator."""
     return _check_trusted

@@ -28,6 +28,15 @@ def test_lift_inverse_of_the_example():
     assert lift_inverse(lifted) == dirac(1)
 
 
+def test_lift_round_trip_with_mixed_leading_entries():
+    # the kept rays lead with 1, 2, 3 and 5: the inverse gathers over 30
+    mu = Measure(2, {(F(1, 2), F(-3, 2)): 1, (F(2, 3), 0): Surd.sqrt(3), (F(-4, 5), F(1, 5)): -2, (3, 1): 1})
+    lifted = lift(mu)
+    assert {r[0] for r in lifted.atoms if r[0] > 0} == {1, 2, 3, 5}
+    back = lift_inverse(lifted)
+    assert back == mu and back._den == 30
+
+
 def test_lift_is_origin_symmetric_and_off_equator():
     mu = gen_measure(1, 2, 4)
     lifted = lift(mu)

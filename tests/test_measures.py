@@ -623,6 +623,45 @@ def test_public_constructors_normalise():
     assert Measure.from_json(mu.to_json()) == mu
 
 
+# -- integer keys over one common denominator -----------------------------------
+
+
+def test_cancellation_shrinks_the_denominator():
+    got = Measure(1, {(F(1, 2),): 1, (1,): 1}) + Measure(1, {(F(1, 2),): -1})
+    want = Measure(1, {(1,): 1})
+    assert got == want and hash(got) == hash(want)
+    assert got._den == 1 and got._atoms == {(1,): Surd(1)}
+
+
+def test_mconv_lands_on_an_integer_point():
+    got = mconv(Measure.dirac([F(1, 2)]), Measure.dirac([2]))
+    assert got == Measure.dirac([1]) and got._den == 1
+
+
+def test_sums_and_tensors_align_coprime_denominators(assert_trusted):
+    a = Measure(2, {(F(1, 2), 1): 1, (F(3, 2), F(1, 2)): 2})
+    b = Measure(1, {(F(1, 3),): Surd.sqrt(2), (F(2, 3),): 1})
+    c = Measure(2, {(F(1, 3), 1): 1, (F(1, 2), 1): -1})
+    t, s = tensor(a, b), a + c
+    assert t._den == s._den == 6
+    assert dict(t.atoms) == {x + y: wx * wy for x, wx in a.atoms.items() for y, wy in b.atoms.items()}
+    # the atom at (1/2, 1) cancels; the rest keep the order of the operands
+    assert list(s.atoms.items()) == [((F(3, 2), F(1, 2)), Surd(2)), ((F(1, 3), F(1)), Surd(1))]
+    assert s - c == a and (s - c)._den == 2
+    assert_trusted({"tensor": t, "tensor-swapped": tensor(b, a), "sum": s, "difference": s - c})
+
+
+def test_weight_at_decodes_over_the_denominator():
+    mu = Measure(2, {(F(1, 2), 3): 2, (1, F(-3, 4)): 5})
+    assert mu.weight_at((F(1, 2), 3)) == 2
+    assert mu.weight_at(("1", "-3/4")) == 5
+    assert mu.weight_at((F(1, 3), 3)) == 0  # 3 does not divide the denominator 4
+    assert mu.weight_at((F(1, 4), 3)) == 0  # over 4, but no atom there
+    sigma = SphereMeasure(2, {(2, 4): 1})
+    assert sigma.weight_at((1, 2)) == sigma.weight_at((3, 6)) == 1
+    assert sigma.weight_at((1, 3)) == 0
+
+
 # -- coded kernels against their definitions ------------------------------------
 
 _KERNEL_WEIGHTS = (Surd(1), Surd(-1), Surd(F(1, 2)), Surd.sqrt(2), -Surd.sqrt(2), Surd(3))
@@ -672,44 +711,37 @@ def test_mconv_matches_the_double_loop(n, assert_trusted):
     assert mconv(a, b) == Measure(n, {x: -1, tuple(4 * c for c in x): 1})
 
 
-class _Counted(Fraction):
-    """A rational that counts the products taken with it on the left."""
+class _CountedSurd(Surd):
+    """A weight that counts the products taken with it on the left."""
 
     products = 0
 
     def __mul__(self, other):
-        _Counted.products += 1
-        return Fraction.__mul__(self, other)
-
-
-def _counted(n, rows):
-    return Measure._of(n, {tuple(_Counted(c) for c in row): Surd(1 + i) for i, row in enumerate(rows)})
+        _CountedSurd.products += 1
+        return Surd.__mul__(self, other)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
-def test_mconv_takes_no_product_the_double_loop_skips(n):
-    # all coordinates distinct: every product is new, and the tables take
-    # exactly the double loop's n*|a|*|b|
+def test_mconv_takes_one_weight_product_per_pair(n):
+    # all coordinates distinct: every product is a new point, and the kernel
+    # takes exactly the double loop's |a|*|b| weight products
     rng = random.Random(f"distinct-{n}")
 
-    def distinct_rows(k):
-        return [[F(rng.randrange(1, 10**6), rng.randrange(1, 10**6)) for _ in range(n)] for _ in range(k)]
+    def distinct(k):
+        return Measure(
+            n,
+            {
+                tuple(F(rng.randrange(1, 10**6), rng.randrange(1, 10**6)) for _ in range(n)): _CountedSurd(1 + i)
+                for i in range(k)
+            },
+        )
 
-    a, b = _counted(n, distinct_rows(7)), _counted(n, distinct_rows(5))
-    _Counted.products = 0
+    a, b = distinct(7), distinct(5)
+    _CountedSurd.products = 0
     got = mconv(a, b)
-    assert _Counted.products == n * 7 * 5
+    assert _CountedSurd.products == len(a.atoms) * len(b.atoms) == 7 * 5
     assert got == brute_force_convolution(a, b)
     assert list(got.atoms) == _first_products(a, b)
-    # values repeated within a coordinate but not across: one product per
-    # pair of values of a coordinate, never one per pair of values overall
-    rows_a = [[F(1 + r)] + [F(2 + i + 10 * (r % 3)) for i in range(1, n)] for r in range(6)]
-    a, b = _counted(n, rows_a), _counted(n, [[F(3 + i + 7 * k) for i in range(n)] for k in range(4)])
-    expected = sum(len({x[i] for x in a.atoms}) * len({y[i] for y in b.atoms}) for i in range(n))
-    _Counted.products = 0
-    got = mconv(a, b)
-    assert _Counted.products == expected <= n * len(a.atoms) * len(b.atoms)
-    assert got == brute_force_convolution(a, b)
 
 
 def _kernel_measures(seed, n):

@@ -259,6 +259,15 @@ def test_ordering_via_sign():
     assert Surd(3) > Surd.sqrt(8)
 
 
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+def test_ordering_refuses_a_float_by_name(op):
+    # each comparison hands the refused operand back to Python, which names it
+    with pytest.raises(TypeError, match="'Surd' and 'float'"):
+        eval(f"Surd(1) {op} 1.5")
+    with pytest.raises(TypeError, match="'float' and 'Surd'"):
+        eval(f"1.5 {op} Surd(1)")
+
+
 def general(terms: dict) -> Surd:
     """The value as the general dict route builds it."""
     return Surd._from_map({r: Fraction(c) for r, c in terms.items()})
