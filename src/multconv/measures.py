@@ -8,8 +8,9 @@ symmetrisation operators they induce, the signed atomic basis measures of
 the symmetry decomposition, and the alternating projection sum used as a
 top-order criterion.  The parity basis measures, the alternating top-order
 probe and their product are signed grids, all built by one product
-builder, ``_parity_grid``.  Every pushforward goes through a setting's two
-hooks, ``masses`` and ``_gather``; the product kernel ``_products`` under
+builder, ``_parity_grid``.  Every pushforward reads the stored point
+masses through ``masses`` and sums them per location through a setting's
+``_gather``; the product kernel ``_products`` under
 ``mconv`` and the sphere product is a double loop over integer vectors;
 each symmetrisation factor ``(I +- T_F)/2`` is one pass.
 
@@ -55,9 +56,9 @@ class AtomicMeasure:
     The shared core of point and sphere measures.  A subclass fixes the
     location type through class attributes: ``_key`` normalises a location
     (and checks it), ``_loc_field`` names it in JSON, ``_decode`` turns a
-    stored key back into a location; and its pushforward through two
-    hooks: ``masses`` lists the atoms as point masses, the trusted
-    ``_gather`` sums point masses per location.
+    stored key back into a location; the weight coding through the pair
+    ``_encode_weight`` and ``_decode_weight``; and its pushforward through
+    the trusted ``_gather``, which sums point masses per location.
 
     Every atom is stored at a tuple of ints ``v`` in ``_atoms``, and one
     denominator ``_den`` per measure scales them all: the location of ``v``
@@ -65,7 +66,12 @@ class AtomicMeasure:
     coordinates, so the stored form is canonical, and it is 1 on the
     sphere, whose rays are integers already.  Coordinate-wise operators act
     on the keys alike in both settings; ``atoms``, ``support``,
-    ``weight_at`` and ``to_json`` decode them.
+    ``weight_at`` and ``to_json`` decode them.  The stored value at a key
+    is the point mass there, the setting's coding of the weight: the
+    weight itself for points, a positive multiple of it fixed by the key
+    on the sphere.  So signs, zero tests and sums per key read it as it is;
+    ``atoms``, ``weight_at``, ``to_json``, ``total_mass`` and ``tv_norm``
+    decode it.
 
     The public constructor normalises every location, checks its
     dimension and merges repeats; it is the entry for user input.  Atoms
@@ -77,6 +83,8 @@ class AtomicMeasure:
     __slots__ = ("dim", "_atoms", "_den")
     _key: Callable[[Iterable], tuple]
     _loc_field: str
+    _encode_weight: Callable[[tuple[int, ...], Surd], Surd]
+    _decode_weight: Callable[[tuple[int, ...], Surd], Surd]
 
     def __init__(self, dim: int, atoms: Mapping[tuple, SurdLike] | Iterable[tuple[tuple, SurdLike]] = ()):
         if dim < 1:
@@ -95,7 +103,12 @@ class AtomicMeasure:
             prev = acc.get(loc)
             acc[loc] = w if prev is None else prev + w
         den = math.lcm(*{c.denominator for loc in acc for c in loc})
-        self._init(dim, {_scaled(loc, den): w for loc, w in acc.items()}, den)
+        encode = self._encode_weight
+        coded = {}
+        for loc, w in acc.items():
+            v = _scaled(loc, den)
+            coded[v] = encode(v, w)
+        self._init(dim, coded, den)
 
     @classmethod
     def _of(cls, dim: int, acc: dict[tuple[int, ...], Surd], den: int = 1) -> Self:
@@ -103,8 +116,9 @@ class AtomicMeasure:
         vector ``v`` at the location ``v / den``.
 
         Every key must be a tuple of ``dim`` ints (a primitive ray on the
-        sphere) and every value a :class:`Surd`.  Zero weights are dropped,
-        and ``den`` is reduced to the least common denominator.
+        sphere) and every value a :class:`Surd`, the point mass there.  Zero
+        masses are dropped, and ``den`` is reduced to the least common
+        denominator.
         """
         out = cls.__new__(cls)
         out._init(dim, acc, den)
@@ -133,9 +147,9 @@ class AtomicMeasure:
 
     @property
     def atoms(self) -> Mapping[tuple, Surd]:
-        """The atoms by location, decoded."""
-        decode = self._decode
-        return MappingProxyType({decode(v): w for v, w in self._atoms.items()})
+        """The weights by location, decoded."""
+        decode, weight = self._decode, self._decode_weight
+        return MappingProxyType({decode(v): weight(v, m) for v, m in self._atoms.items()})
 
     def support(self) -> tuple[tuple, ...]:
         # a positive denominator keeps the order of the keys
@@ -145,7 +159,14 @@ class AtomicMeasure:
         loc, den = self._key(loc), self._den
         if any(den % c.denominator for c in loc):
             return Surd(0)  # no atom sits at a finer denominator
-        return self._atoms.get(_scaled(loc, den), Surd(0))
+        v = _scaled(loc, den)
+        m = self._atoms.get(v)
+        return Surd(0) if m is None else self._decode_weight(v, m)
+
+    def masses(self) -> Iterable[tuple[tuple[int, ...], Surd]]:
+        """The atoms as stored: the point mass at each integer key, over the
+        denominator ``_den``."""
+        return self._atoms.items()
 
     def atom_count(self) -> int:
         return len(self._atoms)
@@ -216,9 +237,10 @@ class AtomicMeasure:
     # -- mass and Jordan decomposition ----------------------------------------
 
     def total_mass(self) -> Surd:
+        weight = self._decode_weight
         total = Surd(0)
-        for w in self._atoms.values():
-            total = total + w
+        for v, m in self._atoms.items():
+            total = total + weight(v, m)
         return total
 
     def jordan(self) -> tuple[Self, Self]:
@@ -233,9 +255,10 @@ class AtomicMeasure:
         return self._of(self.dim, pos, self._den), self._of(self.dim, neg, self._den)
 
     def tv_norm(self) -> Surd:
+        weight = self._decode_weight
         total = Surd(0)
-        for w in self._atoms.values():
-            total = total + abs(w)
+        for v, m in self._atoms.items():
+            total = total + abs(weight(v, m))
         return total
 
     # -- reflections, projections and restrictions ------------------------------
@@ -317,12 +340,12 @@ class AtomicMeasure:
     # -- serialization -------------------------------------------------------------
 
     def to_json(self) -> dict:
-        decode = self._decode
+        decode, weight = self._decode, self._decode_weight
         return {
             "dim": self.dim,
             "atoms": [
-                {self._loc_field: [str(c) for c in decode(v)], "weight": w.to_json()}
-                for v, w in sorted(self._atoms.items())
+                {self._loc_field: [str(c) for c in decode(v)], "weight": weight(v, m).to_json()}
+                for v, m in sorted(self._atoms.items())
             ],
         }
 
@@ -347,14 +370,16 @@ class Measure(AtomicMeasure):
         den = self._den
         return tuple([Fraction(c, den) for c in v])
 
+    @staticmethod
+    def _encode_weight(v: tuple[int, ...], w: Surd) -> Surd:
+        return w  # a point atom stores its weight
+
+    _decode_weight = _encode_weight
+
     @classmethod
     def dirac(cls, point: Iterable, weight: SurdLike = 1) -> "Measure":
         pt = make_point(point)
         return cls(len(pt), {pt: weight})
-
-    def masses(self) -> Iterable[tuple[tuple[int, ...], Surd]]:
-        """The atoms at their integer keys, over the denominator ``_den``."""
-        return self._atoms.items()
 
     @classmethod
     def _gather(cls, dim: int, masses: Iterable[tuple[tuple[int, ...], Surd]], den: int = 1) -> "Measure":

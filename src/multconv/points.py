@@ -2,7 +2,7 @@
 
 A ray is the exact stand-in for a unit direction: two rational points on
 the same open half-line map to the same primitive integer vector, and the
-irrational normalisation lives in the measure weights instead.
+irrational normalisation is left to the sphere measure's weight coding.
 """
 
 from __future__ import annotations
@@ -69,12 +69,6 @@ def inner(x: Point, y: Point) -> Fraction:
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
     return sum((a * b for a, b in zip(x, y)), Fraction(0))
-
-
-def clear_denominators(x: Point) -> tuple[int, tuple[int, ...]]:
-    """The least positive integer ``s`` with ``s * x`` integral, and ``s * x``."""
-    scale = math.lcm(*(c.denominator for c in x))
-    return scale, tuple(c.numerator * (scale // c.denominator) for c in x)
 
 
 # -- integer-ray counterparts ------------------------------------------------

@@ -1,15 +1,18 @@
 """Atomic measures on the unit sphere, keyed by primitive integer rays.
 
-An atom stored at ray ``d`` with weight ``w`` represents mass ``w`` at the
-unit vector ``d/|d|``; all radial normalisations are absorbed into surd
-weights, so locations compare exactly.  That convention lives here alone,
-in the two hooks of the setting: :meth:`SphereMeasure.masses` reads each
-atom as the point mass ``w/|d|`` at the integer vector ``d``, and
-:meth:`SphereMeasure._gather` pushes point masses at integer vectors
-radially back to the sphere, one root per ray.  The radial projection from
-point measures, the induced product on the sphere (``measures._products``
-on the masses), the coordinate-subsphere projections and the probe witness
-are each one gather.
+An atom of weight ``w`` at the unit vector ``d/|d|``, for a primitive
+integer ray ``d``, is stored in mass form: as the point mass ``m = w/|d|``
+at the integer vector ``d``, which the radial projection carries to weight
+``m * |d| = w``.  Locations compare exactly, and since ``|d|`` is a
+positive constant per ray, signs, zero tests and sums per ray read the
+masses as they are.  The sphere algebra takes no square root: ``masses``
+is the stored atoms, and :meth:`SphereMeasure._gather` pushes point
+masses at integer vectors radially back to the sphere by their gcds
+alone.  The radial projection
+from point measures, the induced product on the sphere
+(``measures._products`` on the masses), the coordinate-subsphere
+projections and the probe witness are each one gather.  Weights meet
+``|d|`` only at the public surface, through the setting's weight coding.
 
 ``moment_g`` at the bottom is the single floating-point surface of the
 package: a numerical diagnostic that never feeds an exact decision.
@@ -37,9 +40,15 @@ class SphereMeasure(AtomicMeasure):
     def _decode(self, v: Ray) -> Ray:
         return v
 
-    def masses(self) -> list[tuple[Ray, Surd]]:
-        """Each atom as the point mass ``w/|d|`` at its integer ray ``d``."""
-        return [(d, w * Surd.sqrt(Fraction(1, ray_norm_sq(d)))) for d, w in self._atoms.items()]
+    @staticmethod
+    def _encode_weight(d: Ray, w: Surd) -> Surd:
+        """The mass ``w/|d|`` of weight ``w`` at the ray ``d``."""
+        return w * Surd.sqrt(Fraction(1, ray_norm_sq(d)))
+
+    @staticmethod
+    def _decode_weight(d: Ray, m: Surd) -> Surd:
+        """The weight ``m*|d|`` of mass ``m`` at the ray ``d``."""
+        return m * Surd.sqrt(ray_norm_sq(d))
 
     @classmethod
     def _gather(
@@ -47,11 +56,11 @@ class SphereMeasure(AtomicMeasure):
     ) -> "SphereMeasure":
         """Push point masses at the vectors ``v / den`` radially to the sphere.
 
-        Mass ``m`` at a nonzero vector ``v`` adds ``m * |v|`` at ``v`` divided
-        by its gcd ``g``, the primitive ray ``r`` through ``v``; mass at the
-        origin is dropped.  As ``|v| = g * |r|``, the sums of ``m * g``
-        accumulate per ray and take the root ``|r|`` (and the scale
-        ``1/den``) once, at the end.
+        Mass ``m`` at a nonzero vector ``v`` adds weight ``m * |v|`` at ``v``
+        divided by its gcd ``g``, the primitive ray ``r`` through ``v``; mass
+        at the origin is dropped.  As ``|v| = g * |r|``, that is the mass
+        ``m * g`` at ``r``: the sums of ``m * g`` accumulate per ray, take
+        the scale ``1/den`` once, and are stored as they are, with no root.
         """
         acc: dict[Ray, Surd] = {}
         for v, m in masses:
@@ -68,7 +77,7 @@ class SphereMeasure(AtomicMeasure):
         if den != 1:
             inverse = Surd(Fraction(1, den))
             acc = {r: s * inverse for r, s in acc.items()}
-        return cls._of(dim, {r: s * Surd.sqrt(ray_norm_sq(r)) for r, s in acc.items() if s})
+        return cls._of(dim, acc)
 
 
 def radial_project(mu: AtomicMeasure) -> SphereMeasure:
@@ -116,11 +125,11 @@ def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:
         raise ValueError(f"atom at {mu._loc_field} {mu._decode(bad[0])} is not of full order")
     sphere = isinstance(mu, SphereMeasure)
     total = 0.0
-    for v, w in mu._atoms.items():
+    for v, m in mu._atoms.items():
         # the location of a stored key ``v`` is ``v / _den``
         norm = ray_norm_sq(v) ** 0.5 if sphere else mu._den
         prod = 1.0
         for c, a in zip(v, alpha):
             prod *= (abs(float(c)) / norm) ** a
-        total += float(w) * prod
+        total += float(mu._decode_weight(v, m)) * prod
     return total

@@ -18,11 +18,12 @@ encoded once per decision by its nonzero and negative coordinate masks,
 its absolute coordinates as integers over one common denominator, and its
 weight; the classes on E group the atoms nonzero on all of E by their
 absolute coordinates there, a location scaled by one number.  Atoms are
-read through the setting's ``masses``: on the sphere an atom is the point
-mass ``w/|r|`` at the integer ray ``r`` (scale 1), which the projection
-gathers back with the norm of the projected ray; scaling each class
-member by the gcd of its coordinates on E leaves only the class's common
-norm, which drops out of the zero test.
+read through the setting's ``masses``: on the sphere an atom is its
+stored point mass ``w/|r|`` at the integer ray ``r`` (scale 1), and the
+projection onto E gathers it at the primitive ray through its
+coordinates there; scaling each class member by the gcd of those
+coordinates puts every member at one ray, whose norm, common to the
+class, never enters the zero test.
 
 On a negative decision the counterexample is proved by its factors: it is
 either the parity basis measure of J (convolved with the whole measure to
@@ -177,9 +178,10 @@ def _code(nu: AtomicMeasure) -> _Code:
 
     Atoms are read through the setting's ``masses``, at integer vectors
     over one common denominator: a point atom at its stored key, scaled by
-    the measure's least common denominator, and a sphere atom as the point
-    mass ``w/|r|`` at the integer ray ``r``.  So absolute coordinates are
-    integers, equal exactly when the locations' are.
+    the measure's least common denominator, and a sphere atom as its
+    stored point mass ``w/|r|`` at the integer ray ``r``, with no root.  So
+    absolute coordinates are integers, equal exactly when the locations'
+    are.
     """
     code: _Code = []
     for loc, w in nu.masses():
@@ -198,9 +200,10 @@ def _classes(code: _Code, e: SubsetMask, sphere: bool) -> list[list[tuple[int, S
     """The top-order part of the projection onto ``e``, grouped.
 
     Atoms nonzero on all of ``e`` sharing their absolute coordinates there
-    form a class; each member keeps its negative mask and its weight.  On
-    the sphere the key is divided by its gcd g, the member's projected ray
-    is g times the class's primitive ray, and the weight scales by g.
+    form a class; each member keeps its negative mask and its mass.  On
+    the sphere the key is divided by its gcd g: the member's projected
+    vector is g times the class's primitive ray, so its mass there is g
+    times its own, as in the sphere's ``_gather``.
     """
     bits = e.bits
     on_e = [i for i in range(e.dim) if bits >> i & 1]

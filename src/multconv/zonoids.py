@@ -104,11 +104,13 @@ def k_transform_direct(nu_k: SphereMeasure, mu: SphereMeasure, u: Iterable) -> S
     u = make_point(u)
     if len(u) != mu.dim or nu_k.dim != mu.dim:
         raise ValueError("dimension mismatch")
+    # the decoded weights: this route re-derives the norm convention itself
+    kernel = nu_k.atoms.items()
     total = Surd(0)
-    for d, wd in mu._atoms.items():
+    for d, wd in mu.atoms.items():
         scaled = tuple(Fraction(c) * x for c, x in zip(d, u))
         nd = ray_norm_sq(d)
-        for e, we in nu_k._atoms.items():
+        for e, we in kernel:
             ip = inner(tuple(Fraction(c) for c in e), scaled)
             total = total + wd * we * abs(ip) * Surd.sqrt(Fraction(1, nd * ray_norm_sq(e)))
     return total

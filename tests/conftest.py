@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from multconv.measures import Measure
+from multconv.points import ray_norm_sq
 from multconv.scalars import Surd
+from multconv.sphere import SphereMeasure
 
 
 def _check_trusted(results: dict) -> None:
@@ -23,6 +25,12 @@ def _check_trusted(results: dict) -> None:
             # ``type(c) is`` rather than ``==``: an int key equals its Fraction
             assert len(loc) == r.dim and all(type(c) is coord for c in loc), (name, loc)
             assert type(r)._key(loc) == loc, (name, loc)
+        if isinstance(r, SphereMeasure):
+            # mass form: the stored value at a ray is the point mass w/|r|,
+            # the masses are the atoms as stored, and the weight is m*|r|
+            assert list(r.masses()) == list(r._atoms.items()), name
+            for ray, w in r.atoms.items():
+                assert w == r._atoms[ray] * Surd.sqrt(ray_norm_sq(ray)), (name, ray)
 
 
 @pytest.fixture

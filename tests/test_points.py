@@ -1,10 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from multconv.points import (
-    clear_denominators,
     hadamard,
     inner,
     make_point,
@@ -30,14 +30,20 @@ def F(*values):
     return make_point(values)
 
 
+def _cleared(x):
+    """The least positive integer ``s`` with ``s * x`` integral, and ``s * x``."""
+    scale = math.lcm(*(c.denominator for c in x))
+    return scale, tuple(c.numerator * (scale // c.denominator) for c in x)
+
+
 def ray_through(x):
     """The primitive integer ray through a rational point."""
-    return primitive_ray(clear_denominators(x)[1])
+    return primitive_ray(_cleared(x)[1])
 
 
 def norm(x):
     """The exact Euclidean norm of a rational point, through its integer ray."""
-    scale, ints = clear_denominators(x)
+    scale, ints = _cleared(x)
     return Surd.sqrt(ray_norm_sq(ints)) * Fraction(1, scale)
 
 

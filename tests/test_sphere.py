@@ -1,15 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from multconv.harness import gen_measure, gen_pair, gen_sphere_measure
-from multconv.lifting import lift
+from multconv.lifting import lift, lift_inverse
 from multconv.measures import Measure, mconv, msym, munc, phat, symmetrize, tensor, unc_inverse
 from multconv.points import primitive_ray
 from multconv.scalars import Surd
 from multconv.sphere import SphereMeasure, moment_g, radial_project, sconv
 from multconv.subsets import GeneratingPair, SubsetMask, all_subsets
+from multconv.universality import _probe_product, decide_universal_sphere
 from multconv.zonoids import Zonotope, generating_measure
 
 F = Fraction
@@ -452,3 +454,161 @@ def test_sphere_measure_refuses_non_integral_ray():
     with pytest.raises(ValueError, match="3/2"):
         SphereMeasure(2, {(F(3, 2), 1): 1})
     assert SphereMeasure(2, {(F(3), 6): 1}) == SphereMeasure(2, {(1, 2): 1})
+
+
+# -- mass form: no root inside the sphere algebra ------------------------------
+
+
+def test_sphere_algebra_takes_no_square_root(monkeypatch):
+    mu, sigma = _reference_inputs(7, 3)
+    nu, tau = _reference_inputs(8, 3)
+    lifted = lift(gen_measure(9, 2, 6))
+    pair = GeneratingPair.make(3, evens=[SubsetMask.full(3)], odds=[SubsetMask.single(3, 2)])
+    e = SubsetMask.from_indices(3, [1, 3])
+    j = SubsetMask.single(3, 3)
+    support = [f for f in all_subsets(3) if f.size]
+    calls = []
+    root = Surd.sqrt
+
+    def counted(cls, value, **kwargs):
+        calls.append(value)
+        return root(value, **kwargs)
+
+    monkeypatch.setattr(Surd, "sqrt", classmethod(counted))
+    sconv(mu, nu)
+    sconv(sigma, tau)
+    sconv(mu, tau)
+    radial_project(mu)
+    sigma.project(e)
+    lift(mu)
+    lift_inverse(lifted)
+    symmetrize(sigma, pair)
+    _probe_product(e, j, SphereMeasure)
+    decide_universal_sphere(sigma, support, pair)
+    assert calls == []
+    # the roots are taken where weights are read
+    sconv(sigma, tau).to_json()
+    assert calls
+
+
+def _primes(count):
+    out, k = [], 2
+    while len(out) < count:
+        if all(k % p for p in out):
+            out.append(k)
+        k += 1
+    return out
+
+
+_IRRATIONAL_WEIGHTS = (Surd.sqrt(2), 1 + Surd.sqrt(3), Surd.sqrt(F(5, 7)) - F(1, 3), Surd(F(-4, 5)))
+
+
+def _distinct_inputs(seed, n, count=4):
+    """A point and a sphere measure of ``count`` atoms each, and their
+    ``count``-atom partners, no two coordinates equal up to sign: each is
+    a distinct prime, over one denominator up to 7 per point.  (Per
+    coordinate, the lcm of the denominators makes ray norms too large to
+    factor for a root at n = 4.)"""
+    rng = random.Random(seed)
+    primes = iter(_primes(4 * n * count))
+    sign = lambda: rng.choice((1, -1))
+    weight = lambda: rng.choice(_IRRATIONAL_WEIGHTS + (Surd(rng.randint(1, 9)), Surd(F(-1, rng.randint(2, 9)))))
+
+    def point():
+        q = rng.randint(1, 7)
+        return tuple(F(sign() * next(primes), q) for _ in range(n))
+
+    def ray():
+        return tuple(sign() * next(primes) for _ in range(n))
+
+    return (
+        Measure(n, {point(): weight() for _ in range(count)}),
+        SphereMeasure(n, {ray(): weight() for _ in range(count)}),
+        Measure(n, {point(): weight() for _ in range(count)}),
+        SphereMeasure(n, {ray(): weight() for _ in range(count)}),
+    )
+
+
+def _pairwise_sconv(a, b):
+    """Each pair's mass pushed to the ray of its product with its own root:
+    weight ``wa * wb * |x*y| / (N(x) N(y))``, where ``N`` is 1 at a point and
+    the norm of a ray, read from the decoded weights."""
+    def atoms(mu):
+        if isinstance(mu, SphereMeasure):
+            return [(loc, w, _norm_sq(loc)) for loc, w in mu.atoms.items()]
+        return [(loc, w, 1) for loc, w in mu.atoms.items()]
+
+    acc = {}
+    for x, wx, nx in atoms(a):
+        for y, wy, ny in atoms(b):
+            prod = [p * q for p, q in zip(x, y)]
+            scale = math.lcm(*(F(c).denominator for c in prod))
+            ray = primitive_ray([int(c * scale) for c in prod])
+            root = Surd.sqrt(_norm_sq(prod)) * Surd.sqrt(F(1, nx)) * Surd.sqrt(F(1, ny))
+            acc[ray] = acc.get(ray, Surd(0)) + wx * wy * root
+    return SphereMeasure(a.dim, acc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sphere_layer_matches_pairwise_roots_on_distinct_values(n, assert_trusted):
+    for seed in range(3):
+        mu, sigma, nu, tau = _distinct_inputs(100 * n + seed, n)
+        assert radial_project(mu) == _reference_radial(mu)
+        assert radial_project(nu) == _reference_radial(nu)
+        results = {}
+        for name, a, b in (("points", mu, nu), ("sphere", sigma, tau), ("mixed", mu, tau), ("mixed-r", sigma, nu)):
+            results[name] = got = sconv(a, b)
+            assert got == _pairwise_sconv(a, b), (seed, name)
+        results["radial"] = radial_project(mu)
+        assert_trusted(results)
+
+
+def _irrational_sphere():
+    """Weights ``sqrt(2)`` at (1, 1), and ``1 + sqrt(3)`` merged from two
+    rays through (2, -3), among others: the input as given and merged."""
+    given = [
+        ((1, 1), Surd.sqrt(2)),
+        ((2, -3), Surd(1)),
+        ((4, -6), Surd.sqrt(3)),
+        ((-1, 5), Surd.sqrt(F(5, 7)) - F(1, 3)),
+        ((0, -7), Surd(F(-4, 5))),
+    ]
+    merged = {(1, 1): Surd.sqrt(2), (2, -3): 1 + Surd.sqrt(3), (-1, 5): given[3][1], (0, -1): given[4][1]}
+    return SphereMeasure(2, given), merged
+
+
+def test_irrational_weights_read_back_through_the_surface(assert_trusted):
+    mu, weights = _irrational_sphere()
+    assert dict(mu.atoms) == weights
+    for ray, w in weights.items():
+        assert mu.weight_at(ray) == w
+        assert mu.weight_at(tuple(3 * c for c in ray)) == w
+        # stored in mass form
+        assert mu._atoms[ray] * Surd.sqrt(_norm_sq(ray)) == w
+    assert mu.weight_at((1, 2)) == Surd(0)
+    data = mu.to_json()
+    assert data["atoms"] == [
+        {"ray": [str(c) for c in r], "weight": weights[r].to_json()} for r in sorted(weights)
+    ]
+    back = SphereMeasure.from_json(data)
+    assert back == mu and back.to_json() == data
+    total = Surd(0)
+    tv = Surd(0)
+    for w in weights.values():
+        total = total + w
+        tv = tv + abs(w)
+    assert mu.total_mass() == total
+    assert mu.tv_norm() == tv
+    pos, neg = mu.jordan()
+    assert dict(pos.atoms) == {r: w for r, w in weights.items() if w.sign() > 0}
+    assert dict(neg.atoms) == {r: -w for r, w in weights.items() if w.sign() < 0}
+    assert pos - neg == mu
+    top = mu.restrict_order(SubsetMask.full(2))
+    alpha = [0.3, 0.5]
+    expected = sum(
+        float(w) * (abs(r[0]) / _norm_sq(r) ** 0.5) ** alpha[0] * (abs(r[1]) / _norm_sq(r) ** 0.5) ** alpha[1]
+        for r, w in weights.items()
+        if all(r)
+    )
+    assert moment_g(top, alpha) == pytest.approx(expected)
+    assert_trusted({"given": mu, "jordan+": pos, "jordan-": neg, "json": back, "top": top})
