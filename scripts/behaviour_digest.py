@@ -21,7 +21,11 @@ output:
   on families one member away from them, and ``j_dual``;
 - ``algebra``: on point measures, ``mconv`` (its atoms in insertion order
   too), ``tensor``, ``project``, ``restrict_order``, ``symmetrize`` by
-  seeded, dependent and improper pairs, ``msym`` and ``munc``.
+  seeded, dependent and improper pairs, ``msym`` and ``munc``;
+- ``linear``: on point and sphere measures, ``+`` and ``-`` (their atoms
+  in insertion order too), sums that cancel on some or all atoms, scalar
+  ``*`` by rational, irrational and zero factors, ``jordan`` and
+  ``sign_density`` at every index set.
 
 The cli requests run in-process in a temporary directory, with relative
 file names, so the output does not depend on where that directory is.
@@ -45,6 +49,7 @@ from fractions import Fraction
 from multconv import (
     GeneratingPair,
     SubsetMask,
+    Surd,
     all_subsets,
     decide_special,
     decide_universal_rn,
@@ -205,6 +210,40 @@ def algebra(group: Group, n: int) -> None:
         group.add(label + ["munc", munc(m).to_json()])
 
 
+def linear(group: Group, n: int) -> None:
+    for seed in range(SEEDS):
+        a = gen_measure(seed + 3000, n, 1 + seed % 6)
+        b = gen_measure(seed + 3500, n, 1 + (seed + 2) % 5)
+        e = gen_mask(seed, n)
+        settings = (
+            ("point", a, b),
+            ("radial", radial_project(a), radial_project(b)),
+            ("sphere", gen_sphere_measure(seed + 4000, n, 1 + seed % 6),
+             gen_sphere_measure(seed + 4500, n, 1 + (seed + 2) % 5)),
+        )
+        for setting, x, y in settings:
+            pos, neg = x.jordan()
+            results = (
+                ("add", x + y),
+                ("sub", x - y),
+                # cancel on every atom of x that y lacks, and on all of x
+                ("cancel", x + (y - x)),
+                ("cancel-all", (x + y) - (y + x)),
+                # cancel on the atoms of zero pattern e
+                ("cancel-order", x - x.restrict_order(e)),
+                ("mul", x * Fraction(-3, 2)),
+                ("mul-surd", Surd.sqrt(2) * x),
+                ("mul-zero", x * 0),
+                ("jordan+", pos),
+                ("jordan-", neg),
+            )
+            label = [n, seed, setting]
+            for name, mu in results:
+                group.add(label + [name, [[str(c) for c in loc] for loc in mu.atoms], mu.to_json()])
+            for j in all_subsets(n):
+                group.add(label + ["sign_density", j.to_json(), x.sign_density(j).to_json()])
+
+
 def subset_arg(mask: SubsetMask) -> str:
     return ",".join(str(i) for i in mask.indices()) or "0"
 
@@ -331,7 +370,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-dim", type=int, default=3)
     max_dim = parser.parse_args().max_dim
-    names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra")
+    names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra", "linear")
     groups = {name: Group() for name in names}
     for n in range(1, max_dim + 1):
         decisions(groups["decisions"], n)
@@ -340,6 +379,7 @@ def main():
         cli((groups["cli"], groups["cli-malformed"]), n)
         reflection_groups(groups["groups"], n)
         algebra(groups["algebra"], n)
+        linear(groups["linear"], n)
     for name in names:
         print(f"{name} {groups[name].count} {groups[name].hash.hexdigest()}")
 

@@ -16,15 +16,12 @@ from .subsets import (
     lift_set,
     restrict_pair,
     subsets_of,
-    symdiff,
 )
 from .points import (
     Point,
     Ray,
-    hadamard,
     inner,
     make_point,
-    project_point,
     reflect_point,
     zero_pattern,
 )

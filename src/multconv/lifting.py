@@ -51,7 +51,7 @@ def lift_inverse(mu: SphereMeasure) -> Measure:
             raise ValueError(f"atom at ray {ray} sits on the equator of the lifted coordinate")
     if not mu.is_even_under(SubsetMask.full(mu.dim)):
         raise ValueError("measure is not origin-symmetric")
-    kept = [(r, m) for r, m in mu.masses() if r[0] > 0]
+    kept = [(r, m) for r, m in mu._atoms.items() if r[0] > 0]
     # the point ``r[1:] / r[0]``, over the common denominator of the kept rays
     den = math.lcm(*[r[0] for r, _ in kept])
     return Measure._gather(

@@ -8,9 +8,9 @@ symmetrisation operators they induce, the signed atomic basis measures of
 the symmetry decomposition, and the alternating projection sum used as a
 top-order criterion.  The parity basis measures, the alternating top-order
 probe and their product are signed grids, all built by one product
-builder, ``_parity_grid``.  Every pushforward reads the stored point
-masses through ``masses`` and sums them per location through a setting's
-``_gather``; the product kernel ``_products`` under
+builder, ``_parity_grid``.  Every pushforward, and the sum of two
+measures, moves the stored point masses and sums them per location through
+a setting's one hook, ``_gather``; the product kernel ``_products`` under
 ``mconv`` and the sphere product is a double loop over integer vectors;
 each symmetrisation factor ``(I +- T_F)/2`` is one pass.
 
@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import mul
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .points import Point, make_point, reflect_point, zero_pattern
 from .scalars import HALF, Surd, SurdLike, as_surd
@@ -42,8 +42,6 @@ from .subsets import (
 if TYPE_CHECKING:  # typing.Self is new in Python 3.11
     from typing import Self
 
-ScalarLike = Union[int, Fraction, Surd]
-
 
 def _scaled(loc: Iterable, den: int) -> tuple[int, ...]:
     """The integer vector ``loc * den``; every coordinate's denominator divides ``den``."""
@@ -58,7 +56,8 @@ class AtomicMeasure:
     (and checks it), ``_loc_field`` names it in JSON, ``_decode`` turns a
     stored key back into a location; the weight coding through the pair
     ``_encode_weight`` and ``_decode_weight``; and its pushforward through
-    the trusted ``_gather``, which sums point masses per location.
+    the trusted ``_gather``, which sums point masses per location: the one
+    hook that every projection, product and sum ends in.
 
     Every atom is stored at a tuple of ints ``v`` in ``_atoms``, and one
     denominator ``_den`` per measure scales them all: the location of ``v``
@@ -163,11 +162,6 @@ class AtomicMeasure:
         m = self._atoms.get(v)
         return Surd(0) if m is None else self._decode_weight(v, m)
 
-    def masses(self) -> Iterable[tuple[tuple[int, ...], Surd]]:
-        """The atoms as stored: the point mass at each integer key, over the
-        denominator ``_den``."""
-        return self._atoms.items()
-
     def atom_count(self) -> int:
         return len(self._atoms)
 
@@ -194,11 +188,7 @@ class AtomicMeasure:
     def __add__(self, other: Self) -> Self:
         self._check(other)
         den = math.lcm(self._den, other._den)
-        acc = dict(self._over(den))
-        for v, w in other._over(den):
-            prev = acc.get(v)
-            acc[v] = w if prev is None else prev + w
-        return self._of(self.dim, acc, den)
+        return self._gather(self.dim, chain(self._over(den), other._over(den)), den)
 
     def __sub__(self, other: Self) -> Self:
         return self + (-other)
@@ -206,7 +196,7 @@ class AtomicMeasure:
     def __neg__(self) -> Self:
         return self._of(self.dim, {v: -w for v, w in self._atoms.items()}, self._den)
 
-    def __mul__(self, scalar: ScalarLike) -> Self:
+    def __mul__(self, scalar: SurdLike) -> Self:
         c = as_surd(scalar)
         if c is NotImplemented:
             return NotImplemented
@@ -268,7 +258,7 @@ class AtomicMeasure:
         mass moves to its location with the coordinates off ``e`` zeroed."""
         self._check_mask(e)
         keep = [e.bits >> i & 1 for i in range(self.dim)]
-        moved = ((tuple([c if k else 0 for c, k in zip(v, keep)]), m) for v, m in self.masses())
+        moved = ((tuple([c if k else 0 for c, k in zip(v, keep)]), m) for v, m in self._atoms.items())
         return self._gather(self.dim, moved, self._den)
 
     def reflect(self, f: SubsetMask) -> Self:
@@ -292,21 +282,9 @@ class AtomicMeasure:
         A ray and its unit vector share signs, so this is exact on the sphere.
         """
         self._check_mask(j)
-        acc: dict[tuple, Surd] = {}
-        for loc, w in self._atoms.items():
-            s = 1
-            for i in range(self.dim):
-                if j.bits >> i & 1:
-                    c = loc[i]
-                    if c == 0:
-                        s = 0
-                        break
-                    if c < 0:
-                        s = -s
-            if s == 1:
-                acc[loc] = w
-            elif s == -1:
-                acc[loc] = -w
+        on_j = [i for i in range(self.dim) if j.bits >> i & 1]
+        acc = {v: -w if sum([v[i] < 0 for i in on_j]) & 1 else w
+               for v, w in self._atoms.items() if all([v[i] for i in on_j])}
         return self._of(self.dim, acc, self._den)
 
     # -- coordinate decomposition ----------------------------------------------
@@ -435,7 +413,7 @@ def mconv(a: Measure, b: Measure) -> Measure:
     """Pushforward of the product measure under the componentwise product."""
     a._check(b)
     _check_points(a)
-    return Measure._of(a.dim, _products(a.masses(), b.masses()), a._den * b._den)
+    return Measure._of(a.dim, _products(a._atoms.items(), b._atoms.items()), a._den * b._den)
 
 
 def tensor(a: Measure, b: Measure) -> Measure:

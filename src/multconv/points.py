@@ -1,8 +1,8 @@
-"""Rational points of R^n and primitive integer rays.
+"""Location parsing and integer-vector helpers.
 
-A ray is the exact stand-in for a unit direction: two rational points on
-the same open half-line map to the same primitive integer vector, and the
-irrational normalisation is left to the sphere measure's weight coding.
+``make_point`` reads a rational point of R^n and ``primitive_ray`` a
+primitive integer ray, the exact stand-in for a unit direction; the
+helpers act alike on ``Fraction`` points and the integer keys of measures.
 """
 
 from __future__ import annotations
@@ -37,23 +37,10 @@ def make_point(coords: Iterable) -> Point:
     return tuple(_coerce_rational(c) for c in values)
 
 
-def hadamard(x: Point, y: Point) -> Point:
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return tuple(a * b for a, b in zip(x, y))
-
-
 def reflect_point(x: Point, f: SubsetMask) -> Point:
     if len(x) != f.dim:
         raise ValueError(f"dimension mismatch: {len(x)} vs {f.dim}")
     return tuple(-c if f.bits >> i & 1 else c for i, c in enumerate(x))
-
-
-def project_point(x: Point, e: SubsetMask) -> Point:
-    if len(x) != e.dim:
-        raise ValueError(f"dimension mismatch: {len(x)} vs {e.dim}")
-    zero = Fraction(0)
-    return tuple(c if e.bits >> i & 1 else zero for i, c in enumerate(x))
 
 
 def zero_pattern(x: Point) -> SubsetMask:

@@ -26,23 +26,25 @@ class FactorLimitError(ValueError):
 
 
 @functools.lru_cache(maxsize=1 << 12, typed=True)
-def square_free_decompose(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, int]:
+def square_free_decompose(m: int) -> tuple[int, int]:
     """Split ``m >= 1`` as ``k**2 * f`` with ``f`` square-free.
 
-    Uses trial division.  Raises :class:`FactorLimitError` when a divisor
-    beyond ``bound`` would be required to certify the result.  Results are
-    memoised: square roots recur on a handful of distinct norms.  A raised
-    error is not cached, so it is raised again on every call.
+    Trial division to the cube root leaves a cofactor 1, ``p``, ``p**2``
+    or ``p*q``, which ``math.isqrt`` tells apart.  Raises
+    :class:`FactorLimitError` when a divisor beyond ``DEFAULT_FACTOR_BOUND``
+    would be needed (a cofactor above its cube).  Results are memoised:
+    square roots recur on a handful of distinct norms.  A raised error is
+    not cached, so it is raised again on every call.
     """
     if m < 1:
         raise ValueError(f"expected a positive integer, got {m}")
     square = 1
     free = 1
     d = 2
-    while d * d <= m:
-        if d > bound:
+    while d * d * d <= m:
+        if d > DEFAULT_FACTOR_BOUND:
             raise FactorLimitError(
-                f"radicand {m} exceeds the trial-division bound {bound}"
+                f"radicand {m} exceeds the trial-division bound {DEFAULT_FACTOR_BOUND}"
             )
         if m % d == 0:
             e = 0
@@ -53,7 +55,10 @@ def square_free_decompose(m: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[in
             if e % 2:
                 free *= d
         d += 1 if d == 2 else 2
-    # the leftover cofactor is 1 or prime
+    # no prime below d divides the cofactor, and it is below d**3
+    root = math.isqrt(m)
+    if root * root == m:
+        return square * root, free
     return square, free * m
 
 
@@ -111,10 +116,6 @@ class Surd:
         self._terms = ((1, value.numerator, value.denominator),) if value else ()
 
     @classmethod
-    def _from_map(cls, terms: dict[int, Fraction]) -> "Surd":
-        return cls._of(_canonical({r: (c.numerator, c.denominator) for r, c in terms.items()}))
-
-    @classmethod
     def _of(cls, terms: tuple[tuple[int, int, int], ...]) -> "Surd":
         # trusted: ``terms`` is already in canonical form
         out = cls.__new__(cls)
@@ -122,7 +123,7 @@ class Surd:
         return out
 
     @classmethod
-    def sqrt(cls, value: RationalLike, *, factor_bound: int = DEFAULT_FACTOR_BOUND) -> "Surd":
+    def sqrt(cls, value: RationalLike) -> "Surd":
         """Exact square root of a non-negative rational."""
         if type(value) is bool or not isinstance(value, (int, Fraction)):
             value = _coerce_rational(value)
@@ -132,7 +133,7 @@ class Surd:
             return cls(0)
         # sqrt(a/b) = sqrt(a*b)/b = (k/b) * sqrt(f)  with  a*b = k^2 * f
         a, b = value.numerator, value.denominator
-        k, f = square_free_decompose(a * b, factor_bound)
+        k, f = square_free_decompose(a * b)
         g = math.gcd(k, b)
         return cls._of(((f, k // g, b // g),))
 
@@ -291,7 +292,7 @@ class Surd:
 
     @classmethod
     def from_json(cls, data) -> "Surd":
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, tuple[int, int]] = {}
         for coeff, r in data:
             # a bool is an int to Python, and a float would be truncated
             if isinstance(coeff, bool):
@@ -303,8 +304,9 @@ class Surd:
             _, free = square_free_decompose(r)
             if free != r:
                 raise ValueError(f"radicand {r} is not square-free")
-            acc[r] = acc.get(r, Fraction(0)) + _coerce_rational(coeff)
-        return cls._from_map(acc)
+            c = _coerce_rational(coeff)
+            _accumulate(acc, r, c.numerator, c.denominator)
+        return cls._of(_canonical(acc))
 
     def __repr__(self) -> str:
         return f"Surd({str(self)!r})"

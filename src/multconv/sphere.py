@@ -5,14 +5,13 @@ integer ray ``d``, is stored in mass form: as the point mass ``m = w/|d|``
 at the integer vector ``d``, which the radial projection carries to weight
 ``m * |d| = w``.  Locations compare exactly, and since ``|d|`` is a
 positive constant per ray, signs, zero tests and sums per ray read the
-masses as they are.  The sphere algebra takes no square root: ``masses``
-is the stored atoms, and :meth:`SphereMeasure._gather` pushes point
-masses at integer vectors radially back to the sphere by their gcds
-alone.  The radial projection
-from point measures, the induced product on the sphere
-(``measures._products`` on the masses), the coordinate-subsphere
-projections and the probe witness are each one gather.  Weights meet
-``|d|`` only at the public surface, through the setting's weight coding.
+masses as they are.  The sphere algebra takes no square root:
+:meth:`SphereMeasure._gather` pushes point masses at integer vectors
+radially back to the sphere by their gcds alone.  The radial projection
+from point measures, the induced product on the sphere (``_products`` on
+the stored masses), the coordinate-subsphere projections, sums and the
+probe witness are each one gather.  Weights meet ``|d|`` only at the
+public surface, through the setting's weight coding.
 
 ``moment_g`` at the bottom is the single floating-point surface of the
 package: a numerical diagnostic that never feeds an exact decision.
@@ -89,7 +88,7 @@ def radial_project(mu: AtomicMeasure) -> SphereMeasure:
     """
     if isinstance(mu, SphereMeasure):
         return mu
-    return SphereMeasure._gather(mu.dim, mu.masses(), mu._den)
+    return SphereMeasure._gather(mu.dim, mu._atoms.items(), mu._den)
 
 
 def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
@@ -101,7 +100,7 @@ def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
     sa = radial_project(a)
     sb = radial_project(b)
     sa._check(sb)
-    return SphereMeasure._gather(sa.dim, _products(sa.masses(), sb.masses()).items())
+    return SphereMeasure._gather(sa.dim, _products(sa._atoms.items(), sb._atoms.items()).items())
 
 
 def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:

@@ -48,9 +48,12 @@ class SubsetMask:
     def from_indices(cls, dim: int, indices: Iterable[int]) -> "SubsetMask":
         bits = 0
         for i in indices:
-            if not 1 <= int(i) <= dim:
+            # int() would truncate 1.9 and parse "2"; a bool is an int to Python
+            if not isinstance(i, int) or isinstance(i, bool):
+                raise ValueError(f"index must be an integer, got {i!r}")
+            if not 1 <= i <= dim:
                 raise ValueError(f"index {i} outside 1..{dim}")
-            bits |= 1 << (int(i) - 1)
+            bits |= 1 << (i - 1)
         return cls(bits, dim)
 
     @property
@@ -97,11 +100,6 @@ def json_dim(data: dict) -> int:
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise ValueError(f"field 'dim' must be an integer, got {dim!r}")
     return dim
-
-
-def symdiff(a: SubsetMask, b: SubsetMask) -> SubsetMask:
-    """Symmetric difference (the Boolean group operation)."""
-    return a ^ b
 
 
 def all_subsets(dim: int) -> Iterator[SubsetMask]:

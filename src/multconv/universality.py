@@ -18,12 +18,11 @@ encoded once per decision by its nonzero and negative coordinate masks,
 its absolute coordinates as integers over one common denominator, and its
 weight; the classes on E group the atoms nonzero on all of E by their
 absolute coordinates there, a location scaled by one number.  Atoms are
-read through the setting's ``masses``: on the sphere an atom is its
-stored point mass ``w/|r|`` at the integer ray ``r`` (scale 1), and the
-projection onto E gathers it at the primitive ray through its
-coordinates there; scaling each class member by the gcd of those
-coordinates puts every member at one ray, whose norm, common to the
-class, never enters the zero test.
+read as stored: on the sphere an atom is its stored point mass ``w/|r|``
+at the integer ray ``r`` (scale 1), and the projection onto E gathers it
+at the primitive ray through its coordinates there; scaling each class
+member by the gcd of those coordinates puts every member at one ray,
+whose norm, common to the class, never enters the zero test.
 
 On a negative decision the counterexample is proved by its factors: it is
 either the parity basis measure of J (convolved with the whole measure to
@@ -176,15 +175,14 @@ _Code = list[tuple[int, int, tuple[int, ...], Surd]]
 def _code(nu: AtomicMeasure) -> _Code:
     """Encode every atom of ``nu`` once.
 
-    Atoms are read through the setting's ``masses``, at integer vectors
-    over one common denominator: a point atom at its stored key, scaled by
-    the measure's least common denominator, and a sphere atom as its
-    stored point mass ``w/|r|`` at the integer ray ``r``, with no root.  So
-    absolute coordinates are integers, equal exactly when the locations'
-    are.
+    Atoms are read as stored, at integer vectors over one common
+    denominator: a point atom at its stored key, scaled by the measure's
+    least common denominator, and a sphere atom as its stored point mass
+    ``w/|r|`` at the integer ray ``r``, with no root.  So absolute
+    coordinates are integers, equal exactly when the locations' are.
     """
     code: _Code = []
-    for loc, w in nu.masses():
+    for loc, w in nu._atoms.items():
         nonzero = negative = 0
         for i, c in enumerate(loc):
             if c:

@@ -81,7 +81,7 @@ def support_function(nu: SphereMeasure, u: Iterable) -> Surd:
     if len(u) != nu.dim:
         raise ValueError(f"dimension mismatch: {len(u)} vs {nu.dim}")
     total = Surd(0)
-    for ray, m in nu.masses():
+    for ray, m in nu._atoms.items():
         total = total + m * abs(inner(ray, u))
     return total
 

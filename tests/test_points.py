@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multconv.measures import Measure, mconv
 from multconv.points import (
-    hadamard,
     inner,
     make_point,
     primitive_ray,
-    project_point,
     ray_norm_sq,
     reflect_point,
     zero_pattern,
@@ -30,6 +29,11 @@ def F(*values):
     return make_point(values)
 
 
+def D(x):
+    """The Dirac mass at the point ``x``."""
+    return Measure.dirac(x)
+
+
 def _cleared(x):
     """The least positive integer ``s`` with ``s * x`` integral, and ``s * x``."""
     scale = math.lcm(*(c.denominator for c in x))
@@ -47,15 +51,17 @@ def norm(x):
     return Surd.sqrt(ray_norm_sq(ints)) * Fraction(1, scale)
 
 
+# the product of two Dirac masses sits at the Hadamard (componentwise)
+# product of their points
 def test_hadamard_examples():
-    assert hadamard(F(1, -1), F(2, 3)) == F(2, -3)
-    assert hadamard(F(5, -7), F(1, 1)) == F(5, -7)
-    assert hadamard(F(1, 0), F(0, 1)) == F(0, 0)
+    assert mconv(D(F(1, -1)), D(F(2, 3))) == D(F(2, -3))
+    assert mconv(D(F(5, -7)), D(F(1, 1))) == D(F(5, -7))
+    assert mconv(D(F(1, 0)), D(F(0, 1))) == D(F(0, 0))
 
 
 def test_hadamard_dim_mismatch():
     with pytest.raises(ValueError):
-        hadamard(F(1), F(1, 2))
+        mconv(D(F(1)), D(F(1, 2)))
 
 
 def test_reflect_examples():
@@ -68,10 +74,10 @@ def test_reflect_examples():
 
 
 def test_project_examples():
-    x = F(1, 2, 3)
-    assert project_point(x, SubsetMask.full(3)) == x
-    assert project_point(x, SubsetMask.empty(3)) == F(0, 0, 0)
-    assert project_point(x, SubsetMask.from_indices(3, [2])) == F(0, 2, 0)
+    x = D(F(1, 2, 3))
+    assert x.project(SubsetMask.full(3)) == x
+    assert x.project(SubsetMask.empty(3)) == D(F(0, 0, 0))
+    assert x.project(SubsetMask.from_indices(3, [2])) == D(F(0, 2, 0))
 
 
 @given(points(dim=3))
@@ -81,7 +87,7 @@ def test_projection_composes_by_intersection(x):
         for fbits in range(8):
             e = SubsetMask(ebits, 3)
             f = SubsetMask(fbits, 3)
-            assert project_point(project_point(x, e), f) == project_point(x, e & f)
+            assert D(x).project(e).project(f) == D(x).project(e & f)
 
 
 def test_zero_pattern_examples():
@@ -93,7 +99,8 @@ def test_zero_pattern_examples():
 @given(points(dim=3), points(dim=3))
 @settings(max_examples=100, deadline=None)
 def test_zero_pattern_of_product_intersects(x, y):
-    assert zero_pattern(hadamard(x, y)) == zero_pattern(x) & zero_pattern(y)
+    pattern = zero_pattern(x) & zero_pattern(y)
+    assert mconv(D(x), D(y)).component_patterns() == {pattern}
 
 
 @given(points(dim=3), points(dim=3))
@@ -101,9 +108,9 @@ def test_zero_pattern_of_product_intersects(x, y):
 def test_projection_slides_through_product(x, y):
     for bits in range(8):
         e = SubsetMask(bits, 3)
-        lhs = project_point(hadamard(x, y), e)
-        assert lhs == hadamard(project_point(x, e), y)
-        assert lhs == hadamard(project_point(x, e), project_point(y, e))
+        lhs = mconv(D(x), D(y)).project(e)
+        assert lhs == mconv(D(x).project(e), D(y))
+        assert lhs == mconv(D(x).project(e), D(y).project(e))
 
 
 def test_canonical_ray_examples():
@@ -135,7 +142,8 @@ def test_norm_examples():
 @given(points(dim=2), points(dim=2))
 @settings(max_examples=80, deadline=None)
 def test_norm_submultiplicative(x, y):
-    prod = norm(hadamard(x, y))
+    (xy,) = mconv(D(x), D(y)).support()
+    prod = norm(xy)
     bound = norm(x) * norm(y)
     assert (bound - prod).sign() >= 0
 

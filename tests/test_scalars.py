@@ -130,17 +130,32 @@ def test_measure_refuses_bool_weight():
         Measure(1, {(1,): True})
 
 
+# three primes just above the trial-division bound 10**6: the cofactor left
+# at the bound is above 10**18, so it cannot be read as 1, p, p**2 or p*q
+OVER_BOUND = (10**6 + 3) * (10**6 + 33) * (10**6 + 37)
+
+
 def test_factor_bound_exceeded():
     with pytest.raises(FactorLimitError):
-        square_free_decompose(101 * 103, bound=50)
+        square_free_decompose(OVER_BOUND)
     with pytest.raises(FactorLimitError):
-        Surd.sqrt(101 * 103, factor_bound=50)
+        Surd.sqrt(OVER_BOUND)
 
 
 def test_square_free_decompose_certifies_prime_cofactor():
-    # 4 * 1009 survives bound 50: the cofactor 1009 is certified prime
-    # because trial division runs past its square root
-    assert square_free_decompose(4 * 1009, bound=50) == (2, 1009)
+    p, q = 10**6 + 3, 10**6 + 33
+    cases = [
+        # the cofactor 1009 is certified prime by trial division to its cube root
+        (4 * 1009, (2, 1009)),
+        # cofactors p**2 and p*q with both primes beyond the cube root
+        (p**2, (p, 1)),
+        (12 * p**2, (2 * p, 3)),
+        (p * q, (1, p * q)),
+        # |(2000000, 19)|**2 is prime; it used to exceed the bound
+        (4000000000361, (1, 4000000000361)),
+    ]
+    for m, expected in cases:
+        assert square_free_decompose(m) == expected, m
 
 
 def test_square_free_decompose_memo_returns_and_raises_as_before():
@@ -148,20 +163,25 @@ def test_square_free_decompose_memo_returns_and_raises_as_before():
     for m in list(range(1, 200)) + [4 * 1009, 2**40 * 3]:
         for _ in range(2):
             assert square_free_decompose(m) == plain(m)
-            assert square_free_decompose(m, 50) == plain(m, 50)
     # an over-bound radicand raises every time, with the same message
     messages = []
     for _ in range(3):
         with pytest.raises(FactorLimitError) as exc:
-            square_free_decompose(101 * 103, 50)
+            square_free_decompose(OVER_BOUND)
         messages.append(str(exc.value))
     assert messages == [messages[0]] * 3
-    assert "exceeds the trial-division bound 50" in messages[0]
-    # a larger bound on the same radicand is a separate entry
-    assert square_free_decompose(101 * 103, 200) == (1, 101 * 103)
+    assert "exceeds the trial-division bound 1000000" in messages[0]
     for _ in range(2):
         with pytest.raises(ValueError, match="expected a positive integer"):
             square_free_decompose(0)
+
+
+def test_square_free_decompose_against_factorisation():
+    # the square part read off a full trial factorisation, on every m < 2000
+    for m in range(1, 2000):
+        k = max(d for d in range(1, math.isqrt(m) + 1) if m % (d * d) == 0)
+        f = m // (k * k)
+        assert square_free_decompose(m) == (k, f), m
 
 
 @given(surds(), surds(), surds())
@@ -270,7 +290,7 @@ def test_ordering_refuses_a_float_by_name(op):
 
 def general(terms: dict) -> Surd:
     """The value as the general dict route builds it."""
-    return Surd._from_map({r: Fraction(c) for r, c in terms.items()})
+    return Surd.from_json([[str(Fraction(c)), r] for r, c in terms.items()])
 
 
 @pytest.mark.parametrize(
@@ -406,7 +426,7 @@ def test_arithmetic_matches_fraction_maps(a, b):
         (Surd.sqrt(Fraction(9, 2)), Fraction(3, 2) * Surd.sqrt(2)),
         (Surd("-6/4"), -Surd(Fraction(3, 2))),
         (Surd.from_json([["2/4", 3], ["1", 1]]), Surd(1) + Surd.sqrt(Fraction(3, 4))),
-        (Surd._from_map({2: Fraction(3), 5: Fraction(0)}), Surd.sqrt(18)),
+        (Surd.from_json([["3", 2], ["0", 5]]), Surd.sqrt(18)),
         (Surd.sqrt(2) * Surd.sqrt(2), Surd(2)),
         ((Surd(1) + Surd.sqrt(2)) - Surd(1), Surd.sqrt(2)),
         (Surd.sqrt(0), Surd.sqrt(3) - Surd.sqrt(3)),
@@ -422,7 +442,7 @@ def test_equal_values_hash_equal_across_routes(left, right):
 @given(surds(), surds())
 @settings(max_examples=100, deadline=None)
 def test_rebuilt_values_hash_equal(a, b):
-    for rebuilt in (Surd.from_json(a.to_json()), Surd._from_map(dict(a.terms)), a + 0, 1 * a,
+    for rebuilt in (Surd.from_json(a.to_json()), Surd.from_json(a.to_json()[::-1]), a + 0, 1 * a,
                     -(-a), (a + b) - b, (b + a) - b):
         assert_canonical(rebuilt)
         assert rebuilt == a

@@ -450,6 +450,16 @@ def test_project_keeps_coordinate_types():
             assert {type(c) for loc in ray.project(e).atoms for c in loc} == {int}
 
 
+def test_sphere_atom_with_prime_norm_round_trips():
+    # |(2000000, 19)|**2 = 4000000000361 is prime: trial division certifies it
+    # by running to its cube root, far below the bound 10**6
+    mu = SphereMeasure(2, {(2000000, 19): 1})
+    assert SphereMeasure.from_json(mu.to_json()) == mu
+    assert mu.weight_at((2000000, 19)) == Surd(1)
+    nu = sconv(Measure(2, {(2000000, 19): 1}), Measure(2, {(1, 1): 1}))
+    assert SphereMeasure.from_json(nu.to_json()) == nu
+
+
 def test_sphere_measure_refuses_non_integral_ray():
     with pytest.raises(ValueError, match="3/2"):
         SphereMeasure(2, {(F(3, 2), 1): 1})
@@ -611,4 +621,20 @@ def test_irrational_weights_read_back_through_the_surface(assert_trusted):
         if all(r)
     )
     assert moment_g(top, alpha) == pytest.approx(expected)
-    assert_trusted({"given": mu, "jordan+": pos, "jordan-": neg, "json": back, "top": top})
+    # sums that cancel on the ray (1, 1) drop it
+    added = mu + SphereMeasure(2, {(1, 1): -Surd.sqrt(2), (3, 1): 1})
+    subtracted = mu - SphereMeasure(2, {(2, 2): Surd.sqrt(2)})
+    rest = {r: w for r, w in weights.items() if r != (1, 1)}
+    assert dict(added.atoms) == {**rest, (3, 1): Surd(1)}
+    assert dict(subtracted.atoms) == rest
+    assert_trusted(
+        {
+            "given": mu,
+            "jordan+": pos,
+            "jordan-": neg,
+            "json": back,
+            "top": top,
+            "add-cancel": added,
+            "sub-cancel": subtracted,
+        }
+    )

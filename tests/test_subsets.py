@@ -17,7 +17,6 @@ from multconv.subsets import (
     lift_set,
     restrict_pair,
     subsets_of,
-    symdiff,
 )
 
 
@@ -39,15 +38,15 @@ def pairs(draw, dim=None, max_members=3):
 
 
 def test_symdiff_examples():
-    assert symdiff(mask(3, 1, 2), mask(3, 2, 3)) == mask(3, 1, 3)
+    assert mask(3, 1, 2) ^ mask(3, 2, 3) == mask(3, 1, 3)
     e = mask(3, 1, 3)
-    assert symdiff(e, e) == SubsetMask.empty(3)
-    assert symdiff(e, SubsetMask.empty(3)) == e
+    assert e ^ e == SubsetMask.empty(3)
+    assert e ^ SubsetMask.empty(3) == e
 
 
 def test_symdiff_dim_mismatch():
     with pytest.raises(ValueError):
-        symdiff(mask(2, 1), mask(3, 1))
+        mask(2, 1) ^ mask(3, 1)
 
 
 def test_boolean_group_laws_exhaustive():
@@ -400,3 +399,12 @@ def test_json_round_trip():
     p = GeneratingPair.make(3, evens=[mask(3, 1, 2)], odds=[SubsetMask.empty(3)])
     assert GeneratingPair.from_json(p.to_json()) == p
     assert p.to_json()["odds"] == [[]]
+
+
+@pytest.mark.parametrize("index", [1.9, 2.0, True, "2"], ids=["float", "integral-float", "bool", "str"])
+def test_from_indices_refuses_non_integer_index(index):
+    # 1.9 and True used to load as {1}, and "2" as {2}
+    with pytest.raises(ValueError, match=f"index must be an integer, got {index!r}"):
+        SubsetMask.from_indices(3, [index])
+    with pytest.raises(ValueError, match="index must be an integer"):
+        GeneratingPair.from_json({"dim": 3, "evens": [[index, 2]], "odds": []})
