@@ -25,7 +25,14 @@ output:
 - ``linear``: on point and sphere measures, ``+`` and ``-`` (their atoms
   in insertion order too), sums that cancel on some or all atoms, scalar
   ``*`` by rational, irrational and zero factors, ``jordan`` and
-  ``sign_density`` at every index set.
+  ``sign_density`` at every index set;
+- ``surds``: on point measures whose weights carry several radicands
+  (``1 + sqrt(2)``, ``sqrt(3) - 1/2``, ``sqrt(6)``) and on sphere measures
+  built by the public constructor on rays of different norms, ``mconv``,
+  ``sconv``, ``tensor``, ``project``, ``restrict_order``, ``symmetrize``,
+  ``jordan``, ``sign_density``, the lift round trip and decisions in both
+  settings, as JSON (the atoms of a measure with several radicands are
+  listed part by part, so their insertion order is not recorded).
 
 The cli requests run in-process in a temporary directory, with relative
 file names, so the output does not depend on where that directory is.
@@ -48,6 +55,8 @@ from fractions import Fraction
 
 from multconv import (
     GeneratingPair,
+    Measure,
+    SphereMeasure,
     SubsetMask,
     Surd,
     all_subsets,
@@ -244,6 +253,54 @@ def linear(group: Group, n: int) -> None:
                 group.add(label + ["sign_density", j.to_json(), x.sign_density(j).to_json()])
 
 
+SURDS = (1 + Surd.sqrt(2), Surd.sqrt(3) - F(1, 2), Surd.sqrt(6), Surd(F(-2, 3)), -Surd.sqrt(2))
+
+
+def surd_inputs(seed: int, n: int):
+    """Two point measures with weights of several radicands, and two sphere
+    measures built by the public constructor on the rays of seeded points,
+    whose masses ``w/|r|`` carry the radicands of the norms: one with those
+    weights of several radicands, one with rational weights."""
+    def scaled(mu, shift):
+        atoms = sorted(mu.atoms.items())
+        return [(loc, w * SURDS[(shift + k) % len(SURDS)]) for k, (loc, w) in enumerate(atoms)]
+
+    a = Measure(n, scaled(gen_measure(seed + 5000, n, 1 + seed % 6), seed))
+    b = Measure(n, scaled(gen_measure(seed + 5500, n, 1 + (seed + 2) % 5), seed + 1))
+    s = SphereMeasure(n, scaled(gen_sphere_measure(seed + 6000, n, 1 + seed % 5), seed + 2))
+    rays = gen_sphere_measure(seed + 6500, n, 1 + (seed + 1) % 6).support()
+    t = SphereMeasure(n, [(ray, F(1 + k % 3, 2)) for k, ray in enumerate(rays)])
+    return a, b, s, t
+
+
+def surds(group: Group, n: int) -> None:
+    supports = list(all_subsets(n))
+    for seed in range(SEEDS):
+        a, b, s, t = surd_inputs(seed, n)
+        e, j = gen_mask(seed, n), gen_mask(seed + 7, n)
+        pair = gen_pair(seed, n)
+        m = mconv(a, b)
+        label = [n, seed]
+        group.add(label + ["inputs", a.to_json(), b.to_json(), s.to_json(), t.to_json()])
+        group.add(label + ["mconv", m.to_json()])
+        group.add(label + ["tensor", tensor(a, b).to_json()])
+        for name, x, y in (("points", a, b), ("sphere", s, t), ("mixed", a, t)):
+            group.add(label + ["sconv", name, sconv(x, y).to_json()])
+        for name, mu in (("mconv", m), ("sphere", s)):
+            pos, neg = mu.jordan()
+            group.add(label + [name, "project", e.to_json(), mu.project(e).to_json()])
+            group.add(label + [name, "restrict_order", e.to_json(), mu.restrict_order(e).to_json()])
+            group.add(label + [name, "symmetrize", pair.to_json(), symmetrize(mu, pair).to_json()])
+            group.add(label + [name, "jordan", pos.to_json(), neg.to_json()])
+            group.add(label + [name, "sign_density", j.to_json(), mu.sign_density(j).to_json()])
+        lifted = lift(a)
+        group.add(label + ["lift", lifted.to_json(), lift_inverse(lifted).to_json()])
+        for setting, nu, family in (("point", a, supports), ("sphere", s, supports[1:])):
+            group.add(label + [setting, "decide", outcome(decide_universal_rn, nu, family, pair)])
+            for klass in CLASSES:
+                group.add(label + [setting, klass, outcome(decide_special, nu, klass, "full")])
+
+
 def subset_arg(mask: SubsetMask) -> str:
     return ",".join(str(i) for i in mask.indices()) or "0"
 
@@ -370,7 +427,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-dim", type=int, default=3)
     max_dim = parser.parse_args().max_dim
-    names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra", "linear")
+    names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra", "linear", "surds")
     groups = {name: Group() for name in names}
     for n in range(1, max_dim + 1):
         decisions(groups["decisions"], n)
@@ -380,6 +437,7 @@ def main():
         reflection_groups(groups["groups"], n)
         algebra(groups["algebra"], n)
         linear(groups["linear"], n)
+        surds(groups["surds"], n)
     for name in names:
         print(f"{name} {groups[name].count} {groups[name].hash.hexdigest()}")
 

@@ -46,17 +46,19 @@ def lift_inverse(mu: SphereMeasure) -> Measure:
     if mu.dim < 2:
         raise ValueError("lifted measures have dimension >= 2")
     n = mu.dim - 1
-    for ray in mu._atoms:
+    for ray in mu._keys():
         if ray[0] == 0:
             raise ValueError(f"atom at ray {ray} sits on the equator of the lifted coordinate")
     if not mu.is_even_under(SubsetMask.full(mu.dim)):
         raise ValueError("measure is not origin-symmetric")
-    kept = [(r, m) for r, m in mu._atoms.items() if r[0] > 0]
+    kept = [(s, [(r, m) for r, m in part.items() if r[0] > 0]) for s, part in mu._parts.items()]
     # the point ``r[1:] / r[0]``, over the common denominator of the kept rays
-    den = math.lcm(*[r[0] for r, _ in kept])
-    return Measure._gather(
-        n, [(tuple([c * (den // r[0]) for c in r[1:]]), m * (2 * r[0])) for r, m in kept], den
-    )
+    den = math.lcm(*[r[0] for _, masses in kept for r, _ in masses])
+    lanes = [
+        (s, [(tuple([c * (den // r[0]) for c in r[1:]]), m * (2 * r[0])) for r, m in masses])
+        for s, masses in kept
+    ]
+    return Measure._gather(n, lanes, den, mu._wden)
 
 
 def lift_class(

@@ -14,22 +14,28 @@ a setting's one hook, ``_gather``; the product kernel ``_products`` under
 ``mconv`` and the sphere product is a double loop over integer vectors;
 each symmetrisation factor ``(I +- T_F)/2`` is one pass.
 
-Atoms are stored at integer vectors over one least common denominator per
-measure, so every operator hashes tuples of ints; locations are decoded to
-``Fraction`` points only at the public surface.
+A measure is stored in integer form, as ``sum_s sqrt(s) * mu_s`` over
+square-free radicands ``s``: each part ``mu_s`` maps integer vectors over
+one least common denominator per measure (the locations) to nonzero int
+coefficients over one weight denominator per measure.  A measure with
+rational weights has the single part ``s = 1``.  So every operator hashes
+tuples of ints and adds and multiplies ints, once per part (per pair of
+parts for a product); locations are decoded to ``Fraction`` points, and
+weights to :class:`Surd` values, only at the public surface.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .points import Point, make_point, reflect_point, zero_pattern
-from .scalars import HALF, Surd, SurdLike, as_surd
+from .scalars import HALF, Surd, SurdLike, _canonical, _term, as_surd
 from .subsets import (
     GeneratingPair,
     SubsetMask,
@@ -42,10 +48,53 @@ from .subsets import (
 if TYPE_CHECKING:  # typing.Self is new in Python 3.11
     from typing import Self
 
+Key = tuple[int, ...]
+# radicand -> integer vector -> int coefficient
+Parts = dict[int, dict[Key, int]]
+# (radicand, point masses) pairs, the input of a gather
+Lanes = Iterable[tuple[int, Iterable[tuple[Key, int]]]]
 
-def _scaled(loc: Iterable, den: int) -> tuple[int, ...]:
+
+def _scaled(loc: Iterable, den: int) -> Key:
     """The integer vector ``loc * den``; every coordinate's denominator divides ``den``."""
     return tuple([c.numerator * (den // c.denominator) for c in loc])
+
+
+def _root_product(s: int, r: int) -> tuple[int, int]:
+    """``sqrt(s) * sqrt(r)`` as ``(g, t)`` for ``g * sqrt(t)``, with ``g``
+    the gcd: the product of coprime square-free numbers is square-free."""
+    if s == 1 or r == 1:
+        return 1, s * r
+    g = math.gcd(s, r)
+    return g, (s // g) * (r // g)
+
+
+def _surd(coeffs: Mapping[int, int | Fraction], wden: int = 1) -> Surd:
+    """The value ``sum_s sqrt(s) * coeffs[s] / wden``."""
+    return Surd._of(_canonical({s: (c.numerator, c.denominator * wden) for s, c in coeffs.items()}))
+
+
+def _split(masses: Iterable[tuple[Key, Surd]]) -> tuple[Parts, int]:
+    """Point masses at distinct vectors, given as :class:`Surd` values, as
+    parts over one weight denominator (not yet reduced)."""
+    masses = list(masses)
+    wden = math.lcm(*[q for _, m in masses for _, _, q in m._terms])
+    parts: Parts = {}
+    for v, m in masses:
+        for r, p, q in m._terms:
+            parts.setdefault(r, {})[v] = p * (wden // q)
+    return parts, wden
+
+
+def _sum_parts(lanes: Lanes) -> Parts:
+    """Sum point masses per radicand and vector."""
+    out: Parts = {}
+    for s, masses in lanes:
+        acc = out.setdefault(s, {})
+        get = acc.get
+        for v, c in masses:
+            acc[v] = get(v, 0) + c
+    return out
 
 
 class AtomicMeasure:
@@ -59,31 +108,37 @@ class AtomicMeasure:
     the trusted ``_gather``, which sums point masses per location: the one
     hook that every projection, product and sum ends in.
 
-    Every atom is stored at a tuple of ints ``v`` in ``_atoms``, and one
-    denominator ``_den`` per measure scales them all: the location of ``v``
-    is ``v / _den``.  ``_den`` is the least common denominator of the
-    coordinates, so the stored form is canonical, and it is 1 on the
-    sphere, whose rays are integers already.  Coordinate-wise operators act
-    on the keys alike in both settings; ``atoms``, ``support``,
-    ``weight_at`` and ``to_json`` decode them.  The stored value at a key
-    is the point mass there, the setting's coding of the weight: the
-    weight itself for points, a positive multiple of it fixed by the key
-    on the sphere.  So signs, zero tests and sums per key read it as it is;
-    ``atoms``, ``weight_at``, ``to_json``, ``total_mass`` and ``tv_norm``
-    decode it.
+    The measure is stored as parts, ``_parts[s]`` for each square-free
+    radicand ``s`` that occurs: a dict from tuples of ints ``v`` to nonzero
+    int coefficients ``c``, none empty.  One denominator ``_den`` per
+    measure scales the keys, so the location of ``v`` is ``v / _den``, and
+    one weight denominator ``_wden`` the coefficients: the point mass at
+    ``v`` is the sum over the parts holding ``v`` of ``sqrt(s) * c /
+    _wden``.  ``_den`` is the least common denominator of the coordinates,
+    1 on the sphere, whose rays are integers already; ``_wden`` is positive
+    and coprime to every coefficient.  So the stored form is canonical.
+
+    Coordinate-wise operators act on the keys alike in both settings, once
+    per part; ``atoms``, ``support``, ``weight_at`` and ``to_json`` decode
+    them.  The point mass is the setting's coding of the weight: the weight
+    itself for points, a positive multiple of it fixed by the key on the
+    sphere.  So sums per key read it as it is, and so do signs and zero
+    tests where a key lies in one part; ``atoms``, ``weight_at``,
+    ``to_json``, ``total_mass`` and ``tv_norm`` decode it.  ``atoms`` lists
+    the keys part by part, in the order the parts were made, a key held by
+    several parts at its first.
 
     The public constructor normalises every location, checks its
-    dimension and merges repeats; it is the entry for user input.  Atoms
-    the library built itself, already merged, of the right dimension and
-    keyed over a common denominator, go through the trusted constructor
-    ``_of`` instead.
+    dimension and merges repeats; it is the entry for user input.  Parts
+    the library built itself, of the right dimension and keyed over a
+    common denominator, go through the trusted constructor ``_of`` instead.
     """
 
-    __slots__ = ("dim", "_atoms", "_den")
+    __slots__ = ("dim", "_parts", "_den", "_wden")
     _key: Callable[[Iterable], tuple]
     _loc_field: str
-    _encode_weight: Callable[[tuple[int, ...], Surd], Surd]
-    _decode_weight: Callable[[tuple[int, ...], Surd], Surd]
+    _encode_weight: Callable[[Key, Surd], Surd]
+    _decode_weight: Callable[[Key, Surd], Surd]
 
     def __init__(self, dim: int, atoms: Mapping[tuple, SurdLike] | Iterable[tuple[tuple, SurdLike]] = ()):
         if dim < 1:
@@ -103,37 +158,51 @@ class AtomicMeasure:
             acc[loc] = w if prev is None else prev + w
         den = math.lcm(*{c.denominator for loc in acc for c in loc})
         encode = self._encode_weight
-        coded = {}
+        masses = []
         for loc, w in acc.items():
             v = _scaled(loc, den)
-            coded[v] = encode(v, w)
-        self._init(dim, coded, den)
+            masses.append((v, encode(v, w)))
+        parts, wden = _split(masses)
+        self._init(dim, parts, den, wden)
 
     @classmethod
-    def _of(cls, dim: int, acc: dict[tuple[int, ...], Surd], den: int = 1) -> Self:
-        """Trusted constructor: take ownership of ``acc``, an atom per integer
-        vector ``v`` at the location ``v / den``.
+    def _of(cls, dim: int, parts: Parts, den: int = 1, wden: int = 1) -> Self:
+        """Trusted constructor: take ownership of ``parts``, a dict per
+        radicand from integer vectors ``v``, at the locations ``v / den``, to
+        int coefficients over ``wden``.
 
         Every key must be a tuple of ``dim`` ints (a primitive ray on the
-        sphere) and every value a :class:`Surd`, the point mass there.  Zero
-        masses are dropped, and ``den`` is reduced to the least common
-        denominator.
+        sphere) and every radicand square-free.  Zero coefficients and empty
+        parts are dropped, and ``den`` and ``wden`` are reduced.
         """
         out = cls.__new__(cls)
-        out._init(dim, acc, den)
+        out._init(dim, parts, den, wden)
         return out
 
-    def _init(self, dim: int, acc: dict[tuple[int, ...], Surd], den: int) -> None:
-        for v in [v for v, w in acc.items() if not w]:
-            del acc[v]
+    def _init(self, dim: int, parts: Parts, den: int, wden: int = 1) -> None:
+        for s in list(parts):
+            part = parts[s]
+            for v in [v for v, c in part.items() if not c]:
+                del part[v]
+            if not part:
+                del parts[s]
+        # with no atoms left both gcds are the denominators themselves
         if den != 1:
-            g = math.gcd(den, *chain.from_iterable(acc))
+            g = math.gcd(den, *chain.from_iterable(chain.from_iterable(parts.values())))
             if g != 1:
                 den //= g
-                acc = {tuple([c // g for c in v]): w for v, w in acc.items()}
+                parts = {
+                    s: {tuple([c // g for c in v]): w for v, w in part.items()} for s, part in parts.items()
+                }
+        if wden != 1:
+            g = math.gcd(wden, *chain.from_iterable(part.values() for part in parts.values()))
+            if g != 1:
+                wden //= g
+                parts = {s: {v: w // g for v, w in part.items()} for s, part in parts.items()}
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_atoms", acc)
+        object.__setattr__(self, "_parts", parts)
         object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_wden", wden)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -142,74 +211,116 @@ class AtomicMeasure:
     def zero(cls, dim: int) -> Self:
         return cls(dim)
 
+    # -- stored form -------------------------------------------------------
+
+    def _keys(self) -> Mapping[Key, object]:
+        """Every stored key once, part by part."""
+        parts = self._parts
+        if len(parts) == 1:
+            return next(iter(parts.values()))
+        return dict.fromkeys(chain.from_iterable(parts.values()))
+
+    def _mass(self, v: Key) -> Surd:
+        """The point mass at the key ``v``, as a :class:`Surd`."""
+        return _surd({s: part[v] for s, part in self._parts.items() if v in part}, self._wden)
+
+    def _masses(self) -> list[tuple[Key, Surd]]:
+        """The point masses as :class:`Surd` values, in the order of ``_keys``."""
+        parts, wden = self._parts, self._wden
+        if len(parts) == 1:
+            ((s, part),) = parts.items()
+            return [(v, Surd._of(_term(s, c, wden))) for v, c in part.items()]
+        return [(v, self._mass(v)) for v in self._keys()]
+
+    def _over(self, den: int | None = None, wden: int | None = None) -> Lanes:
+        """The parts as ``(radicand, point masses)`` pairs, keyed over ``den``
+        and coded over ``wden``, multiples of the measure's own (by default
+        the measure's own)."""
+        k = 1 if den is None else den // self._den
+        t = 1 if wden is None else wden // self._wden
+        if k == 1 and t == 1:
+            return [(s, part.items()) for s, part in self._parts.items()]
+        return [
+            (s, [(tuple([c * k for c in v]), w * t) for v, w in part.items()])
+            for s, part in self._parts.items()
+        ]
+
     # -- structure ---------------------------------------------------------
 
     @property
     def atoms(self) -> Mapping[tuple, Surd]:
         """The weights by location, decoded."""
         decode, weight = self._decode, self._decode_weight
-        return MappingProxyType({decode(v): weight(v, m) for v, m in self._atoms.items()})
+        return MappingProxyType({decode(v): weight(v, m) for v, m in self._masses()})
 
     def support(self) -> tuple[tuple, ...]:
         # a positive denominator keeps the order of the keys
-        return tuple([self._decode(v) for v in sorted(self._atoms)])
+        return tuple([self._decode(v) for v in sorted(self._keys())])
 
     def weight_at(self, loc: Iterable) -> Surd:
         loc, den = self._key(loc), self._den
         if any(den % c.denominator for c in loc):
             return Surd(0)  # no atom sits at a finer denominator
         v = _scaled(loc, den)
-        m = self._atoms.get(v)
-        return Surd(0) if m is None else self._decode_weight(v, m)
+        m = self._mass(v)
+        return self._decode_weight(v, m) if m else m
 
     def atom_count(self) -> int:
-        return len(self._atoms)
+        return len(self._keys())
 
     def is_zero(self) -> bool:
-        return not self._atoms
+        return not self._parts
 
     def __bool__(self) -> bool:
-        return bool(self._atoms)
+        return bool(self._parts)
 
     def __eq__(self, other) -> bool:
         # exact types: a point measure never equals a sphere measure
         if type(other) is not type(self):
             return NotImplemented
-        return self.dim == other.dim and self._den == other._den and self._atoms == other._atoms
+        return (
+            self.dim == other.dim
+            and self._den == other._den
+            and self._wden == other._wden
+            and self._parts == other._parts
+        )
 
     def __hash__(self):
-        return hash((self.dim, self._den, frozenset(self._atoms.items())))
+        parts = frozenset((s, frozenset(part.items())) for s, part in self._parts.items())
+        return hash((self.dim, self._den, self._wden, parts))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(dim={self.dim}, atoms={len(self._atoms)})"
+        return f"{type(self).__name__}(dim={self.dim}, atoms={self.atom_count()})"
 
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: Self) -> Self:
         self._check(other)
         den = math.lcm(self._den, other._den)
-        return self._gather(self.dim, chain(self._over(den), other._over(den)), den)
+        wden = math.lcm(self._wden, other._wden)
+        return self._gather(self.dim, chain(self._over(den, wden), other._over(den, wden)), den, wden)
 
     def __sub__(self, other: Self) -> Self:
         return self + (-other)
 
     def __neg__(self) -> Self:
-        return self._of(self.dim, {v: -w for v, w in self._atoms.items()}, self._den)
+        parts = {s: {v: -c for v, c in part.items()} for s, part in self._parts.items()}
+        return self._of(self.dim, parts, self._den, self._wden)
 
     def __mul__(self, scalar: SurdLike) -> Self:
         c = as_surd(scalar)
         if c is NotImplemented:
             return NotImplemented
-        return self._of(self.dim, {v: w * c for v, w in self._atoms.items()}, self._den)
+        q = math.lcm(*[t for _, _, t in c._terms])
+        lanes = []
+        for s, part in self._parts.items():
+            for r, p, t in c._terms:
+                g, u = _root_product(s, r)
+                k = p * (q // t) * g
+                lanes.append((u, [(v, w * k) for v, w in part.items()]))
+        return self._of(self.dim, _sum_parts(lanes), self._den, self._wden * q)
 
     __rmul__ = __mul__
-
-    def _over(self, den: int) -> Iterable[tuple[tuple[int, ...], Surd]]:
-        """The atoms keyed over ``den``, a multiple of ``_den``."""
-        s = den // self._den
-        if s == 1:
-            return self._atoms.items()
-        return [(tuple([c * s for c in v]), w) for v, w in self._atoms.items()]
 
     def _check(self, other: "AtomicMeasure") -> None:
         # a ray read as a point (or back) is a different measure
@@ -229,25 +340,33 @@ class AtomicMeasure:
     def total_mass(self) -> Surd:
         weight = self._decode_weight
         total = Surd(0)
-        for v, m in self._atoms.items():
+        for v, m in self._masses():
             total = total + weight(v, m)
         return total
 
     def jordan(self) -> tuple[Self, Self]:
         """Split into non-negative parts with disjoint supports."""
-        pos: dict[tuple, Surd] = {}
-        neg: dict[tuple, Surd] = {}
-        for loc, w in self._atoms.items():
-            if w.sign() > 0:
-                pos[loc] = w
-            else:
-                neg[loc] = -w
-        return self._of(self.dim, pos, self._den), self._of(self.dim, neg, self._den)
+        parts = self._parts
+        # a key in one part has the sign of its coefficient; one in several
+        # parts the sign of its mass
+        shared = Counter(chain.from_iterable(parts.values())) if len(parts) > 1 else {}
+        signs = {v: self._mass(v).sign() for v, k in shared.items() if k > 1}
+        pos: Parts = {}
+        neg: Parts = {}
+        for s, part in parts.items():
+            p = pos[s] = {}
+            n = neg[s] = {}
+            for v, c in part.items():
+                if signs.get(v, c) > 0:
+                    p[v] = c
+                else:
+                    n[v] = -c
+        return self._of(self.dim, pos, self._den, self._wden), self._of(self.dim, neg, self._den, self._wden)
 
     def tv_norm(self) -> Surd:
         weight = self._decode_weight
         total = Surd(0)
-        for v, m in self._atoms.items():
+        for v, m in self._masses():
             total = total + abs(weight(v, m))
         return total
 
@@ -258,22 +377,28 @@ class AtomicMeasure:
         mass moves to its location with the coordinates off ``e`` zeroed."""
         self._check_mask(e)
         keep = [e.bits >> i & 1 for i in range(self.dim)]
-        moved = ((tuple([c if k else 0 for c, k in zip(v, keep)]), m) for v, m in self._atoms.items())
-        return self._gather(self.dim, moved, self._den)
+        moved = [
+            (s, [(tuple([c if k else 0 for c, k in zip(v, keep)]), w) for v, w in part.items()])
+            for s, part in self._parts.items()
+        ]
+        return self._gather(self.dim, moved, self._den, self._wden)
 
     def reflect(self, f: SubsetMask) -> Self:
         self._check_mask(f)
         # a bijection on locations: no two atoms merge
-        return self._of(self.dim, {reflect_point(v, f): w for v, w in self._atoms.items()}, self._den)
+        parts = {s: {reflect_point(v, f): w for v, w in part.items()} for s, part in self._parts.items()}
+        return self._of(self.dim, parts, self._den, self._wden)
+
+    def _filter(self, keep: Callable[[Key], bool]) -> Self:
+        """The atoms at the keys that ``keep`` accepts."""
+        parts = {s: {v: w for v, w in part.items() if keep(v)} for s, part in self._parts.items()}
+        return self._of(self.dim, parts, self._den, self._wden)
 
     def restrict_order(self, e: SubsetMask) -> Self:
         """Keep the atoms whose zero pattern is exactly ``e``."""
         self._check_mask(e)
-        return self._of(
-            self.dim,
-            {v: w for v, w in self._atoms.items() if zero_pattern(v) == e},
-            self._den,
-        )
+        pattern = [e.bits >> i & 1 == 1 for i in range(self.dim)]
+        return self._filter(lambda v: [c != 0 for c in v] == pattern)
 
     def sign_density(self, j: SubsetMask) -> Self:
         """Multiply weights by the product of coordinate signs over ``j``.
@@ -283,15 +408,18 @@ class AtomicMeasure:
         """
         self._check_mask(j)
         on_j = [i for i in range(self.dim) if j.bits >> i & 1]
-        acc = {v: -w if sum([v[i] < 0 for i in on_j]) & 1 else w
-               for v, w in self._atoms.items() if all([v[i] for i in on_j])}
-        return self._of(self.dim, acc, self._den)
+        parts = {
+            s: {v: -w if sum([v[i] < 0 for i in on_j]) & 1 else w
+                for v, w in part.items() if all([v[i] for i in on_j])}
+            for s, part in self._parts.items()
+        }
+        return self._of(self.dim, parts, self._den, self._wden)
 
     # -- coordinate decomposition ----------------------------------------------
 
     def component_patterns(self) -> frozenset[SubsetMask]:
         """Zero patterns carrying mass (the nonzero coordinate components)."""
-        return frozenset(zero_pattern(loc) for loc in self._atoms)
+        return frozenset(zero_pattern(loc) for loc in self._keys())
 
     def order_of(self) -> SubsetMask | None:
         """The unique pattern when exactly one component is nonzero."""
@@ -323,7 +451,7 @@ class AtomicMeasure:
             "dim": self.dim,
             "atoms": [
                 {self._loc_field: [str(c) for c in decode(v)], "weight": weight(v, m).to_json()}
-                for v, m in sorted(self._atoms.items())
+                for v, m in sorted(self._masses(), key=itemgetter(0))
             ],
         }
 
@@ -344,12 +472,12 @@ class Measure(AtomicMeasure):
     _key = staticmethod(make_point)
     _loc_field = "point"
 
-    def _decode(self, v: tuple[int, ...]) -> Point:
+    def _decode(self, v: Key) -> Point:
         den = self._den
         return tuple([Fraction(c, den) for c in v])
 
     @staticmethod
-    def _encode_weight(v: tuple[int, ...], w: Surd) -> Surd:
+    def _encode_weight(v: Key, w: Surd) -> Surd:
         return w  # a point atom stores its weight
 
     _decode_weight = _encode_weight
@@ -360,24 +488,14 @@ class Measure(AtomicMeasure):
         return cls(len(pt), {pt: weight})
 
     @classmethod
-    def _gather(cls, dim: int, masses: Iterable[tuple[tuple[int, ...], Surd]], den: int = 1) -> "Measure":
-        """Sum point masses per point ``v / den``, for integer vectors ``v``
-        of dimension ``dim``."""
-        acc: dict[tuple[int, ...], Surd] = {}
-        for loc, m in masses:
-            size = len(acc)
-            prev = acc.setdefault(loc, m)
-            if len(acc) == size:  # a merge; atoms may share one Surd object
-                acc[loc] = prev + m
-        return cls._of(dim, acc, den)
+    def _gather(cls, dim: int, lanes: Lanes, den: int = 1, wden: int = 1) -> "Measure":
+        """Sum point masses per radicand and point ``v / den``, for integer
+        vectors ``v`` of dimension ``dim`` and int coefficients over ``wden``."""
+        return cls._of(dim, _sum_parts(lanes), den, wden)
 
     def restrict_positive(self) -> "Measure":
         """Keep the atoms in the closed positive orthant."""
-        return Measure._of(
-            self.dim,
-            {v: w for v, w in self._atoms.items() if all(c >= 0 for c in v)},
-            self._den,
-        )
+        return self._filter(lambda v: all(c >= 0 for c in v))
 
 
 # -- multiplicative convolution and products --------------------------------------
@@ -392,28 +510,30 @@ def _check_points(*measures: AtomicMeasure) -> None:
             raise ValueError(f"expected a point measure, got {type(mu).__name__}")
 
 
-def _products(
-    left: Iterable[tuple[tuple[int, ...], Surd]], right: Iterable[tuple[tuple[int, ...], Surd]]
-) -> dict[tuple[int, ...], Surd]:
-    """The summed weight per product vector of two lists of point masses at
-    integer vectors, in the order of first product.  Zero sums stay in it
-    for the sphere, whose rays keep their order."""
-    right = list(right)
-    acc: dict[tuple[int, ...], Surd] = {}
-    for x, wx in left:
-        for y, wy in right:
-            key = tuple(map(mul, x, y))
-            w = wx * wy
-            prev = acc.get(key)
-            acc[key] = w if prev is None else prev + w
-    return acc
+def _products(left: Parts, right: Parts) -> Parts:
+    """The summed coefficient per radicand and product vector of two
+    measures' parts, one double loop per pair of parts, each part in the
+    order of first product.  Zero sums stay in it for the sphere, whose rays
+    keep their order."""
+    out: Parts = {}
+    for s1, xs in left.items():
+        for s2, ys in right.items():
+            g, s = _root_product(s1, s2)
+            acc = out.setdefault(s, {})
+            get = acc.get
+            for x, wx in xs.items():
+                wx *= g
+                for y, wy in ys.items():
+                    key = tuple(map(mul, x, y))
+                    acc[key] = get(key, 0) + wx * wy
+    return out
 
 
 def mconv(a: Measure, b: Measure) -> Measure:
     """Pushforward of the product measure under the componentwise product."""
     a._check(b)
     _check_points(a)
-    return Measure._of(a.dim, _products(a._atoms.items(), b._atoms.items()), a._den * b._den)
+    return Measure._of(a.dim, _products(a._parts, b._parts), a._den * b._den, a._wden * b._wden)
 
 
 def tensor(a: Measure, b: Measure) -> Measure:
@@ -421,11 +541,19 @@ def tensor(a: Measure, b: Measure) -> Measure:
     _check_points(a, b)
     den = math.lcm(a._den, b._den)
     right = b._over(den)
-    acc: dict[tuple[int, ...], Surd] = {}
-    for x, wx in a._over(den):
-        for y, wy in right:
-            acc[x + y] = wx * wy
-    return Measure._of(a.dim + b.dim, acc, den)
+    out: Parts = {}
+    for s1, xs in a._over(den):
+        for s2, ys in right:
+            g, s = _root_product(s1, s2)
+            acc = out.setdefault(s, {})
+            get = acc.get
+            for x, wx in xs:
+                wx *= g
+                for y, wy in ys:
+                    # two pairs of parts may share a radicand and a key
+                    key = x + y
+                    acc[key] = get(key, 0) + wx * wy
+    return Measure._of(a.dim + b.dim, out, den, a._wden * b._wden)
 
 
 def unit(dim: int) -> Measure:
@@ -440,7 +568,7 @@ def _parity_grid(
     e: SubsetMask,
     j: SubsetMask,
     factor: tuple[tuple[int, int], ...],
-    scale: Fraction,
+    wden: int,
     cls: type[AtomicMeasure] = Measure,
 ) -> AtomicMeasure:
     """Product over the coordinates of ``e`` of one signed factor.
@@ -448,11 +576,10 @@ def _parity_grid(
     The factor lists ``(value, sign)`` pairs with distinct integer values;
     on a coordinate of ``j`` a negative value also takes the parity
     character there.  Off ``e`` the factor is the Dirac mass at 0.  Every
-    atom weighs ``+-scale`` and no two atoms merge.  The first coordinate
+    atom weighs ``+-1/wden`` and no two atoms merge.  The first coordinate
     varies fastest.  The atoms are point masses at integer vectors of the
     setting ``cls``, which gathers them (the sphere pushes them radially).
     """
-    weight = {1: Surd(scale), -1: Surd(-scale)}
     atoms: list[tuple[tuple, int]] = [((), 1)]
     for i in reversed(range(e.dim)):
         if e.bits >> i & 1:
@@ -461,7 +588,7 @@ def _parity_grid(
         else:
             values = [(0, 1)]
         atoms = [((c,) + loc, s * t) for loc, s in atoms for c, t in values]
-    return cls._gather(e.dim, ((loc, weight[s]) for loc, s in atoms))
+    return cls._gather(e.dim, [(1, atoms)], 1, wden)
 
 
 def sigma0_on(e: SubsetMask) -> Measure:
@@ -471,7 +598,7 @@ def sigma0_on(e: SubsetMask) -> Measure:
     it a top-order probe within the subspace of ``e``.  For the empty set
     this degenerates to the Dirac mass at the origin.
     """
-    return _parity_grid(e, SubsetMask.empty(e.dim), ((1, -1), (2, 1)), Fraction(1))
+    return _parity_grid(e, SubsetMask.empty(e.dim), ((1, -1), (2, 1)), 1)
 
 
 def sigma0(dim: int) -> Measure:
@@ -488,7 +615,7 @@ def delta_ej(e: SubsetMask, j: SubsetMask) -> Measure:
     """
     if not j.issubset(e):
         raise ValueError(f"index set {j} is not a subset of the support {e}")
-    return _parity_grid(e, j, ((1, 1), (-1, 1)), Fraction(1, 1 << e.size))
+    return _parity_grid(e, j, ((1, 1), (-1, 1)), 1 << e.size)
 
 
 def delta_j(dim: int, j: SubsetMask) -> Measure:
@@ -512,24 +639,26 @@ def sigma_unc(dim: int) -> Measure:
 
 def _reflection_average(mu, f: SubsetMask, sign: int):
     """``(I + sign * T_F) / 2`` in one pass, for ``sign`` in {1, -1}: the
-    weight at ``x`` becomes ``(w_x + sign * w_{F x}) / 2``.  Atoms come out
-    in the order of ``mu + sign * mu.reflect(f)``."""
+    weight at ``x`` becomes ``(w_x + sign * w_{F x}) / 2``, per part, with the
+    half taken by the weight denominator.  Atoms come out in the order of
+    ``mu + sign * mu.reflect(f)``."""
     mu._check_mask(f)
-    atoms = mu._atoms
     flips = [f.bits >> i & 1 for i in range(mu.dim)]
-    half = Surd(HALF)
-    acc: dict[tuple, Surd] = {}
-    images: dict[tuple, Surd] = {}
-    for x, w in atoms.items():
-        y = tuple([-c if flip else c for c, flip in zip(x, flips)])
-        wy = atoms.get(y)
-        if wy is None:
-            acc[x] = h = w * half
-            images[y] = h if sign > 0 else -h
-        else:
-            acc[x] = (w + wy if sign > 0 else w - wy) * half
-    acc.update(images)
-    return mu._of(mu.dim, acc, mu._den)
+    parts: Parts = {}
+    for s, atoms in mu._parts.items():
+        acc: dict[Key, int] = {}
+        images: dict[Key, int] = {}
+        for x, w in atoms.items():
+            y = tuple([-c if flip else c for c, flip in zip(x, flips)])
+            wy = atoms.get(y)
+            if wy is None:
+                acc[x] = w
+                images[y] = w if sign > 0 else -w
+            else:
+                acc[x] = w + wy if sign > 0 else w - wy
+        acc.update(images)
+        parts[s] = acc
+    return mu._of(mu.dim, parts, mu._den, 2 * mu._wden)
 
 
 def symmetrize(mu, pair: GeneratingPair):
@@ -580,7 +709,7 @@ def munc(mu):
 
 def unc_forward(mu: Measure) -> Measure:
     """Spread a measure on the closed positive orthant over all orthants."""
-    if any(any(c < 0 for c in pt) for pt in mu._atoms):
+    if any(any(c < 0 for c in pt) for pt in mu._keys()):
         raise ValueError("measure has an atom outside the positive orthant")
     return munc(mu)
 
@@ -595,11 +724,11 @@ def unc_inverse(mu: Measure) -> Measure:
     for i in range(1, mu.dim + 1):
         if not mu.is_even_under(SubsetMask.single(mu.dim, i)):
             raise ValueError("measure is not unconditional")
-    acc: dict[tuple[int, ...], Surd] = {}
-    for v, w in mu._atoms.items():
-        if all(c >= 0 for c in v):
-            acc[v] = w * (1 << zero_pattern(v).size)
-    return Measure._of(mu.dim, acc, mu._den)
+    parts = {
+        s: {v: w * (1 << zero_pattern(v).size) for v, w in part.items() if all(c >= 0 for c in v)}
+        for s, part in mu._parts.items()
+    }
+    return Measure._of(mu.dim, parts, mu._den, mu._wden)
 
 
 def phat(mu):

@@ -339,5 +339,4 @@ def as_surd(value: SurdLike) -> "Surd":
     return NotImplemented
 
 
-ZERO = Surd(0)
 HALF = Fraction(1, 2)

@@ -5,13 +5,18 @@ integer ray ``d``, is stored in mass form: as the point mass ``m = w/|d|``
 at the integer vector ``d``, which the radial projection carries to weight
 ``m * |d| = w``.  Locations compare exactly, and since ``|d|`` is a
 positive constant per ray, signs, zero tests and sums per ray read the
-masses as they are.  The sphere algebra takes no square root:
-:meth:`SphereMeasure._gather` pushes point masses at integer vectors
-radially back to the sphere by their gcds alone.  The radial projection
-from point measures, the induced product on the sphere (``_products`` on
-the stored masses), the coordinate-subsphere projections, sums and the
-probe witness are each one gather.  Weights meet ``|d|`` only at the
-public surface, through the setting's weight coding.
+masses as they are.  The masses are stored in the integer form of every
+measure, int coefficients per square-free radicand over one weight
+denominator; a sphere measure pushed from rational point weights has the
+single radicand 1, while the public constructor's masses ``w/|d|`` carry
+the radicands of the norms.  The sphere algebra takes no square root and
+makes no :class:`Surd`: :meth:`SphereMeasure._gather` pushes point masses
+at integer vectors radially back to the sphere by their gcds alone, and
+takes the scale ``1/den`` into the weight denominator.  The radial
+projection from point measures, the induced product on the sphere
+(``_products`` on the stored parts), the coordinate-subsphere projections,
+sums and the probe witness are each one gather.  Weights meet ``|d|`` only
+at the public surface, through the setting's weight coding.
 
 ``moment_g`` at the bottom is the single floating-point surface of the
 package: a numerical diagnostic that never feeds an exact decision.
@@ -21,9 +26,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .measures import AtomicMeasure, _products
+from .measures import AtomicMeasure, Lanes, _products
 from .points import Ray, primitive_ray, ray_norm_sq, zero_pattern
 from .scalars import Surd
 from .subsets import SubsetMask
@@ -50,33 +55,29 @@ class SphereMeasure(AtomicMeasure):
         return m * Surd.sqrt(ray_norm_sq(d))
 
     @classmethod
-    def _gather(
-        cls, dim: int, masses: Iterable[tuple[tuple[int, ...], Surd]], den: int = 1
-    ) -> "SphereMeasure":
+    def _gather(cls, dim: int, lanes: Lanes, den: int = 1, wden: int = 1) -> "SphereMeasure":
         """Push point masses at the vectors ``v / den`` radially to the sphere.
 
         Mass ``m`` at a nonzero vector ``v`` adds weight ``m * |v|`` at ``v``
         divided by its gcd ``g``, the primitive ray ``r`` through ``v``; mass
         at the origin is dropped.  As ``|v| = g * |r|``, that is the mass
-        ``m * g`` at ``r``: the sums of ``m * g`` accumulate per ray, take
-        the scale ``1/den`` once, and are stored as they are, with no root.
+        ``m * g`` at ``r``: the coefficients times ``g`` accumulate per
+        radicand and ray, and the scale ``1/den`` joins the weight
+        denominator, with no root.
         """
-        acc: dict[Ray, Surd] = {}
-        for v, m in masses:
-            g = math.gcd(*v)
-            if g == 0:
-                continue  # the origin spans no ray
-            if g != 1:
-                v = tuple([c // g for c in v])
-                m = m * g
-            size = len(acc)
-            prev = acc.setdefault(v, m)
-            if len(acc) == size:  # a merge; masses may share one Surd object
-                acc[v] = prev + m
-        if den != 1:
-            inverse = Surd(Fraction(1, den))
-            acc = {r: s * inverse for r, s in acc.items()}
-        return cls._of(dim, acc)
+        acc: dict[int, dict[Ray, int]] = {}
+        for s, masses in lanes:
+            part = acc.setdefault(s, {})
+            get = part.get
+            for v, c in masses:
+                g = math.gcd(*v)
+                if g == 0:
+                    continue  # the origin spans no ray
+                if g != 1:
+                    v = tuple([x // g for x in v])
+                    c *= g
+                part[v] = get(v, 0) + c
+        return cls._of(dim, acc, 1, wden * den)
 
 
 def radial_project(mu: AtomicMeasure) -> SphereMeasure:
@@ -88,7 +89,7 @@ def radial_project(mu: AtomicMeasure) -> SphereMeasure:
     """
     if isinstance(mu, SphereMeasure):
         return mu
-    return SphereMeasure._gather(mu.dim, mu._atoms.items(), mu._den)
+    return SphereMeasure._gather(mu.dim, mu._over(), mu._den, mu._wden)
 
 
 def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
@@ -100,7 +101,8 @@ def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
     sa = radial_project(a)
     sb = radial_project(b)
     sa._check(sb)
-    return SphereMeasure._gather(sa.dim, _products(sa._atoms.items(), sb._atoms.items()).items())
+    lanes = [(s, part.items()) for s, part in _products(sa._parts, sb._parts).items()]
+    return SphereMeasure._gather(sa.dim, lanes, 1, sa._wden * sb._wden)
 
 
 def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:
@@ -119,12 +121,12 @@ def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:
     if sum(alpha) > 1 + 1e-12:
         raise ValueError("exponents must sum to at most 1")
     full = SubsetMask.full(n)
-    bad = [v for v in mu._atoms if zero_pattern(v) != full]
+    bad = [v for v in mu._keys() if zero_pattern(v) != full]
     if bad:
         raise ValueError(f"atom at {mu._loc_field} {mu._decode(bad[0])} is not of full order")
     sphere = isinstance(mu, SphereMeasure)
     total = 0.0
-    for v, m in mu._atoms.items():
+    for v, m in mu._masses():
         # the location of a stored key ``v`` is ``v / _den``
         norm = ray_norm_sq(v) ** 0.5 if sphere else mu._den
         prod = 1.0

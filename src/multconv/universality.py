@@ -13,16 +13,20 @@ One general decider serves points in R^n and the sphere alike and reads
 the setting from the type of the measure; the sphere misses the origin
 cell, so its whole space is every nonempty pattern.  Every decider, at
 every scope, only lists its (E, J) pairs; one condition pass evaluates
-them by these class sums, exactly, from integer-coded atoms: each atom is
-encoded once per decision by its nonzero and negative coordinate masks,
-its absolute coordinates as integers over one common denominator, and its
-weight; the classes on E group the atoms nonzero on all of E by their
-absolute coordinates there, a location scaled by one number.  Atoms are
-read as stored: on the sphere an atom is its stored point mass ``w/|r|``
-at the integer ray ``r`` (scale 1), and the projection onto E gathers it
-at the primitive ray through its coordinates there; scaling each class
-member by the gcd of those coordinates puts every member at one ray,
-whose norm, common to the class, never enters the zero test.
+them by these class sums, exactly, on ints: each atom is encoded once per
+decision and part of its stored integer form by its nonzero and negative
+coordinate masks, its absolute coordinates as integers over one common
+denominator, its radicand and its int coefficient; the classes on E group
+the atoms nonzero on all of E by radicand and by their absolute
+coordinates there, a location scaled by one number.  By the linear
+independence of square roots over the rationals, a class of one location
+has a nonzero sum exactly when one of its radicands does, and the common
+weight denominator never enters the zero test.  Atoms are read as stored:
+on the sphere an atom is its stored point mass ``w/|r|`` at the integer
+ray ``r`` (scale 1), and the projection onto E gathers it at the primitive
+ray through its coordinates there; scaling each class member by the gcd of
+those coordinates puts every member at one ray, whose norm, common to the
+class, never enters the zero test.
 
 On a negative decision the counterexample is proved by its factors: it is
 either the parity basis measure of J (convolved with the whole measure to
@@ -39,11 +43,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Literal, Optional
 
 from .measures import AtomicMeasure, Measure, _parity_grid, delta_ej, mconv
-from .scalars import ZERO, Surd
 from .subsets import (
     GeneratingPair,
     SubsetMask,
@@ -119,7 +121,7 @@ _PROBE = ((2, 1), (1, -1), (-2, 1), (-1, -1))
 
 def _probe_product(e: SubsetMask, j: SubsetMask, cls: type[AtomicMeasure] = Measure) -> AtomicMeasure:
     """``mconv(delta_ej(e, j), sigma0_on(e))``, built as a product in the setting ``cls``."""
-    return _parity_grid(e, j, _PROBE, Fraction(1, 1 << e.size), cls)
+    return _parity_grid(e, j, _PROBE, 1 << e.size, cls)
 
 
 def _witness(
@@ -167,13 +169,15 @@ def _conclude(
     return UniversalityReport(fail is None, conditions, witness, list(skipped))
 
 
-# an atom once per decision: nonzero mask, negative mask, absolute
-# coordinates as integers, weight
-_Code = list[tuple[int, int, tuple[int, ...], Surd]]
+# an atom once per decision and part: nonzero mask, negative mask, absolute
+# coordinates as integers, radicand, coefficient
+_Code = list[tuple[int, int, tuple[int, ...], int, int]]
+# the members of a class: negative mask and coefficient
+_Class = list[tuple[int, int]]
 
 
 def _code(nu: AtomicMeasure) -> _Code:
-    """Encode every atom of ``nu`` once.
+    """Encode every atom of ``nu`` once per part that holds it.
 
     Atoms are read as stored, at integer vectors over one common
     denominator: a point atom at its stored key, scaled by the measure's
@@ -182,31 +186,32 @@ def _code(nu: AtomicMeasure) -> _Code:
     coordinates are integers, equal exactly when the locations' are.
     """
     code: _Code = []
-    for loc, w in nu._atoms.items():
-        nonzero = negative = 0
-        for i, c in enumerate(loc):
-            if c:
-                nonzero |= 1 << i
-                if c < 0:
-                    negative |= 1 << i
-        absolute = tuple([abs(c) for c in loc])
-        code.append((nonzero, negative, absolute, w))
+    for s, part in nu._parts.items():
+        for loc, c in part.items():
+            nonzero = negative = 0
+            for i, x in enumerate(loc):
+                if x:
+                    nonzero |= 1 << i
+                    if x < 0:
+                        negative |= 1 << i
+            absolute = tuple([abs(x) for x in loc])
+            code.append((nonzero, negative, absolute, s, c))
     return code
 
 
-def _classes(code: _Code, e: SubsetMask, sphere: bool) -> list[list[tuple[int, Surd]]]:
+def _classes(code: _Code, e: SubsetMask, sphere: bool) -> list[_Class]:
     """The top-order part of the projection onto ``e``, grouped.
 
-    Atoms nonzero on all of ``e`` sharing their absolute coordinates there
-    form a class; each member keeps its negative mask and its mass.  On
-    the sphere the key is divided by its gcd g: the member's projected
-    vector is g times the class's primitive ray, so its mass there is g
-    times its own, as in the sphere's ``_gather``.
+    Atoms nonzero on all of ``e`` sharing their radicand and their absolute
+    coordinates there form a class; each member keeps its negative mask and
+    its coefficient.  On the sphere the key is divided by its gcd g: the
+    member's projected vector is g times the class's primitive ray, so its
+    mass there is g times its own, as in the sphere's ``_gather``.
     """
     bits = e.bits
     on_e = [i for i in range(e.dim) if bits >> i & 1]
-    classes: dict[tuple[int, ...], list[tuple[int, Surd]]] = {}
-    for nonzero, negative, absolute, w in code:
+    classes: dict[tuple[int, tuple[int, ...]], _Class] = {}
+    for nonzero, negative, absolute, s, c in code:
         if nonzero & bits != bits:
             continue  # a lower-order atom of the projection
         key = tuple([absolute[i] for i in on_e])
@@ -214,23 +219,20 @@ def _classes(code: _Code, e: SubsetMask, sphere: bool) -> list[list[tuple[int, S
             g = math.gcd(*key)
             if g != 1:
                 key = tuple([v // g for v in key])
-                w = w * g
-        classes.setdefault(key, []).append((negative, w))
+                c *= g
+        classes.setdefault((s, key), []).append((negative, c))
     return list(classes.values())
 
 
-def _satisfied(classes: list[list[tuple[int, Surd]]], j: int) -> bool:
+def _satisfied(classes: list[_Class], j: int) -> bool:
     """Whether the parity basis measure of the index mask ``j`` leaves the
-    grouped base nonzero: some class has a nonzero sum of weights signed by
-    the parity of their negative coordinates inside ``j``."""
+    grouped base nonzero: some class has a nonzero sum of coefficients
+    signed by the parity of their negative coordinates inside ``j``."""
     for members in classes:
-        sums: list[Optional[Surd]] = [None, None]
-        for negative, w in members:
-            odd = (negative & j).bit_count() & 1
-            s = sums[odd]
-            sums[odd] = w if s is None else s + w
-        even, odd = sums
-        if (even or ZERO) != (odd or ZERO):
+        total = 0
+        for negative, c in members:
+            total += -c if (negative & j).bit_count() & 1 else c
+        if total:
             return True
     return False
 
@@ -244,7 +246,7 @@ def _evaluate(
     """
     sphere = isinstance(nu, SphereMeasure)
     code = _code(nu)
-    groupings: dict[SubsetMask, tuple[list[list[tuple[int, Surd]]], bool]] = {}
+    groupings: dict[SubsetMask, tuple[list[_Class], bool]] = {}
     records: list[ConditionRecord] = []
     for e, j in pairs:
         grouping = groupings.get(e)
@@ -260,6 +262,22 @@ def _evaluate(
 def _whole_space(dim: int, sphere: bool) -> list[SubsetMask]:
     """Every zero pattern of a setting; the sphere misses the origin cell."""
     return [e for e in all_subsets(dim) if e.size or not sphere]
+
+
+def _index_sets(support, pair: GeneratingPair) -> list[tuple[SubsetMask, list[SubsetMask]]]:
+    """Each support set, by descending size, with its index set, sorted.
+
+    The index set of (E, pair) is the members of the whole space's index set
+    that lie inside E, so one index set is enumerated and sorted in all.
+    """
+    whole = sorted(index_set(SubsetMask.full(pair.dim), pair), key=mask_sort_key)
+    out = []
+    for e in _ordered_support(support):
+        if e.dim != pair.dim:
+            raise ValueError(f"support set {e} has dimension {e.dim}, expected {pair.dim}")
+        outside = ~e.bits
+        out.append((e, [j for j in whole if not j.bits & outside]))
+    return out
 
 
 def decide_universal_rn(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityReport:
@@ -280,14 +298,11 @@ def decide_universal_rn(nu: AtomicMeasure, support, pair: GeneratingPair) -> Uni
         raise ValueError(f"dimension mismatch: measure {nu.dim} vs pair {pair.dim}")
     pairs: list[tuple[SubsetMask, SubsetMask]] = []
     skipped: list[SubsetMask] = []
-    for e in _ordered_support(support):
-        if e.dim != nu.dim:
-            raise ValueError(f"support set {e} has dimension {e.dim}, expected {nu.dim}")
-        indices = index_set(e, pair)
+    for e, indices in _index_sets(support, pair):
         if not indices:
             skipped.append(e)
             continue
-        pairs.extend((e, j) for j in sorted(indices, key=mask_sort_key))
+        pairs.extend((e, j) for j in indices)
     return _conclude(nu, pair, _evaluate(nu, pairs), skipped)
 
 

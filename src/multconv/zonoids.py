@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .measures import Measure, msym
+from .measures import Measure, _surd, msym
 from .points import Point, inner, make_point, ray_norm_sq
 from .scalars import Surd
 from .subsets import SubsetMask, json_dim
@@ -80,10 +80,10 @@ def support_function(nu: SphereMeasure, u: Iterable) -> Surd:
     u = make_point(u)
     if len(u) != nu.dim:
         raise ValueError(f"dimension mismatch: {len(u)} vs {nu.dim}")
-    total = Surd(0)
-    for ray, m in nu._atoms.items():
-        total = total + m * abs(inner(ray, u))
-    return total
+    # the rational coefficient of each radicand, over the weight denominator
+    coeffs = {s: sum([c * abs(inner(ray, u)) for ray, c in part.items()], Fraction(0))
+              for s, part in nu._parts.items()}
+    return _surd(coeffs, nu._wden)
 
 
 def k_transform(nu_k: SphereMeasure, mu: SphereMeasure, u: Iterable) -> Surd:

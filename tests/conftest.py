@@ -5,7 +5,7 @@ import pytest
 
 from multconv.measures import Measure
 from multconv.points import ray_norm_sq
-from multconv.scalars import Surd
+from multconv.scalars import Surd, square_free_decompose
 from multconv.sphere import SphereMeasure
 
 
@@ -15,10 +15,18 @@ def _check_trusted(results: dict) -> None:
         assert r == type(r)(r.dim, dict(r.atoms)), name
         # the stored form: integer keys over the least common denominator,
         # which is 1 on the sphere
-        for v in r._atoms:
+        for v in r._keys():
             assert len(v) == r.dim and all(type(c) is int for c in v), (name, v)
-        assert r._den >= 1 and math.gcd(r._den, *(c for v in r._atoms for c in v)) == 1, (name, r._den)
+        assert r._den >= 1 and math.gcd(r._den, *(c for v in r._keys() for c in v)) == 1, (name, r._den)
         assert isinstance(r, Measure) or r._den == 1, (name, r._den)
+        # int coefficients per square-free radicand, none zero and no part
+        # empty, over a weight denominator coprime to all of them
+        for s, part in r._parts.items():
+            assert type(s) is int and s >= 1 and square_free_decompose(s) == (1, s), (name, s)
+            assert part and all(type(c) is int and c for c in part.values()), (name, s)
+        coeffs = [c for part in r._parts.values() for c in part.values()]
+        assert type(r._wden) is int and r._wden >= 1, (name, r._wden)
+        assert math.gcd(r._wden, *coeffs) == 1, (name, r._wden)
         coord = Fraction if isinstance(r, Measure) else int
         for loc, w in r.atoms.items():
             assert type(w) is Surd and w, (name, loc, w)
@@ -29,7 +37,7 @@ def _check_trusted(results: dict) -> None:
             # mass form: the stored value at a ray is the point mass w/|r|,
             # and the weight is m*|r|
             for ray, w in r.atoms.items():
-                assert w == r._atoms[ray] * Surd.sqrt(ray_norm_sq(ray)), (name, ray)
+                assert w == r._mass(ray) * Surd.sqrt(ray_norm_sq(ray)), (name, ray)
 
 
 @pytest.fixture

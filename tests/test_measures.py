@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from multconv.measures import (
 )
 from multconv.points import zero_pattern
 from multconv.scalars import HALF, Surd
-from multconv.sphere import SphereMeasure
+from multconv.sphere import SphereMeasure, radial_project, sconv
 from multconv.subsets import (
     GeneratingPair,
     SubsetMask,
@@ -630,7 +631,7 @@ def test_cancellation_shrinks_the_denominator():
     got = Measure(1, {(F(1, 2),): 1, (1,): 1}) + Measure(1, {(F(1, 2),): -1})
     want = Measure(1, {(1,): 1})
     assert got == want and hash(got) == hash(want)
-    assert got._den == 1 and got._atoms == {(1,): Surd(1)}
+    assert got._den == got._wden == 1 and got._parts == {1: {(1,): 1}}
 
 
 def test_mconv_lands_on_an_integer_point():
@@ -665,9 +666,10 @@ def test_weight_at_decodes_over_the_denominator():
 # -- coded kernels against their definitions ------------------------------------
 
 _KERNEL_WEIGHTS = (Surd(1), Surd(-1), Surd(F(1, 2)), Surd.sqrt(2), -Surd.sqrt(2), Surd(3))
+_RATIONAL_WEIGHTS = (Surd(1), Surd(-1), Surd(F(1, 2)), Surd(3))
 
 
-def _kernel_inputs(seed, n):
+def _kernel_inputs(seed, n, weights=_KERNEL_WEIGHTS):
     """Two point measures with repeated values, zeros and negatives, plus
     atoms at ``p, 2p`` and ``2q, q`` whose products ``p*2q`` and ``2p*q``
     coincide with cancelling weights."""
@@ -675,11 +677,11 @@ def _kernel_inputs(seed, n):
     pool = tuple(F(v) for v in (-2, -1, F(-1, 2), 0, 0, F(1, 2), 1, 1, 2))
 
     def measure(k):
-        return Measure(n, [(tuple(rng.choice(pool) for _ in range(n)), rng.choice(_KERNEL_WEIGHTS)) for _ in range(k)])
+        return Measure(n, [(tuple(rng.choice(pool) for _ in range(n)), rng.choice(weights)) for _ in range(k)])
 
     p = tuple(rng.choice((-1, 1, 2)) for _ in range(n))
     q = tuple(rng.choice((-2, F(1, 2), 1)) for _ in range(n))
-    w = rng.choice(_KERNEL_WEIGHTS)
+    w = rng.choice(weights)
     a = measure(6) + Measure(n, {p: 1, tuple(2 * c for c in p): 1})
     b = measure(5) + Measure(n, {tuple(2 * c for c in q): w, q: -w})
     return a, b
@@ -687,7 +689,9 @@ def _kernel_inputs(seed, n):
 
 def _first_products(a, b):
     """The points of the double loop in the order of their first product,
-    keeping those whose weights do not cancel."""
+    keeping those whose weights do not cancel.  That is the order of the
+    product's atoms when both factors have one radicand; otherwise the
+    product lists its atoms part by part."""
     acc = {}
     for x, wx in a.atoms.items():
         for y, wy in b.atoms.items():
@@ -699,11 +703,15 @@ def _first_products(a, b):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_mconv_matches_the_double_loop(n, assert_trusted):
     for seed in range(8):
-        a, b = _kernel_inputs(seed, n)
-        got = mconv(a, b)
-        assert got == brute_force_convolution(a, b)
-        assert list(got.atoms) == _first_products(a, b)
-        assert_trusted({"mconv": got, "mconv-swapped": mconv(b, a)})
+        for weights in (_KERNEL_WEIGHTS, _RATIONAL_WEIGHTS):
+            a, b = _kernel_inputs(seed, n, weights)
+            got = mconv(a, b)
+            assert got == brute_force_convolution(a, b)
+            if len(a._parts) == len(b._parts) == 1:
+                assert list(got.atoms) == _first_products(a, b)
+            else:
+                assert sorted(got.atoms) == sorted(_first_products(a, b))
+            assert_trusted({"mconv": got, "mconv-swapped": mconv(b, a)})
     # (x + 2x) * (2*1 - 1): the two products at 2x cancel
     x = tuple(F(1 + i) for i in range(n))
     a = Measure(n, {x: 1, tuple(2 * c for c in x): 1})
@@ -722,9 +730,9 @@ class _CountedSurd(Surd):
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
-def test_mconv_takes_one_weight_product_per_pair(n):
-    # all coordinates distinct: every product is a new point, and the kernel
-    # takes exactly the double loop's |a|*|b| weight products
+def test_mconv_takes_no_surd_product(n):
+    # all coordinates distinct: every product is a new point; the weights are
+    # read into int coefficients once, and the kernel multiplies those
     rng = random.Random(f"distinct-{n}")
 
     def distinct(k):
@@ -739,7 +747,8 @@ def test_mconv_takes_one_weight_product_per_pair(n):
     a, b = distinct(7), distinct(5)
     _CountedSurd.products = 0
     got = mconv(a, b)
-    assert _CountedSurd.products == len(a.atoms) * len(b.atoms) == 7 * 5
+    assert _CountedSurd.products == 0
+    assert got.atom_count() == len(a.atoms) * len(b.atoms) == 7 * 5
     assert got == brute_force_convolution(a, b)
     assert list(got.atoms) == _first_products(a, b)
 
@@ -826,3 +835,116 @@ def test_constructor_parses_text_weights(cls, loc):
     mu = cls(2, {loc: "3/2"})
     assert mu.weight_at(loc) == Surd(F(3, 2))
     assert cls.from_json(mu.to_json()) == mu
+
+
+# -- integer weights ----------------------------------------------------------------
+
+
+def test_algebra_takes_no_surd_arithmetic_on_rational_weights(monkeypatch):
+    # the operators add and multiply int coefficients; a Surd is built only
+    # at the public surface
+    n = 3
+    a = gen_measure(11, n, 7) + gen_measure(12, n, 4).reflect(SubsetMask(5, n))
+    b = gen_measure(13, n, 5)
+    e = SubsetMask(6, n)
+    pair = GeneratingPair.make(n, evens=[SubsetMask(3, n)], odds=[SubsetMask(4, n)])
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Surd, name, counted(name, getattr(Surd, name)))
+    monkeypatch.setattr(Surd, "_of", classmethod(counted("_of", Surd._of.__func__)))
+    m = mconv(a, b)
+    lifted = lift(a)
+    results = [
+        m,
+        sconv(a, b),
+        sconv(radial_project(a), radial_project(b)),
+        tensor(a, b),
+        m.project(e),
+        m.restrict_order(e),
+        symmetrize(m, pair),
+        msym(m),
+        munc(m),
+        lifted,
+        lift_inverse(lifted),
+        a + b,
+        a - b,
+        radial_project(a) - radial_project(b),
+    ]
+    assert all(results) and not calls
+    # the counters see the public surface decode the weights
+    assert dict(m.atoms) and calls["_of"] > 0
+
+
+_SURD_WEIGHTS = (1 + Surd.sqrt(2), Surd.sqrt(3) - HALF, Surd.sqrt(6), -Surd.sqrt(2), Surd(F(2, 3)))
+
+
+def _surd_measure(seed, n, k):
+    """A point measure whose weights carry several radicands."""
+    rng = random.Random(f"surds-{seed}-{n}-{k}")
+    pool = tuple(F(v) for v in (-2, -1, F(-1, 2), 0, F(1, 2), 1, 2))
+    return Measure(n, [(tuple(rng.choice(pool) for _ in range(n)), rng.choice(_SURD_WEIGHTS)) for _ in range(k)])
+
+
+def _pairwise(pairs, cls, dim):
+    """Sum ``(location, Surd weight)`` pairs one by one, the public way."""
+    acc = {}
+    for loc, w in pairs:
+        acc[loc] = acc.get(loc, Surd(0)) + w
+    return cls(dim, acc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_products_of_several_radicands_match_the_pairwise_loop(n, assert_trusted):
+    for seed in range(6):
+        a, b = _surd_measure(seed, n, 6), _surd_measure(seed + 50, n, 4)
+        assert len(a._parts) > 1 or len(b._parts) > 1
+        want = _pairwise(
+            ((tuple(u * v for u, v in zip(x, y)), wx * wy) for x, wx in a.atoms.items() for y, wy in b.atoms.items()),
+            Measure, n,
+        )
+        got = mconv(a, b)
+        assert got == want
+        # sphere atoms weigh ``w * |r|``: a pair's product weighs
+        # ``wx * wy * |x*y| / (|x| |y|)`` at the ray of ``x*y``
+        sa, sb = radial_project(a), radial_project(b)
+        pushed = []
+        for x, wx in sa.atoms.items():
+            for y, wy in sb.atoms.items():
+                prod = [u * v for u, v in zip(x, y)]
+                if any(prod):
+                    norms = F(sum(c * c for c in prod), sum(c * c for c in x) * sum(c * c for c in y))
+                    pushed.append((tuple(prod), wx * wy * Surd.sqrt(norms)))
+        assert sconv(a, b) == _pairwise(pushed, SphereMeasure, n)
+        assert_trusted({"mconv": got, "sconv": sconv(a, b), "radial": sa})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symmetrize_of_several_radicands_matches_the_group_average(n, assert_trusted):
+    for seed in range(6):
+        mu = _surd_measure(seed + 100, n, 6)
+        # the sphere measure on the rays of the doubled points, from the public constructor
+        rays = SphereMeasure(n, [(tuple(int(2 * c) for c in loc), w) for loc, w in mu.atoms.items() if any(loc)])
+        for sigma in (mu, rays):
+            pair = gen_pair(seed, n)
+            sym = gamma(pair)
+            got = symmetrize(sigma, pair)
+            if not sym.proper:
+                assert not got
+                continue
+            # the character-weighted average over the generated group, atom by atom
+            size = len(sym.evens) + len(sym.odds)
+            pairs = [
+                (tuple(-c if f.bits >> i & 1 else c for i, c in enumerate(loc)), w * F(sign, size))
+                for loc, w in sigma.atoms.items()
+                for family, sign in ((sym.evens, 1), (sym.odds, -1))
+                for f in family
+            ]
+            assert got == _pairwise(pairs, type(sigma), n)
+            assert_trusted({"symmetrize": got})

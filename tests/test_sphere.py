@@ -398,6 +398,13 @@ def test_generating_measure_matches_reference():
             assert generating_measure(z) == _reference_generating(z)
 
 
+def _lanes(masses):
+    """Point masses given as :class:`Surd` values, as the int lanes of a
+    gather (one per term, repeats kept) over one weight denominator."""
+    wden = math.lcm(*(q for _, m in masses for _, _, q in m._terms))
+    return [(r, [(v, p * (wden // q))]) for v, m in masses for r, p, q in m._terms], wden
+
+
 def test_push_sums_each_ray_before_its_root():
     rays = [(1, 2, 0), (-1, 1, 1), (3, 0, -2)]
     masses = []
@@ -413,32 +420,33 @@ def test_push_sums_each_ray_before_its_root():
         if any(v):
             ray = primitive_ray(v)
             expected[ray] = expected.get(ray, Surd(0)) + m * Surd.sqrt(sum(c * c for c in v))
-    got = SphereMeasure._gather(3, masses)
+    lanes, wden = _lanes(masses)
+    got = SphereMeasure._gather(3, lanes, 1, wden)
     assert dict(got.atoms) == {r: w for r, w in expected.items() if w}
-    assert list(got.atoms) == [r for r, w in expected.items() if w]
+    # each part lists its rays in the order of their first mass of its radicand
+    for s, part in got._parts.items():
+        first = dict.fromkeys(primitive_ray(v) for r, pairs in lanes if r == s for v, _ in pairs if any(v))
+        assert list(part) == [ray for ray in first if ray in part]
     # a ray whose sum cancels to zero is dropped
     cancel = [((1, 1), Surd(1)), ((2, 2), Surd(F(-1, 2))), ((3, -1), Surd(1))]
-    assert SphereMeasure._gather(2, cancel) == SphereMeasure(2, {(3, -1): Surd.sqrt(10)})
+    lanes, wden = _lanes(cancel)
+    assert SphereMeasure._gather(2, lanes, 1, wden) == SphereMeasure(2, {(3, -1): Surd.sqrt(10)})
 
 
 def test_project_merges_masses_sharing_one_surd():
-    # an identity test on the stored weight would take the second atom for
-    # the first and skip the merge
+    # one Surd object given as the weight of two atoms is read into the
+    # integer form once per atom, and the projection merges the two
     w = Surd.sqrt(2)
     axis = SubsetMask.single(2, 1)
     mu = Measure(2, {(1, 2): w, (1, 3): w})
-    assert mu.atoms[(F(1), F(2))] is mu.atoms[(F(1), F(3))]
     assert mu.project(axis) == Measure(2, {(1, 0): 2 * w})
     sigma = SphereMeasure(2, {(1, 2): w, (1, 3): w})
     expected = w * Surd.sqrt(F(1, 5)) + w * Surd.sqrt(F(1, 10))
     assert sigma.project(axis) == SphereMeasure(2, {(1, 0): expected})
-    # the same object twice, at one vector and at a multiple of it
-    assert SphereMeasure._gather(2, [((1, 2), w), ((1, 2), w)]) == SphereMeasure(
-        2, {(1, 2): 2 * w * Surd.sqrt(5)}
-    )
-    assert SphereMeasure._gather(2, [((1, 2), w), ((2, 4), w)]) == SphereMeasure(
-        2, {(1, 2): 3 * w * Surd.sqrt(5)}
-    )
+    # the same mass twice, at one vector and at a multiple of it
+    for v, factor in (((1, 2), 2), ((2, 4), 3)):
+        lanes, wden = _lanes([((1, 2), w), (v, w)])
+        assert SphereMeasure._gather(2, lanes, 1, wden) == SphereMeasure(2, {(1, 2): factor * w * Surd.sqrt(5)})
 
 
 def test_project_keeps_coordinate_types():
@@ -594,7 +602,7 @@ def test_irrational_weights_read_back_through_the_surface(assert_trusted):
         assert mu.weight_at(ray) == w
         assert mu.weight_at(tuple(3 * c for c in ray)) == w
         # stored in mass form
-        assert mu._atoms[ray] * Surd.sqrt(_norm_sq(ray)) == w
+        assert mu._mass(ray) * Surd.sqrt(_norm_sq(ray)) == w
     assert mu.weight_at((1, 2)) == Surd(0)
     data = mu.to_json()
     assert data["atoms"] == [

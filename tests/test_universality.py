@@ -26,7 +26,7 @@ from multconv.measures import (
 )
 from multconv.scalars import Surd
 from multconv.sphere import SphereMeasure, radial_project, sconv
-from multconv.subsets import GeneratingPair, SubsetMask, all_subsets, index_set, subsets_of
+from multconv.subsets import GeneratingPair, SubsetMask, all_subsets, index_set, mask_sort_key, subsets_of
 from multconv.universality import (
     _probe_product,
     class_pair,
@@ -548,3 +548,50 @@ def test_condition_pass_groups_each_support_once(monkeypatch, sphere):
             report = decide_special(nu, klass, scope)
             assert len(grouped) == len(set(grouped))
             assert set(grouped) == {c.support for c in report.conditions}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_index_sets_filter_the_whole_space_once(n):
+    supports = list(all_subsets(n))
+    for seed in range(12):
+        for max_members in (3, 5):
+            pair = gen_pair(seed, n, max_members)
+            got = universality._index_sets(supports, pair)
+            assert [e for e, _ in got] == universality._ordered_support(supports)
+            for e, indices in got:
+                assert indices == sorted(index_set(e, pair), key=mask_sort_key)
+
+
+def _by_convolution(nu, record):
+    """The (E, J) condition by its definition: the parity basis measure of J
+    does not annihilate the top-order part of the projection onto E."""
+    conv = sconv if isinstance(nu, SphereMeasure) else mconv
+    return bool(conv(nu.project(record.support).restrict_order(record.support), delta_ej(record.support, record.index)))
+
+
+def test_condition_holds_on_one_radicand_while_another_cancels():
+    r2 = Surd.sqrt(2)
+    full = SubsetMask.full(1)
+    # the class at |x| = 1: under J = {} the rational parts add and the sqrt(2)
+    # parts cancel; under J = {1} the reverse
+    nu = Measure(1, {(1,): 1 + r2, (-1,): 1 - r2})
+    report = decide_universal_rn(nu, [full], GeneratingPair.make(1))
+    assert [(c.index.bits, c.satisfied) for c in report.conditions] == [(0, True), (1, True)]
+    # both parts cancel under J = {1}
+    even = Measure(1, {(1,): 1 + r2, (-1,): 1 + r2})
+    report = decide_universal_rn(even, [full], GeneratingPair.make(1))
+    assert [(c.index.bits, c.satisfied) for c in report.conditions] == [(0, True), (1, False)]
+    assert report.witness is not None
+    # on the sphere the masses (1 +- sqrt(2))/sqrt(2) at the rays (1, +-1)
+    # split the same way, and the axis adds a third radicand
+    sigma = SphereMeasure(2, {(1, 1): 1 + r2, (1, -1): 1 - r2, (1, 0): Surd.sqrt(3)})
+    assert len(sigma._parts) == 3
+    for nu in (nu, even, sigma, radial_project(nu)):
+        supports = [e for e in all_subsets(nu.dim) if e.size]
+        for klass in ("none", "symmetric", "antisymmetric"):
+            report = decide_universal_rn(nu, supports, class_pair(klass, nu.dim))
+            for record in report.conditions:
+                assert record.satisfied == _by_convolution(nu, record), (klass, record)
+    full = SubsetMask.full(2)
+    report = decide_universal_rn(sigma, [full], GeneratingPair.make(2))
+    assert all(c.satisfied for c in report.conditions)
