@@ -69,12 +69,13 @@ def _parse_family(text: str | None, dim: int) -> list[SubsetMask]:
 
 
 def _emit(payload, fmt: str) -> None:
+    # ``json.dump`` to a stream always runs the pure-Python encoder;
+    # ``json.dumps`` without indent runs the C one, with the same bytes
     if fmt == "json":
-        json.dump(payload, sys.stdout, separators=(",", ":"), sort_keys=False)
-        sys.stdout.write("\n")
+        text = json.dumps(payload, separators=(",", ":"))
     else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=False)
-        sys.stdout.write("\n")
+        text = json.dumps(payload, indent=2)
+    sys.stdout.write(text + "\n")
 
 
 def _cmd_convolve(args) -> int:
@@ -266,9 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of ``main`` and reused: ``parse_args`` keeps no
+# state between calls
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # an InputError is a ValueError too

@@ -21,7 +21,9 @@ coefficients over one weight denominator per measure.  A measure with
 rational weights has the single part ``s = 1``.  So every operator hashes
 tuples of ints and adds and multiplies ints, once per part (per pair of
 parts for a product); locations are decoded to ``Fraction`` points, and
-weights to :class:`Surd` values, only at the public surface.
+weights to :class:`Surd` values, only at the public surface.  The JSON
+codec skips both: ``from_json`` reads ``"p/q"`` strings to int pairs and
+``to_json`` writes reduced ``"p/q"`` strings from the stored ints.
 """
 
 from __future__ import annotations
@@ -30,12 +32,23 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter, mul
+from operator import mul
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .points import Point, make_point, reflect_point, zero_pattern
-from .scalars import HALF, Surd, SurdLike, _canonical, _term, as_surd
+from .points import Point, make_point, point_values, reflect_point, zero_pattern
+from .scalars import (
+    HALF,
+    Surd,
+    SurdLike,
+    _accumulate,
+    _canonical,
+    _json_terms,
+    _ratio_text,
+    _rational_pair,
+    _term,
+    as_surd,
+)
 from .subsets import (
     GeneratingPair,
     SubsetMask,
@@ -49,6 +62,8 @@ if TYPE_CHECKING:  # typing.Self is new in Python 3.11
     from typing import Self
 
 Key = tuple[int, ...]
+# the (radicand, numerator, denominator) triples of a weight
+Terms = Iterable[tuple[int, int, int]]
 # radicand -> integer vector -> int coefficient
 Parts = dict[int, dict[Key, int]]
 # (radicand, point masses) pairs, the input of a gather
@@ -74,16 +89,26 @@ def _surd(coeffs: Mapping[int, int | Fraction], wden: int = 1) -> Surd:
     return Surd._of(_canonical({s: (c.numerator, c.denominator * wden) for s, c in coeffs.items()}))
 
 
-def _split(masses: Iterable[tuple[Key, Surd]]) -> tuple[Parts, int]:
-    """Point masses at distinct vectors, given as :class:`Surd` values, as
-    parts over one weight denominator (not yet reduced)."""
-    masses = list(masses)
-    wden = math.lcm(*[q for _, m in masses for _, _, q in m._terms])
+def _split(masses: list[tuple[Key, Terms]]) -> tuple[Parts, int]:
+    """Point masses at distinct vectors, given as canonical :class:`Surd`
+    terms, as parts over one weight denominator (not yet reduced)."""
+    wden = math.lcm(*[q for _, terms in masses for _, _, q in terms])
     parts: Parts = {}
-    for v, m in masses:
-        for r, p, q in m._terms:
+    for v, terms in masses:
+        for r, p, q in terms:
             parts.setdefault(r, {})[v] = p * (wden // q)
     return parts, wden
+
+
+def _surd_terms(w: SurdLike) -> Terms:
+    # refuses float, bool and None weights
+    return (w if isinstance(w, Surd) else Surd(w))._terms
+
+
+def _positive(dim: int) -> int:
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    return dim
 
 
 def _sum_parts(lanes: Lanes) -> Parts:
@@ -102,9 +127,11 @@ class AtomicMeasure:
 
     The shared core of point and sphere measures.  A subclass fixes the
     location type through class attributes: ``_key`` normalises a location
-    (and checks it), ``_loc_field`` names it in JSON, ``_decode`` turns a
-    stored key back into a location; the weight coding through the pair
-    ``_encode_weight`` and ``_decode_weight``; and its pushforward through
+    (and checks it), ``_read`` and ``_scale`` read locations to integer keys
+    over one denominator, ``_loc_field`` names them in JSON, ``_decode``
+    turns a stored key back into a location; the weight coding through the
+    pair ``_encode_weight`` and ``_decode_weight``, which ``_coded_weights``
+    says is not the identity; and its pushforward through
     the trusted ``_gather``, which sums point masses per location: the one
     hook that every projection, product and sum ends in.
 
@@ -129,39 +156,45 @@ class AtomicMeasure:
     several parts at its first.
 
     The public constructor normalises every location, checks its
-    dimension and merges repeats; it is the entry for user input.  Parts
+    dimension and merges repeats; it is the entry for user input, and
+    ``from_json`` reads JSON the same way without building a ``Fraction``
+    or a :class:`Surd` per atom (a coded setting builds its weights).  Parts
     the library built itself, of the right dimension and keyed over a
     common denominator, go through the trusted constructor ``_of`` instead.
     """
 
     __slots__ = ("dim", "_parts", "_den", "_wden")
     _key: Callable[[Iterable], tuple]
+    _read: Callable[[Iterable, int], object]
+    _scale: Callable[[list], tuple[list[Key], int]]
     _loc_field: str
+    _coded_weights: bool
     _encode_weight: Callable[[Key, Surd], Surd]
     _decode_weight: Callable[[Key, Surd], Surd]
 
     def __init__(self, dim: int, atoms: Mapping[tuple, SurdLike] | Iterable[tuple[tuple, SurdLike]] = ()):
-        if dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
+        _positive(dim)
         items = atoms.items() if isinstance(atoms, Mapping) else atoms
-        key = self._key
-        acc: dict[tuple, Surd] = {}
-        for loc, w in items:
-            loc = key(loc)
-            if len(loc) != dim:
-                raise ValueError(
-                    f"{self._loc_field} {loc} has dimension {len(loc)}, expected {dim}"
-                )
-            if not isinstance(w, Surd):
-                w = Surd(w)  # refuses float, bool and None weights
-            prev = acc.get(loc)
-            acc[loc] = w if prev is None else prev + w
-        den = math.lcm(*{c.denominator for loc in acc for c in loc})
-        encode = self._encode_weight
-        masses = []
-        for loc, w in acc.items():
-            v = _scaled(loc, den)
-            masses.append((v, encode(v, w)))
+        read = self._read
+        self._assemble(dim, [(read(loc, dim), _surd_terms(w)) for loc, w in items])
+
+    def _assemble(self, dim: int, rows: list[tuple[object, Terms]]) -> None:
+        """Initialise from locations as ``_read`` returns them and their
+        weights as ``(r, p, q)`` terms: merge repeats, code the weights and
+        split them into parts."""
+        keys, den = self._scale([loc for loc, _ in rows])
+        merged: dict[Key, dict[int, tuple[int, int]]] = {}
+        for v, (_, terms) in zip(keys, rows):
+            acc = merged.get(v)
+            if acc is None:
+                acc = merged[v] = {}
+            for r, p, q in terms:
+                _accumulate(acc, r, p, q)
+        if self._coded_weights:
+            encode = self._encode_weight
+            masses = [(v, encode(v, Surd._of(_canonical(acc)))._terms) for v, acc in merged.items()]
+        else:
+            masses = [(v, _canonical(acc)) for v, acc in merged.items()]
         parts, wden = _split(masses)
         self._init(dim, parts, den, wden)
 
@@ -446,23 +479,34 @@ class AtomicMeasure:
     # -- serialization -------------------------------------------------------------
 
     def to_json(self) -> dict:
-        decode, weight = self._decode, self._decode_weight
-        return {
-            "dim": self.dim,
-            "atoms": [
-                {self._loc_field: [str(c) for c in decode(v)], "weight": weight(v, m).to_json()}
-                for v, m in sorted(self._masses(), key=itemgetter(0))
-            ],
-        }
+        """The atoms sorted by location, each coordinate and coefficient a
+        reduced ``"p/q"`` string written from the stored ints."""
+        parts, den, wden = self._parts, self._den, self._wden
+        radicands = sorted(parts)
+        field, coded, decode = self._loc_field, self._coded_weights, self._decode_weight
+        atoms = []
+        # a positive denominator keeps the order of the keys
+        for v in sorted(self._keys()):
+            coeffs = [(s, parts[s][v]) for s in radicands if v in parts[s]]
+            if coded:
+                weight = decode(v, _surd(dict(coeffs), wden)).to_json()
+            else:
+                weight = [[_ratio_text(c, wden), s] for s, c in coeffs]
+            loc = [str(c) for c in v] if den == 1 else [_ratio_text(c, den) for c in v]
+            atoms.append({field: loc, "weight": weight})
+        return {"dim": self.dim, "atoms": atoms}
 
     @classmethod
     def from_json(cls, data: dict) -> Self:
-        # locations pass through ``_key``, which refuses float entries
-        atoms = [
-            (entry[cls._loc_field], Surd.from_json(entry["weight"]))
-            for entry in data.get("atoms", [])
-        ]
-        return cls(json_dim(data), atoms)
+        # the weights are read first, then ``dim``, then the locations, each
+        # check raising what the public constructor raises on the same values
+        field = cls._loc_field
+        entries = [(entry[field], _json_terms(entry["weight"])) for entry in data.get("atoms", [])]
+        dim = _positive(json_dim(data))
+        read = cls._read
+        out = cls.__new__(cls)
+        out._assemble(dim, [(read(loc, dim), terms) for loc, terms in entries])
+        return out
 
 
 class Measure(AtomicMeasure):
@@ -471,6 +515,22 @@ class Measure(AtomicMeasure):
     __slots__ = ()
     _key = staticmethod(make_point)
     _loc_field = "point"
+    _coded_weights = False
+
+    @staticmethod
+    def _read(loc: Iterable, dim: int) -> list[tuple[int, int]]:
+        """The coordinates of a point of dimension ``dim`` as int pairs
+        ``(p, q)``, with ``make_point``'s refusals and messages."""
+        values = point_values(loc)
+        if len(values) != dim:
+            raise ValueError(f"point {make_point(values)} has dimension {len(values)}, expected {dim}")
+        return [_rational_pair(c) for c in values]
+
+    @staticmethod
+    def _scale(locs: list[list[tuple[int, int]]]) -> tuple[list[Key], int]:
+        """Read points as integer vectors over a common denominator."""
+        den = math.lcm(*[q for pairs in locs for _, q in pairs])
+        return [tuple([p * (den // q) for p, q in pairs]) for pairs in locs], den
 
     def _decode(self, v: Key) -> Point:
         den = self._den

@@ -1,8 +1,10 @@
 """Location parsing and integer-vector helpers.
 
-``make_point`` reads a rational point of R^n and ``primitive_ray`` a
-primitive integer ray, the exact stand-in for a unit direction; the
-helpers act alike on ``Fraction`` points and the integer keys of measures.
+``make_point`` reads a rational point of R^n (``point_values`` holds its
+checks that read no value, for readers of other number types) and
+``primitive_ray`` a primitive integer ray, the exact stand-in for a unit
+direction; the helpers act alike on ``Fraction`` points and the integer
+keys of measures.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ def refuse_text(loc) -> None:
         raise TypeError(f"a location must be a sequence of coordinates, got {loc!r}")
 
 
-def make_point(coords: Iterable) -> Point:
+def point_values(coords: Iterable) -> tuple:
+    """The coordinates of a point as given, after the checks that do not
+    read a value: not text, not empty, no float or bool entry."""
     refuse_text(coords)
     values = tuple(coords)
     if not values:
@@ -34,7 +38,11 @@ def make_point(coords: Iterable) -> Point:
             raise TypeError(
                 f"refusing {type(c).__name__} coordinates; use Fraction, int, or 'p/q' strings"
             )
-    return tuple(_coerce_rational(c) for c in values)
+    return values
+
+
+def make_point(coords: Iterable) -> Point:
+    return tuple(_coerce_rational(c) for c in point_values(coords))
 
 
 def reflect_point(x: Point, f: SubsetMask) -> Point:

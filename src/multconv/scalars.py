@@ -96,6 +96,53 @@ def _coerce_rational(value) -> Fraction:
     return Fraction(value)
 
 
+def _rational_pair(value) -> tuple[int, int]:
+    """``value`` read as a rational ``(p, q)`` with ``q > 0``, not reduced.
+
+    Ints, ``Fraction`` values and the strings ``"p"`` and ``"p/q"`` of ASCII
+    digits, with an optional minus on ``p`` and ``q`` nonzero, are read
+    straight to ints; anything else goes through :func:`_coerce_rational`,
+    so it is accepted, or refused with its message, exactly as there.
+    """
+    t = type(value)
+    if t is int:
+        return value, 1
+    if t is Fraction:
+        return value.numerator, value.denominator
+    if t is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+            q = int(den) if slash else 1
+            if q:
+                return int(num), q
+    f = _coerce_rational(value)
+    return f.numerator, f.denominator
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for ``q > 0``, with one gcd."""
+    g = math.gcd(p, q)
+    return str(p // g) if q == g else f"{p // g}/{q // g}"
+
+
+def _json_terms(data) -> list[tuple[int, int, int]]:
+    """The ``(r, p, q)`` terms of a JSON surd ``[["p/q", r], ...]``, checked
+    but neither reduced nor merged."""
+    out = []
+    for coeff, r in data:
+        # a bool is an int to Python, and a float would be truncated
+        if isinstance(coeff, bool):
+            raise TypeError(f"refusing bool coefficient {coeff!r}")
+        if isinstance(r, bool) or not isinstance(r, int):
+            raise TypeError(f"radicand must be an integer, got {r!r}")
+        if r < 1:
+            raise ValueError(f"radicand must be >= 1, got {r}")
+        if r != 1 and square_free_decompose(r)[1] != r:
+            raise ValueError(f"radicand {r} is not square-free")
+        out.append((r, *_rational_pair(coeff)))
+    return out
+
+
 class Surd:
     """Exact value of the form ``sum_i (p_i/q_i) * sqrt(r_i)``.
 
@@ -288,24 +335,13 @@ class Surd:
 
     def to_json(self) -> list:
         """``[["p/q", radicand], ...]`` sorted by radicand."""
-        return [[str(c), r] for r, c in self.terms]
+        return [[_ratio_text(p, q), r] for r, p, q in self._terms]
 
     @classmethod
     def from_json(cls, data) -> "Surd":
         acc: dict[int, tuple[int, int]] = {}
-        for coeff, r in data:
-            # a bool is an int to Python, and a float would be truncated
-            if isinstance(coeff, bool):
-                raise TypeError(f"refusing bool coefficient {coeff!r}")
-            if isinstance(r, bool) or not isinstance(r, int):
-                raise TypeError(f"radicand must be an integer, got {r!r}")
-            if r < 1:
-                raise ValueError(f"radicand must be >= 1, got {r}")
-            _, free = square_free_decompose(r)
-            if free != r:
-                raise ValueError(f"radicand {r} is not square-free")
-            c = _coerce_rational(coeff)
-            _accumulate(acc, r, c.numerator, c.denominator)
+        for r, p, q in _json_terms(data):
+            _accumulate(acc, r, p, q)
         return cls._of(_canonical(acc))
 
     def __repr__(self) -> str:

@@ -40,6 +40,18 @@ class SphereMeasure(AtomicMeasure):
     __slots__ = ()
     _key = staticmethod(primitive_ray)
     _loc_field = "ray"
+    _coded_weights = True
+
+    @staticmethod
+    def _read(loc, dim: int) -> Ray:
+        d = primitive_ray(loc)
+        if len(d) != dim:
+            raise ValueError(f"ray {d} has dimension {len(d)}, expected {dim}")
+        return d
+
+    @staticmethod
+    def _scale(locs: list[Ray]) -> tuple[list[Ray], int]:
+        return locs, 1  # rays are integer keys already
 
     def _decode(self, v: Ray) -> Ray:
         return v

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from multconv import universality
+from multconv import cli, universality
 from multconv.cli import main
 from multconv.measures import Measure, mconv, sigma0
 from multconv.sphere import SphereMeasure, radial_project
@@ -329,3 +332,79 @@ def test_zonoid_dimension_bound_checked_before_enumeration(tmp_path, capsys, mon
     assert code == 2
     assert not out
     assert "dimension 16 exceeds the enumeration bound 8" in err
+
+
+def fresh_run(capsys, monkeypatch, *argv):
+    """``run`` with a parser built for this call alone."""
+    monkeypatch.setattr(cli, "_parser", None)
+    try:
+        return run(capsys, *argv)
+    finally:
+        monkeypatch.setattr(cli, "_parser", None)
+
+
+def test_main_builds_one_parser_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    a = write_json(tmp_path / "a.json", dirac(2, -1))
+    b = write_json(tmp_path / "b.json", dirac(3, 3))
+    requests = [
+        ["--format", "pretty", "decompose", a],
+        ["decompose", a],
+        ["convolve", a, b, "--sphere"],
+        ["convolve", a, b],
+        ["project", a],  # argparse exits 2: --E is required
+        ["project", a, "--E", "1"],
+        ["frobnicate"],
+        ["universal", a],
+    ]
+    expected = []
+    for argv in requests:
+        try:
+            expected.append(fresh_run(capsys, monkeypatch, *argv))
+        except SystemExit as exc:
+            expected.append((exc.code, *capsys.readouterr()))
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for _ in range(2):
+        for argv, want in zip(requests, expected):
+            try:
+                got = run(capsys, *argv)
+            except SystemExit as exc:
+                got = (exc.code, *capsys.readouterr())
+            assert got == want, argv
+    assert len(built) == 1
+    # the pretty request did not stick, nor did --sphere or the exits
+    assert expected[1][1] == json.dumps(json.loads(expected[1][1]), separators=(",", ":")) + "\n"
+    assert "point" in expected[3][1]
+    assert expected[4][0] == 2 and expected[6][0] == 2 and expected[5][0] == 0
+
+
+def test_known_escapes_still_escape_main(tmp_path, capsys):
+    # pinned by the benchmark's committed cli digests: a zero denominator in a
+    # point and a top-level JSON list raise out of ``main`` rather than exit 2
+    one = {"point": ["1", "1", "1"], "weight": [["1", 1]]}
+    bad = write_json(tmp_path / "bad.json", {"dim": 3, "atoms": [one, {"point": ["1/0", "1", "2"], "weight": [["1", 1]]}]})
+    with pytest.raises(ZeroDivisionError):
+        main(["universal", bad])
+    top = write_json(tmp_path / "top.json", [one])
+    with pytest.raises(AttributeError):
+        main(["decompose", top])
+
+
+def test_entry_point_in_a_fresh_process_matches_main(tmp_path, capsys):
+    a = write_json(tmp_path / "a.json", sigma0(2).to_json())
+    b = write_json(tmp_path / "b.json", dirac("1/2", 3))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"dim": 2, "atoms": [')
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["convolve", a, b], ["--format", "pretty", "decompose", a], ["project", str(bad), "--E", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "multconv.cli", *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+        code, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
