@@ -32,7 +32,13 @@ output:
   ``sconv``, ``tensor``, ``project``, ``restrict_order``, ``symmetrize``,
   ``jordan``, ``sign_density``, the lift round trip and decisions in both
   settings, as JSON (the atoms of a measure with several radicands are
-  listed part by part, so their insertion order is not recorded).
+  listed part by part, so their insertion order is not recorded);
+- ``surface``: the weight readers on the ``surds`` inputs and the radial
+  projections of their point measures: ``atoms`` in insertion order (the
+  weights as text), ``weight_at`` at each support location,
+  ``total_mass``, ``tv_norm`` and ``jordan``, and once the message of a
+  sphere weight whose norm is too large to factor (``moment_g`` is left
+  out, as its floats may differ between Python versions).
 
 The cli requests run in-process in a temporary directory, with relative
 file names, so the output does not depend on where that directory is.
@@ -301,6 +307,25 @@ def surds(group: Group, n: int) -> None:
                 group.add(label + [setting, klass, outcome(decide_special, nu, klass, "full")])
 
 
+def surface(group: Group, n: int) -> None:
+    for seed in range(SEEDS):
+        a, b, s, t = surd_inputs(seed, n)
+        measures = (("a", a), ("b", b), ("radial-a", radial_project(a)), ("radial-b", radial_project(b)),
+                    ("s", s), ("t", t))
+        for name, mu in measures:
+            pos, neg = mu.jordan()
+            group.add([n, seed, name, "atoms", [[[str(c) for c in loc], str(w)] for loc, w in mu.atoms.items()]])
+            group.add([n, seed, name, "weight_at", [str(mu.weight_at(loc)) for loc in mu.support()]])
+            group.add([n, seed, name, "mass", str(mu.total_mass()), str(mu.tv_norm())])
+            group.add([n, seed, name, "jordan", pos.to_json(), neg.to_json()])
+    if n == 1:
+        # the mass form holds this ray, but trial division to the bound
+        # leaves a cofactor of its squared norm too large to certify, so
+        # its weight cannot be read
+        x = (F(1, 999983), F(-2, 999979), F(3, 999961), F(1, 999959))
+        group.add(["factor-limit", outcome(radial_project, Measure(4, {x: 1}))])
+
+
 def subset_arg(mask: SubsetMask) -> str:
     return ",".join(str(i) for i in mask.indices()) or "0"
 
@@ -427,7 +452,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-dim", type=int, default=3)
     max_dim = parser.parse_args().max_dim
-    names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra", "linear", "surds")
+    names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra", "linear", "surds",
+             "surface")
     groups = {name: Group() for name in names}
     for n in range(1, max_dim + 1):
         decisions(groups["decisions"], n)
@@ -438,6 +464,7 @@ def main():
         algebra(groups["algebra"], n)
         linear(groups["linear"], n)
         surds(groups["surds"], n)
+        surface(groups["surface"], n)
     for name in names:
         print(f"{name} {groups[name].count} {groups[name].hash.hexdigest()}")
 

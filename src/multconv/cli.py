@@ -41,6 +41,12 @@ def _load_json(path: str):
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _malformed(what: str, path: str, exc: Exception) -> InputError:
+    # the text of a KeyError is only the key
+    detail = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+    return InputError(f"malformed {what} in {path}: {detail}")
+
+
 def _parse_measure(path: str) -> AtomicMeasure:
     data = _load_json(path)
     try:
@@ -49,7 +55,7 @@ def _parse_measure(path: str) -> AtomicMeasure:
             return SphereMeasure.from_json(data)
         return Measure.from_json(data)
     except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"malformed measure in {path}: {exc}") from exc
+        raise _malformed("measure", path, exc) from exc
 
 
 def _parse_subset(text: str, dim: int) -> SubsetMask:
@@ -175,7 +181,7 @@ def _cmd_zonoid(args) -> int:
     try:
         z = Zonotope.from_json(data)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"malformed zonotope in {args.input}: {exc}") from exc
+        raise _malformed("zonotope", args.input, exc) from exc
     nu = generating_measure(z)
     if args.check == "singleton-support":
         payload = {"check": args.check, "result": singleton_support_check(nu)}

@@ -21,9 +21,10 @@ coefficients over one weight denominator per measure.  A measure with
 rational weights has the single part ``s = 1``.  So every operator hashes
 tuples of ints and adds and multiplies ints, once per part (per pair of
 parts for a product); locations are decoded to ``Fraction`` points, and
-weights to :class:`Surd` values, only at the public surface.  The JSON
-codec skips both: ``from_json`` reads ``"p/q"`` strings to int pairs and
-``to_json`` writes reduced ``"p/q"`` strings from the stored ints.
+weights to :class:`Surd` values, only at the public surface, where the
+weight at ``v`` is the stored mass times ``sqrt(_norm_sq(v))`` in both
+settings.  The JSON codec builds neither: ``from_json`` reads ``"p/q"``
+strings to int pairs and ``to_json`` writes reduced ``"p/q"`` strings.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .scalars import (
     _json_terms,
     _ratio_text,
     _rational_pair,
-    _term,
     as_surd,
+    square_free_decompose,
 )
 from .subsets import (
     GeneratingPair,
@@ -84,9 +85,22 @@ def _root_product(s: int, r: int) -> tuple[int, int]:
     return g, (s // g) * (r // g)
 
 
-def _surd(coeffs: Mapping[int, int | Fraction], wden: int = 1) -> Surd:
-    """The value ``sum_s sqrt(s) * coeffs[s] / wden``."""
-    return Surd._of(_canonical({s: (c.numerator, c.denominator * wden) for s, c in coeffs.items()}))
+def _times_root(n: int, coeffs: Iterable[tuple[int, object]]) -> list[tuple[int, int, object]]:
+    """Each ``(s, x)`` as ``(t, m, x)`` for ``sqrt(s) * sqrt(n) = m * sqrt(t)``:
+    with ``n = k**2 f`` and ``sqrt(s) sqrt(f) = g sqrt(t)``, ``m = g * k``.
+    The map from ``s`` to ``t`` is one-to-one."""
+    k, f = square_free_decompose(n)
+    out = []
+    for s, x in coeffs:
+        g, t = _root_product(s, f)
+        out.append((t, g * k, x))
+    return out
+
+
+def _surd(coeffs: Iterable[tuple[int, int | Fraction]], wden: int = 1) -> Surd:
+    """The value ``sum_s sqrt(s) * c / wden`` over the ``(s, c)`` pairs,
+    whose radicands are distinct."""
+    return Surd._of(_canonical({s: (c.numerator, c.denominator * wden) for s, c in coeffs}))
 
 
 def _split(masses: list[tuple[Key, Terms]]) -> tuple[Parts, int]:
@@ -129,11 +143,10 @@ class AtomicMeasure:
     location type through class attributes: ``_key`` normalises a location
     (and checks it), ``_read`` and ``_scale`` read locations to integer keys
     over one denominator, ``_loc_field`` names them in JSON, ``_decode``
-    turns a stored key back into a location; the weight coding through the
-    pair ``_encode_weight`` and ``_decode_weight``, which ``_coded_weights``
-    says is not the identity; and its pushforward through
-    the trusted ``_gather``, which sums point masses per location: the one
-    hook that every projection, product and sum ends in.
+    turns a stored key back into a location; ``_norm_sq`` gives the square
+    of the number a weight is divided by to store it (1 for points); and its
+    pushforward through the trusted ``_gather``, which sums point masses per
+    location: the one hook that every projection, product and sum ends in.
 
     The measure is stored as parts, ``_parts[s]`` for each square-free
     radicand ``s`` that occurs: a dict from tuples of ints ``v`` to nonzero
@@ -147,20 +160,20 @@ class AtomicMeasure:
 
     Coordinate-wise operators act on the keys alike in both settings, once
     per part; ``atoms``, ``support``, ``weight_at`` and ``to_json`` decode
-    them.  The point mass is the setting's coding of the weight: the weight
-    itself for points, a positive multiple of it fixed by the key on the
-    sphere.  So sums per key read it as it is, and so do signs and zero
-    tests where a key lies in one part; ``atoms``, ``weight_at``,
-    ``to_json``, ``total_mass`` and ``tv_norm`` decode it.  ``atoms`` lists
-    the keys part by part, in the order the parts were made, a key held by
-    several parts at its first.
+    them.  The weight at ``v`` is the point mass times the positive
+    ``sqrt(_norm_sq(v))``, so sums per key, signs and zero tests read the
+    masses as they are; the one reader ``_weight`` decodes a weight to int
+    coefficients per radicand, with no :class:`Surd` root or product.
+    ``atoms`` lists the keys part by part, in the order the parts were made,
+    a key held by several parts at its first.
 
     The public constructor normalises every location, checks its
-    dimension and merges repeats; it is the entry for user input, and
+    dimension, merges repeats and divides each weight by
+    ``sqrt(_norm_sq(v))`` on ints; it is the entry for user input, and
     ``from_json`` reads JSON the same way without building a ``Fraction``
-    or a :class:`Surd` per atom (a coded setting builds its weights).  Parts
-    the library built itself, of the right dimension and keyed over a
-    common denominator, go through the trusted constructor ``_of`` instead.
+    or a :class:`Surd` per atom.  Parts the library built itself, of the
+    right dimension and keyed over a common denominator, go through the
+    trusted constructor ``_of`` instead.
     """
 
     __slots__ = ("dim", "_parts", "_den", "_wden")
@@ -168,9 +181,6 @@ class AtomicMeasure:
     _read: Callable[[Iterable, int], object]
     _scale: Callable[[list], tuple[list[Key], int]]
     _loc_field: str
-    _coded_weights: bool
-    _encode_weight: Callable[[Key, Surd], Surd]
-    _decode_weight: Callable[[Key, Surd], Surd]
 
     def __init__(self, dim: int, atoms: Mapping[tuple, SurdLike] | Iterable[tuple[tuple, SurdLike]] = ()):
         _positive(dim)
@@ -180,8 +190,8 @@ class AtomicMeasure:
 
     def _assemble(self, dim: int, rows: list[tuple[object, Terms]]) -> None:
         """Initialise from locations as ``_read`` returns them and their
-        weights as ``(r, p, q)`` terms: merge repeats, code the weights and
-        split them into parts."""
+        weights as ``(r, p, q)`` terms: merge repeats, divide each weight by
+        ``sqrt(_norm_sq(v))`` and split the masses into parts."""
         keys, den = self._scale([loc for loc, _ in rows])
         merged: dict[Key, dict[int, tuple[int, int]]] = {}
         for v, (_, terms) in zip(keys, rows):
@@ -190,11 +200,14 @@ class AtomicMeasure:
                 acc = merged[v] = {}
             for r, p, q in terms:
                 _accumulate(acc, r, p, q)
-        if self._coded_weights:
-            encode = self._encode_weight
-            masses = [(v, encode(v, Surd._of(_canonical(acc)))._terms) for v, acc in merged.items()]
-        else:
-            masses = [(v, _canonical(acc)) for v, acc in merged.items()]
+        norm_sq = self._norm_sq
+        masses = []
+        for v, acc in merged.items():
+            n = norm_sq(v)
+            if n != 1:
+                # (p/q) sqrt(r) / sqrt(n) = (p*m / (q*n)) sqrt(t)
+                acc = {t: (p * m, q * n) for t, m, (p, q) in _times_root(n, acc.items())}
+            masses.append((v, _canonical(acc)))
         parts, wden = _split(masses)
         self._init(dim, parts, den, wden)
 
@@ -253,17 +266,22 @@ class AtomicMeasure:
             return next(iter(parts.values()))
         return dict.fromkeys(chain.from_iterable(parts.values()))
 
-    def _mass(self, v: Key) -> Surd:
-        """The point mass at the key ``v``, as a :class:`Surd`."""
-        return _surd({s: part[v] for s, part in self._parts.items() if v in part}, self._wden)
+    @staticmethod
+    def _norm_sq(v: Key) -> int:
+        """The square of the positive number that the weight at ``v`` is
+        divided by to store its mass: 1, as a point atom stores its weight."""
+        return 1
 
-    def _masses(self) -> list[tuple[Key, Surd]]:
-        """The point masses as :class:`Surd` values, in the order of ``_keys``."""
-        parts, wden = self._parts, self._wden
-        if len(parts) == 1:
-            ((s, part),) = parts.items()
-            return [(v, Surd._of(_term(s, c, wden))) for v, c in part.items()]
-        return [(v, self._mass(v)) for v in self._keys()]
+    def _weight(self, v: Key) -> list[tuple[int, int]]:
+        """The weight at the key ``v``, the stored mass times
+        ``sqrt(_norm_sq(v))``, as ``(radicand, coefficient)`` pairs over
+        ``_wden`` sorted by radicand; none for a key that no part holds."""
+        coeffs = [(s, part[v]) for s, part in self._parts.items() if v in part]
+        n = self._norm_sq(v) if coeffs else 1
+        if n != 1:
+            coeffs = [(t, c * m) for t, m, c in _times_root(n, coeffs)]
+        coeffs.sort()
+        return coeffs
 
     def _over(self, den: int | None = None, wden: int | None = None) -> Lanes:
         """The parts as ``(radicand, point masses)`` pairs, keyed over ``den``
@@ -283,8 +301,8 @@ class AtomicMeasure:
     @property
     def atoms(self) -> Mapping[tuple, Surd]:
         """The weights by location, decoded."""
-        decode, weight = self._decode, self._decode_weight
-        return MappingProxyType({decode(v): weight(v, m) for v, m in self._masses()})
+        decode, weight, wden = self._decode, self._weight, self._wden
+        return MappingProxyType({decode(v): _surd(weight(v), wden) for v in self._keys()})
 
     def support(self) -> tuple[tuple, ...]:
         # a positive denominator keeps the order of the keys
@@ -294,9 +312,7 @@ class AtomicMeasure:
         loc, den = self._key(loc), self._den
         if any(den % c.denominator for c in loc):
             return Surd(0)  # no atom sits at a finer denominator
-        v = _scaled(loc, den)
-        m = self._mass(v)
-        return self._decode_weight(v, m) if m else m
+        return _surd(self._weight(_scaled(loc, den)), self._wden)
 
     def atom_count(self) -> int:
         return len(self._keys())
@@ -371,11 +387,7 @@ class AtomicMeasure:
     # -- mass and Jordan decomposition ----------------------------------------
 
     def total_mass(self) -> Surd:
-        weight = self._decode_weight
-        total = Surd(0)
-        for v, m in self._masses():
-            total = total + weight(v, m)
-        return total
+        return self._weight_sum(False)
 
     def jordan(self) -> tuple[Self, Self]:
         """Split into non-negative parts with disjoint supports."""
@@ -383,7 +395,7 @@ class AtomicMeasure:
         # a key in one part has the sign of its coefficient; one in several
         # parts the sign of its mass
         shared = Counter(chain.from_iterable(parts.values())) if len(parts) > 1 else {}
-        signs = {v: self._mass(v).sign() for v, k in shared.items() if k > 1}
+        signs = {v: _surd([(s, p[v]) for s, p in parts.items() if v in p]).sign() for v, k in shared.items() if k > 1}
         pos: Parts = {}
         neg: Parts = {}
         for s, part in parts.items():
@@ -397,11 +409,17 @@ class AtomicMeasure:
         return self._of(self.dim, pos, self._den, self._wden), self._of(self.dim, neg, self._den, self._wden)
 
     def tv_norm(self) -> Surd:
-        weight = self._decode_weight
-        total = Surd(0)
-        for v, m in self._masses():
-            total = total + abs(weight(v, m))
-        return total
+        return self._weight_sum(True)
+
+    def _weight_sum(self, absolute: bool) -> Surd:
+        """The sum of the weights, or of their absolute values, in ints per radicand."""
+        acc: dict[int, int] = {}
+        for v in self._keys():
+            coeffs = self._weight(v)
+            sign = -1 if absolute and _surd(coeffs).sign() < 0 else 1
+            for t, c in coeffs:
+                acc[t] = acc.get(t, 0) + sign * c
+        return _surd(acc.items(), self._wden)
 
     # -- reflections, projections and restrictions ------------------------------
 
@@ -480,20 +498,13 @@ class AtomicMeasure:
 
     def to_json(self) -> dict:
         """The atoms sorted by location, each coordinate and coefficient a
-        reduced ``"p/q"`` string written from the stored ints."""
-        parts, den, wden = self._parts, self._den, self._wden
-        radicands = sorted(parts)
-        field, coded, decode = self._loc_field, self._coded_weights, self._decode_weight
+        reduced ``"p/q"`` string written from ints."""
+        den, wden, field, weight = self._den, self._wden, self._loc_field, self._weight
         atoms = []
         # a positive denominator keeps the order of the keys
         for v in sorted(self._keys()):
-            coeffs = [(s, parts[s][v]) for s in radicands if v in parts[s]]
-            if coded:
-                weight = decode(v, _surd(dict(coeffs), wden)).to_json()
-            else:
-                weight = [[_ratio_text(c, wden), s] for s, c in coeffs]
             loc = [str(c) for c in v] if den == 1 else [_ratio_text(c, den) for c in v]
-            atoms.append({field: loc, "weight": weight})
+            atoms.append({field: loc, "weight": [[_ratio_text(c, wden), t] for t, c in weight(v)]})
         return {"dim": self.dim, "atoms": atoms}
 
     @classmethod
@@ -515,7 +526,6 @@ class Measure(AtomicMeasure):
     __slots__ = ()
     _key = staticmethod(make_point)
     _loc_field = "point"
-    _coded_weights = False
 
     @staticmethod
     def _read(loc: Iterable, dim: int) -> list[tuple[int, int]]:
@@ -535,12 +545,6 @@ class Measure(AtomicMeasure):
     def _decode(self, v: Key) -> Point:
         den = self._den
         return tuple([Fraction(c, den) for c in v])
-
-    @staticmethod
-    def _encode_weight(v: Key, w: Surd) -> Surd:
-        return w  # a point atom stores its weight
-
-    _decode_weight = _encode_weight
 
     @classmethod
     def dirac(cls, point: Iterable, weight: SurdLike = 1) -> "Measure":

@@ -208,10 +208,6 @@ class Surd:
             return self
         if not a:
             return other
-        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
-            (r, p1, q1), = a
-            (_, p2, q2), = b
-            return Surd._of(_term(r, p1 * q2 + p2 * q1, q1 * q2))
         acc = {r: (p, q) for r, p, q in a}
         for r, p, q in b:
             _accumulate(acc, r, p, q)
@@ -236,20 +232,9 @@ class Surd:
             other = as_surd(other)
             if other is NotImplemented:
                 return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) == 1 and len(b) == 1:
-            # nonzero coefficients have a nonzero product
-            (r1, p1, q1), = a
-            (r2, p2, q2), = b
-            if r1 == 1 or r2 == 1:
-                r, p = r1 * r2, p1 * p2
-            else:
-                g = math.gcd(r1, r2)
-                r, p = (r1 // g) * (r2 // g), p1 * p2 * g
-            return Surd._of(_term(r, p, q1 * q2))
         acc: dict[int, tuple[int, int]] = {}
-        for r1, p1, q1 in a:
-            for r2, p2, q2 in b:
+        for r1, p1, q1 in self._terms:
+            for r2, p2, q2 in other._terms:
                 # sqrt(r1)*sqrt(r2) = g*sqrt((r1/g)*(r2/g)) with g = gcd;
                 # the product of coprime square-free numbers is square-free
                 g = math.gcd(r1, r2)

@@ -16,7 +16,8 @@ takes the scale ``1/den`` into the weight denominator.  The radial
 projection from point measures, the induced product on the sphere
 (``_products`` on the stored parts), the coordinate-subsphere projections,
 sums and the probe witness are each one gather.  Weights meet ``|d|`` only
-at the public surface, through the setting's weight coding.
+at the public surface, where ``_norm_sq = ray_norm_sq`` gives the weight
+``m * |d|`` by the integer weight coding that point measures share.
 
 ``moment_g`` at the bottom is the single floating-point surface of the
 package: a numerical diagnostic that never feeds an exact decision.
@@ -25,12 +26,10 @@ package: a numerical diagnostic that never feeds an exact decision.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
-from .measures import AtomicMeasure, Lanes, _products
+from .measures import AtomicMeasure, Lanes, _products, _surd
 from .points import Ray, primitive_ray, ray_norm_sq, zero_pattern
-from .scalars import Surd
 from .subsets import SubsetMask
 
 
@@ -40,7 +39,7 @@ class SphereMeasure(AtomicMeasure):
     __slots__ = ()
     _key = staticmethod(primitive_ray)
     _loc_field = "ray"
-    _coded_weights = True
+    _norm_sq = staticmethod(ray_norm_sq)
 
     @staticmethod
     def _read(loc, dim: int) -> Ray:
@@ -55,16 +54,6 @@ class SphereMeasure(AtomicMeasure):
 
     def _decode(self, v: Ray) -> Ray:
         return v
-
-    @staticmethod
-    def _encode_weight(d: Ray, w: Surd) -> Surd:
-        """The mass ``w/|d|`` of weight ``w`` at the ray ``d``."""
-        return w * Surd.sqrt(Fraction(1, ray_norm_sq(d)))
-
-    @staticmethod
-    def _decode_weight(d: Ray, m: Surd) -> Surd:
-        """The weight ``m*|d|`` of mass ``m`` at the ray ``d``."""
-        return m * Surd.sqrt(ray_norm_sq(d))
 
     @classmethod
     def _gather(cls, dim: int, lanes: Lanes, den: int = 1, wden: int = 1) -> "SphereMeasure":
@@ -138,11 +127,11 @@ def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:
         raise ValueError(f"atom at {mu._loc_field} {mu._decode(bad[0])} is not of full order")
     sphere = isinstance(mu, SphereMeasure)
     total = 0.0
-    for v, m in mu._masses():
+    for v in mu._keys():
         # the location of a stored key ``v`` is ``v / _den``
         norm = ray_norm_sq(v) ** 0.5 if sphere else mu._den
         prod = 1.0
         for c, a in zip(v, alpha):
             prod *= (abs(float(c)) / norm) ** a
-        total += float(mu._decode_weight(v, m)) * prod
+        total += float(_surd(mu._weight(v), mu._wden)) * prod
     return total

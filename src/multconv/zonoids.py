@@ -83,7 +83,7 @@ def support_function(nu: SphereMeasure, u: Iterable) -> Surd:
     # the rational coefficient of each radicand, over the weight denominator
     coeffs = {s: sum([c * abs(inner(ray, u)) for ray, c in part.items()], Fraction(0))
               for s, part in nu._parts.items()}
-    return _surd(coeffs, nu._wden)
+    return _surd(coeffs.items(), nu._wden)
 
 
 def k_transform(nu_k: SphereMeasure, mu: SphereMeasure, u: Iterable) -> Surd:

@@ -37,7 +37,17 @@ def _check_trusted(results: dict) -> None:
             # mass form: the stored value at a ray is the point mass w/|r|,
             # and the weight is m*|r|
             for ray, w in r.atoms.items():
-                assert w == r._mass(ray) * Surd.sqrt(ray_norm_sq(ray)), (name, ray)
+                assert w == stored_mass(r, ray) * Surd.sqrt(ray_norm_sq(ray)), (name, ray)
+
+
+def stored_mass(mu, v) -> Surd:
+    """The point mass stored at the key ``v``, summed from the parts:
+    ``sum_s sqrt(s) * c / _wden`` over the parts holding ``v``."""
+    mass = Surd(0)
+    for s, part in mu._parts.items():
+        if v in part:
+            mass = mass + Surd.sqrt(s) * Fraction(part[v], mu._wden)
+    return mass
 
 
 @pytest.fixture

@@ -299,6 +299,28 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, payload):
     assert "bad.json" in err
 
 
+@pytest.mark.parametrize(
+    "argv, payload, field",
+    [
+        # the first atom makes this a sphere measure, so every atom needs a ray
+        (["decompose"], {"dim": 2, "atoms": [{"ray": [1, 1], "weight": [["1", 1]]},
+                                             {"point": ["1", "2"], "weight": [["1", 1]]}]}, "ray"),
+        (["decompose"], {"dim": 2, "atoms": [{"point": ["1", "1"], "weight": [["1", 1]]},
+                                             {"ray": [1, 2], "weight": [["1", 1]]}]}, "point"),
+        (["decompose"], {"atoms": [{"point": ["1", "1"], "weight": [["1", 1]]}]}, "dim"),
+        (["decompose"], {"dim": 2, "atoms": [{"point": ["1", "1"]}]}, "weight"),
+        (["decompose"], {"dim": 2, "atoms": [{"ray": [1, 1]}]}, "weight"),
+        (["zonoid", "--check", "d-universal"], {"generators": [["1", "1"]]}, "dim"),
+    ],
+    ids=["ray", "point", "dim", "point-weight", "ray-weight", "zonotope-dim"],
+)
+def test_missing_field_is_named(tmp_path, capsys, argv, payload, field):
+    path = write_json(tmp_path / "bad.json", payload)
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    kind = "zonotope" if argv[0] == "zonoid" else "measure"
+    assert (code, out, err) == (2, "", f"error: malformed {kind} in {path}: missing field '{field}'\n")
+
+
 def test_zonoid_without_generators_exits_2(tmp_path, capsys):
     # a measure file is not a zonotope, not the empty zonotope
     path = write_json(tmp_path / "m.json", {"dim": 2, "atoms": []})

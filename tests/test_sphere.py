@@ -1,14 +1,17 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from conftest import stored_mass
 
+from multconv import measures
 from multconv.harness import gen_measure, gen_pair, gen_sphere_measure
 from multconv.lifting import lift, lift_inverse
 from multconv.measures import Measure, mconv, msym, munc, phat, symmetrize, tensor, unc_inverse
 from multconv.points import primitive_ray
-from multconv.scalars import Surd
+from multconv.scalars import FactorLimitError, Surd, as_surd
 from multconv.sphere import SphereMeasure, moment_g, radial_project, sconv
 from multconv.subsets import GeneratingPair, SubsetMask, all_subsets
 from multconv.universality import _probe_product, decide_universal_sphere
@@ -485,12 +488,22 @@ def test_sphere_algebra_takes_no_square_root(monkeypatch):
     e = SubsetMask.from_indices(3, [1, 3])
     j = SubsetMask.single(3, 3)
     support = [f for f in all_subsets(3) if f.size]
+    # for the surface: weights of several radicands on rays of several
+    # norms, the perfect square 25 among them
+    rho = _irrational_sphere()[0]
+    given = list(rho.atoms.items()) + [((3, 4), Surd.sqrt(2)), ((2, 2), F(1, 2))]
+    data = sconv(rho, radial_project(_reference_inputs(8, 2)[0])).to_json()
     calls = []
-    root = Surd.sqrt
+    products = []
+    root, mul = Surd.sqrt, Surd.__mul__
 
     def counted(cls, value, **kwargs):
         calls.append(value)
         return root(value, **kwargs)
+
+    def counted_mul(self, other):
+        products.append(other)
+        return mul(self, other)
 
     monkeypatch.setattr(Surd, "sqrt", classmethod(counted))
     sconv(mu, nu)
@@ -504,9 +517,32 @@ def test_sphere_algebra_takes_no_square_root(monkeypatch):
     _probe_product(e, j, SphereMeasure)
     decide_universal_sphere(sigma, support, pair)
     assert calls == []
-    # the roots are taken where weights are read
-    sconv(sigma, tau).to_json()
-    assert calls
+    # nor does the public surface, which reads weights on ints: no root and
+    # no product
+    monkeypatch.setattr(Surd, "__mul__", counted_mul)
+    monkeypatch.setattr(Surd, "__rmul__", counted_mul)
+    for x in (SphereMeasure.from_json(data), SphereMeasure(2, given), rho, tau):
+        x.to_json()
+        for ray in x.atoms:
+            x.weight_at(ray)
+        x.weight_at((7,) * x.dim)
+        x.total_mass()
+        x.tv_norm()
+        x.jordan()
+        moment_g(x.restrict_order(SubsetMask.full(x.dim)), [0.25] * x.dim)
+    assert calls == [] and products == []
+    # the surface factors the norms of the rays it reads, but not the norm 1
+    factored = []
+    decompose = measures.square_free_decompose
+
+    def counted_decompose(m):
+        factored.append(m)
+        return decompose(m)
+
+    monkeypatch.setattr(measures, "square_free_decompose", counted_decompose)
+    rho.to_json()
+    assert sorted(factored) == [2, 13, 26]
+    assert sorted(_norm_sq(ray) for ray in rho.atoms) == [1, 2, 13, 26]
 
 
 def _primes(count):
@@ -602,7 +638,7 @@ def test_irrational_weights_read_back_through_the_surface(assert_trusted):
         assert mu.weight_at(ray) == w
         assert mu.weight_at(tuple(3 * c for c in ray)) == w
         # stored in mass form
-        assert mu._mass(ray) * Surd.sqrt(_norm_sq(ray)) == w
+        assert stored_mass(mu, ray) * Surd.sqrt(_norm_sq(ray)) == w
     assert mu.weight_at((1, 2)) == Surd(0)
     data = mu.to_json()
     assert data["atoms"] == [
@@ -646,3 +682,90 @@ def test_irrational_weights_read_back_through_the_surface(assert_trusted):
             "sub-cancel": subtracted,
         }
     )
+
+
+# -- the integer weight coding against the Surd coding ---------------------------
+
+
+def _oracle_weight(m, n):
+    """The weight of mass ``m`` at a ray of squared norm ``n``, by Surd roots."""
+    return m * Surd.sqrt(n)
+
+
+def _oracle_mass(w, n):
+    """The mass of weight ``w`` at a ray of squared norm ``n``, by Surd roots."""
+    return w * Surd.sqrt(F(1, n))
+
+
+_CODING_CASES = {
+    # sqrt(2) at (1, 1) is the mass 1, and 2 there the mass sqrt(2); sqrt(10)
+    # at (1, 2) is the mass sqrt(2)
+    "collapse": (2, [((1, 1), Surd.sqrt(2)), ((1, 2), Surd.sqrt(10)), ((-1, 1), Surd(2))]),
+    "square-2": (2, [((3, 4), Surd(F(-3, 7))), ((4, -3), Surd.sqrt(6)), ((0, 5), 1 + Surd.sqrt(5))]),
+    "square-3": (3, [((2, 3, 6), Surd.sqrt(2)), ((2, 2, 1), F(5, 3)), ((1, 1, 1), Surd.sqrt(3) - 1)]),
+    # (2, 2) and (3, 3) repeat (1, 1), and cancel it; (4, 8) repeats (1, 2)
+    "repeats": (2, [((1, 1), Surd.sqrt(2)), ((1, 2), 1 - Surd.sqrt(3)), ((2, 2), -Surd.sqrt(8)),
+                    ((4, 8), Surd.sqrt(5)), ((3, 3), Surd.sqrt(2)), ((2, -1), Surd(F(1, 4)))]),
+    "negative": (2, [((1, 2), 1 - Surd.sqrt(3)), ((-1, 1), Surd.sqrt(6) - 2), ((1, -3), -Surd.sqrt(5) - F(1, 2)),
+                     ((5, 1), -Surd.sqrt(13) + Surd.sqrt(2))]),
+}
+
+
+def _oracle_measure(given):
+    """The weights merged per primitive ray, and their rays in the order of
+    ``atoms``: part by part, the parts in the order the masses make them."""
+    merged = {}
+    for loc, w in given:
+        ray = primitive_ray(loc)
+        merged[ray] = merged.get(ray, Surd(0)) + w
+    weights = {ray: w for ray, w in merged.items() if w}
+    parts = {}
+    for ray, w in weights.items():
+        for s, _ in _oracle_mass(w, _norm_sq(ray)).terms:
+            parts.setdefault(s, []).append(ray)
+    return weights, list(dict.fromkeys(ray for rays in parts.values() for ray in rays))
+
+
+@pytest.mark.parametrize("name", sorted(_CODING_CASES))
+def test_integer_weight_coding_matches_surd_roots(name, assert_trusted):
+    dim, given = _CODING_CASES[name]
+    mu = SphereMeasure(dim, given)
+    weights, order = _oracle_measure(given)
+    for ray, w in weights.items():
+        assert stored_mass(mu, ray) == _oracle_mass(w, _norm_sq(ray)), ray
+        assert _oracle_weight(stored_mass(mu, ray), _norm_sq(ray)) == w, ray
+    assert list(mu.atoms.items()) == [(ray, weights[ray]) for ray in order]
+    for ray, w in weights.items():
+        assert mu.weight_at(ray) == w
+        assert mu.weight_at(tuple(3 * c for c in ray)) == w
+    assert mu.weight_at((7,) + (1,) * (dim - 1)) == Surd(0)
+    assert mu.total_mass() == sum(weights.values(), Surd(0))
+    assert mu.tv_norm() == sum((abs(w) for w in weights.values()), Surd(0))
+    alpha = [0.5 / dim] * dim
+    top = {ray: w for ray, w in weights.items() if all(ray)}
+    expected = sum(float(w) * math.prod((abs(c) / _norm_sq(ray) ** 0.5) ** a for c, a in zip(ray, alpha))
+                   for ray, w in top.items())
+    assert moment_g(mu.restrict_order(SubsetMask.full(dim)), alpha) == pytest.approx(expected, rel=1e-12)
+    data = {"dim": dim, "atoms": [{"ray": [str(c) for c in ray], "weight": weights[ray].to_json()}
+                                  for ray in sorted(weights)]}
+    assert json.dumps(mu.to_json()) == json.dumps(data)
+    given_data = {"dim": dim, "atoms": [{"ray": list(loc), "weight": as_surd(w).to_json()} for loc, w in given]}
+    assert SphereMeasure.from_json(given_data) == mu
+    back = SphereMeasure.from_json(mu.to_json())
+    assert back == mu and json.dumps(back.to_json()) == json.dumps(data)
+    pos, neg = mu.jordan()
+    assert dict(pos.atoms) == {r: w for r, w in weights.items() if w.sign() > 0}
+    assert dict(neg.atoms) == {r: -w for r, w in weights.items() if w.sign() < 0}
+    assert_trusted({"given": mu, "json": back, "jordan+": pos, "jordan-": neg})
+
+
+def test_jordan_reads_masses_where_the_surface_cannot_factor():
+    # |(2000000000, 7)|**2 = 4000000000000000049 is a prime above the cube
+    # of the trial-division bound, held by two parts: the mass 1 - sqrt(2)
+    ray = (2000000000, 7)
+    mu = SphereMeasure._of(2, {1: {ray: 1}, 2: {ray: -1}})
+    pos, neg = mu.jordan()
+    assert pos.is_zero() and neg == -mu
+    assert (-mu).jordan() == (neg, pos)
+    with pytest.raises(FactorLimitError, match="radicand 4000000000000000049 exceeds the trial-division bound"):
+        mu.to_json()
