@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import floordiv, gt, itemgetter, mul
 from typing import Iterable
 
-from .measures import Measure, msym, tensor
+from .measures import Measure, _columns, msym, tensor
 from .subsets import (
     GeneratingPair,
     SubsetMask,
@@ -51,13 +53,20 @@ def lift_inverse(mu: SphereMeasure) -> Measure:
             raise ValueError(f"atom at ray {ray} sits on the equator of the lifted coordinate")
     if not mu.is_even_under(SubsetMask.full(mu.dim)):
         raise ValueError("measure is not origin-symmetric")
-    kept = [(s, [(r, m) for r, m in part.items() if r[0] > 0]) for s, part in mu._parts.items()]
-    # the point ``r[1:] / r[0]``, over the common denominator of the kept rays
-    den = math.lcm(*[r[0] for _, masses in kept for r, _ in masses])
-    lanes = [
-        (s, [(tuple([c * (den // r[0]) for c in r[1:]]), m * (2 * r[0])) for r, m in masses])
-        for s, masses in kept
+    # each part is origin-symmetric, so it keeps a ray with positive lead
+    kept = [
+        (s, dict(compress(part.items(), map(gt, map(itemgetter(0), part), repeat(0)))))
+        for s, part in mu._parts.items()
     ]
+    # the point ``r[1:] / r[0]``, over the common denominator of the kept rays,
+    # with the mass ``m * 2 * r[0]``
+    den = math.lcm(*[r[0] for _, masses in kept for r in masses])
+    lanes = []
+    for s, masses in kept:
+        lead, *cols = zip(*masses)
+        scale = list(map(floordiv, repeat(den), lead))
+        weights = map(mul, masses.values(), map(mul, lead, repeat(2)))
+        lanes.append((s, zip(_columns(cols, mul, repeat(scale)), weights)))
     return Measure._gather(n, lanes, den, mu._wden)
 
 

@@ -10,9 +10,15 @@ top-order criterion.  The parity basis measures, the alternating top-order
 probe and their product are signed grids, all built by one product
 builder, ``_parity_grid``.  Every pushforward, and the sum of two
 measures, moves the stored point masses and sums them per location through
-a setting's one hook, ``_gather``; the product kernel ``_products`` under
-``mconv`` and the sphere product is a double loop over integer vectors;
-each symmetrisation factor ``(I +- T_F)/2`` is one pass.
+a setting's one hook, ``_gather``.  The per-atom key transforms (products,
+projections, reflections, the order and orthant restrictions, the
+symmetrisation passes, zero patterns and rescaling) run on coordinate
+columns through one helper, ``_columns``: a part's keys are transposed
+once, each column is mapped at C level and the keys are rebuilt, so a
+Python loop runs only where atoms merge and their masses must be summed.
+The product kernel ``_products`` under ``mconv`` and the sphere product
+scales the transposed right keys once per left key; each symmetrisation
+factor ``(I +- T_F)/2`` is one pass.
 
 A measure is stored in integer form, as ``sum_s sqrt(s) * mu_s`` over
 square-free radicands ``s``: each part ``mu_s`` maps integer vectors over
@@ -32,12 +38,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
-from operator import mul
+from itertools import chain, compress, repeat
+from operator import add, eq, floordiv, ge, lshift, mul, ne, neg, not_, sub
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
-from .points import Point, make_point, point_values, reflect_point, zero_pattern
+from .points import Point, make_point, point_values
 from .scalars import (
     HALF,
     Surd,
@@ -74,6 +80,26 @@ Lanes = Iterable[tuple[int, Iterable[tuple[Key, int]]]]
 def _scaled(loc: Iterable, den: int) -> Key:
     """The integer vector ``loc * den``; every coordinate's denominator divides ``den``."""
     return tuple([c.numerator * (den // c.denominator) for c in loc])
+
+
+def _columns(cols: Iterable[Iterable[int]], op: Callable, args: Iterable[Iterable]) -> Iterator[tuple]:
+    """The rows ``(op(v[0], a[0]), op(v[1], a[1]), ...)`` rebuilt from the
+    coordinate columns ``cols`` (``zip(*keys)``): column ``i`` is mapped at C
+    level against its own iterable of second operands ``args[i]``, which is
+    ``repeat(c)`` for one constant.  Every per-atom key transform is one call:
+    one transpose in, one ``map`` per column, one transpose out."""
+    return zip(*map(map, repeat(op), cols, args))
+
+
+def _flipped(keys: Iterable[Key], f: SubsetMask) -> Iterator[Key]:
+    """The keys reflected in the coordinates of ``f``."""
+    return _columns(zip(*keys), mul, [repeat(-1 if f.bits >> i & 1 else 1) for i in range(f.dim)])
+
+
+def _compared(keys: Iterable[Key], op: Callable[[int, int], bool]) -> Iterator[tuple[bool, ...]]:
+    """Each key's row of flags ``op(c, 0)``, one per coordinate."""
+    # one endless column of zeros serves every column
+    return _columns(zip(*keys), op, repeat(repeat(0)))
 
 
 def _root_product(s: int, r: int) -> tuple[int, int]:
@@ -159,7 +185,11 @@ class AtomicMeasure:
     and coprime to every coefficient.  So the stored form is canonical.
 
     Coordinate-wise operators act on the keys alike in both settings, once
-    per part; ``atoms``, ``support``, ``weight_at`` and ``to_json`` decode
+    per part and in column form (``_columns``): ``zip(*part)`` transposes
+    the keys, one C-level ``map`` per coordinate column transforms them and
+    ``zip`` rebuilds them, into ``dict(zip(...))`` where no two atoms merge,
+    through ``compress`` for a filter, and through ``_gather`` where atoms
+    merge.  ``atoms``, ``support``, ``weight_at`` and ``to_json`` decode
     them.  The weight at ``v`` is the point mass times the positive
     ``sqrt(_norm_sq(v))``, so sums per key, signs and zero tests read the
     masses as they are; the one reader ``_weight`` decodes a weight to int
@@ -228,8 +258,9 @@ class AtomicMeasure:
     def _init(self, dim: int, parts: Parts, den: int, wden: int = 1) -> None:
         for s in list(parts):
             part = parts[s]
-            for v in [v for v, c in part.items() if not c]:
-                del part[v]
+            if 0 in part.values():
+                for v in [v for v, c in part.items() if not c]:
+                    del part[v]
             if not part:
                 del parts[s]
         # with no atoms left both gcds are the denominators themselves
@@ -238,13 +269,16 @@ class AtomicMeasure:
             if g != 1:
                 den //= g
                 parts = {
-                    s: {tuple([c // g for c in v]): w for v, w in part.items()} for s, part in parts.items()
+                    s: dict(zip(_columns(zip(*part), floordiv, repeat(repeat(g))), part.values()))
+                    for s, part in parts.items()
                 }
         if wden != 1:
             g = math.gcd(wden, *chain.from_iterable(part.values() for part in parts.values()))
             if g != 1:
                 wden //= g
-                parts = {s: {v: w // g for v, w in part.items()} for s, part in parts.items()}
+                parts = {
+                    s: dict(zip(part, map(floordiv, part.values(), repeat(g)))) for s, part in parts.items()
+                }
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_parts", parts)
         object.__setattr__(self, "_den", den)
@@ -292,7 +326,7 @@ class AtomicMeasure:
         if k == 1 and t == 1:
             return [(s, part.items()) for s, part in self._parts.items()]
         return [
-            (s, [(tuple([c * k for c in v]), w * t) for v, w in part.items()])
+            (s, list(zip(_columns(zip(*part), mul, repeat(repeat(k))), map(mul, part.values(), repeat(t)))))
             for s, part in self._parts.items()
         ]
 
@@ -353,7 +387,7 @@ class AtomicMeasure:
         return self + (-other)
 
     def __neg__(self) -> Self:
-        parts = {s: {v: -c for v, c in part.items()} for s, part in self._parts.items()}
+        parts = {s: dict(zip(part, map(neg, part.values()))) for s, part in self._parts.items()}
         return self._of(self.dim, parts, self._den, self._wden)
 
     def __mul__(self, scalar: SurdLike) -> Self:
@@ -366,7 +400,7 @@ class AtomicMeasure:
             for r, p, t in c._terms:
                 g, u = _root_product(s, r)
                 k = p * (q // t) * g
-                lanes.append((u, [(v, w * k) for v, w in part.items()]))
+                lanes.append((u, zip(part, map(mul, part.values(), repeat(k)))))
         return self._of(self.dim, _sum_parts(lanes), self._den, self._wden * q)
 
     __rmul__ = __mul__
@@ -427,29 +461,26 @@ class AtomicMeasure:
         """Marginal on the coordinate subspace (or subsphere) of ``e``: each
         mass moves to its location with the coordinates off ``e`` zeroed."""
         self._check_mask(e)
-        keep = [e.bits >> i & 1 for i in range(self.dim)]
-        moved = [
-            (s, [(tuple([c if k else 0 for c, k in zip(v, keep)]), w) for v, w in part.items()])
-            for s, part in self._parts.items()
-        ]
+        keep = [repeat(e.bits >> i & 1) for i in range(self.dim)]
+        moved = [(s, zip(_columns(zip(*part), mul, keep), part.values())) for s, part in self._parts.items()]
         return self._gather(self.dim, moved, self._den, self._wden)
 
     def reflect(self, f: SubsetMask) -> Self:
         self._check_mask(f)
         # a bijection on locations: no two atoms merge
-        parts = {s: {reflect_point(v, f): w for v, w in part.items()} for s, part in self._parts.items()}
+        parts = {s: dict(zip(_flipped(part, f), part.values())) for s, part in self._parts.items()}
         return self._of(self.dim, parts, self._den, self._wden)
 
-    def _filter(self, keep: Callable[[Key], bool]) -> Self:
-        """The atoms at the keys that ``keep`` accepts."""
-        parts = {s: {v: w for v, w in part.items() if keep(v)} for s, part in self._parts.items()}
+    def _filter(self, keep: Callable[[dict[Key, int]], Iterable[bool]]) -> Self:
+        """The atoms of each part that the selectors ``keep(part)`` accept."""
+        parts = {s: dict(compress(part.items(), keep(part))) for s, part in self._parts.items()}
         return self._of(self.dim, parts, self._den, self._wden)
 
     def restrict_order(self, e: SubsetMask) -> Self:
         """Keep the atoms whose zero pattern is exactly ``e``."""
         self._check_mask(e)
-        pattern = [e.bits >> i & 1 == 1 for i in range(self.dim)]
-        return self._filter(lambda v: [c != 0 for c in v] == pattern)
+        pattern = tuple([e.bits >> i & 1 == 1 for i in range(self.dim)])
+        return self._filter(lambda part: map(eq, _compared(part, ne), repeat(pattern)))
 
     def sign_density(self, j: SubsetMask) -> Self:
         """Multiply weights by the product of coordinate signs over ``j``.
@@ -470,7 +501,11 @@ class AtomicMeasure:
 
     def component_patterns(self) -> frozenset[SubsetMask]:
         """Zero patterns carrying mass (the nonzero coordinate components)."""
-        return frozenset(zero_pattern(loc) for loc in self._keys())
+        rows = set()
+        for part in self._parts.values():
+            rows.update(_compared(part, ne))
+        bits = [1 << i for i in range(self.dim)]
+        return frozenset([SubsetMask(sum(compress(bits, row)), self.dim) for row in rows])
 
     def order_of(self) -> SubsetMask | None:
         """The unique pattern when exactly one component is nonzero."""
@@ -559,7 +594,7 @@ class Measure(AtomicMeasure):
 
     def restrict_positive(self) -> "Measure":
         """Keep the atoms in the closed positive orthant."""
-        return self._filter(lambda v: all(c >= 0 for c in v))
+        return self._filter(lambda part: map(all, _compared(part, ge)))
 
 
 # -- multiplicative convolution and products --------------------------------------
@@ -576,20 +611,30 @@ def _check_points(*measures: AtomicMeasure) -> None:
 
 def _products(left: Parts, right: Parts) -> Parts:
     """The summed coefficient per radicand and product vector of two
-    measures' parts, one double loop per pair of parts, each part in the
-    order of first product.  Zero sums stay in it for the sphere, whose rays
-    keep their order."""
+    measures' parts, each part in the order of first product.
+
+    The right keys, all parts together, are transposed once; each left key
+    ``x`` scales their columns by its coordinates, and only the summing of
+    the products, each into the part of its pair of radicands, is a Python
+    loop.  For one left radicand every right radicand gives a different
+    product radicand (their symmetric difference as sets of primes), so each
+    part still receives the products of one pair of parts at a time, ``x``
+    by ``x``.  Zero sums stay in it for the sphere, whose rays keep their
+    order."""
     out: Parts = {}
+    cols = list(zip(*chain.from_iterable(right.values())))
     for s1, xs in left.items():
+        # per right key: the part its products with ``xs`` go to, and its
+        # coefficient times the gcd factor of the radicands
+        accs: list[dict[Key, int]] = []
+        wys: list[int] = []
         for s2, ys in right.items():
             g, s = _root_product(s1, s2)
-            acc = out.setdefault(s, {})
-            get = acc.get
-            for x, wx in xs.items():
-                wx *= g
-                for y, wy in ys.items():
-                    key = tuple(map(mul, x, y))
-                    acc[key] = get(key, 0) + wx * wy
+            accs += repeat(out.setdefault(s, {}), len(ys))
+            wys += map(mul, ys.values(), repeat(g))
+        for x, wx in xs.items():
+            for key, wy, acc in zip(_columns(cols, mul, map(repeat, x)), wys, accs):
+                acc[key] = acc.get(key, 0) + wx * wy
     return out
 
 
@@ -707,20 +752,17 @@ def _reflection_average(mu, f: SubsetMask, sign: int):
     half taken by the weight denominator.  Atoms come out in the order of
     ``mu + sign * mu.reflect(f)``."""
     mu._check_mask(f)
-    flips = [f.bits >> i & 1 for i in range(mu.dim)]
+    combine = add if sign > 0 else sub
     parts: Parts = {}
     for s, atoms in mu._parts.items():
-        acc: dict[Key, int] = {}
-        images: dict[Key, int] = {}
-        for x, w in atoms.items():
-            y = tuple([-c if flip else c for c, flip in zip(x, flips)])
-            wy = atoms.get(y)
-            if wy is None:
-                acc[x] = w
-                images[y] = w if sign > 0 else -w
-            else:
-                acc[x] = w + wy if sign > 0 else w - wy
-        acc.update(images)
+        ws = atoms.values()
+        ys = list(_flipped(atoms, f))
+        # ``w_x + sign * w_{F x}`` at every ``x``, then ``sign * w_x`` at each
+        # image ``F x`` that holds no atom, after them: a reflection is a
+        # bijection, so no two images meet and none meets an ``x``
+        acc = dict(zip(atoms, map(combine, ws, map(atoms.get, ys, repeat(0)))))
+        images = zip(ys, ws if sign > 0 else map(neg, ws))
+        acc.update(compress(images, map(not_, map(atoms.__contains__, ys))))
         parts[s] = acc
     return mu._of(mu.dim, parts, mu._den, 2 * mu._wden)
 
@@ -788,8 +830,14 @@ def unc_inverse(mu: Measure) -> Measure:
     for i in range(1, mu.dim + 1):
         if not mu.is_even_under(SubsetMask.single(mu.dim, i)):
             raise ValueError("measure is not unconditional")
+    # the weight at ``v`` times 2 to the number of its nonzero coordinates
     parts = {
-        s: {v: w * (1 << zero_pattern(v).size) for v, w in part.items() if all(c >= 0 for c in v)}
+        s: dict(
+            compress(
+                zip(part, map(lshift, part.values(), map(sum, _compared(part, ne)))),
+                map(all, _compared(part, ge)),
+            )
+        )
         for s, part in mu._parts.items()
     }
     return Measure._of(mu.dim, parts, mu._den, mu._wden)
