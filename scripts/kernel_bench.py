@@ -5,19 +5,24 @@ Every coordinate of every input is a distinct prime, signed at random, so
 no two products of coordinates coincide and no per-value table could help:
 ``mconv`` on points over per-coordinate denominators (2, 3, 5, ...) and
 ``sconv`` on the radial projections of integer points, with 60 x 20 atoms
-at n = 3 and 16 x 16 atoms at n = 8.  Two more cases read the 65,280-atom
-witness of ``scripts/bound_case.py --dim 8``'s sphere decision:
-``component_patterns`` and ``SphereMeasure.from_json`` of its JSON.
+at n = 3 and 16 x 16 atoms at n = 8.  One more ``sconv`` case takes
+sphere measures from the public constructor with rational weights at
+n = 3, 16 x 16 atoms on the first 96 primes: each mass is the weight over
+its ray's norm, so the measures hold about one part per atom.  Two more
+cases read the 65,280-atom witness of ``scripts/bound_case.py --dim 8``'s
+sphere decision: ``component_patterns`` and ``SphereMeasure.from_json``
+of its JSON.
 
-Prints one line per case: the best time of ``--repeat`` calls, the result's
+Prints one line per case: the best time of ``REPEAT`` calls, the result's
 atom count and the SHA-256 of its JSON.  With ``--check`` nothing is
 timed: each case runs once and its result is compared with a per-atom
 reference (``harness.brute_force_convolution``, the double loop over the
-decoded atoms, for ``mconv``; its radial projection for ``sconv``; one
-zero pattern per atom; the measure itself for ``from_json``), and the
-script exits 1 on a mismatch.
+decoded atoms, for ``mconv``; its radial projection for ``sconv`` of
+projected points; the double loop over the decoded sphere atoms for
+``sconv`` of several parts; one zero pattern per atom; the measure itself
+for ``from_json``), and the script exits 1 on a mismatch.
 
-    PYTHONPATH=src python scripts/kernel_bench.py [--repeat 9] [--check]
+    PYTHONPATH=src python scripts/kernel_bench.py [--check]
 """
 
 import argparse
@@ -27,12 +32,14 @@ import random
 import sys
 import time
 from fractions import Fraction
+from operator import mul
 
 from multconv import (
     GeneratingPair,
     Measure,
     SubsetMask,
     SphereMeasure,
+    Surd,
     all_subsets,
     decide_universal_sphere,
     mconv,
@@ -41,15 +48,19 @@ from multconv import (
     zero_pattern,
 )
 from multconv.harness import brute_force_convolution, gen_interfering_measure
+from multconv.points import primitive_ray, ray_norm_sq
 
 PRIMES = [p for p in range(2, 3000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+REPEAT = 9
 
 
-def distinct_pair(seed: int, dim: int, sizes: tuple[int, int], dens: list[int]) -> tuple[Measure, Measure]:
+def distinct_pair(
+    seed: int, dim: int, sizes: tuple[int, int], dens: list[int], primes: list[int] = PRIMES
+) -> tuple[Measure, Measure]:
     """Two point measures whose coordinates are distinct signed primes
     ``p / dens[i]`` on coordinate ``i``, no prime used twice."""
     rng = random.Random(f"kernel:{seed}:{dim}")
-    primes = iter(rng.sample(PRIMES, dim * sum(sizes)))
+    primes = iter(rng.sample(primes, dim * sum(sizes)))
     out = []
     for size in sizes:
         atoms = {}
@@ -58,6 +69,25 @@ def distinct_pair(seed: int, dim: int, sizes: tuple[int, int], dens: list[int]) 
             atoms[point] = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10), rng.randrange(1, 6))
         out.append(Measure(dim, atoms))
     return out[0], out[1]
+
+
+def on_rays(mu: Measure) -> SphereMeasure:
+    """The integer points of ``mu`` as rays with the same rational weights."""
+    return SphereMeasure(mu.dim, {tuple(map(int, x)): w for x, w in mu.atoms.items()})
+
+
+def sphere_product(a: SphereMeasure, b: SphereMeasure) -> dict:
+    """``sconv`` as a double loop over the decoded atoms: the unit vectors
+    of rays ``d`` and ``e`` multiply to ``d * e / (|d| |e|)``, whose weight
+    ``w_d * w_e`` moves to the ray of ``d * e`` times that point's norm."""
+    acc = {}
+    for d, wd in a.atoms.items():
+        for e, we in b.atoms.items():
+            v = tuple(map(mul, d, e))
+            norm = Surd.sqrt(Fraction(ray_norm_sq(v), ray_norm_sq(d) * ray_norm_sq(e)))
+            ray = primitive_ray(v)
+            acc[ray] = acc.get(ray, Surd(0)) + wd * we * norm
+    return {ray: w for ray, w in acc.items() if w}
 
 
 def witness(dim: int) -> SphereMeasure:
@@ -84,6 +114,12 @@ def cases():
             lambda sp=sp, sq=sq: sconv(sp, sq),
             lambda r, p=p, q=q: r == radial_project(brute_force_convolution(p, q)),
         )
+    sp, sq = map(on_rays, distinct_pair(3, 3, (16, 16), [1] * 3, PRIMES[:96]))
+    yield (
+        f"sconv parts={len(sp._parts)}x{len(sq._parts)} n=3 16x16",
+        lambda: sconv(sp, sq),
+        lambda r: dict(r.atoms) == sphere_product(sp, sq),
+    )
     w = witness(8)
     data = json.loads(json.dumps(w.to_json()))
     yield (
@@ -102,7 +138,6 @@ def render(result) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeat", type=int, default=9)
     parser.add_argument("--check", action="store_true", help="compare results with references; time nothing")
     args = parser.parse_args()
     failed = 0
@@ -113,7 +148,7 @@ def main() -> int:
             print(f"{name:32s} {'ok' if ok else 'MISMATCH'}")
             continue
         best = float("inf")
-        for _ in range(args.repeat):
+        for _ in range(REPEAT):
             start = time.perf_counter()
             result = call()
             best = min(best, time.perf_counter() - start)

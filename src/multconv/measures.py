@@ -619,8 +619,11 @@ def _products(left: Parts, right: Parts) -> Parts:
     loop.  For one left radicand every right radicand gives a different
     product radicand (their symmetric difference as sets of primes), so each
     part still receives the products of one pair of parts at a time, ``x``
-    by ``x``.  Zero sums stay in it for the sphere, whose rays keep their
-    order."""
+    by ``x``.  Transposing once per pair of parts instead costs one column
+    pass per left key and right part: no faster on one part, and 1.3 to 2.2
+    times the time on sphere measures of about one part per atom (the
+    several-parts case of ``scripts/kernel_bench.py``).  Zero sums stay in
+    it for the sphere, whose rays keep their order."""
     out: Parts = {}
     cols = list(zip(*chain.from_iterable(right.values())))
     for s1, xs in left.items():

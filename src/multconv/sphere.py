@@ -26,15 +26,11 @@ package: a numerical diagnostic that never feeds an exact decision.
 from __future__ import annotations
 
 import math
-import re
 from typing import Sequence
 
 from .measures import AtomicMeasure, Lanes, _products, _surd
 from .points import Ray, primitive_ray, ray_norm_sq, zero_pattern
 from .subsets import SubsetMask
-
-# one ray entry as ``to_json`` writes it: ASCII digits with an optional minus
-_DIGITS = re.compile(r"-?[0-9]+")
 
 
 class SphereMeasure(AtomicMeasure):
@@ -47,18 +43,6 @@ class SphereMeasure(AtomicMeasure):
 
     @staticmethod
     def _read(loc, dim: int) -> Ray:
-        """The primitive ray of ``loc``, of dimension ``dim``, with
-        ``primitive_ray``'s refusals and messages.  A list or tuple of
-        ``dim`` plain ints, or of ``dim`` digit strings, that is primitive
-        already (as ``to_json`` writes rays) is read with one conversion and
-        one gcd; every other input, the zero vector included, goes through
-        ``primitive_ray``."""
-        if type(loc) in (list, tuple) and len(loc) == dim:
-            kinds = set(map(type, loc))
-            if kinds == {int} or (kinds == {str} and all(map(_DIGITS.fullmatch, loc))):
-                d = tuple(map(int, loc))
-                if math.gcd(*d) == 1:
-                    return d
         d = primitive_ray(loc)
         if len(d) != dim:
             raise ValueError(f"ray {d} has dimension {len(d)}, expected {dim}")

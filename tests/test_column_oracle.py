@@ -8,7 +8,9 @@ measures have several parts (sphere measures from the public constructor
 always do: each mass is divided by its ray's norm).  Each reference loops
 over the decoded atoms one at a time, as the operators did before they
 moved to columns, and compares values; where the result has one part it
-compares the order of ``atoms`` too.
+compares the order of ``atoms`` too.  Products of several parts compare
+the order of ``atoms`` with a reference kernel that loops over the stored
+parts pair by pair.
 """
 
 import math
@@ -21,6 +23,7 @@ import pytest
 from multconv.lifting import lift, lift_inverse
 from multconv.measures import (
     Measure,
+    _root_product,
     mconv,
     msym,
     munc,
@@ -142,6 +145,22 @@ def reference_sconv(a: SphereMeasure, b: SphereMeasure) -> dict:
     return _nonzero(acc)
 
 
+def reference_parts(left: dict, right: dict) -> dict:
+    """The stored parts of a product, one double loop per pair of parts:
+    left part, right part, then ``x``, then ``y``, each part and each key
+    in the order of its first product."""
+    out = {}
+    for s1, xs in left.items():
+        for s2, ys in right.items():
+            g, s = _root_product(s1, s2)
+            acc = out.setdefault(s, {})
+            for x, wx in xs.items():
+                for y, wy in ys.items():
+                    key = tuple(map(mul, x, y))
+                    acc[key] = acc.get(key, 0) + g * wx * wy
+    return out
+
+
 @pytest.mark.parametrize("n", DIMS)
 def test_products_match_double_loop(n, assert_trusted):
     measures = inputs(n)
@@ -149,10 +168,18 @@ def test_products_match_double_loop(n, assert_trusted):
     sphere_inputs = [m for m in measures if isinstance(m, SphereMeasure)] + [rays(8, n, 4)]
     for a in point_inputs:
         for b in point_inputs:
-            _check(mconv(a, b), reference_mconv(a, b), assert_trusted)
+            got = mconv(a, b)
+            _check(got, reference_mconv(a, b), assert_trusted)
+            parts = reference_parts(a._parts, b._parts)
+            want = Measure._of(n, parts, a._den * b._den, a._wden * b._wden)
+            assert list(got.atoms) == list(want.atoms)
     for a in sphere_inputs:
         for b in sphere_inputs:
-            _check(sconv(a, b), reference_sconv(a, b), assert_trusted)
+            got = sconv(a, b)
+            _check(got, reference_sconv(a, b), assert_trusted)
+            lanes = [(s, part.items()) for s, part in reference_parts(a._parts, b._parts).items()]
+            want = SphereMeasure._gather(n, lanes, 1, a._wden * b._wden)
+            assert list(got.atoms) == list(want.atoms)
 
 
 # -- projections, reflections and restrictions -------------------------------------

@@ -219,47 +219,6 @@ def test_ray_keys_are_primitive():
     assert set(mu.atoms) == {(1, 2)}
 
 
-def _read_through_primitive_ray(loc, dim):
-    """The ray reader without its fast path: ``primitive_ray``, then the
-    dimension check."""
-    d = primitive_ray(loc)
-    if len(d) != dim:
-        raise ValueError(f"ray {d} has dimension {len(d)}, expected {dim}")
-    return d
-
-
-@pytest.mark.parametrize(
-    "loc",
-    [
-        [1, -2, 3], (1, 2, 3), ["1", "-2", "3"], [-1, 0, 0], [1000003, 3, 7],  # primitive
-        [2, 4, 6], ["2", "4", "-6"], ["-0", "0", "5"], [F(3), 6, 9],  # reduced by primitive_ray
-        [" 1", "2", "3"], ["+1", "2", "3"], ["1_0", "3", "7"], ["١", "2", "3"],  # parsed by int()
-        [0, 0, 0], ["0", "0", "0"], [1, 2], ["1", "2"], [1, 2, 3, 4],
-        [True, 1, 2], [1.0, 2, 3], [F(3, 2), 1, 1], ["1.5", 2, 3], ["1.5", "2", "3"],
-        ["", "1", "2"], ["-", "1", "2"], ["a", "b", "c"], [None, 1, 2], ["1" * 5000, "1", "2"],
-        "123", b"123", lambda: iter([2, 4, 6]),
-    ],
-    ids=lambda loc: repr(loc)[:24],
-)
-def test_ray_reader_results_and_refusals_match_primitive_ray(loc):
-    # the fast path for primitive rays of plain ints or digit strings
-    # changes no result, no refusal and no message
-    def outcome(read):
-        try:
-            return read(loc() if callable(loc) else loc, 3)
-        except (TypeError, ValueError) as exc:
-            return type(exc), str(exc)
-
-    assert outcome(SphereMeasure._read) == outcome(_read_through_primitive_ray)
-    data = {"dim": 3, "atoms": [{"ray": loc() if callable(loc) else loc, "weight": [["1", 1]]}]}
-    try:
-        got = list(SphereMeasure.from_json(data).atoms)
-    except (TypeError, ValueError) as exc:
-        got = (type(exc), str(exc))
-    expected = outcome(_read_through_primitive_ray)
-    assert got == (expected if isinstance(expected[0], type) else [expected])
-
-
 def test_sphere_and_point_measures_stay_distinct():
     point = Measure(2, {(F(3), F(4)): 1})
     ray = SphereMeasure(2, {(3, 4): 1})
