@@ -10,6 +10,7 @@ helpers used by lifting, and the ``dim`` check shared by the JSON loaders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator
 
 MAX_DIM = 63
@@ -107,18 +108,32 @@ def all_subsets(dim: int) -> Iterator[SubsetMask]:
         yield SubsetMask(bits, dim)
 
 
-def subsets_of(mask: SubsetMask) -> Iterator[SubsetMask]:
-    """All subsets of ``mask`` in increasing bit order."""
+def _sub_bits(bits: int) -> Iterator[int]:
+    """All submasks of ``bits`` in increasing order."""
     sub = 0
     while True:
-        yield SubsetMask(sub, mask.dim)
-        if sub == mask.bits:
+        yield sub
+        if sub == bits:
             return
-        sub = (sub - mask.bits) & mask.bits
+        sub = (sub - bits) & bits
+
+
+def subsets_of(mask: SubsetMask) -> Iterator[SubsetMask]:
+    """All subsets of ``mask`` in increasing bit order."""
+    return (SubsetMask(sub, mask.dim) for sub in _sub_bits(mask.bits))
 
 
 def mask_sort_key(mask: SubsetMask):
     return mask.indices()
+
+
+@cache
+def _lex_table(dim: int) -> tuple[tuple[SubsetMask, ...], tuple[int, ...], tuple[int, ...]]:
+    """One shared mask per bits of {1,..,dim}, the bits in ``mask_sort_key``
+    order and their ranks in it; kept per dimension, so callers bound ``dim``."""
+    masks = tuple(all_subsets(dim))
+    order = tuple(sorted(range(1 << dim), key=lambda bits: mask_sort_key(masks[bits])))
+    return masks, order, tuple(sorted(range(1 << dim), key=order.__getitem__))
 
 
 def _coerce_family(dim: int, members: Iterable[SubsetMask]) -> frozenset[SubsetMask]:
@@ -255,17 +270,22 @@ def restrict_pair(pair: GeneratingPair, e: SubsetMask) -> GeneratingPair:
 def index_set(e: SubsetMask, pair: GeneratingPair) -> frozenset[SubsetMask]:
     """Subsets J of ``e`` meeting every even member evenly and every odd member oddly.
 
-    Empty exactly when the pair restricted to ``e`` is not proper.
+    Empty exactly when the pair restricted to ``e`` is not proper.  The
+    candidates are tested as ints (``_index_bits``).
     """
     if e.dim != pair.dim:
         raise ValueError(f"dimension mismatch: {e.dim} vs {pair.dim}")
-    out = []
-    for j in subsets_of(e):
-        if all((j.bits & f.bits).bit_count() % 2 == 0 for f in pair.evens) and all(
-            (j.bits & f.bits).bit_count() % 2 == 1 for f in pair.odds
-        ):
-            out.append(j)
-    return frozenset(out)
+    return frozenset(SubsetMask(j, e.dim) for j in _index_bits(pair, _sub_bits(e.bits)))
+
+
+def _index_bits(pair: GeneratingPair, candidates: Iterable[int]) -> list[int]:
+    """The candidates J, in order, meeting the even members of ``pair`` evenly
+    and the odd ones oddly: by linearity, the even part's reduced basis evenly
+    and ``o0`` oddly (``_reduce_pair``), one ``bit_count`` per basis vector.
+    A pair that is not proper has ``o0`` in that span: no candidate passes."""
+    basis, odd, _ = _reduce_pair(pair)
+    tests = [(b, 0) for b in basis] + ([] if odd is None else [(odd, 1)])
+    return [j for j in candidates if all((j & v).bit_count() & 1 == p for v, p in tests)]
 
 
 def is_group(masks: Iterable[SubsetMask]) -> bool:

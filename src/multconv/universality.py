@@ -12,21 +12,21 @@ signed by the parity character of J.
 One general decider serves points in R^n and the sphere alike and reads
 the setting from the type of the measure; the sphere misses the origin
 cell, so its whole space is every nonempty pattern.  Every decider, at
-every scope, only lists its (E, J) pairs; one condition pass evaluates
-them by these class sums, exactly, on ints: each atom is encoded once per
-decision and part of its stored integer form by its nonzero and negative
-coordinate masks, its absolute coordinates as integers over one common
-denominator, its radicand and its int coefficient; the classes on E group
-the atoms nonzero on all of E by radicand and by their absolute
-coordinates there, a location scaled by one number.  By the linear
-independence of square roots over the rationals, a class of one location
-has a nonzero sum exactly when one of its radicands does, and the common
-weight denominator never enters the zero test.  Atoms are read as stored:
-on the sphere an atom is its stored point mass ``w/|r|`` at the integer
-ray ``r`` (scale 1), and the projection onto E gathers it at the primitive
-ray through its coordinates there; scaling each class member by the gcd of
-those coordinates puts every member at one ray, whose norm, common to the
-class, never enters the zero test.
+every scope, only lists (E, [J, ...]) groups, testing each candidate J as
+an int against the pair's reduced GF(2) basis in the lex order of a
+per-dimension table of shared masks.  One condition pass evaluates them E
+by E, by these class sums, on ints: each atom is coded once per decision
+and part by its nonzero and negative coordinate masks, its absolute
+coordinates over one common denominator, its radicand and its int
+coefficient; once per E, the atoms nonzero on all of E are grouped by
+radicand and by their absolute coordinates there.  By the linear
+independence of square roots over the rationals, the sum at a location is
+nonzero exactly when one of its radicands' classes is, and the common
+weight denominator never enters the zero test.  On the sphere an atom is
+read as its stored point mass ``w/|r|`` at the integer ray ``r``, and the
+projection onto E gathers it at the primitive ray through its coordinates
+there; scaling each class member by the gcd of those coordinates puts
+every member at one ray, whose norm never enters the zero test.
 
 On a negative decision the counterexample is proved by its factors: it is
 either the parity basis measure of J (convolved with the whole measure to
@@ -34,9 +34,8 @@ prove annihilation) or that measure times the alternating top-order probe
 on E, built directly as a product in the setting.  The product is
 annihilated because the probe's factors have zero mass, which kills every
 lower-order atom, and the top-order part is killed by the failing
-condition, which is checked by convolution independently of the class
-sums.  Convolution
-serves only these checks on the ``2**|E|``-atom parity factor.
+condition.  That is checked by convolution on the ``2**|E|``-atom parity
+factor, independently of the class sums; convolution serves nothing else.
 """
 
 from __future__ import annotations
@@ -49,9 +48,10 @@ from .measures import AtomicMeasure, Measure, _parity_grid, delta_ej, mconv
 from .subsets import (
     GeneratingPair,
     SubsetMask,
+    _index_bits,
+    _lex_table,
     all_subsets,
     gamma,
-    index_set,
     mask_sort_key,
 )
 from .sphere import SphereMeasure, radial_project, sconv
@@ -83,10 +83,12 @@ class UniversalityReport:
         return [c for c in self.conditions if not c.satisfied]
 
     def to_json(self) -> dict:
+        masks = {m.bits: m for c in self.conditions for m in (c.support, c.index)}
+        lists = {bits: m.to_json() for bits, m in masks.items()}  # copied per record
         return {
             "universal": self.universal,
             "conditions": [
-                {"E": c.support.to_json(), "J": c.index.to_json(), "ok": c.satisfied}
+                {"E": lists[c.support.bits][:], "J": lists[c.index.bits][:], "ok": c.satisfied}
                 for c in self.conditions
             ],
             "witness": None if self.witness is None else self.witness.to_json(),
@@ -99,10 +101,6 @@ def _check_dim(dim: int) -> None:
         raise ValueError(
             f"dimension {dim} exceeds the enumeration bound {MAX_DECIDER_DIM}"
         )
-
-
-def _ordered_support(support) -> list[SubsetMask]:
-    return sorted(set(support), key=lambda m: (-m.size, mask_sort_key(m)))
 
 
 def _in_class(witness, pair: GeneratingPair, e: SubsetMask) -> bool:
@@ -238,24 +236,24 @@ def _satisfied(classes: list[_Class], j: int) -> bool:
 
 
 def _evaluate(
-    nu: AtomicMeasure, pairs: list[tuple[SubsetMask, SubsetMask]]
+    nu: AtomicMeasure, groups: list[tuple[SubsetMask, list[SubsetMask]]]
 ) -> list[ConditionRecord]:
-    """One record per (E, J) pair, by the class sums: the one condition pass.
+    """One record per J of each (E, [J, ...]) group, by the class sums: the one condition pass.
 
-    The atoms are grouped once per distinct E, whatever the pair order.
+    The atoms are grouped once per distinct E, whatever the group order.
     """
     sphere = isinstance(nu, SphereMeasure)
     code = _code(nu)
-    groupings: dict[SubsetMask, tuple[list[_Class], bool]] = {}
+    groupings: dict[int, tuple[list[_Class], bool]] = {}
     records: list[ConditionRecord] = []
-    for e, j in pairs:
-        grouping = groupings.get(e)
+    for e, js in groups:
+        grouping = groupings.get(e.bits)
         if grouping is None:
             classes = _classes(code, e, sphere)
             # a class of one atom has a nonzero sum under every J
-            grouping = groupings[e] = (classes, any(len(m) == 1 for m in classes))
+            grouping = groupings[e.bits] = (classes, any(len(m) == 1 for m in classes))
         classes, single = grouping
-        records.append(ConditionRecord(e, j, single or _satisfied(classes, j.bits)))
+        records += [ConditionRecord(e, j, single or _satisfied(classes, j.bits)) for j in js]
     return records
 
 
@@ -265,19 +263,20 @@ def _whole_space(dim: int, sphere: bool) -> list[SubsetMask]:
 
 
 def _index_sets(support, pair: GeneratingPair) -> list[tuple[SubsetMask, list[SubsetMask]]]:
-    """Each support set, by descending size, with its index set, sorted.
+    """Each support set, by descending size then lex rank, with its index set.
 
     The index set of (E, pair) is the members of the whole space's index set
-    that lie inside E, so one index set is enumerated and sorted in all.
+    inside E, so one is tested in all, on ints in the lex order of the
+    dimension's table (``subsets._lex_table``), whose masks the records take.
     """
-    whole = sorted(index_set(SubsetMask.full(pair.dim), pair), key=mask_sort_key)
-    out = []
-    for e in _ordered_support(support):
-        if e.dim != pair.dim:
-            raise ValueError(f"support set {e} has dimension {e.dim}, expected {pair.dim}")
-        outside = ~e.bits
-        out.append((e, [j for j in whole if not j.bits & outside]))
-    return out
+    n = pair.dim
+    bad = sorted({e for e in support if e.dim != n}, key=lambda m: (-m.size, mask_sort_key(m)))
+    if bad:
+        raise ValueError(f"support set {bad[0]} has dimension {bad[0].dim}, expected {n}")
+    masks, order, rank = _lex_table(n)
+    whole = _index_bits(pair, order)
+    ordered = sorted({e.bits for e in support}, key=lambda e: (-e.bit_count(), rank[e]))
+    return [(masks[e], [masks[j] for j in whole if not j & ~e]) for e in ordered]
 
 
 def decide_universal_rn(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityReport:
@@ -296,14 +295,9 @@ def decide_universal_rn(nu: AtomicMeasure, support, pair: GeneratingPair) -> Uni
     _check_dim(nu.dim)
     if pair.dim != nu.dim:
         raise ValueError(f"dimension mismatch: measure {nu.dim} vs pair {pair.dim}")
-    pairs: list[tuple[SubsetMask, SubsetMask]] = []
-    skipped: list[SubsetMask] = []
-    for e, indices in _index_sets(support, pair):
-        if not indices:
-            skipped.append(e)
-            continue
-        pairs.extend((e, j) for j in indices)
-    return _conclude(nu, pair, _evaluate(nu, pairs), skipped)
+    groups = _index_sets(support, pair)
+    skipped = [e for e, js in groups if not js]
+    return _conclude(nu, pair, _evaluate(nu, [g for g in groups if g[1]]), skipped)
 
 
 # the setting is read from the measure, so the sphere needs no decider of its own
@@ -360,15 +354,16 @@ def decide_special(
     elif scope == "top-order":
         if nu.order_of() != full:
             raise ValueError("top-order scope requires a measure of full order")
-        pairs: list[tuple[SubsetMask, SubsetMask]] = []
-        for j in sorted(index_set(full, pair), key=mask_sort_key):
+        masks, order, _ = _lex_table(n)
+        groups: list[tuple[SubsetMask, list[SubsetMask]]] = []
+        for j in (masks[bits] for bits in _index_bits(pair, order)):
             if sphere and j.size == 0:
                 # the empty index collapses to one condition per axis
-                pairs.extend((SubsetMask.single(n, i), j) for i in range(1, n + 1))
+                groups.extend((masks[1 << i], [j]) for i in range(n))
             else:
                 # on a measure of full order, the (J, J) condition on its projection
-                pairs.append((j, j))
-        return _conclude(nu, pair, _evaluate(nu, pairs))
+                groups.append((j, [j]))
+        return _conclude(nu, pair, _evaluate(nu, groups))
     elif scope != "full":
         raise ValueError(f"unknown scope {scope!r}")
     report = decide_universal_rn(nu, _whole_space(n, sphere), pair)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -550,16 +551,45 @@ def test_condition_pass_groups_each_support_once(monkeypatch, sphere):
             assert set(grouped) == {c.support for c in report.conditions}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_index_sets_filter_the_whole_space_once(n):
-    supports = list(all_subsets(n))
-    for seed in range(12):
-        for max_members in (3, 5):
-            pair = gen_pair(seed, n, max_members)
-            got = universality._index_sets(supports, pair)
-            assert [e for e, _ in got] == universality._ordered_support(supports)
-            for e, indices in got:
-                assert indices == sorted(index_set(e, pair), key=mask_sort_key)
+def _index_set_by_definition(e, pair):
+    """The index set of (E, pair) by its definition: the subsets of E, one
+    parity test per generator, in lex order."""
+    return sorted(
+        (
+            j
+            for j in subsets_of(e)
+            if all((j.bits & f.bits).bit_count() % 2 == 0 for f in pair.evens)
+            and all((j.bits & f.bits).bit_count() % 2 == 1 for f in pair.odds)
+        ),
+        key=mask_sort_key,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_index_sets_match_the_definition(n):
+    pairs = [gen_pair(seed, n, m) for seed in range(12) for m in (3, 5)]
+    pairs += [class_pair(klass, n) for klass in ("unconditional", "symmetric", "antisymmetric", "none")]
+    everything = list(all_subsets(n))
+    sparse = random.Random(n).sample(everything, min(3, len(everything)))
+    supports = (full_support(n), full_support(n, sphere=True), sparse + sparse[:1])
+    for pair in pairs:
+        by_definition = {e: _index_set_by_definition(e, pair) for e in everything}
+        for e, indices in by_definition.items():
+            assert index_set(e, pair) == frozenset(indices)
+        for support in supports:
+            ordered = sorted(set(support), key=lambda m: (-m.size, mask_sort_key(m)))
+            expected = [(e, by_definition[e]) for e in ordered]
+            assert universality._index_sets(support, pair) == expected
+
+
+@pytest.mark.parametrize("sphere", [False, True])
+def test_support_set_of_another_dimension_is_refused(sphere):
+    nu = gen_sphere_measure(3, 3, 4) if sphere else gen_measure(3, 3, 4)
+    pair = GeneratingPair.make(3)
+    # one mask beyond the dimension-3 table's bits, one inside them
+    for other in (SubsetMask.from_indices(4, [1, 2, 4]), SubsetMask.from_indices(4, [1])):
+        with pytest.raises(ValueError, match=re.escape(f"support set {other} has dimension 4, expected 3")):
+            decide_universal_rn(nu, [SubsetMask.full(3), other], pair)
 
 
 def _by_convolution(nu, record):
