@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
 from .points import Point, make_point, point_values
 from .scalars import (
-    HALF,
     Surd,
     SurdLike,
     _accumulate,
@@ -75,11 +74,6 @@ Terms = Iterable[tuple[int, int, int]]
 Parts = dict[int, dict[Key, int]]
 # (radicand, point masses) pairs, the input of a gather
 Lanes = Iterable[tuple[int, Iterable[tuple[Key, int]]]]
-
-
-def _scaled(loc: Iterable, den: int) -> Key:
-    """The integer vector ``loc * den``; every coordinate's denominator divides ``den``."""
-    return tuple([c.numerator * (den // c.denominator) for c in loc])
 
 
 def _columns(cols: Iterable[Iterable[int]], op: Callable, args: Iterable[Iterable]) -> Iterator[tuple]:
@@ -166,13 +160,14 @@ class AtomicMeasure:
     """Signed measure with finitely many atoms at exact locations.
 
     The shared core of point and sphere measures.  A subclass fixes the
-    location type through class attributes: ``_key`` normalises a location
-    (and checks it), ``_read`` and ``_scale`` read locations to integer keys
-    over one denominator, ``_loc_field`` names them in JSON, ``_decode``
-    turns a stored key back into a location; ``_norm_sq`` gives the square
-    of the number a weight is divided by to store it (1 for points); and its
-    pushforward through the trusted ``_gather``, which sums point masses per
-    location: the one hook that every projection, product and sum ends in.
+    location type through class attributes: ``_read`` and ``_scale``, the
+    one reader of locations (the constructor's, ``from_json``'s and
+    ``weight_at``'s), check them and key them over one denominator,
+    ``_loc_field`` names them in JSON, ``_decode`` turns a stored key back
+    into a location; ``_norm_sq`` gives the square of the number a weight
+    is divided by to store it (1 for points); and its pushforward through
+    the trusted ``_gather``, which sums point masses per location: the one
+    hook that every projection, product and sum ends in.
 
     The measure is stored as parts, ``_parts[s]`` for each square-free
     radicand ``s`` that occurs: a dict from tuples of ints ``v`` to nonzero
@@ -207,7 +202,6 @@ class AtomicMeasure:
     """
 
     __slots__ = ("dim", "_parts", "_den", "_wden")
-    _key: Callable[[Iterable], tuple]
     _read: Callable[[Iterable, int], object]
     _scale: Callable[[list], tuple[list[Key], int]]
     _loc_field: str
@@ -343,10 +337,14 @@ class AtomicMeasure:
         return tuple([self._decode(v) for v in sorted(self._keys())])
 
     def weight_at(self, loc: Iterable) -> Surd:
-        loc, den = self._key(loc), self._den
-        if any(den % c.denominator for c in loc):
+        # the constructor's reader; it keeps "2/4" as (2, 4), so ``v / d`` is
+        # brought to lowest terms by ``g`` and keyed over ``_den`` by ``k``
+        (v,), d = self._scale([self._read(loc, self.dim)])
+        g = math.gcd(d, *v)
+        k, finer = divmod(self._den * g, d)
+        if finer:
             return Surd(0)  # no atom sits at a finer denominator
-        return _surd(self._weight(_scaled(loc, den)), self._wden)
+        return _surd(self._weight(tuple([c // g * k for c in v])), self._wden)
 
     def atom_count(self) -> int:
         return len(self._keys())
@@ -559,7 +557,6 @@ class Measure(AtomicMeasure):
     """Signed measure with finitely many atoms at rational points."""
 
     __slots__ = ()
-    _key = staticmethod(make_point)
     _loc_field = "point"
 
     @staticmethod
@@ -718,6 +715,10 @@ def sigma0(dim: int) -> Measure:
     return sigma0_on(SubsetMask.full(dim))
 
 
+# the parity basis measure's factor on E, ``(delta_1 + chi*delta_{-1}) / 2``
+_PARITY = ((1, 1), (-1, 1))
+
+
 def delta_ej(e: SubsetMask, j: SubsetMask) -> Measure:
     """Signed uniform atoms on the sign vectors of ``e``.
 
@@ -727,7 +728,7 @@ def delta_ej(e: SubsetMask, j: SubsetMask) -> Measure:
     """
     if not j.issubset(e):
         raise ValueError(f"index set {j} is not a subset of the support {e}")
-    return _parity_grid(e, j, ((1, 1), (-1, 1)), 1 << e.size)
+    return _parity_grid(e, j, _PARITY, 1 << e.size)
 
 
 def delta_j(dim: int, j: SubsetMask) -> Measure:
@@ -737,8 +738,7 @@ def delta_j(dim: int, j: SubsetMask) -> Measure:
 
 def sigma_sym(dim: int) -> Measure:
     """Two half-weight atoms at the all-ones vector and its antipode."""
-    ones = [Fraction(1)] * dim
-    return Measure(dim, {tuple(ones): HALF, tuple(-c for c in ones): HALF})
+    return msym(unit(dim))
 
 
 def sigma_unc(dim: int) -> Measure:

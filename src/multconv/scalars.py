@@ -93,6 +93,9 @@ def _coerce_rational(value) -> Fraction:
     # Fraction parses "1e10000000" by building the power, which takes seconds
     if isinstance(value, str) and ("e" in value or "E" in value):
         raise ValueError(f"refusing exponent notation {value!r}; write 'p/q' or a plain decimal")
+    # Python 3.12 reads "1 /2" as 1/2; refuse it with 3.11's message
+    if isinstance(value, str) and any(map(str.isspace, value.strip())):
+        raise ValueError(f"Invalid literal for Fraction: {value!r}")
     return Fraction(value)
 
 

@@ -15,7 +15,7 @@ at integer vectors radially back to the sphere by their gcds alone, and
 takes the scale ``1/den`` into the weight denominator.  The radial
 projection from point measures, the induced product on the sphere
 (``_products`` on the stored parts), the coordinate-subsphere projections,
-sums and the probe witness are each one gather.  Weights meet ``|d|`` only
+sums and both witness factors are each one gather.  Weights meet ``|d|`` only
 at the public surface, where ``_norm_sq = ray_norm_sq`` gives the weight
 ``m * |d|`` by the integer weight coding that point measures share.
 
@@ -37,7 +37,6 @@ class SphereMeasure(AtomicMeasure):
     """Signed measure with finitely many atoms on the unit sphere."""
 
     __slots__ = ()
-    _key = staticmethod(primitive_ray)
     _loc_field = "ray"
     _norm_sq = staticmethod(ray_norm_sq)
 
@@ -125,11 +124,10 @@ def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:
     bad = [v for v in mu._keys() if zero_pattern(v) != full]
     if bad:
         raise ValueError(f"atom at {mu._loc_field} {mu._decode(bad[0])} is not of full order")
-    sphere = isinstance(mu, SphereMeasure)
     total = 0.0
     for v in mu._keys():
-        # the location of a stored key ``v`` is ``v / _den``
-        norm = ray_norm_sq(v) ** 0.5 if sphere else mu._den
+        # ``v / norm`` is the key's unit vector (sphere) or location (points)
+        norm = mu._norm_sq(v) ** 0.5 * mu._den
         prod = 1.0
         for c, a in zip(v, alpha):
             prod *= (abs(float(c)) / norm) ** a

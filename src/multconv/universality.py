@@ -31,7 +31,7 @@ every member at one ray, whose norm never enters the zero test.
 On a negative decision the counterexample is proved by its factors: it is
 either the parity basis measure of J (convolved with the whole measure to
 prove annihilation) or that measure times the alternating top-order probe
-on E, built directly as a product in the setting.  The product is
+on E, each built directly as a product in the setting.  The product is
 annihilated because the probe's factors have zero mass, which kills every
 lower-order atom, and the top-order part is killed by the failing
 condition.  That is checked by convolution on the ``2**|E|``-atom parity
@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
-from .measures import AtomicMeasure, Measure, _parity_grid, delta_ej, mconv
+from .measures import _PARITY, AtomicMeasure, Measure, _parity_grid, mconv
 from .subsets import (
     GeneratingPair,
     SubsetMask,
@@ -54,7 +54,7 @@ from .subsets import (
     gamma,
     mask_sort_key,
 )
-from .sphere import SphereMeasure, radial_project, sconv
+from .sphere import SphereMeasure, sconv
 
 MAX_DECIDER_DIM = 8
 
@@ -135,22 +135,20 @@ def _witness(
     of the probe vanishes, which kills the lower-order atoms; and the
     top-order part annihilates the parity factor, which is the failing
     condition, checked here by convolution.  Class membership is checked on
-    the parity factor: reflections act on one factor of a product.  On the
-    sphere the witness is pushed forward radially, which commutes with the
-    product and the reflections; the probe product's coordinates are
-    integers, so the sphere gathers its atoms as integer vectors.
+    the parity factor: reflections act on one factor of a product.  Both
+    factors are grids of integer vectors built in the setting of ``nu`` by
+    one builder, so the witness is a function of E, J, its factor and the
+    setting alone.
     """
-    sphere = isinstance(nu, SphereMeasure)
-    conv = sconv if sphere else mconv
-    parity = delta_ej(e, j)
+    conv = sconv if isinstance(nu, SphereMeasure) else mconv
+    parity = _parity_grid(e, j, _PARITY, 1 << e.size, type(nu))
     if not _in_class(parity, pair, e):
         raise RuntimeError("witness construction left the symmetry class")
     if not conv(nu, parity):
-        witness = radial_project(parity) if sphere else parity
-    elif conv(nu.project(e).restrict_order(e), parity):
+        return parity
+    if conv(nu.project(e).restrict_order(e), parity):
         raise RuntimeError("witness construction failed to annihilate")
-    else:
-        witness = _probe_product(e, j, type(nu))
+    witness = _probe_product(e, j, type(nu))
     if not witness:
         raise RuntimeError("witness construction produced the zero measure")
     if witness.component_patterns() != frozenset({e}):

@@ -18,7 +18,7 @@ from .points import Point, inner, make_point, ray_norm_sq
 from .scalars import Surd
 from .subsets import SubsetMask, json_dim
 from .sphere import SphereMeasure, radial_project, sconv
-from .universality import UniversalityReport, _check_dim, decide_special
+from .universality import UniversalityReport, decide_special
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,8 +123,6 @@ def decide_d_universal(nu: SphereMeasure, unconditional: bool = False) -> Univer
     symmetric (or unconditional) measures over all nonempty patterns.
     """
     n = nu.dim
-    # before the 2**n support sets and the 2**n-member unconditional pair
-    _check_dim(n)
     if not isinstance(nu, SphereMeasure):
         raise ValueError(f"generating measures are sphere measures, got {type(nu).__name__}")
     if not nu.is_even_under(SubsetMask.full(n)):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from multconv.measures import Measure
-from multconv.points import ray_norm_sq
+from multconv.points import make_point, primitive_ray, ray_norm_sq
 from multconv.scalars import Surd, square_free_decompose
 from multconv.sphere import SphereMeasure
 
@@ -27,12 +27,12 @@ def _check_trusted(results: dict) -> None:
         coeffs = [c for part in r._parts.values() for c in part.values()]
         assert type(r._wden) is int and r._wden >= 1, (name, r._wden)
         assert math.gcd(r._wden, *coeffs) == 1, (name, r._wden)
-        coord = Fraction if isinstance(r, Measure) else int
+        coord, normal = (Fraction, make_point) if isinstance(r, Measure) else (int, primitive_ray)
         for loc, w in r.atoms.items():
             assert type(w) is Surd and w, (name, loc, w)
             # ``type(c) is`` rather than ``==``: an int key equals its Fraction
             assert len(loc) == r.dim and all(type(c) is coord for c in loc), (name, loc)
-            assert type(r)._key(loc) == loc, (name, loc)
+            assert normal(loc) == loc, (name, loc)
         if isinstance(r, SphereMeasure):
             # mass form: the stored value at a ray is the point mass w/|r|,
             # and the weight is m*|r|

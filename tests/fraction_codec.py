@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from multconv.points import ray_norm_sq
+from multconv.points import make_point, primitive_ray, ray_norm_sq
 from multconv.scalars import Surd, _coerce_rational, square_free_decompose
 from multconv.sphere import SphereMeasure
 from multconv.subsets import json_dim
@@ -43,14 +43,14 @@ def measure_from_json(cls, data: dict):
     dim = json_dim(data)
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
+    sphere = cls is SphereMeasure
     acc: dict[tuple, Surd] = {}
     for loc, w in atoms:
-        loc = cls._key(loc)
+        loc = primitive_ray(loc) if sphere else make_point(loc)
         if len(loc) != dim:
             raise ValueError(f"{field} {loc} has dimension {len(loc)}, expected {dim}")
         prev = acc.get(loc)
         acc[loc] = w if prev is None else prev + w
-    sphere = cls is SphereMeasure
     den = 1 if sphere else math.lcm(*[c.denominator for loc in acc for c in loc])
     masses = []
     for loc, w in acc.items():

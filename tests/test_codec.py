@@ -19,7 +19,7 @@ PRIMES = [p for p in range(2, 8000) if all(p % d for d in range(2, int(p**0.5) +
 # written forms that the fast string match leaves to ``Fraction``
 ODD_FORMS = ["6/4", "+3", " 7 ", "1.25", "1_000", "-0"]
 RADICANDS = [1, 1, 2, 3, 5, 6, 7, 10, 15, 30, 1155]
-BAD_VALUES = ["1/0", "1e5", "1/-2", "1 /2", "", "--1", "abc", "1/", 0.5, True, None, [1]]
+BAD_VALUES = ["1/0", "1e5", "1/-2", "1 /2", "1/ 2", "", "--1", "abc", "1/", 0.5, True, None, [1]]
 
 
 def _outcome(fn, *args):

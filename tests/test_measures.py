@@ -658,9 +658,16 @@ def test_weight_at_decodes_over_the_denominator():
     assert mu.weight_at(("1", "-3/4")) == 5
     assert mu.weight_at((F(1, 3), 3)) == 0  # 3 does not divide the denominator 4
     assert mu.weight_at((F(1, 4), 3)) == 0  # over 4, but no atom there
+    # unreduced locations read in lowest terms: "2/4" is the 1/2 of the atom
+    assert mu.weight_at(("2/4", "6/2")) == mu.weight_at((F(2, 4), 3)) == 2
+    assert mu.weight_at(("3/3", "-6/8")) == 5
     sigma = SphereMeasure(2, {(2, 4): 1})
     assert sigma.weight_at((1, 2)) == sigma.weight_at((3, 6)) == 1
     assert sigma.weight_at((1, 3)) == 0
+    # a location of the wrong dimension is refused, as the constructor refuses it
+    for measure, loc in ((mu, (F(1, 2), 3, 0)), (sigma, (1, 2, 0))):
+        with pytest.raises(ValueError, match="has dimension 3, expected 2"):
+            measure.weight_at(loc)
 
 
 # -- coded kernels against their definitions ------------------------------------
