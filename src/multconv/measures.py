@@ -123,17 +123,6 @@ def _surd(coeffs: Iterable[tuple[int, int | Fraction]], wden: int = 1) -> Surd:
     return Surd._of(_canonical({s: (c.numerator, c.denominator * wden) for s, c in coeffs}))
 
 
-def _split(masses: list[tuple[Key, Terms]]) -> tuple[Parts, int]:
-    """Point masses at distinct vectors, given as canonical :class:`Surd`
-    terms, as parts over one weight denominator (not yet reduced)."""
-    wden = math.lcm(*[q for _, terms in masses for _, _, q in terms])
-    parts: Parts = {}
-    for v, terms in masses:
-        for r, p, q in terms:
-            parts.setdefault(r, {})[v] = p * (wden // q)
-    return parts, wden
-
-
 def _surd_terms(w: SurdLike) -> Terms:
     # refuses float, bool and None weights
     return (w if isinstance(w, Surd) else Surd(w))._terms
@@ -160,12 +149,12 @@ class AtomicMeasure:
     """Signed measure with finitely many atoms at exact locations.
 
     The shared core of point and sphere measures.  A subclass fixes the
-    location type through class attributes: ``_read`` and ``_scale``, the
-    one reader of locations (the constructor's, ``from_json``'s and
-    ``weight_at``'s), check them and key them over one denominator,
-    ``_loc_field`` names them in JSON, ``_decode`` turns a stored key back
-    into a location; ``_norm_sq`` gives the square of the number a weight
-    is divided by to store it (1 for points); and its pushforward through
+    location type through class attributes: ``_locate``, the one reader of
+    locations (the constructor's, ``from_json``'s and ``weight_at``'s),
+    checks them and keys them over one denominator, ``_loc_field`` names
+    them in JSON, ``_decode`` turns a stored key back into a location;
+    ``_norm_sq`` gives the square of the number a weight is divided by to
+    store it (1 for points); and its pushforward through
     the trusted ``_gather``, which sums point masses per location: the one
     hook that every projection, product and sum ends in.
 
@@ -192,31 +181,29 @@ class AtomicMeasure:
     ``atoms`` lists the keys part by part, in the order the parts were made,
     a key held by several parts at its first.
 
-    The public constructor normalises every location, checks its
-    dimension, merges repeats and divides each weight by
-    ``sqrt(_norm_sq(v))`` on ints; it is the entry for user input, and
-    ``from_json`` reads JSON the same way without building a ``Fraction``
-    or a :class:`Surd` per atom.  Parts the library built itself, of the
-    right dimension and keyed over a common denominator, go through the
-    trusted constructor ``_of`` instead.
+    The public constructor checks every weight, then normalises every
+    location and checks its dimension, merges repeats and divides each
+    weight by ``sqrt(_norm_sq(v))`` on ints; it is the entry for user
+    input, and ``from_json`` reads JSON in the same order without building
+    a ``Fraction`` or a :class:`Surd` per atom.  Parts the library built
+    itself, of the right dimension and keyed over a common denominator, go
+    through the trusted constructor ``_of`` instead.
     """
 
     __slots__ = ("dim", "_parts", "_den", "_wden")
-    _read: Callable[[Iterable, int], object]
-    _scale: Callable[[list], tuple[list[Key], int]]
+    _locate: Callable[[list, int], tuple[list[Key], int]]
     _loc_field: str
 
     def __init__(self, dim: int, atoms: Mapping[tuple, SurdLike] | Iterable[tuple[tuple, SurdLike]] = ()):
         _positive(dim)
         items = atoms.items() if isinstance(atoms, Mapping) else atoms
-        read = self._read
-        self._assemble(dim, [(read(loc, dim), _surd_terms(w)) for loc, w in items])
+        self._assemble(dim, [(loc, _surd_terms(w)) for loc, w in items])
 
     def _assemble(self, dim: int, rows: list[tuple[object, Terms]]) -> None:
-        """Initialise from locations as ``_read`` returns them and their
-        weights as ``(r, p, q)`` terms: merge repeats, divide each weight by
-        ``sqrt(_norm_sq(v))`` and split the masses into parts."""
-        keys, den = self._scale([loc for loc, _ in rows])
+        """Initialise from locations as given and checked ``(r, p, q)`` weight
+        terms: key the locations by ``_locate``, merge repeats, divide each
+        weight by ``sqrt(_norm_sq(v))`` and split the masses into parts."""
+        keys, den = self._locate([loc for loc, _ in rows], dim)
         merged: dict[Key, dict[int, tuple[int, int]]] = {}
         for v, (_, terms) in zip(keys, rows):
             acc = merged.get(v)
@@ -232,7 +219,11 @@ class AtomicMeasure:
                 # (p/q) sqrt(r) / sqrt(n) = (p*m / (q*n)) sqrt(t)
                 acc = {t: (p * m, q * n) for t, m, (p, q) in _times_root(n, acc.items())}
             masses.append((v, _canonical(acc)))
-        parts, wden = _split(masses)
+        wden = math.lcm(*[q for _, terms in masses for _, _, q in terms])
+        parts: Parts = {}
+        for v, terms in masses:
+            for r, p, q in terms:
+                parts.setdefault(r, {})[v] = p * (wden // q)
         self._init(dim, parts, den, wden)
 
     @classmethod
@@ -339,7 +330,7 @@ class AtomicMeasure:
     def weight_at(self, loc: Iterable) -> Surd:
         # the constructor's reader; it keeps "2/4" as (2, 4), so ``v / d`` is
         # brought to lowest terms by ``g`` and keyed over ``_den`` by ``k``
-        (v,), d = self._scale([self._read(loc, self.dim)])
+        (v,), d = self._locate([loc], self.dim)
         g = math.gcd(d, *v)
         k, finer = divmod(self._den * g, d)
         if finer:
@@ -542,14 +533,13 @@ class AtomicMeasure:
 
     @classmethod
     def from_json(cls, data: dict) -> Self:
-        # the weights are read first, then ``dim``, then the locations, each
-        # check raising what the public constructor raises on the same values
+        # the weights first, then ``dim``, then the locations in ``_assemble``:
+        # each check raises what the public constructor raises on the same values
         field = cls._loc_field
         entries = [(entry[field], _json_terms(entry["weight"])) for entry in data.get("atoms", [])]
         dim = _positive(json_dim(data))
-        read = cls._read
         out = cls.__new__(cls)
-        out._assemble(dim, [(read(loc, dim), terms) for loc, terms in entries])
+        out._assemble(dim, entries)
         return out
 
 
@@ -560,19 +550,17 @@ class Measure(AtomicMeasure):
     _loc_field = "point"
 
     @staticmethod
-    def _read(loc: Iterable, dim: int) -> list[tuple[int, int]]:
-        """The coordinates of a point of dimension ``dim`` as int pairs
-        ``(p, q)``, with ``make_point``'s refusals and messages."""
-        values = point_values(loc)
-        if len(values) != dim:
-            raise ValueError(f"point {make_point(values)} has dimension {len(values)}, expected {dim}")
-        return [_rational_pair(c) for c in values]
-
-    @staticmethod
-    def _scale(locs: list[list[tuple[int, int]]]) -> tuple[list[Key], int]:
-        """Read points as integer vectors over a common denominator."""
-        den = math.lcm(*[q for pairs in locs for _, q in pairs])
-        return [tuple([p * (den // q) for p, q in pairs]) for pairs in locs], den
+    def _locate(locs: list, dim: int) -> tuple[list[Key], int]:
+        """Points of dimension ``dim`` as integer vectors over one common
+        denominator (not reduced), with ``make_point``'s refusals and messages."""
+        rows = []
+        for loc in locs:
+            values = point_values(loc)
+            if len(values) != dim:
+                raise ValueError(f"point {make_point(values)} has dimension {len(values)}, expected {dim}")
+            rows.append([_rational_pair(c) for c in values])
+        den = math.lcm(*[q for pairs in rows for _, q in pairs])
+        return [tuple([p * (den // q) for p, q in pairs]) for pairs in rows], den
 
     def _decode(self, v: Key) -> Point:
         den = self._den

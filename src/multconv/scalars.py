@@ -96,6 +96,17 @@ def _coerce_rational(value) -> Fraction:
     # Python 3.12 reads "1 /2" as 1/2; refuse it with 3.11's message
     if isinstance(value, str) and any(map(str.isspace, value.strip())):
         raise ValueError(f"Invalid literal for Fraction: {value!r}")
+    # Python 3.11 reads digit groups, "1_000", each "_" between two decimal
+    # digits; read them alike on 3.10, and name the text as given on refusal
+    if isinstance(value, str) and "_" in value:
+        groups = value.split("_")
+        if all(a[-1:].isdecimal() and b[:1].isdecimal() for a, b in zip(groups, groups[1:])):
+            try:
+                return Fraction("".join(groups))
+            except ValueError as exc:
+                if not str(exc).startswith("Invalid literal"):
+                    raise  # int's digit limit, whose message names no text
+        raise ValueError(f"Invalid literal for Fraction: {value!r}")
     return Fraction(value)
 
 

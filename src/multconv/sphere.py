@@ -41,15 +41,14 @@ class SphereMeasure(AtomicMeasure):
     _norm_sq = staticmethod(ray_norm_sq)
 
     @staticmethod
-    def _read(loc, dim: int) -> Ray:
-        d = primitive_ray(loc)
-        if len(d) != dim:
-            raise ValueError(f"ray {d} has dimension {len(d)}, expected {dim}")
-        return d
-
-    @staticmethod
-    def _scale(locs: list[Ray]) -> tuple[list[Ray], int]:
-        return locs, 1  # rays are integer keys already
+    def _locate(locs: list, dim: int) -> tuple[list[Ray], int]:
+        rays = []
+        for loc in locs:
+            d = primitive_ray(loc)
+            if len(d) != dim:
+                raise ValueError(f"ray {d} has dimension {len(d)}, expected {dim}")
+            rays.append(d)
+        return rays, 1  # rays are integer keys already
 
     def _decode(self, v: Ray) -> Ray:
         return v

@@ -55,7 +55,7 @@ def _same_value(c):
     """Another JSON form of the coordinate ``c``."""
     if isinstance(c, int):
         return str(c)
-    f = Fraction(c)
+    f = _coerce_rational(c)
     return f"{f.numerator * 3}/{f.denominator * 3}"
 
 
@@ -219,3 +219,16 @@ def test_rational_pair_reads_as_coerce_rational(text):
         assert q > 0 and Fraction(p, q) == _coerce_rational(text)
     else:
         assert _outcome(_rational_pair, text) == expected
+
+
+@pytest.mark.parametrize("cls", [Measure, SphereMeasure], ids=["point", "sphere"])
+def test_both_entries_check_every_weight_before_any_location(cls):
+    # a location of the wrong dimension first, a float weight second
+    field = cls._loc_field
+    payload = {
+        "dim": 2,
+        "atoms": [{field: [1, 2, 3], "weight": [["1", 1]]}, {field: [1, 2], "weight": [[0.5, 1]]}],
+    }
+    expected = (TypeError, "refusing float input; use Fraction or int for exactness")
+    assert _outcome(cls, 2, [((1, 2, 3), 1), ((1, 2), 0.5)]) == expected
+    assert _outcome(cls.from_json, payload) == expected

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -109,3 +110,20 @@ def test_shrinking_minimises_counterexamples():
     small = shrink_measure(mu, still_fails)
     assert small.atom_count() == 1
     assert target in small.atoms
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gen_measure(0, 9, 1), "dimension 9 exceeds the generator bound 8"),
+        (lambda: gen_measure(0, 1, 8), "cannot place 8 distinct atoms on a 7-point grid"),
+        (
+            lambda: brute_force_convolution(Measure(2, {(1, 2): 1}), Measure(3, {(1, 2, 3): 1})),
+            "dimension mismatch: 2 vs 3",
+        ),
+    ],
+    ids=["generator-dim", "grid-too-small", "brute-force-dims"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -171,3 +172,13 @@ def test_lift_inverse_refuses_point_measures():
     # read as rays, these atoms invert to 2/5*sqrt(5) at the point 2
     with pytest.raises(ValueError, match="expected a sphere measure, got Measure"):
         lift_inverse(Measure(2, {(1, 2): 1, (-1, -2): 1}))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: lift_inverse(SphereMeasure(1, {(1,): 1})), "lifted measures have dimension >= 2")],
+    ids=["lift-inverse-dim-1"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

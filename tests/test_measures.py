@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -955,3 +956,21 @@ def test_symmetrize_of_several_radicands_matches_the_group_average(n, assert_tru
             ]
             assert got == _pairwise(pairs, type(sigma), n)
             assert_trusted({"symmetrize": got})
+
+
+_MU2 = Measure(2, {(1, 2): 1})
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: _MU2.project(SubsetMask(1, 3)), ValueError, "dimension mismatch: measure 2 vs mask 3"),
+        (lambda: symmetrize(_MU2, GeneratingPair.make(3)), ValueError, "dimension mismatch: measure 2 vs pair 3"),
+        (lambda: group_average(_MU2, []), ValueError, "expected a nonempty reflection group"),
+        (lambda: _MU2 * 0.5, TypeError, "unsupported operand"),
+    ],
+    ids=["project", "symmetrize", "group_average", "float-scalar"],
+)
+def test_refusals(call, exc, message):
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

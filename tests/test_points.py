@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -169,3 +170,16 @@ def test_inner():
 def test_string_location_refused(make, loc):
     with pytest.raises(TypeError, match="12"):
         make(loc)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: reflect_point(F(1, 2), SubsetMask(1, 3)), "dimension mismatch: 2 vs 3"),
+        (lambda: inner(F(1, 2), F(1, 2, 3)), "dimension mismatch: 2 vs 3"),
+    ],
+    ids=["reflect-point", "inner"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from multconv.measures import Measure
 from multconv.scalars import (
     FactorLimitError,
     Surd,
+    _coerce_rational,
     as_surd,
     square_free_decompose,
 )
@@ -447,3 +449,42 @@ def test_rebuilt_values_hash_equal(a, b):
         assert_canonical(rebuilt)
         assert rebuilt == a
         assert hash(rebuilt) == hash(a)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1_000", 1000),
+        ("1_0/3", Fraction(10, 3)),
+        ("1.5_0", Fraction(3, 2)),
+        ("-1_0", -10),
+        ("\u0661_\u0662", 12),  # Arabic-Indic digits
+        ("1__0", None),
+        ("_1", None),
+        ("1_", None),
+        ("1_/2", None),
+        ("\u00b2_1", None),  # a superscript two is a digit but not decimal
+    ],
+    ids=repr,
+)
+def test_digit_groups_read_alike_on_every_python(text, value):
+    # Fraction reads "1_000" from Python 3.11 on; the reader does on 3.10 too
+    if value is None:
+        with pytest.raises(ValueError, match=re.escape(f"Invalid literal for Fraction: {text!r}")):
+            _coerce_rational(text)
+    else:
+        assert _coerce_rational(text) == value
+
+
+def test_digit_groups_past_the_int_digit_limit_raise_as_without_groups():
+    with pytest.raises(ValueError) as grouped:
+        _coerce_rational("1" + "_000" * 1500)
+    with pytest.raises(ValueError) as plain:
+        _coerce_rational("1" + "000" * 1500)
+    assert str(grouped.value) == str(plain.value)
+
+
+@pytest.mark.parametrize("call", [lambda: Surd(1) + 0.5], ids=["float-addend"])
+def test_refusals(call):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        call()

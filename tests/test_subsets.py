@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -408,3 +410,21 @@ def test_from_indices_refuses_non_integer_index(index):
         SubsetMask.from_indices(3, [index])
     with pytest.raises(ValueError, match="index must be an integer"):
         GeneratingPair.from_json({"dim": 3, "evens": [[index, 2]], "odds": []})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SubsetMask(0, 0), "dimension must be in 1..63, got 0"),
+        (lambda: SubsetMask(4, 2), "bits 0x4 outside dimension 2"),
+        (lambda: SubsetMask.single(2, 3), "index 3 outside 1..2"),
+        (lambda: SubsetMask(1, 2) | SubsetMask(1, 3), "dimension mismatch: 2 vs 3"),
+        (lambda: GeneratingPair.make(2, evens=[SubsetMask(1, 3)]), "member {1} has dimension 3, expected 2"),
+        (lambda: index_set(SubsetMask(1, 2), GeneratingPair.make(3)), "dimension mismatch: 2 vs 3"),
+        (lambda: lift_family([SubsetMask(2, 2)], SubsetMask(1, 2)), "family member {2} is not a subset of {1}"),
+    ],
+    ids=["dim-0", "bits-outside", "single-index", "or-dims", "pair-member-dim", "index-set-dims", "lift-family-member"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -29,6 +29,8 @@ from multconv.scalars import Surd
 from multconv.sphere import SphereMeasure, radial_project, sconv
 from multconv.subsets import GeneratingPair, SubsetMask, all_subsets, index_set, mask_sort_key, subsets_of
 from multconv.universality import (
+    ConditionRecord,
+    UniversalityReport,
     _probe_product,
     class_pair,
     decide_special,
@@ -625,3 +627,30 @@ def test_condition_holds_on_one_radicand_while_another_cancels():
     full = SubsetMask.full(2)
     report = decide_universal_rn(sigma, [full], GeneratingPair.make(2))
     assert all(c.satisfied for c in report.conditions)
+
+
+_NU2 = Measure(2, {(1, 2): 1})
+_E2 = SubsetMask.full(2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: decide_universal_rn(_NU2, full_support(2), GeneratingPair.make(3)), "dimension mismatch: measure 2 vs pair 3"),
+        (lambda: symmetry_obstruction(_NU2, GeneratingPair.make(3)), "dimension mismatch: measure 2 vs pair 3"),
+        (lambda: class_pair("foo", 2), "unknown symmetry class 'foo'"),
+        (lambda: decide_special(_NU2, "unconditional", scope="bar"), "unknown scope 'bar'"),
+        (
+            lambda: UniversalityReport(True, [ConditionRecord(_E2, _E2, False)], None),
+            "decision inconsistent with the condition list",
+        ),
+        (
+            lambda: UniversalityReport(False, [ConditionRecord(_E2, _E2, False)], None),
+            "negative decision without a witness",
+        ),
+    ],
+    ids=["decide-pair-dim", "obstruction-pair-dim", "class-name", "scope", "report-inconsistent", "report-no-witness"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

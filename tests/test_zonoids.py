@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -160,3 +161,24 @@ def test_zonotope_generators_key_is_required_in_json_only():
     assert Zonotope.make(2, []).generators == ()
     with pytest.raises(ValueError, match="generators"):
         Zonotope.from_json({"dim": 2, "atoms": []})
+
+
+_RAYS2 = SphereMeasure(2, {(1, 0): 1, (-1, 0): 1})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Zonotope(2, [(1, 2, 3)]), "has dimension 3, expected 2"),
+        (lambda: support_function(_RAYS2, (1, 2, 3)), "dimension mismatch: 3 vs 2"),
+        (
+            lambda: k_transform_direct(_RAYS2, SphereMeasure(2, {(1, 0): 1}), (1, 0)),
+            "the transformed measure must be origin-symmetric",
+        ),
+        (lambda: k_transform_direct(_RAYS2, _RAYS2, (1, 2, 3)), "dimension mismatch"),
+    ],
+    ids=["generator-dim", "support-function-dims", "k-transform-direct-asymmetric", "k-transform-direct-dims"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
