@@ -11,16 +11,22 @@ n = 3, 16 x 16 atoms on the first 96 primes: each mass is the weight over
 its ray's norm, so the measures hold about one part per atom.  Two more
 cases read the 65,280-atom witness of ``scripts/bound_case.py --dim 8``'s
 sphere decision: ``component_patterns`` and ``SphereMeasure.from_json``
-of its JSON.
+of its JSON.  The decision cases run ``decide_universal_rn`` on one
+10-atom point measure over the full support with 40 distinct
+``harness.gen_pair`` pairs, at n = 4 and n = 8, twice: cold, with the
+decider's plan cache cleared before each decision, and warm, with the
+plans cached (the first of the ``REPEAT`` calls fills the cache).
 
 Prints one line per case: the best time of ``REPEAT`` calls, the result's
-atom count and the SHA-256 of its JSON.  With ``--check`` nothing is
-timed: each case runs once and its result is compared with a per-atom
-reference (``harness.brute_force_convolution``, the double loop over the
-decoded atoms, for ``mconv``; its radial projection for ``sconv`` of
-projected points; the double loop over the decoded sphere atoms for
-``sconv`` of several parts; one zero pattern per atom; the measure itself
-for ``from_json``), and the script exits 1 on a mismatch.
+atom count (for the decisions, their condition count) and the SHA-256 of
+its JSON.  With ``--check`` nothing is timed: each case runs once and its
+result is compared with a per-atom reference
+(``harness.brute_force_convolution``, the double loop over the decoded
+atoms, for ``mconv``; its radial projection for ``sconv`` of projected
+points; the double loop over the decoded sphere atoms for ``sconv`` of
+several parts; one zero pattern per atom; the measure itself for
+``from_json``; for the decisions, each report's JSON with that of the
+same decision in the other mode), and the script exits 1 on a mismatch.
 
     PYTHONPATH=src python scripts/kernel_bench.py [--check]
 """
@@ -47,8 +53,9 @@ from multconv import (
     sconv,
     zero_pattern,
 )
-from multconv.harness import brute_force_convolution, gen_interfering_measure
+from multconv.harness import brute_force_convolution, gen_interfering_measure, gen_measure, gen_pair
 from multconv.points import primitive_ray, ray_norm_sq
+from multconv.universality import _plan, decide_universal_rn
 
 PRIMES = [p for p in range(2, 3000) if all(p % d for d in range(2, int(p**0.5) + 1))]
 REPEAT = 9
@@ -97,6 +104,35 @@ def witness(dim: int) -> SphereMeasure:
     return decide_universal_sphere(nu, [e for e in all_subsets(dim) if e.size], pair).witness
 
 
+def decisions(dim: int, count: int = 40):
+    """The cold and the warm call deciding one measure over the full
+    support with ``count`` distinct pairs."""
+    nu = gen_measure(6, dim, 10)
+    support = list(all_subsets(dim))
+    pairs, seed = [], 0
+    while len(pairs) < count:
+        pair = gen_pair(seed, dim)
+        seed += 1
+        if pair not in pairs:
+            pairs.append(pair)
+
+    def cold():
+        reports = []
+        for pair in pairs:
+            _plan.cache_clear()
+            reports.append(decide_universal_rn(nu, support, pair))
+        return reports
+
+    def warm():
+        return [decide_universal_rn(nu, support, pair) for pair in pairs]
+
+    return cold, warm
+
+
+def same_reports(a: list, b: list) -> bool:
+    return [r.to_json() for r in a] == [r.to_json() for r in b]
+
+
 def cases():
     """``(name, call, check)`` triples; ``check(result)`` is true when the
     result agrees with its reference."""
@@ -128,11 +164,17 @@ def cases():
         lambda r: r == frozenset(zero_pattern(v) for v in w.atoms),
     )
     yield ("from_json witness n=8", lambda: SphereMeasure.from_json(data), lambda r: r == w)
+    for dim in (4, 8):
+        cold, warm = decisions(dim)
+        yield (f"decide cold n={dim} 40 pairs", cold, lambda r, warm=warm: same_reports(r, warm()))
+        yield (f"decide warm n={dim} 40 pairs", warm, lambda r, cold=cold: same_reports(r, cold()))
 
 
 def render(result) -> str:
     if isinstance(result, frozenset):
         return json.dumps(sorted(m.bits for m in result))
+    if isinstance(result, list):
+        return json.dumps([r.to_json() for r in result], separators=(",", ":"))
     return json.dumps(result.to_json(), separators=(",", ":"))
 
 
@@ -152,7 +194,10 @@ def main() -> int:
             start = time.perf_counter()
             result = call()
             best = min(best, time.perf_counter() - start)
-        size = len(result) if isinstance(result, frozenset) else result.atom_count()
+        if isinstance(result, list):
+            size = sum(len(r.conditions) for r in result)
+        else:
+            size = len(result) if isinstance(result, frozenset) else result.atom_count()
         digest = hashlib.sha256(render(result).encode()).hexdigest()[:16]
         print(f"{name:32s} best_ms={best * 1e3:9.3f} size={size} sha256={digest}")
     return 1 if failed else 0

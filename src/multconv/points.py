@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .scalars import _coerce_rational
+from .scalars import _coerce_rational, _refuse_long
 from .subsets import SubsetMask
 
 Point = tuple[Fraction, ...]
@@ -75,7 +75,11 @@ def primitive_ray(v: Iterable[int]) -> Ray:
     for c in v:
         if isinstance(c, (float, bool)):
             raise TypeError(f"refusing {type(c).__name__} ray entries; use integers")
-        i = int(c)
+        try:
+            i = int(c)
+        except ValueError as exc:
+            _refuse_long(exc, c)
+            raise
         # int() truncates a Fraction; a string is parsed as an integer or refused
         if i != c and not isinstance(c, str):
             raise ValueError(f"ray entry {c} is not an integer")

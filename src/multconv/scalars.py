@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -104,10 +106,25 @@ def _coerce_rational(value) -> Fraction:
             try:
                 return Fraction("".join(groups))
             except ValueError as exc:
-                if not str(exc).startswith("Invalid literal"):
-                    raise  # int's digit limit, whose message names no text
+                _refuse_long(exc, value)
         raise ValueError(f"Invalid literal for Fraction: {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError as exc:
+        _refuse_long(exc, value)
+        raise
+
+
+def _refuse_long(exc: ValueError, text) -> None:
+    """Raise int's refusal of a number over the digit limit with one message
+    on every Python (3.10 words its own differently); return on any other
+    error.  The count is that of the longest run of digits in ``text``."""
+    if str(exc).startswith("Exceeds the limit"):
+        digits = max(map(len, re.findall(r"\d+", str(text).replace("_", ""))), default=0)
+        raise ValueError(
+            f"refusing a number of {digits} digits: integer string conversion is limited"
+            f" to {sys.get_int_max_str_digits()} digits (sys.set_int_max_str_digits)"
+        ) from None
 
 
 def _rational_pair(value) -> tuple[int, int]:
@@ -126,9 +143,13 @@ def _rational_pair(value) -> tuple[int, int]:
     if t is str and value.isascii():
         num, slash, den = value.partition("/")
         if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
-            q = int(den) if slash else 1
-            if q:
-                return int(num), q
+            try:
+                q = int(den) if slash else 1
+                if q:
+                    return int(num), q
+            except ValueError as exc:
+                _refuse_long(exc, value)
+                raise
     f = _coerce_rational(value)
     return f.numerator, f.denominator
 

@@ -14,8 +14,20 @@ the setting from the type of the measure; the sphere misses the origin
 cell, so its whole space is every nonempty pattern.  Every decider, at
 every scope, only lists (E, [J, ...]) groups, testing each candidate J as
 an int against the pair's reduced GF(2) basis in the lex order of a
-per-dimension table of shared masks.  One condition pass evaluates them E
-by E, by these class sums, on ints: each atom is coded once per decision
+per-dimension table of shared masks.
+
+A decision is a plan, which does not read the measure, and a pass over
+the measure.  The plan depends only on the support family and the pair:
+the support sets skipped as not proper and, per other E, its conditions,
+each J's bits with two immutable records, one failing and one holding.
+Records come from one store per dimension, at most ``2 * 3**n`` of them,
+so a plan holds only references; plans are cached, at most 64 (an
+``lru_cache`` keyed by the family's bit set and the pair), and a report
+takes fresh lists.  The top-order scope compiles its groups from the same
+store.
+
+One condition pass evaluates the plan E by E, by these class sums, on
+ints, picking each J's record: each atom is coded once per decision
 and part by its nonzero and negative coordinate masks, its absolute
 coordinates over one common denominator, its radicand and its int
 coefficient; once per E, the atoms nonzero on all of E are grouped by
@@ -42,6 +54,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
+from operator import itemgetter
 from typing import Literal, Optional
 
 from .measures import _PARITY, AtomicMeasure, Measure, _parity_grid, mconv
@@ -195,6 +209,16 @@ def _code(nu: AtomicMeasure) -> _Code:
     return code
 
 
+@lru_cache(maxsize=1 << MAX_DECIDER_DIM)
+def _key_reader(bits: int) -> itemgetter:
+    """The reader of a location's coordinates on the set ``bits``, as a
+    tuple; a slice keeps the key of one coordinate, or none, a tuple."""
+    on_e = [i for i in range(bits.bit_length()) if bits >> i & 1]
+    if len(on_e) > 1:
+        return itemgetter(*on_e)
+    return itemgetter(slice(on_e[0], on_e[0] + 1) if on_e else slice(0))
+
+
 def _classes(code: _Code, e: SubsetMask, sphere: bool) -> list[_Class]:
     """The top-order part of the projection onto ``e``, grouped.
 
@@ -205,12 +229,12 @@ def _classes(code: _Code, e: SubsetMask, sphere: bool) -> list[_Class]:
     mass there is g times its own, as in the sphere's ``_gather``.
     """
     bits = e.bits
-    on_e = [i for i in range(e.dim) if bits >> i & 1]
+    read = _key_reader(bits)
     classes: dict[tuple[int, tuple[int, ...]], _Class] = {}
     for nonzero, negative, absolute, s, c in code:
         if nonzero & bits != bits:
             continue  # a lower-order atom of the projection
-        key = tuple([absolute[i] for i in on_e])
+        key = read(absolute)
         if sphere:
             g = math.gcd(*key)
             if g != 1:
@@ -233,10 +257,40 @@ def _satisfied(classes: list[_Class], j: int) -> bool:
     return False
 
 
-def _evaluate(
-    nu: AtomicMeasure, groups: list[tuple[SubsetMask, list[SubsetMask]]]
-) -> list[ConditionRecord]:
-    """One record per J of each (E, [J, ...]) group, by the class sums: the one condition pass.
+# the store's entry per (E, J): the records that the condition fails and
+# holds, indexed by the outcome, then the bits of J
+_Condition = tuple[ConditionRecord, ConditionRecord, int]
+# a compiled (E, [J, ...]) group
+_Entry = tuple[SubsetMask, tuple[_Condition, ...]]
+_holding = itemgetter(1)
+
+
+@cache
+def _records(dim: int) -> dict[int, _Condition]:
+    """The dimension's store of shared records, filled as plans need them,
+    keyed by ``E.bits << dim | J.bits``: at most ``2 * 3**dim`` records,
+    which every plan only references."""
+    return {}
+
+
+def _compile(groups: list[tuple[SubsetMask, list[SubsetMask]]], dim: int) -> tuple[_Entry, ...]:
+    """The entries of (E, [J, ...]) groups, their conditions from the store."""
+    store = _records(dim)
+    entries = []
+    for e, js in groups:
+        conds = []
+        for j in js:
+            key = e.bits << dim | j.bits
+            cond = store.get(key)
+            if cond is None:
+                cond = store[key] = (ConditionRecord(e, j, False), ConditionRecord(e, j, True), j.bits)
+            conds.append(cond)
+        entries.append((e, tuple(conds)))
+    return tuple(entries)
+
+
+def _evaluate(nu: AtomicMeasure, entries: tuple[_Entry, ...]) -> list[ConditionRecord]:
+    """One record per J of each compiled group, by the class sums: the one condition pass.
 
     The atoms are grouped once per distinct E, whatever the group order.
     """
@@ -244,20 +298,31 @@ def _evaluate(
     code = _code(nu)
     groupings: dict[int, tuple[list[_Class], bool]] = {}
     records: list[ConditionRecord] = []
-    for e, js in groups:
+    for e, conds in entries:
         grouping = groupings.get(e.bits)
         if grouping is None:
             classes = _classes(code, e, sphere)
             # a class of one atom has a nonzero sum under every J
-            grouping = groupings[e.bits] = (classes, any(len(m) == 1 for m in classes))
+            grouping = groupings[e.bits] = (classes, 1 in map(len, classes))
         classes, single = grouping
-        records += [ConditionRecord(e, j, single or _satisfied(classes, j.bits)) for j in js]
+        if single:
+            records += map(_holding, conds)
+        else:
+            records += [c[_satisfied(classes, c[2])] for c in conds]
     return records
 
 
 def _whole_space(dim: int, sphere: bool) -> list[SubsetMask]:
-    """Every zero pattern of a setting; the sphere misses the origin cell."""
-    return [e for e in all_subsets(dim) if e.size or not sphere]
+    """Every zero pattern of a setting, as the dimension's shared masks;
+    the sphere misses the origin cell."""
+    masks = _lex_table(dim)[0]
+    return list(masks[1:] if sphere else masks)
+
+
+def _refuse_other_dims(support, n: int) -> None:
+    bad = sorted({e for e in support if e.dim != n}, key=lambda m: (-m.size, mask_sort_key(m)))
+    if bad:
+        raise ValueError(f"support set {bad[0]} has dimension {bad[0].dim}, expected {n}")
 
 
 def _index_sets(support, pair: GeneratingPair) -> list[tuple[SubsetMask, list[SubsetMask]]]:
@@ -268,13 +333,29 @@ def _index_sets(support, pair: GeneratingPair) -> list[tuple[SubsetMask, list[Su
     dimension's table (``subsets._lex_table``), whose masks the records take.
     """
     n = pair.dim
-    bad = sorted({e for e in support if e.dim != n}, key=lambda m: (-m.size, mask_sort_key(m)))
-    if bad:
-        raise ValueError(f"support set {bad[0]} has dimension {bad[0].dim}, expected {n}")
+    _refuse_other_dims(support, n)
     masks, order, rank = _lex_table(n)
     whole = _index_bits(pair, order)
     ordered = sorted({e.bits for e in support}, key=lambda e: (-e.bit_count(), rank[e]))
     return [(masks[e], [masks[j] for j in whole if not j & ~e]) for e in ordered]
+
+
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    """What a decision over a support family and a pair needs before it
+    reads the measure: the support sets skipped as not proper, and the
+    compiled groups of the others."""
+
+    skipped: tuple[SubsetMask, ...]
+    entries: tuple[_Entry, ...]
+
+
+@lru_cache(maxsize=64)
+def _plan(family: int, pair: GeneratingPair) -> _Plan:
+    """The plan of the support family with bit ``E.bits`` set per member."""
+    masks = _lex_table(pair.dim)[0]
+    groups = _index_sets([m for m in masks if family >> m.bits & 1], pair)
+    return _Plan(tuple([e for e, js in groups if not js]), _compile([g for g in groups if g[1]], pair.dim))
 
 
 def decide_universal_rn(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityReport:
@@ -288,14 +369,19 @@ def decide_universal_rn(nu: AtomicMeasure, support, pair: GeneratingPair) -> Uni
     support sets by descending size, index sets lexicographically.
     """
     support = list(support)
-    if isinstance(nu, SphereMeasure) and any(e.size == 0 for e in support):
+    if isinstance(nu, SphereMeasure) and any(not e.bits for e in support):
         raise ValueError("the empty pattern cannot appear in a spherical support family")
-    _check_dim(nu.dim)
-    if pair.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: measure {nu.dim} vs pair {pair.dim}")
-    groups = _index_sets(support, pair)
-    skipped = [e for e, js in groups if not js]
-    return _conclude(nu, pair, _evaluate(nu, [g for g in groups if g[1]]), skipped)
+    n = nu.dim
+    _check_dim(n)
+    if pair.dim != n:
+        raise ValueError(f"dimension mismatch: measure {n} vs pair {pair.dim}")
+    family = 0
+    for e in support:
+        if e.dim != n:
+            _refuse_other_dims(support, n)
+        family |= 1 << e.bits
+    plan = _plan(family, pair)
+    return _conclude(nu, pair, _evaluate(nu, plan.entries), plan.skipped)
 
 
 # the setting is read from the measure, so the sphere needs no decider of its own
@@ -313,13 +399,17 @@ _CLASS_PAIRS = {
 }
 
 
+@lru_cache(maxsize=4 * MAX_DECIDER_DIM)
+def _class_pair(name: SymmetryClass, dim: int) -> GeneratingPair:
+    return _CLASS_PAIRS[name](dim)
+
+
 def class_pair(name: SymmetryClass, dim: int) -> GeneratingPair:
-    """The generating pair cutting out a named symmetry class."""
-    try:
-        factory = _CLASS_PAIRS[name]
-    except KeyError:
-        raise ValueError(f"unknown symmetry class {name!r}") from None
-    return factory(dim)
+    """The generating pair cutting out a named symmetry class, one shared
+    instance per class and dimension."""
+    if name not in _CLASS_PAIRS:
+        raise ValueError(f"unknown symmetry class {name!r}")
+    return _class_pair(name, dim)
 
 
 def decide_special(
@@ -361,7 +451,7 @@ def decide_special(
             else:
                 # on a measure of full order, the (J, J) condition on its projection
                 groups.append((j, [j]))
-        return _conclude(nu, pair, _evaluate(nu, groups))
+        return _conclude(nu, pair, _evaluate(nu, _compile(groups, n)))
     elif scope != "full":
         raise ValueError(f"unknown scope {scope!r}")
     report = decide_universal_rn(nu, _whole_space(n, sphere), pair)

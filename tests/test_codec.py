@@ -4,6 +4,8 @@ byte-equal output, and the same refusals with the same messages."""
 
 import json
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -232,3 +234,39 @@ def test_both_entries_check_every_weight_before_any_location(cls):
     expected = (TypeError, "refusing float input; use Fraction or int for exactness")
     assert _outcome(cls, 2, [((1, 2, 3), 1), ((1, 2), 0.5)]) == expected
     assert _outcome(cls.from_json, payload) == expected
+
+
+def _atom_json(cls, loc, coeff="1"):
+    return {"dim": len(loc), "atoms": [{cls._loc_field: list(loc), "weight": [[coeff, 1]]}]}
+
+
+# each builder reads one number of ``long`` digits; a ray entry is read by
+# ``primitive_ray``, a point coordinate or weight coefficient by the scalar
+# readers.  Each ray is an axis, so a ray read at the limit has norm 1
+_LONG_BUILDERS = {
+    "point-constructor": lambda long: Measure(2, {(long, 1): 1}),
+    "point-denominator-constructor": lambda long: Measure(2, {(f"1/{long}", 1): 1}),
+    "point-decimal-constructor": lambda long: Measure(2, {("0." + long, 1): 1}),
+    "point-from-json": lambda long: Measure.from_json(_atom_json(Measure, ["-" + long, "1"])),
+    "point-groups-from-json": lambda long: Measure.from_json(_atom_json(Measure, [long[:9] + "_" + long[9:], 1])),
+    "weight-constructor": lambda long: Measure(1, {(1,): long}),
+    "weight-from-json": lambda long: Measure.from_json(_atom_json(Measure, [1], long)),
+    "weight-denominator-from-json": lambda long: Measure.from_json(_atom_json(Measure, [1], "1/" + long)),
+    "ray-constructor": lambda long: SphereMeasure(2, {(long, 0): 1}),
+    "ray-from-json": lambda long: SphereMeasure.from_json(_atom_json(SphereMeasure, [long, "0"])),
+    "sphere-weight-from-json": lambda long: SphereMeasure.from_json(_atom_json(SphereMeasure, [1, 1], long)),
+}
+
+
+@pytest.mark.parametrize("build", list(_LONG_BUILDERS.values()), ids=list(_LONG_BUILDERS))
+def test_over_long_numbers_are_refused_alike_on_every_python(build):
+    # int's own refusal reads "Exceeds the limit (4300) ..." on 3.10 and
+    # "Exceeds the limit (4300 digits) ..." on 3.11 on
+    limit = sys.get_int_max_str_digits()
+    message = (
+        f"refusing a number of {limit + 1} digits: integer string conversion is limited"
+        f" to {limit} digits (sys.set_int_max_str_digits)"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build("7" * (limit + 1))
+    build("7" * limit)  # at the limit the number is read

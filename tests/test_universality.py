@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -29,6 +30,7 @@ from multconv.scalars import Surd
 from multconv.sphere import SphereMeasure, radial_project, sconv
 from multconv.subsets import GeneratingPair, SubsetMask, all_subsets, index_set, mask_sort_key, subsets_of
 from multconv.universality import (
+    MAX_DECIDER_DIM,
     ConditionRecord,
     UniversalityReport,
     _probe_product,
@@ -582,6 +584,97 @@ def test_index_sets_match_the_definition(n):
             ordered = sorted(set(support), key=lambda m: (-m.size, mask_sort_key(m)))
             expected = [(e, by_definition[e]) for e in ordered]
             assert universality._index_sets(support, pair) == expected
+
+
+CLASSES = ("unconditional", "symmetric", "antisymmetric", "none")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_plan_cache_leaves_every_report_unchanged(n):
+    # a report made on a cached plan equals the one made after clearing the cache
+    plan = universality._plan
+    pairs = [gen_pair(seed, n, m) for seed in range(12) for m in (3, 5)]
+    pairs += [class_pair(klass, n) for klass in CLASSES]
+    rng = random.Random(n)
+    negative = 0
+    for sphere in (False, True):
+        base = gen_sphere_measure(n + 20, n, 6) if sphere else gen_measure(n + 20, n, 6)
+        everything = full_support(n, sphere)
+        supports = (everything, rng.sample(everything, min(3, len(everything))))
+        calls = []
+        # an even measure fails on the classes that do not allow its symmetry
+        for nu in (base, base + base.reflect(SubsetMask.full(n))):
+            calls += [lambda nu=nu, pair=pair, support=support: decide_universal_rn(nu, support, pair)
+                      for pair in pairs for support in supports]
+            calls += [lambda nu=nu, klass=klass: decide_special(nu, klass) for klass in CLASSES]
+        for call in calls:
+            call()
+            hits = plan.cache_info().hits
+            warm = call()
+            assert plan.cache_info().hits == hits + 1
+            plan.cache_clear()
+            cold = call()
+            assert warm.conditions == cold.conditions
+            assert warm.to_json() == cold.to_json()
+            negative += not cold.universal
+    assert negative
+
+
+def test_reports_of_one_plan_keep_their_own_lists():
+    n = 3
+    nu = gen_measure(3, n, 5)
+    # the odd generator {1} leaves no index set on the support sets missing 1
+    pair = GeneratingPair.make(n, odds=[SubsetMask.single(n, 1)])
+    first = decide_universal_rn(nu, full_support(n), pair)
+    assert first.skipped_non_proper
+    expected = (list(first.conditions), list(first.skipped_non_proper), first.to_json())
+    first.conditions.append(first.conditions[0])
+    first.skipped_non_proper.append(first.skipped_non_proper[0])
+    hits = universality._plan.cache_info().hits
+    second = decide_universal_rn(nu, full_support(n), pair)
+    assert universality._plan.cache_info().hits == hits + 1
+    assert (second.conditions, second.skipped_non_proper, second.to_json()) == expected
+
+
+def test_plan_cache_stays_bounded():
+    n = 4
+    plan = universality._plan
+    maxsize = plan.cache_info().maxsize
+    pairs, seed = [], 0
+    while len(pairs) < maxsize + 8:
+        pair = gen_pair(seed, n, 5)
+        seed += 1
+        if pair not in pairs:
+            pairs.append(pair)
+    nu = gen_measure(4, n, 6)
+    for pair in pairs:
+        decide_universal_rn(nu, full_support(n), pair)
+        assert plan.cache_info().currsize <= maxsize
+    assert plan.cache_info().currsize == maxsize
+    store = universality._records(n)
+    records = {id(r) for condition in store.values() for r in condition[:2]}
+    assert 0 < len(records) <= 2 * 3**n
+
+
+def test_condition_records_stay_frozen():
+    nu = gen_measure(5, 3, 5)
+    record = decide_universal_rn(nu, full_support(3), GeneratingPair.make(3)).conditions[0]
+    for field, value in (("satisfied", not record.satisfied), ("index", record.support), ("support", record.index)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, value)
+
+
+def test_class_pairs_and_whole_spaces_are_shared_masks():
+    for n in range(1, MAX_DECIDER_DIM + 1):
+        for klass in CLASSES:
+            assert class_pair(klass, n) is class_pair(klass, n)
+        for sphere in (False, True):
+            whole = universality._whole_space(n, sphere)
+            assert whole == full_support(n, sphere)
+            assert whole is not universality._whole_space(n, sphere)
+            assert all(a is b for a, b in zip(whole, universality._whole_space(n, sphere)))
+    with pytest.raises(ValueError, match=re.escape("unknown symmetry class 'foo'")):
+        class_pair("foo", 2)
 
 
 @pytest.mark.parametrize("sphere", [False, True])
