@@ -11,7 +11,11 @@ n = 3, 16 x 16 atoms on the first 96 primes: each mass is the weight over
 its ray's norm, so the measures hold about one part per atom.  Two more
 cases read the 65,280-atom witness of ``scripts/bound_case.py --dim 8``'s
 sphere decision: ``component_patterns`` and ``SphereMeasure.from_json``
-of its JSON.  The decision cases run ``decide_universal_rn`` on one
+of its JSON.  The codec cases read and write a 60-atom n = 3 point measure
+whose coordinates are distinct signed primes over distinct prime
+denominators (``from_json`` of its JSON, the text writer ``to_json_text``
+and ``json.dumps`` of ``to_json()``), and write that witness both ways.
+The decision cases run ``decide_universal_rn`` on one
 10-atom point measure over the full support with 40 distinct
 ``harness.gen_pair`` pairs, at n = 4 and n = 8, twice: cold, with the
 decider's plan cache cleared before each decision, and warm, with the
@@ -25,7 +29,8 @@ result is compared with a per-atom reference
 atoms, for ``mconv``; its radial projection for ``sconv`` of projected
 points; the double loop over the decoded sphere atoms for ``sconv`` of
 several parts; one zero pattern per atom; the measure itself for
-``from_json``; for the decisions, each report's JSON with that of the
+``from_json``; for the writers, the bytes of the other writer and the
+measure read back; for the decisions, each report's JSON with that of the
 same decision in the other mode), and the script exits 1 on a mismatch.
 
     PYTHONPATH=src python scripts/kernel_bench.py [--check]
@@ -76,6 +81,32 @@ def distinct_pair(
             atoms[point] = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10), rng.randrange(1, 6))
         out.append(Measure(dim, atoms))
     return out[0], out[1]
+
+
+def distinct_measure(seed: int, dim: int, size: int) -> Measure:
+    """A point measure whose coordinates are distinct signed primes over
+    distinct prime denominators, no prime used twice."""
+    rng = random.Random(f"codec:{seed}:{dim}")
+    primes = iter(rng.sample(PRIMES, 2 * dim * size))
+    atoms = {}
+    for _ in range(size):
+        point = tuple(Fraction(rng.choice((-1, 1)) * next(primes), next(primes)) for _ in range(dim))
+        atoms[point] = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10), rng.randrange(1, 6))
+    return Measure(dim, atoms)
+
+
+def dumps(mu) -> str:
+    return json.dumps(mu.to_json(), separators=(",", ":"))
+
+
+def writers(name: str, mu):
+    """The text writer and ``json.dumps`` of ``to_json()`` on ``mu``, each
+    checked against the other's bytes and by reading its text back."""
+    def check(text):
+        return text == dumps(mu) == mu.to_json_text() and type(mu).from_json(json.loads(text)) == mu
+
+    yield (f"to_json_text {name}", mu.to_json_text, check)
+    yield (f"json.dumps {name}", lambda: dumps(mu), check)
 
 
 def on_rays(mu: Measure) -> SphereMeasure:
@@ -164,6 +195,11 @@ def cases():
         lambda r: r == frozenset(zero_pattern(v) for v in w.atoms),
     )
     yield ("from_json witness n=8", lambda: SphereMeasure.from_json(data), lambda r: r == w)
+    yield from writers("witness n=8", w)
+    mu = distinct_measure(4, 3, 60)
+    text = json.loads(dumps(mu))
+    yield ("from_json n=3 60 distinct", lambda: Measure.from_json(text), lambda r: r == mu)
+    yield from writers("n=3 60 distinct", mu)
     for dim in (4, 8):
         cold, warm = decisions(dim)
         yield (f"decide cold n={dim} 40 pairs", cold, lambda r, warm=warm: same_reports(r, warm()))
@@ -171,6 +207,8 @@ def cases():
 
 
 def render(result) -> str:
+    if isinstance(result, str):
+        return result
     if isinstance(result, frozenset):
         return json.dumps(sorted(m.bits for m in result))
     if isinstance(result, list):
@@ -196,6 +234,8 @@ def main() -> int:
             best = min(best, time.perf_counter() - start)
         if isinstance(result, list):
             size = sum(len(r.conditions) for r in result)
+        elif isinstance(result, str):
+            size = len(result)
         else:
             size = len(result) if isinstance(result, frozenset) else result.atom_count()
         digest = hashlib.sha256(render(result).encode()).hexdigest()[:16]

@@ -20,7 +20,7 @@ from .lifting import lift, lift_inverse
 from .measures import AtomicMeasure, Measure, mconv, symmetrize
 from .subsets import GeneratingPair, SubsetMask, gamma, mask_sort_key
 from .sphere import SphereMeasure, radial_project, sconv
-from .universality import _check_dim, _whole_space, decide_universal_rn
+from .universality import UniversalityReport, _check_dim, _whole_space, decide_universal_rn
 from .harness import run_property_suite
 from .zonoids import (
     Zonotope,
@@ -74,13 +74,27 @@ def _parse_family(text: str | None, dim: int) -> list[SubsetMask]:
     return [_parse_subset(part, dim) for part in text.split(";") if part.strip()]
 
 
+def _compact(payload) -> str:
+    """``json.dumps(payload, separators=(",", ":"))`` with the measures and
+    reports in it written by their text writers, which give the bytes of
+    their ``to_json()`` there."""
+    if isinstance(payload, dict):
+        return "{" + ",".join([f"{json.dumps(k)}:{_compact(v)}" for k, v in payload.items()]) + "}"
+    if isinstance(payload, list):
+        return "[" + ",".join(map(_compact, payload)) + "]"
+    if isinstance(payload, (AtomicMeasure, UniversalityReport)):
+        return payload.to_json_text()
+    return json.dumps(payload)
+
+
 def _emit(payload, fmt: str) -> None:
-    # ``json.dump`` to a stream always runs the pure-Python encoder;
-    # ``json.dumps`` without indent runs the C one, with the same bytes
+    """Write a payload of JSON values, measures and reports: compact output
+    through the text writers (``_compact``), pretty output as
+    ``json.dumps(..., indent=2)`` of their ``to_json()``."""
     if fmt == "json":
-        text = json.dumps(payload, separators=(",", ":"))
+        text = _compact(payload)
     else:
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(payload, indent=2, default=lambda obj: obj.to_json())
     sys.stdout.write(text + "\n")
 
 
@@ -91,7 +105,7 @@ def _cmd_convolve(args) -> int:
         result = sconv(a, b)
     else:
         result = mconv(a, b)
-    _emit(result.to_json(), args.format)
+    _emit(result, args.format)
     return 0
 
 
@@ -100,7 +114,7 @@ def _cmd_project(args) -> int:
     e = _parse_subset(args.E, mu.dim)
     if args.sphere and isinstance(mu, Measure):
         mu = radial_project(mu)
-    _emit(mu.project(e).to_json(), args.format)
+    _emit(mu.project(e), args.format)
     return 0
 
 
@@ -108,7 +122,7 @@ def _cmd_decompose(args) -> int:
     mu = _parse_measure(args.input)
     components = []
     for e in sorted(mu.component_patterns(), key=mask_sort_key):
-        components.append({"E": e.to_json(), "measure": mu.restrict_order(e).to_json()})
+        components.append({"E": e.to_json(), "measure": mu.restrict_order(e)})
     order = mu.order_of()
     payload = {
         "components": components,
@@ -126,7 +140,7 @@ def _cmd_symmetrize(args) -> int:
     )
     sym = gamma(pair)
     payload = {
-        "result": symmetrize(mu, pair).to_json(),
+        "result": symmetrize(mu, pair),
         "symmetry": {
             "evens": [m.to_json() for m in sorted(sym.evens, key=mask_sort_key)],
             "odds": [m.to_json() for m in sorted(sym.odds, key=mask_sort_key)],
@@ -141,7 +155,7 @@ def _cmd_lift(args) -> int:
     mu = _parse_measure(args.input)
     if not isinstance(mu, Measure):
         raise InputError("lift expects a point measure")
-    _emit(lift(mu).to_json(), args.format)
+    _emit(lift(mu), args.format)
     return 0
 
 
@@ -149,7 +163,7 @@ def _cmd_lift_inverse(args) -> int:
     mu = _parse_measure(args.input)
     if not isinstance(mu, SphereMeasure):
         raise InputError("lift-inverse expects a sphere measure")
-    _emit(lift_inverse(mu).to_json(), args.format)
+    _emit(lift_inverse(mu), args.format)
     return 0
 
 
@@ -172,7 +186,7 @@ def _cmd_universal(args) -> int:
         nu.dim, _parse_family(args.evens, nu.dim), _parse_family(args.odds, nu.dim)
     )
     report = decide_universal_rn(nu, _parse_support(args.support, nu.dim, sphere), pair)
-    _emit(report.to_json(), args.format)
+    _emit(report, args.format)
     return 0 if report.universal else 3
 
 
@@ -192,7 +206,7 @@ def _cmd_zonoid(args) -> int:
     payload = {
         "check": args.check,
         "result": report.universal,
-        "report": report.to_json(),
+        "report": report,
     }
     _emit(payload, args.format)
     return 0

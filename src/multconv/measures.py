@@ -28,9 +28,17 @@ rational weights has the single part ``s = 1``.  So every operator hashes
 tuples of ints and adds and multiplies ints, once per part (per pair of
 parts for a product); locations are decoded to ``Fraction`` points, and
 weights to :class:`Surd` values, only at the public surface, where the
-weight at ``v`` is the stored mass times ``sqrt(_norm_sq(v))`` in both
-settings.  The JSON codec builds neither: ``from_json`` reads ``"p/q"``
-strings to int pairs and ``to_json`` writes reduced ``"p/q"`` strings.
+weight at ``v`` is the stored mass times the root of ``v``'s squared norm
+(``_norms``; 1 for points) in both settings.  The JSON codec builds neither, and reads and writes whole
+columns of values rather than one atom at a time.  ``from_json`` reads a
+payload in the form ``to_json`` writes (one weight term per atom, distinct
+locations) with one regex match over the distinct ``"p/q"`` texts of the
+coordinates and one over those of the coefficients, C-level ``int`` maps,
+one lcm scaling and ``dict(zip(keys, coefficients))``; anything else goes
+to the per-atom reader, which refuses each error with its message in the
+constructor's order.  ``to_json`` and the compact text writer
+``to_json_text`` share one pass that writes each distinct value's reduced
+``"p/q"`` text once.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import add, eq, floordiv, ge, lshift, mul, ne, neg, not_, sub
+from operator import add, eq, floordiv, ge, itemgetter, lshift, mul, ne, neg, not_, sub
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
@@ -51,6 +59,7 @@ from .scalars import (
     _canonical,
     _json_terms,
     _ratio_text,
+    _rational_column,
     _rational_pair,
     as_surd,
     square_free_decompose,
@@ -117,6 +126,36 @@ def _times_root(n: int, coeffs: Iterable[tuple[int, object]]) -> list[tuple[int,
     return out
 
 
+def _root_columns(rads: Iterable[int], norms: Iterable[int]) -> tuple[list[int], list[int]]:
+    """``_times_root`` on columns: for each ``(s, n)`` the ``(t, m)`` with
+    ``sqrt(s) * sqrt(n) = m * sqrt(t)``, as a column of ``t`` and one of
+    ``m``, each distinct ``(s, n)`` decomposed once, in order of first
+    appearance."""
+    pairs = list(zip(rads, norms))
+    roots = {}
+    for s, n in dict.fromkeys(pairs):
+        k, f = square_free_decompose(n)
+        g, t = _root_product(s, f)
+        roots[s, n] = t, g * k
+    ts, ms = zip(*map(roots.__getitem__, pairs))
+    return list(ts), list(ms)
+
+
+def _rows(values: Iterable, dim: int) -> list[tuple]:
+    """Consecutive ``dim``-tuples of ``values``: the keys of a row-major list
+    of coordinates."""
+    return list(zip(*[iter(values)] * dim))
+
+
+def _text_of(values: Iterable[int], den: int) -> Callable[[int], str]:
+    """The reduced ``"p/q"`` text of each of ``values`` over ``den``, from a
+    table of one ``_ratio_text`` (``str`` over 1) per distinct value."""
+    distinct = set(values)
+    if den == 1:
+        return dict(zip(distinct, map(str, distinct))).__getitem__
+    return {c: _ratio_text(c, den) for c in distinct}.__getitem__
+
+
 def _surd(coeffs: Iterable[tuple[int, int | Fraction]], wden: int = 1) -> Surd:
     """The value ``sum_s sqrt(s) * c / wden`` over the ``(s, c)`` pairs,
     whose radicands are distinct."""
@@ -153,8 +192,8 @@ class AtomicMeasure:
     locations (the constructor's, ``from_json``'s and ``weight_at``'s),
     checks them and keys them over one denominator, ``_loc_field`` names
     them in JSON, ``_decode`` turns a stored key back into a location;
-    ``_norm_sq`` gives the square of the number a weight is divided by to
-    store it (1 for points); and its pushforward through
+    ``_norms`` gives, per key, the square of the number a weight is divided
+    by to store it (1 for points); and its pushforward through
     the trusted ``_gather``, which sums point masses per location: the one
     hook that every projection, product and sum ends in.
 
@@ -174,8 +213,8 @@ class AtomicMeasure:
     ``zip`` rebuilds them, into ``dict(zip(...))`` where no two atoms merge,
     through ``compress`` for a filter, and through ``_gather`` where atoms
     merge.  ``atoms``, ``support``, ``weight_at`` and ``to_json`` decode
-    them.  The weight at ``v`` is the point mass times the positive
-    ``sqrt(_norm_sq(v))``, so sums per key, signs and zero tests read the
+    them.  The weight at ``v`` is the point mass times the positive root of
+    ``v``'s ``_norms`` entry, so sums per key, signs and zero tests read the
     masses as they are; the one reader ``_weight`` decodes a weight to int
     coefficients per radicand, with no :class:`Surd` root or product.
     ``atoms`` lists the keys part by part, in the order the parts were made,
@@ -183,7 +222,7 @@ class AtomicMeasure:
 
     The public constructor checks every weight, then normalises every
     location and checks its dimension, merges repeats and divides each
-    weight by ``sqrt(_norm_sq(v))`` on ints; it is the entry for user
+    weight by that root on ints; it is the entry for user
     input, and ``from_json`` reads JSON in the same order without building
     a ``Fraction`` or a :class:`Surd` per atom.  Parts the library built
     itself, of the right dimension and keyed over a common denominator, go
@@ -192,6 +231,10 @@ class AtomicMeasure:
 
     __slots__ = ("dim", "_parts", "_den", "_wden")
     _locate: Callable[[list, int], tuple[list[Key], int]]
+    # ``_locate`` on the entries of JSON locations listed one after another,
+    # for the column reader: the keys and their denominator, or None for
+    # entries it does not read
+    _locate_entries: Callable[[list, int], tuple[list[Key], int] | None]
     _loc_field: str
 
     def __init__(self, dim: int, atoms: Mapping[tuple, SurdLike] | Iterable[tuple[tuple, SurdLike]] = ()):
@@ -202,7 +245,8 @@ class AtomicMeasure:
     def _assemble(self, dim: int, rows: list[tuple[object, Terms]]) -> None:
         """Initialise from locations as given and checked ``(r, p, q)`` weight
         terms: key the locations by ``_locate``, merge repeats, divide each
-        weight by ``sqrt(_norm_sq(v))`` and split the masses into parts."""
+        weight by the root of its key's ``_norms`` entry and split the masses
+        into parts."""
         keys, den = self._locate([loc for loc, _ in rows], dim)
         merged: dict[Key, dict[int, tuple[int, int]]] = {}
         for v, (_, terms) in zip(keys, rows):
@@ -211,10 +255,8 @@ class AtomicMeasure:
                 acc = merged[v] = {}
             for r, p, q in terms:
                 _accumulate(acc, r, p, q)
-        norm_sq = self._norm_sq
         masses = []
-        for v, acc in merged.items():
-            n = norm_sq(v)
+        for (v, acc), n in zip(merged.items(), self._norms(list(merged)) or repeat(1)):
             if n != 1:
                 # (p/q) sqrt(r) / sqrt(n) = (p*m / (q*n)) sqrt(t)
                 acc = {t: (p * m, q * n) for t, m, (p, q) in _times_root(n, acc.items())}
@@ -286,17 +328,19 @@ class AtomicMeasure:
         return dict.fromkeys(chain.from_iterable(parts.values()))
 
     @staticmethod
-    def _norm_sq(v: Key) -> int:
-        """The square of the positive number that the weight at ``v`` is
-        divided by to store its mass: 1, as a point atom stores its weight."""
-        return 1
+    def _norms(keys: list[Key]) -> list[int] | None:
+        """Per key, the square of the positive number that the weight there is
+        divided by to store its mass; None when every one is 1, as a point
+        atom stores its weight."""
+        return None
 
     def _weight(self, v: Key) -> list[tuple[int, int]]:
-        """The weight at the key ``v``, the stored mass times
-        ``sqrt(_norm_sq(v))``, as ``(radicand, coefficient)`` pairs over
-        ``_wden`` sorted by radicand; none for a key that no part holds."""
+        """The weight at the key ``v``, the stored mass times the root of its
+        ``_norms`` entry, as ``(radicand, coefficient)`` pairs over ``_wden``
+        sorted by radicand; none for a key that no part holds."""
         coeffs = [(s, part[v]) for s, part in self._parts.items() if v in part]
-        n = self._norm_sq(v) if coeffs else 1
+        norms = self._norms([v]) if coeffs else None
+        n = 1 if norms is None else norms[0]
         if n != 1:
             coeffs = [(t, c * m) for t, m, c in _times_root(n, coeffs)]
         coeffs.sort()
@@ -520,26 +564,131 @@ class AtomicMeasure:
 
     # -- serialization -------------------------------------------------------------
 
+    def _text_columns(self) -> tuple[list[tuple[str, ...]], list[tuple[tuple[str, int], ...]]]:
+        """The atoms sorted by location, as each one's coordinate texts and its
+        weight terms ``(coefficient text, radicand)`` sorted by radicand, in
+        one column pass: every text a reduced ``"p/q"`` written from ints, one
+        gcd per distinct value (``_text_of``).  Where each key is held by one
+        part, every atom has one term, read off the sorted ``(key,
+        coefficient, radicand)`` rows of all parts, the sphere's through
+        ``_root_columns``; otherwise each atom's terms come from ``_weight``."""
+        parts, wden = self._parts, self._wden
+        if not parts:
+            return [], []
+        # a positive denominator keeps the order of the keys
+        rows = sorted(chain.from_iterable([zip(part, part.values(), repeat(s)) for s, part in parts.items()]))
+        keys, coeffs, rads = zip(*rows)
+        # a key held by several parts has adjacent rows
+        shared = len(parts) > 1 and any(map(eq, keys, keys[1:]))
+        if shared:
+            keys = sorted(self._keys())
+        flat = list(chain.from_iterable(keys))
+        locs = _rows(map(_text_of(flat, self._den), flat), self.dim)
+        if shared:
+            return locs, [tuple([(_ratio_text(c, wden), t) for t, c in self._weight(v)]) for v in keys]
+        norms = self._norms(keys)
+        if norms is not None:
+            rads, ms = _root_columns(rads, norms)
+            coeffs = list(map(mul, coeffs, ms))
+        return locs, list(zip(zip(map(_text_of(coeffs, wden), coeffs), rads)))
+
     def to_json(self) -> dict:
         """The atoms sorted by location, each coordinate and coefficient a
-        reduced ``"p/q"`` string written from ints."""
-        den, wden, field, weight = self._den, self._wden, self._loc_field, self._weight
-        atoms = []
-        # a positive denominator keeps the order of the keys
-        for v in sorted(self._keys()):
-            loc = [str(c) for c in v] if den == 1 else [_ratio_text(c, den) for c in v]
-            atoms.append({field: loc, "weight": [[_ratio_text(c, wden), t] for t, c in weight(v)]})
+        reduced ``"p/q"`` string (``_text_columns``)."""
+        field = self._loc_field
+        locs, weights = self._text_columns()
+        atoms = [{field: list(loc), "weight": list(map(list, w))} for loc, w in zip(locs, weights)]
         return {"dim": self.dim, "atoms": atoms}
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json(), separators=(",", ":"))``, joined from
+        the same column pass with no dict per atom: each text is ASCII that
+        JSON writes as it is."""
+        locs, weights = self._text_columns()
+        # one format per atom, on its coordinate texts and its weight's text
+        atom = '{"' + self._loc_field + '":["' + '","'.join(["%s"] * self.dim) + '"],"weight":[%s]}'
+        texts = zip(map(",".join, map(map, repeat('["%s",%d]'.__mod__), weights)))
+        body = ",".join(map(atom.__mod__, map(add, locs, texts)))
+        return f'{{"dim":{self.dim},"atoms":[{body}]}}'
 
     @classmethod
     def from_json(cls, data: dict) -> Self:
-        # the weights first, then ``dim``, then the locations in ``_assemble``:
-        # each check raises what the public constructor raises on the same values
+        out = cls._from_columns(data)
+        return cls._from_atoms(data) if out is None else out
+
+    @classmethod
+    def _from_atoms(cls, data: dict) -> Self:
+        """``from_json`` atom by atom, for any payload: the weights first, then
+        ``dim``, then the locations in ``_assemble``, each check raising what
+        the public constructor raises on the same values."""
         field = cls._loc_field
         entries = [(entry[field], _json_terms(entry["weight"])) for entry in data.get("atoms", [])]
         dim = _positive(json_dim(data))
         out = cls.__new__(cls)
         out._assemble(dim, entries)
+        return out
+
+    @classmethod
+    def _from_columns(cls, data) -> Self | None:
+        """``from_json`` on coordinate columns, for payloads in the form that
+        ``to_json`` writes: every location a list of ``dim`` entries, every
+        weight one ``[coefficient, radicand]`` term, the locations read by
+        ``_locate_entries``, the coefficients by ``_rational_column`` and
+        nonzero, the radicands square-free ints, and no two atoms at one
+        location.  Keys and coefficients are scaled by C-level maps and the
+        parts built with no per-atom merge; ``_init`` reduces ``_den`` and
+        ``_wden``.  None for any other payload, which ``from_json`` then reads
+        atom by atom, so that every refusal keeps its type, message and order."""
+        if type(data) is not dict:
+            return None
+        dim, atoms = data.get("dim"), data.get("atoms")
+        if type(dim) is not int or dim < 1 or type(atoms) is not list or not atoms:
+            return None
+        try:
+            locs = list(map(itemgetter(cls._loc_field), atoms))
+            weights = list(map(itemgetter("weight"), atoms))
+        except (KeyError, TypeError):
+            return None
+        if set(map(type, locs)) != {list} or set(map(len, locs)) != {dim}:
+            return None
+        if set(map(type, weights)) != {list} or set(map(len, weights)) != {1}:
+            return None
+        terms = list(map(itemgetter(0), weights))
+        if set(map(type, terms)) != {list} or set(map(len, terms)) != {2}:
+            return None
+        coeffs, rads = zip(*terms)
+        located = cls._locate_entries(list(chain.from_iterable(locs)), dim)
+        read = _rational_column(coeffs)
+        if located is None or read is None or set(map(type, rads)) != {int}:
+            return None
+        keys, den = located
+        nums, dens = read
+        try:
+            if not all(nums) or not all([r == 1 or r > 1 and square_free_decompose(r)[1] == r for r in set(rads)]):
+                return None
+            norms = cls._norms(keys)
+            if norms is not None:
+                # the mass is the weight over sqrt(n): (p/q) sqrt(r) = (p*m / (q*n)) sqrt(t)
+                rads, ms = _root_columns(rads, norms)
+                nums = list(map(mul, nums, ms))
+                dens = norms if dens is None else list(map(mul, dens, norms))
+        except ValueError:  # a factor beyond the trial-division bound
+            return None
+        wden = 1 if dens is None else math.lcm(*dens)
+        if wden != 1:
+            nums = list(map(mul, nums, map(floordiv, repeat(wden), dens)))
+        if len(set(rads)) == 1:
+            parts = {rads[0]: dict(zip(keys, nums))}
+            if len(parts[rads[0]]) != len(keys):
+                return None  # atoms merge
+        else:
+            if len(set(keys)) != len(keys):
+                return None  # atoms merge
+            parts = {}
+            for v, t, c in zip(keys, rads, nums):
+                parts.setdefault(t, {})[v] = c
+        out = cls.__new__(cls)
+        out._init(dim, parts, den, wden)
         return out
 
 
@@ -561,6 +710,20 @@ class Measure(AtomicMeasure):
             rows.append([_rational_pair(c) for c in values])
         den = math.lcm(*[q for pairs in rows for _, q in pairs])
         return [tuple([p * (den // q) for p, q in pairs]) for pairs in rows], den
+
+    @staticmethod
+    def _locate_entries(entries: list, dim: int) -> tuple[list[Key], int] | None:
+        """The points of coordinates read by ``_rational_column``, keyed over
+        their least common denominator (not reduced) as ``_locate`` keys
+        them; None for coordinates it does not read."""
+        read = _rational_column(entries)
+        if read is None:
+            return None
+        nums, dens = read
+        den = 1 if dens is None else math.lcm(*dens)
+        if den != 1:
+            nums = map(mul, nums, map(floordiv, repeat(den), dens))
+        return _rows(nums, dim), den
 
     def _decode(self, v: Key) -> Point:
         den = self._den

@@ -15,7 +15,9 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Union
+from itertools import repeat
+from operator import itemgetter
+from typing import Sequence, Union
 
 RationalLike = Union[int, Fraction]
 SurdLike = Union[int, Fraction, "Surd"]
@@ -45,9 +47,7 @@ def square_free_decompose(m: int) -> tuple[int, int]:
     d = 2
     while d * d * d <= m:
         if d > DEFAULT_FACTOR_BOUND:
-            raise FactorLimitError(
-                f"radicand {m} exceeds the trial-division bound {DEFAULT_FACTOR_BOUND}"
-            )
+            raise FactorLimitError(f"{_radicand_text(m)} exceeds the trial-division bound {DEFAULT_FACTOR_BOUND}")
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -62,6 +62,20 @@ def square_free_decompose(m: int) -> tuple[int, int]:
     if root * root == m:
         return square * root, free
     return square, free * m
+
+
+def _radicand_text(m: int) -> str:
+    """``"radicand m"``, or ``m``'s digit count when ``m`` is over the int
+    digit limit, where formatting it would raise int's own error."""
+    limit = sys.get_int_max_str_digits()
+    # below 8**limit, ``m`` has fewer digits than the limit
+    if not limit or m.bit_length() <= 3 * limit:
+        return f"radicand {m}"
+    # (b - 1) * 0.30102 is below log10(m), so ``d`` starts at most at the count
+    d = (m.bit_length() - 1) * 30102 // 100000
+    while 10**d <= m:
+        d += 1
+    return f"radicand of {d} digits" if d > limit else f"radicand {m}"
 
 
 def _term(r: int, p: int, q: int) -> tuple[tuple[int, int, int], ...]:
@@ -152,6 +166,43 @@ def _rational_pair(value) -> tuple[int, int]:
                 raise
     f = _coerce_rational(value)
     return f.numerator, f.denominator
+
+
+# the strings that ``_rational_pair`` reads straight, each followed by a comma:
+# ASCII ``"p"`` or ``"p/q"`` with an optional minus on ``p`` and ``q`` nonzero
+_RATIONALS = re.compile(r"(?:-?[0-9]+(?:/0*[1-9][0-9]*)?,)+")
+# ``get(d, d)`` reads a missing denominator "" as "1" and keeps any other
+_ONE = {"": "1"}
+
+
+def _rational_column(values: Sequence) -> tuple[Sequence[int], Sequence[int] | None] | None:
+    """A column of rationals as numerators and denominators, not reduced,
+    the denominators ``None`` when every one is 1: for a column of ints, or
+    of the strings that ``_rational_pair`` reads straight.  Each distinct
+    string is read once: all are checked by one match on their joined text
+    and parsed by C-level maps.  ``None`` for any other column (mixed types,
+    other forms, a zero denominator, a number over the int digit limit),
+    which the per-value readers then refuse or read."""
+    types = set(map(type, values))
+    if types == {int}:
+        return values, None
+    if types != {str}:
+        return None
+    distinct = list(set(values))
+    text = ",".join(distinct) + ","
+    # a comma inside a value would split it in two
+    if text.count(",") != len(distinct) or not _RATIONALS.fullmatch(text):
+        return None
+    try:
+        if "/" not in text:
+            return list(map(dict(zip(distinct, map(int, distinct))).__getitem__, values)), None
+        split = list(map(str.partition, distinct, repeat("/")))
+        dens = list(map(itemgetter(2), split))
+        pairs = dict(zip(distinct, zip(map(int, map(itemgetter(0), split)), map(int, map(_ONE.get, dens, dens)))))
+    except ValueError:  # over the digit limit
+        return None
+    nums, dens = zip(*map(pairs.__getitem__, values))
+    return nums, dens
 
 
 def _ratio_text(p: int, q: int) -> str:

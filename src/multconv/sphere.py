@@ -16,8 +16,9 @@ takes the scale ``1/den`` into the weight denominator.  The radial
 projection from point measures, the induced product on the sphere
 (``_products`` on the stored parts), the coordinate-subsphere projections,
 sums and both witness factors are each one gather.  Weights meet ``|d|`` only
-at the public surface, where ``_norm_sq = ray_norm_sq`` gives the weight
-``m * |d|`` by the integer weight coding that point measures share.
+at the public surface, where ``_norms`` (each ray's ``ray_norm_sq``) gives
+the weight ``m * |d|`` by the integer weight coding that point measures
+share.
 
 ``moment_g`` at the bottom is the single floating-point surface of the
 package: a numerical diagnostic that never feeds an exact decision.
@@ -26,10 +27,12 @@ package: a numerical diagnostic that never feeds an exact decision.
 from __future__ import annotations
 
 import math
+from itertools import repeat, starmap
+from operator import mul
 from typing import Sequence
 
-from .measures import AtomicMeasure, Lanes, _products, _surd
-from .points import Ray, primitive_ray, ray_norm_sq, zero_pattern
+from .measures import AtomicMeasure, Lanes, _products, _rows, _surd
+from .points import Ray, primitive_ray, zero_pattern
 from .subsets import SubsetMask
 
 
@@ -38,7 +41,6 @@ class SphereMeasure(AtomicMeasure):
 
     __slots__ = ()
     _loc_field = "ray"
-    _norm_sq = staticmethod(ray_norm_sq)
 
     @staticmethod
     def _locate(locs: list, dim: int) -> tuple[list[Ray], int]:
@@ -49,6 +51,32 @@ class SphereMeasure(AtomicMeasure):
                 raise ValueError(f"ray {d} has dimension {len(d)}, expected {dim}")
             rays.append(d)
         return rays, 1  # rays are integer keys already
+
+    @staticmethod
+    def _locate_entries(entries: list, dim: int) -> tuple[list[Ray], int] | None:
+        """The primitive rays of entries that are ints or strings, each
+        distinct one read by ``int`` as ``primitive_ray`` reads it, with one
+        gcd per ray; None for any other entry, a string ``int`` refuses, or
+        the zero vector."""
+        if not set(map(type, entries)) <= {int, str}:
+            return None
+        distinct = set(entries)
+        try:
+            ints = dict(zip(distinct, map(int, distinct)))
+        except ValueError:
+            return None
+        rays = _rows(map(ints.__getitem__, entries), dim)
+        gs = list(starmap(math.gcd, rays))
+        if 0 in gs:
+            return None
+        if gs.count(1) != len(gs):
+            rays = [tuple([c // g for c in v]) for v, g in zip(rays, gs)]
+        return rays, 1
+
+    @staticmethod
+    def _norms(keys: list[Ray]) -> list[int]:
+        """The squared norm of each ray, ``ray_norm_sq`` by C-level maps."""
+        return list(map(sum, map(map, repeat(mul), keys, keys)))
 
     def _decode(self, v: Ray) -> Ray:
         return v
@@ -124,9 +152,10 @@ def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:
     if bad:
         raise ValueError(f"atom at {mu._loc_field} {mu._decode(bad[0])} is not of full order")
     total = 0.0
-    for v in mu._keys():
+    keys = list(mu._keys())
+    for v, n in zip(keys, mu._norms(keys) or repeat(1)):
         # ``v / norm`` is the key's unit vector (sphere) or location (points)
-        norm = mu._norm_sq(v) ** 0.5 * mu._den
+        norm = n ** 0.5 * mu._den
         prod = 1.0
         for c, a in zip(v, alpha):
             prod *= (abs(float(c)) / norm) ** a

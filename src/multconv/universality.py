@@ -109,6 +109,23 @@ class UniversalityReport:
             "skipped": [e.to_json() for e in self.skipped_non_proper],
         }
 
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json(), separators=(",", ":"))``, written as
+        text: each distinct mask's list once per report, one string per
+        condition, and the witness by its measure's text writer."""
+        masks = {m.bits: m for c in self.conditions for m in (c.support, c.index)}
+        masks.update((e.bits, e) for e in self.skipped_non_proper)
+        lists = {bits: "[" + ",".join(map(str, m.indices())) + "]" for bits, m in masks.items()}
+        flag = {True: "true", False: "false"}
+        conditions = ",".join([
+            f'{{"E":{lists[c.support.bits]},"J":{lists[c.index.bits]},"ok":{flag[c.satisfied]}}}'
+            for c in self.conditions
+        ])
+        witness = "null" if self.witness is None else self.witness.to_json_text()
+        skipped = ",".join([lists[e.bits] for e in self.skipped_non_proper])
+        return (f'{{"universal":{flag[self.universal]},"conditions":[{conditions}],'
+                f'"witness":{witness},"skipped":[{skipped}]}}')
+
 
 def _check_dim(dim: int) -> None:
     if dim > MAX_DECIDER_DIM:

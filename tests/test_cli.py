@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import pytest
 
 from multconv import cli, universality
 from multconv.cli import main
+from multconv.harness import gen_interfering_measure, gen_measure, gen_sphere_measure
+from multconv.lifting import lift
 from multconv.measures import Measure, mconv, sigma0
 from multconv.sphere import SphereMeasure, radial_project
 from multconv.subsets import SubsetMask
@@ -430,3 +433,115 @@ def test_entry_point_in_a_fresh_process_matches_main(tmp_path, capsys):
                               env=env, timeout=120)
         code, out, err = run(capsys, *argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+
+
+def _battery(tmp_path):
+    """Every command that writes a measure or a report, on seeded inputs of
+    both settings (a negative decision among them, with its witness): named
+    argument lists over files in ``tmp_path``."""
+    n = 3
+    a = gen_measure(3, n, 6)
+    interfering = gen_interfering_measure(5, n, 6)
+    files = {
+        "a": a.to_json(),
+        "b": gen_measure(4, n, 5).to_json(),
+        "s": gen_sphere_measure(5, n, 5).to_json(),
+        "l": lift(a).to_json(),
+        "f": interfering.to_json(),
+        "fs": radial_project(interfering).to_json(),
+        "z": {"dim": n, "generators": [["1", "2", "0"], ["-1", "1/2", "3"], ["0", "1", "1"]]},
+    }
+    path = {name: write_json(tmp_path / f"{name}.json", payload) for name, payload in files.items()}
+    requests = [
+        ["convolve", path["a"], path["b"]],
+        ["convolve", path["a"], path["b"], "--sphere"],
+        ["convolve", path["s"], path["s"]],
+        ["project", path["a"], "--E", "1,3"],
+        ["project", path["a"], "--E", "2,3", "--sphere"],
+        ["project", path["s"], "--E", "1,2"],
+        ["decompose", path["a"]],
+        ["decompose", path["s"]],
+        ["symmetrize", path["a"], "--evens", "1,2", "--odds", "3"],
+        ["symmetrize", path["s"], "--evens", "1"],
+        ["lift", path["a"]],
+        ["lift-inverse", path["l"]],
+        ["universal", path["a"]],
+        ["universal", path["s"], "--sphere"],
+        ["universal", path["f"], "--evens", "1,2,3"],
+        ["universal", path["fs"], "--evens", "1,2,3", "--support", "1,2,3;1;2,3"],
+        ["zonoid", path["z"], "--check", "d-universal"],
+        ["zonoid", path["z"], "--check", "unc-d-universal"],
+        ["zonoid", path["z"], "--check", "singleton-support"],
+        ["verify", "--suite", "field-laws", "--seed", "1", "--trials", "2"],
+    ]
+    return [(" ".join(argv).replace(str(tmp_path) + os.sep, ""), argv) for argv in requests]
+
+
+# the SHA-256 (first 16 hex digits) of each request's stdout as written
+# through ``json.dumps`` of the ``to_json()`` dicts, before the text writers
+WRITTEN_BY_JSON_DUMPS = {
+    "json": {
+        "convolve a.json b.json": "b51f218f91910f18",
+        "convolve a.json b.json --sphere": "4b5788a2dd06e599",
+        "convolve s.json s.json": "42592b08a3e4b005",
+        "project a.json --E 1,3": "2434f5cf802a2d2a",
+        "project a.json --E 2,3 --sphere": "c04558142f3f5d18",
+        "project s.json --E 1,2": "6eb5a595edd67355",
+        "decompose a.json": "4d7e165b0f8e8f83",
+        "decompose s.json": "cadc3507499f427f",
+        "symmetrize a.json --evens 1,2 --odds 3": "396d15616720f337",
+        "symmetrize s.json --evens 1": "652e6b6723502bc8",
+        "lift a.json": "e63561a207cb13a2",
+        "lift-inverse l.json": "c9c8293f7e344753",
+        "universal a.json": "eaee71b91e052a54",
+        "universal s.json --sphere": "8169dc2545fc9c67",
+        "universal f.json --evens 1,2,3": "655d54693b2db3d7",
+        "universal fs.json --evens 1,2,3 --support 1,2,3;1;2,3": "e6d9703c62c500dc",
+        "zonoid z.json --check d-universal": "46301a8162561525",
+        "zonoid z.json --check unc-d-universal": "f58cf846c7e8f452",
+        "zonoid z.json --check singleton-support": "4ce4eecc94afabd5",
+        "verify --suite field-laws --seed 1 --trials 2": "4f4c791056aae49f",
+    },
+    "pretty": {
+        "convolve a.json b.json": "529f45aef7aaa86c",
+        "convolve a.json b.json --sphere": "7ab84f1f5ab50e4c",
+        "convolve s.json s.json": "1e98d872db781edb",
+        "project a.json --E 1,3": "006da7c12cffaddc",
+        "project a.json --E 2,3 --sphere": "87be9071449f88ae",
+        "project s.json --E 1,2": "e983c25cecde258e",
+        "decompose a.json": "209fbfab793cb645",
+        "decompose s.json": "c4a1778750df18e3",
+        "symmetrize a.json --evens 1,2 --odds 3": "4b5adf730447315c",
+        "symmetrize s.json --evens 1": "524cfd589a8d1b48",
+        "lift a.json": "107b1ca947f74cd2",
+        "lift-inverse l.json": "cd08bd1dd111dad0",
+        "universal a.json": "9655992ea663ac20",
+        "universal s.json --sphere": "520c3bfb53c4bb73",
+        "universal f.json --evens 1,2,3": "9b46166b98d63ccc",
+        "universal fs.json --evens 1,2,3 --support 1,2,3;1;2,3": "83d62df306ea6c48",
+        "zonoid z.json --check d-universal": "c37ca680e6881222",
+        "zonoid z.json --check unc-d-universal": "37da495993e3d237",
+        "zonoid z.json --check singleton-support": "09e6673fbac9b35a",
+        "verify --suite field-laws --seed 1 --trials 2": "5b04b0d375890d61",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_every_command_writes_the_bytes_of_json_dumps(tmp_path, capsys, fmt):
+    written = {}
+    for name, argv in _battery(tmp_path):
+        code, out, err = run(capsys, "--format", fmt, *argv)
+        assert code in (0, 3) and not err, name
+        written[name] = hashlib.sha256(out.encode()).hexdigest()[:16]
+    assert written == WRITTEN_BY_JSON_DUMPS[fmt]
+
+
+def test_text_writers_give_the_bytes_of_the_dict_route(tmp_path, capsys, monkeypatch):
+    # the same requests with every payload dumped from its ``to_json()`` dicts
+    battery = _battery(tmp_path)
+    direct = [run(capsys, *argv) for _, argv in battery]
+    dicts = lambda payload: json.dumps(payload, separators=(",", ":"), default=lambda obj: obj.to_json())  # noqa: E731
+    monkeypatch.setattr(cli, "_compact", dicts)
+    assert [run(capsys, *argv) for _, argv in battery] == direct
+    assert any(code == 3 for code, _, _ in direct)

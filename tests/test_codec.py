@@ -1,6 +1,8 @@
 """The integer JSON codec of measures against the ``Fraction`` route it
 replaced (``fraction_codec``): equal measures in the same stored order,
-byte-equal output, and the same refusals with the same messages."""
+byte-equal output, and the same refusals with the same messages.  The
+column reader against the per-atom reader, and the text writers of measures
+and reports against ``json.dumps`` of their ``to_json()``."""
 
 import json
 import random
@@ -12,10 +14,12 @@ import pytest
 
 from conftest import _check_trusted
 from fraction_codec import measure_from_json, measure_to_json, surd_from_json
+from multconv.harness import gen_measure, gen_pair, gen_sphere_measure
 from multconv.measures import Measure, mconv, symmetrize
-from multconv.scalars import Surd, _coerce_rational, _rational_pair
+from multconv.scalars import FactorLimitError, Surd, _coerce_rational, _rational_pair
 from multconv.sphere import SphereMeasure, radial_project, sconv
-from multconv.subsets import GeneratingPair, SubsetMask
+from multconv.subsets import GeneratingPair, SubsetMask, all_subsets
+from multconv.universality import class_pair, decide_special, decide_universal_rn
 
 PRIMES = [p for p in range(2, 8000) if all(p % d for d in range(2, int(p**0.5) + 1))]
 # written forms that the fast string match leaves to ``Fraction``
@@ -270,3 +274,188 @@ def test_over_long_numbers_are_refused_alike_on_every_python(build):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build("7" * (limit + 1))
     build("7" * limit)  # at the limit the number is read
+
+
+# -- the column reader and the text writers ------------------------------------------
+
+
+def _written(payload):
+    """``payload`` sent through JSON text and read back."""
+    return json.loads(json.dumps(payload))
+
+
+def _text_corpus():
+    """Measures of both settings: the codec corpus, several radicands per
+    measure, ``_den > 1`` and the empty measure."""
+    out = {}
+    for seed in range(40):
+        rays = _ray_payload(seed)
+        out[f"point-{seed}"] = Measure.from_json(_point_payload(seed))
+        out[f"sphere-{seed}"] = sphere = SphereMeasure.from_json(rays)
+        # the rays read as points, whose squared norms factor within the
+        # trial-division bound; the sphere weights of their point masses carry
+        # the radicands of the norms
+        small = Measure.from_json({"dim": rays["dim"], "atoms": [{"point": a["ray"], "weight": a["weight"]}
+                                                                 for a in rays["atoms"]]})
+        out[f"radial-{seed}"] = radial_project(small)
+        out[f"sconv-{seed}"] = sconv(small, sphere)
+    out["several-radicands"] = Measure(2, {(1, "1/2"): Surd.sqrt(2), (3, 0): Surd.sqrt(3) + 1, (0, 1): 5})
+    out["rays-several-radicands"] = SphereMeasure(2, {(1, 2): Surd.sqrt(2), (3, 1): Surd.sqrt(3) + 1})
+    out["zero"] = Measure.zero(2)
+    out["sphere-zero"] = SphereMeasure.zero(3)
+    assert any(mu._den > 1 for mu in out.values())
+    assert any(len(mu._parts) > 1 for mu in out.values())
+    return out
+
+
+TEXT_CORPUS = _text_corpus()
+
+
+@pytest.mark.parametrize("name, mu", list(TEXT_CORPUS.items()), ids=list(TEXT_CORPUS))
+def test_text_writer_is_byte_equal_to_json_dumps(name, mu):
+    assert mu.to_json_text() == _dumps(mu.to_json())
+    # the column reader takes what the writer writes with one term per weight
+    data = _written(mu.to_json())
+    if mu and all(len(atom["weight"]) == 1 for atom in data["atoms"]):
+        assert type(mu)._from_columns(data) == mu
+    assert type(mu).from_json(data) == mu
+
+
+def test_report_text_writer_is_byte_equal_to_json_dumps():
+    # the reports of the plan-cache corpus in both settings, negative ones
+    # with their witnesses
+    written = negative = 0
+    for n in range(1, 7):
+        pairs = [gen_pair(seed, n, m) for seed in range(12) for m in (3, 5)]
+        pairs += [class_pair(klass, n) for klass in ("unconditional", "symmetric", "antisymmetric", "none")]
+        rng = random.Random(n)
+        for sphere in (False, True):
+            base = gen_sphere_measure(n + 20, n, 6) if sphere else gen_measure(n + 20, n, 6)
+            everything = [e for e in all_subsets(n) if e.size or not sphere]
+            supports = (everything, rng.sample(everything, min(3, len(everything))))
+            for nu in (base, base + base.reflect(SubsetMask.full(n))):
+                reports = [decide_universal_rn(nu, support, pair) for pair in pairs for support in supports]
+                reports += [decide_special(nu, klass) for klass in ("unconditional", "symmetric", "none")]
+                for report in reports:
+                    assert report.to_json_text() == _dumps(report.to_json())
+                    written += 1
+                    negative += not report.universal
+    assert written and negative
+
+
+def _column_payloads(seed):
+    """A payload in the form ``to_json`` writes, mostly, with the forms the
+    column reader leaves to the per-atom reader mixed in at random: repeats,
+    several terms, zero and odd coefficients, ints, other number forms."""
+    rng = random.Random(seed)
+    sphere = rng.random() < 0.5
+    dim = rng.randrange(1, 5)
+    pool = ["0", "1", "-1", "2", "-3", "5", "1/2", "-2/3", "7/4", "6/4", "-0/5", "11"]
+    ints = rng.random() < 0.15
+    atoms = []
+    for _ in range(rng.randrange(1, 12)):
+        if sphere:
+            loc = [rng.choice(["2", "-3", "0", "1", "4", "-1", "-007", "+6"]) for _ in range(dim)]
+            loc[0] = rng.choice(["1", "-5", "7"])
+        else:
+            loc = [rng.choice(pool) for _ in range(dim)]
+        if ints:
+            loc = [int(c) if c.lstrip("-").isdigit() else c for c in loc]
+        weight = [[rng.choice(pool[1:-2]), rng.choice((1, 1, 2, 3, 6))]]
+        if rng.random() < 0.02:
+            weight.append(["1/3", 5])
+        if rng.random() < 0.02:
+            weight = [[rng.choice(("0", "-0/5")), rng.choice((1, 2, 3))]]
+        atoms.append({"ray" if sphere else "point": loc, "weight": weight})
+    return (SphereMeasure if sphere else Measure), {"dim": dim, "atoms": atoms}
+
+
+def test_column_reader_equals_the_per_atom_reader():
+    read = 0
+    for seed in range(400):
+        cls, payload = _column_payloads(seed)
+        ref = cls._from_atoms(payload)
+        got = cls._from_columns(payload)
+        if got is not None:
+            read += 1
+            assert got == ref, seed
+            assert _stored_order(got) == _stored_order(ref), seed
+            assert (got._den, got._wden) == (ref._den, ref._wden), seed
+        assert cls.from_json(payload) == ref
+        assert _stored_order(cls.from_json(payload)) == _stored_order(ref)
+    # both readers ran on a good share of the payloads
+    assert 150 < read < 350, read
+
+
+def _atoms(field, *atoms):
+    return {"dim": 2, "atoms": [{field: loc, "weight": weight} for loc, weight in atoms]}
+
+
+# payloads the column reader leaves to the per-atom reader, one per reason
+LEFT_TO_THE_PER_ATOM_READER = {
+    # a zero weight would make the part of its radicand first
+    "zero-coefficient": _atoms("point", (["1", "2"], [["0", 2]]), (["1", "3"], [["1", 3]]), (["2", "3"], [["1", 2]])),
+    "repeat": _atoms("point", (["1", "2"], [["1", 1]]), (["2/2", "2"], [["1", 1]])),
+    "repeat-across-radicands": _atoms("point", (["1", "2"], [["1", 3]]), (["1", "2"], [["1", 2]])),
+    "several-terms": _atoms("point", (["1", "2"], [["1", 3], ["1", 2]]),),
+    "no-term": _atoms("point", (["1", "2"], []),),
+    "mixed-types": _atoms("point", ([1, "2"], [["1", 1]]), (["1/2", "2"], [["1", 1]])),
+    "other-form": _atoms("point", (["+1", "2"], [["1", 1]]),),
+    "zero-denominator": _atoms("point", (["1/00", "2"], [["1", 1]]),),
+    "comma": _atoms("point", (["1,2", "2"], [["1", 1]]),),
+    "not-square-free": _atoms("point", (["1", "2"], [["1", 4]]),),
+    "ray-fraction": _atoms("ray", (["1/1", "2"], [["1", 1]]),),
+    "ray-multiple": _atoms("ray", (["1", "2"], [["1", 1]]), (["2", "4"], [["1", 1]])),
+    "ray-zero": _atoms("ray", (["0", "-0"], [["1", 1]]),),
+    "ray-norm-beyond-the-bound": _atoms("ray", ([2000000009, 1], [["1", 1]]),),
+    "no-atoms": {"dim": 2},
+    "bool-dim": {"dim": True, "atoms": [{"point": ["1"], "weight": [["1", 1]]}]},
+}
+
+
+@pytest.mark.parametrize("payload", list(LEFT_TO_THE_PER_ATOM_READER.values()), ids=list(LEFT_TO_THE_PER_ATOM_READER))
+def test_the_column_reader_leaves_other_forms_to_the_per_atom_reader(payload):
+    cls = SphereMeasure if "ray" in str(payload) else Measure
+    assert cls._from_columns(payload) is None
+    expected = _outcome(cls._from_atoms, payload)
+    assert _outcome(cls.from_json, payload) == expected
+    if expected is None:
+        assert _stored_order(cls.from_json(payload)) == _stored_order(cls._from_atoms(payload))
+
+
+@pytest.mark.parametrize("cls", [Measure, SphereMeasure], ids=["point", "sphere"])
+@pytest.mark.parametrize("later", ["dimension", "radicand", None])
+def test_refusals_keep_the_per_atom_order(cls, later):
+    # each bad value at several atoms and columns of a payload in the written
+    # form, some with a later atom of the wrong dimension or a bad radicand
+    field = cls._loc_field
+    def atom(loc, coeff="1/2", r=2):
+        return {field: list(loc), "weight": [[coeff, r]]}
+    checked = 0
+    for bad in BAD_VALUES:
+        for at in range(3):
+            for column in ("coefficient", 0, 1, 2):
+                atoms = [atom(["1", "2", "3"]), atom(["-1", "4", "5"]), atom(["2", "-2", "7"])]
+                if column == "coefficient":
+                    atoms[at]["weight"][0][0] = bad
+                else:
+                    atoms[at][field][column] = bad
+                if later == "dimension":
+                    atoms.append(atom(["1", "1"]))
+                elif later == "radicand":
+                    atoms.append(atom(["3", "1", "1"], r=12))
+                payload = {"dim": 3, "atoms": atoms}
+                expected = _outcome(cls._from_atoms, payload)
+                assert _outcome(cls.from_json, payload) == expected, (bad, at, column)
+                if expected is not None:
+                    assert _outcome(measure_from_json, cls, payload) == expected, (bad, at, column)
+                    checked += 1
+    assert checked
+
+
+def test_a_ray_norm_over_the_digit_limit_gets_the_library_message():
+    # the ray is read; its squared norm has 4,400 digits, and the cofactor
+    # that the trial division names is over the int digit limit
+    message = "radicand of 4390 digits exceeds the trial-division bound 1000000"
+    with pytest.raises(FactorLimitError, match=f"^{message}$"):
+        SphereMeasure(2, {("7" * 2200, 1): 1})
