@@ -23,7 +23,11 @@ plans cached (the first of the ``REPEAT`` calls fills the cache).
 
 Prints one line per case: the best time of ``REPEAT`` calls, the result's
 atom count (for the decisions, their condition count) and the SHA-256 of
-its JSON.  With ``--check`` nothing is timed: each case runs once and its
+its JSON.  A first line gives the bytes that a full plan cache retains:
+the tracemalloc size of the decider's 64 plans for 64 distinct
+``gen_pair`` pairs over the full support at n = 8, built cold before any
+case runs, whose garbage would refill the interpreter's free lists.  With
+``--check`` nothing is timed or traced: each case runs once and its
 result is compared with a per-atom reference
 (``harness.brute_force_convolution``, the double loop over the decoded
 atoms, for ``mconv``; its radial projection for ``sconv`` of projected
@@ -42,6 +46,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 
@@ -60,6 +65,7 @@ from multconv import (
 )
 from multconv.harness import brute_force_convolution, gen_interfering_measure, gen_measure, gen_pair
 from multconv.points import primitive_ray, ray_norm_sq
+from multconv.subsets import _lex_table
 from multconv.universality import _plan, decide_universal_rn
 
 PRIMES = [p for p in range(2, 3000) if all(p % d for d in range(2, int(p**0.5) + 1))]
@@ -135,17 +141,23 @@ def witness(dim: int) -> SphereMeasure:
     return decide_universal_sphere(nu, [e for e in all_subsets(dim) if e.size], pair).witness
 
 
-def decisions(dim: int, count: int = 40):
-    """The cold and the warm call deciding one measure over the full
-    support with ``count`` distinct pairs."""
-    nu = gen_measure(6, dim, 10)
-    support = list(all_subsets(dim))
+def distinct_pairs(dim: int, count: int) -> list[GeneratingPair]:
+    """The first ``count`` distinct ``gen_pair`` pairs at ``dim``."""
     pairs, seed = [], 0
     while len(pairs) < count:
         pair = gen_pair(seed, dim)
         seed += 1
         if pair not in pairs:
             pairs.append(pair)
+    return pairs
+
+
+def decisions(dim: int, count: int = 40):
+    """The cold and the warm call deciding one measure over the full
+    support with ``count`` distinct pairs."""
+    nu = gen_measure(6, dim, 10)
+    support = list(all_subsets(dim))
+    pairs = distinct_pairs(dim, count)
 
     def cold():
         reports = []
@@ -158,6 +170,24 @@ def decisions(dim: int, count: int = 40):
         return [decide_universal_rn(nu, support, pair) for pair in pairs]
 
     return cold, warm
+
+
+def plan_cache_bytes(dim: int = 8) -> tuple[int, int]:
+    """The plan count of a full cache and the bytes it retains, built cold
+    for distinct pairs over the whole space at ``dim``; the dimension's
+    mask table is built before tracing, since every plan shares it."""
+    count = _plan.cache_info().maxsize
+    pairs = distinct_pairs(dim, count)
+    family = (1 << (1 << dim)) - 1
+    _lex_table(dim)
+    _plan.cache_clear()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    for pair in pairs:
+        _plan(family, pair)
+    retained = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    return count, retained
 
 
 def same_reports(a: list, b: list) -> bool:
@@ -221,6 +251,9 @@ def main() -> int:
     parser.add_argument("--check", action="store_true", help="compare results with references; time nothing")
     args = parser.parse_args()
     failed = 0
+    if not args.check:
+        count, retained = plan_cache_bytes()
+        print(f"{f'plan cache n=8 {count} cold':32s} retained_mb={retained / 1e6:.2f}")
     for name, call, check in cases():
         if args.check:
             ok = check(call())
@@ -233,7 +266,7 @@ def main() -> int:
             result = call()
             best = min(best, time.perf_counter() - start)
         if isinstance(result, list):
-            size = sum(len(r.conditions) for r in result)
+            size = sum(len(r.outcomes) for r in result)
         elif isinstance(result, str):
             size = len(result)
         else:

@@ -18,16 +18,15 @@ per-dimension table of shared masks.
 
 A decision is a plan, which does not read the measure, and a pass over
 the measure.  The plan depends only on the support family and the pair:
-the support sets skipped as not proper and, per other E, its conditions,
-each J's bits with two immutable records, one failing and one holding.
-Records come from one store per dimension, at most ``2 * 3**n`` of them,
-so a plan holds only references; plans are cached, at most 64 (an
-``lru_cache`` keyed by the family's bit set and the pair), and a report
-takes fresh lists.  The top-order scope compiles its groups from the same
-store.
+the support sets skipped as not proper and, per other E, the bits of its
+J's, so it holds ints and the table's shared masks; plans are cached, at
+most 64 (an ``lru_cache`` keyed by the family's bit set and the pair).
+The top-order scope lists its groups in the same form.  A report keeps
+the groups and one outcome byte per condition; it builds
+``ConditionRecord`` values only when a caller reads them.
 
-One condition pass evaluates the plan E by E, by these class sums, on
-ints, picking each J's record: each atom is coded once per decision
+One condition pass evaluates the groups E by E, by these class sums, on
+ints, giving each J's outcome: each atom is coded once per decision
 and part by its nonzero and negative coordinate masks, its absolute
 coordinates over one common denominator, its radicand and its int
 coefficient; once per E, the atoms nonzero on all of E are grouped by
@@ -54,9 +53,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from operator import itemgetter
-from typing import Literal, Optional
+from typing import Iterator, Literal, Optional
 
 from .measures import _PARITY, AtomicMeasure, Measure, _parity_grid, mconv
 from .subsets import (
@@ -80,46 +79,73 @@ class ConditionRecord:
     satisfied: bool
 
 
+# an (E, [J, ...]) group: E as the dimension's shared mask, then each J's bits
+_Group = tuple[SubsetMask, tuple[int, ...]]
+
+
+def _flat(groups: tuple[_Group, ...]) -> list[tuple[SubsetMask, int]]:
+    """Each condition's E and J bits, in the order of its outcome."""
+    return [(e, j) for e, js in groups for j in js]
+
+
 @dataclass(slots=True)
 class UniversalityReport:
-    universal: bool
-    conditions: list[ConditionRecord]
+    """A decision on the conditions of ``groups``, with one outcome per
+    condition in ``outcomes``: byte 1 when it holds, 0 when it fails."""
+
+    dim: int
+    groups: tuple[_Group, ...]
+    outcomes: bytes
     witness: Optional[AtomicMeasure]
     skipped_non_proper: list[SubsetMask] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.universal != all(c.satisfied for c in self.conditions):
+        if len(self.outcomes) != sum([len(js) for _, js in self.groups]) or self.outcomes.translate(None, b"\0\1"):
             raise ValueError("decision inconsistent with the condition list")
         if not self.universal and self.witness is None:
             raise ValueError("negative decision without a witness")
 
+    @property
+    def universal(self) -> bool:
+        return 0 not in self.outcomes
+
+    def _codes(self) -> Iterator[tuple[tuple[SubsetMask, int], int]]:
+        """Each condition's E, J bits and outcome, in the report's order."""
+        return zip(_flat(self.groups), self.outcomes)
+
+    @property
+    def conditions(self) -> list[ConditionRecord]:
+        """A fresh record per condition, in the report's order."""
+        masks = _lex_table(self.dim)[0]
+        return [ConditionRecord(e, masks[j], ok == 1) for (e, j), ok in self._codes()]
+
     def failing(self) -> list[ConditionRecord]:
-        return [c for c in self.conditions if not c.satisfied]
+        masks = _lex_table(self.dim)[0]
+        return [ConditionRecord(e, masks[j], False) for (e, j), ok in self._codes() if not ok]
+
+    def _lists(self, write) -> dict:
+        """``write(mask)`` of each distinct E, J and skipped set, keyed by its bits."""
+        masks = _lex_table(self.dim)[0]
+        bits = {e.bits for e in self.skipped_non_proper}.union(*[(e.bits, *js) for e, js in self.groups])
+        return {b: write(masks[b]) for b in bits}
 
     def to_json(self) -> dict:
-        masks = {m.bits: m for c in self.conditions for m in (c.support, c.index)}
-        lists = {bits: m.to_json() for bits, m in masks.items()}  # copied per record
+        lists = self._lists(SubsetMask.to_json)  # copied per use
         return {
             "universal": self.universal,
-            "conditions": [
-                {"E": lists[c.support.bits][:], "J": lists[c.index.bits][:], "ok": c.satisfied}
-                for c in self.conditions
-            ],
+            "conditions": [{"E": lists[e.bits][:], "J": lists[j][:], "ok": ok == 1} for (e, j), ok in self._codes()],
             "witness": None if self.witness is None else self.witness.to_json(),
-            "skipped": [e.to_json() for e in self.skipped_non_proper],
+            "skipped": [lists[e.bits][:] for e in self.skipped_non_proper],
         }
 
     def to_json_text(self) -> str:
         """``json.dumps(self.to_json(), separators=(",", ":"))``, written as
         text: each distinct mask's list once per report, one string per
         condition, and the witness by its measure's text writer."""
-        masks = {m.bits: m for c in self.conditions for m in (c.support, c.index)}
-        masks.update((e.bits, e) for e in self.skipped_non_proper)
-        lists = {bits: "[" + ",".join(map(str, m.indices())) + "]" for bits, m in masks.items()}
-        flag = {True: "true", False: "false"}
+        lists = self._lists(lambda m: "[" + ",".join(map(str, m.indices())) + "]")
+        flag = ("false", "true")
         conditions = ",".join([
-            f'{{"E":{lists[c.support.bits]},"J":{lists[c.index.bits]},"ok":{flag[c.satisfied]}}}'
-            for c in self.conditions
+            f'{{"E":{lists[e.bits]},"J":{lists[j]},"ok":{flag[ok]}}}' for (e, j), ok in self._codes()
         ])
         witness = "null" if self.witness is None else self.witness.to_json_text()
         skipped = ",".join([lists[e.bits] for e in self.skipped_non_proper])
@@ -188,12 +214,15 @@ def _witness(
 
 
 def _conclude(
-    nu: AtomicMeasure, pair: GeneratingPair, conditions: list[ConditionRecord], skipped=()
+    nu: AtomicMeasure, pair: GeneratingPair, groups: tuple[_Group, ...], outcomes: bytes, skipped=()
 ) -> UniversalityReport:
-    """The report on a condition list, with a witness for its first failure."""
-    fail = next((c for c in conditions if not c.satisfied), None)
-    witness = None if fail is None else _witness(nu, pair, fail.support, fail.index)
-    return UniversalityReport(fail is None, conditions, witness, list(skipped))
+    """The report on the groups' outcomes, with a witness for the first failure."""
+    fail = outcomes.find(0)
+    witness = None
+    if fail >= 0:
+        e, j = _flat(groups)[fail]
+        witness = _witness(nu, pair, e, _lex_table(pair.dim)[0][j])
+    return UniversalityReport(pair.dim, groups, outcomes, witness, list(skipped))
 
 
 # an atom once per decision and part: nonzero mask, negative mask, absolute
@@ -274,48 +303,16 @@ def _satisfied(classes: list[_Class], j: int) -> bool:
     return False
 
 
-# the store's entry per (E, J): the records that the condition fails and
-# holds, indexed by the outcome, then the bits of J
-_Condition = tuple[ConditionRecord, ConditionRecord, int]
-# a compiled (E, [J, ...]) group
-_Entry = tuple[SubsetMask, tuple[_Condition, ...]]
-_holding = itemgetter(1)
-
-
-@cache
-def _records(dim: int) -> dict[int, _Condition]:
-    """The dimension's store of shared records, filled as plans need them,
-    keyed by ``E.bits << dim | J.bits``: at most ``2 * 3**dim`` records,
-    which every plan only references."""
-    return {}
-
-
-def _compile(groups: list[tuple[SubsetMask, list[SubsetMask]]], dim: int) -> tuple[_Entry, ...]:
-    """The entries of (E, [J, ...]) groups, their conditions from the store."""
-    store = _records(dim)
-    entries = []
-    for e, js in groups:
-        conds = []
-        for j in js:
-            key = e.bits << dim | j.bits
-            cond = store.get(key)
-            if cond is None:
-                cond = store[key] = (ConditionRecord(e, j, False), ConditionRecord(e, j, True), j.bits)
-            conds.append(cond)
-        entries.append((e, tuple(conds)))
-    return tuple(entries)
-
-
-def _evaluate(nu: AtomicMeasure, entries: tuple[_Entry, ...]) -> list[ConditionRecord]:
-    """One record per J of each compiled group, by the class sums: the one condition pass.
+def _evaluate(nu: AtomicMeasure, groups: tuple[_Group, ...]) -> bytes:
+    """One outcome byte per J of each group, by the class sums: the one condition pass.
 
     The atoms are grouped once per distinct E, whatever the group order.
     """
     sphere = isinstance(nu, SphereMeasure)
     code = _code(nu)
     groupings: dict[int, tuple[list[_Class], bool]] = {}
-    records: list[ConditionRecord] = []
-    for e, conds in entries:
+    outcomes: list[bytes] = []
+    for e, js in groups:
         grouping = groupings.get(e.bits)
         if grouping is None:
             classes = _classes(code, e, sphere)
@@ -323,10 +320,10 @@ def _evaluate(nu: AtomicMeasure, entries: tuple[_Entry, ...]) -> list[ConditionR
             grouping = groupings[e.bits] = (classes, 1 in map(len, classes))
         classes, single = grouping
         if single:
-            records += map(_holding, conds)
+            outcomes.append(b"\1" * len(js))
         else:
-            records += [c[_satisfied(classes, c[2])] for c in conds]
-    return records
+            outcomes.append(bytes([_satisfied(classes, j) for j in js]))
+    return b"".join(outcomes)
 
 
 def _whole_space(dim: int, sphere: bool) -> list[SubsetMask]:
@@ -347,7 +344,7 @@ def _index_sets(support, pair: GeneratingPair) -> list[tuple[SubsetMask, list[Su
 
     The index set of (E, pair) is the members of the whole space's index set
     inside E, so one is tested in all, on ints in the lex order of the
-    dimension's table (``subsets._lex_table``), whose masks the records take.
+    dimension's table (``subsets._lex_table``), whose masks the reports take.
     """
     n = pair.dim
     _refuse_other_dims(support, n)
@@ -357,22 +354,17 @@ def _index_sets(support, pair: GeneratingPair) -> list[tuple[SubsetMask, list[Su
     return [(masks[e], [masks[j] for j in whole if not j & ~e]) for e in ordered]
 
 
-@dataclass(frozen=True, slots=True)
-class _Plan:
+@lru_cache(maxsize=64)
+def _plan(family: int, pair: GeneratingPair) -> tuple[tuple[SubsetMask, ...], tuple[_Group, ...]]:
     """What a decision over a support family and a pair needs before it
     reads the measure: the support sets skipped as not proper, and the
-    compiled groups of the others."""
-
-    skipped: tuple[SubsetMask, ...]
-    entries: tuple[_Entry, ...]
-
-
-@lru_cache(maxsize=64)
-def _plan(family: int, pair: GeneratingPair) -> _Plan:
-    """The plan of the support family with bit ``E.bits`` set per member."""
+    groups of the others.  The family has bit ``E.bits`` set per member."""
     masks = _lex_table(pair.dim)[0]
     groups = _index_sets([m for m in masks if family >> m.bits & 1], pair)
-    return _Plan(tuple([e for e, js in groups if not js]), _compile([g for g in groups if g[1]], pair.dim))
+    return (
+        tuple([e for e, js in groups if not js]),
+        tuple([(e, tuple([j.bits for j in js])) for e, js in groups if js]),
+    )
 
 
 def decide_universal_rn(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityReport:
@@ -397,8 +389,8 @@ def decide_universal_rn(nu: AtomicMeasure, support, pair: GeneratingPair) -> Uni
         if e.dim != n:
             _refuse_other_dims(support, n)
         family |= 1 << e.bits
-    plan = _plan(family, pair)
-    return _conclude(nu, pair, _evaluate(nu, plan.entries), plan.skipped)
+    skipped, groups = _plan(family, pair)
+    return _conclude(nu, pair, groups, _evaluate(nu, groups), skipped)
 
 
 # the setting is read from the measure, so the sphere needs no decider of its own
@@ -460,15 +452,16 @@ def decide_special(
         if nu.order_of() != full:
             raise ValueError("top-order scope requires a measure of full order")
         masks, order, _ = _lex_table(n)
-        groups: list[tuple[SubsetMask, list[SubsetMask]]] = []
-        for j in (masks[bits] for bits in _index_bits(pair, order)):
-            if sphere and j.size == 0:
+        top: list[_Group] = []
+        for j in _index_bits(pair, order):
+            if sphere and not j:
                 # the empty index collapses to one condition per axis
-                groups.extend((masks[1 << i], [j]) for i in range(n))
+                top.extend((masks[1 << i], (j,)) for i in range(n))
             else:
                 # on a measure of full order, the (J, J) condition on its projection
-                groups.append((j, [j]))
-        return _conclude(nu, pair, _evaluate(nu, _compile(groups, n)))
+                top.append((masks[j], (j,)))
+        groups = tuple(top)
+        return _conclude(nu, pair, groups, _evaluate(nu, groups))
     elif scope != "full":
         raise ValueError(f"unknown scope {scope!r}")
     report = decide_universal_rn(nu, _whole_space(n, sphere), pair)

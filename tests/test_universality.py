@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import re
 from fractions import Fraction
@@ -589,6 +590,24 @@ def test_index_sets_match_the_definition(n):
 CLASSES = ("unconditional", "symmetric", "antisymmetric", "none")
 
 
+def assert_readers_agree(nu, pair, report):
+    """The report's readers of its codes give what its records give."""
+    records = report.conditions
+    expected = {
+        "universal": all(c.satisfied for c in records),
+        "conditions": [{"E": c.support.to_json(), "J": c.index.to_json(), "ok": c.satisfied} for c in records],
+        "witness": None if report.witness is None else report.witness.to_json(),
+        "skipped": [e.to_json() for e in report.skipped_non_proper],
+    }
+    assert report.universal == expected["universal"]
+    assert report.to_json() == expected
+    assert report.to_json_text() == json.dumps(expected, separators=(",", ":"))
+    assert report.failing() == [c for c in records if not c.satisfied]
+    fail = next((c for c in records if not c.satisfied), None)
+    if fail is not None:
+        assert report.witness == universality._witness(nu, pair, fail.support, fail.index)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_plan_cache_leaves_every_report_unchanged(n):
     # a report made on a cached plan equals the one made after clearing the cache
@@ -604,10 +623,11 @@ def test_plan_cache_leaves_every_report_unchanged(n):
         calls = []
         # an even measure fails on the classes that do not allow its symmetry
         for nu in (base, base + base.reflect(SubsetMask.full(n))):
-            calls += [lambda nu=nu, pair=pair, support=support: decide_universal_rn(nu, support, pair)
+            calls += [(nu, pair, lambda nu=nu, pair=pair, support=support: decide_universal_rn(nu, support, pair))
                       for pair in pairs for support in supports]
-            calls += [lambda nu=nu, klass=klass: decide_special(nu, klass) for klass in CLASSES]
-        for call in calls:
+            calls += [(nu, class_pair(klass, n), lambda nu=nu, klass=klass: decide_special(nu, klass))
+                      for klass in CLASSES]
+        for nu, pair, call in calls:
             call()
             hits = plan.cache_info().hits
             warm = call()
@@ -616,8 +636,46 @@ def test_plan_cache_leaves_every_report_unchanged(n):
             cold = call()
             assert warm.conditions == cold.conditions
             assert warm.to_json() == cold.to_json()
+            assert_readers_agree(nu, pair, cold)
             negative += not cold.universal
     assert negative
+
+
+def test_decisions_and_writers_build_no_condition_record(monkeypatch):
+    # a decision and its writers read the int codes; records are built only
+    # when a caller reads them
+    built = []
+    init = ConditionRecord.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ConditionRecord, "__init__", counting)
+    reports = []
+    for n in (1, 2, 3):
+        full = SubsetMask.full(n)
+        pair = gen_proper_pair(n, n)
+        point = _top_order_measure(15_000 + n, n)
+        for nu in (point, radial_project(point)):
+            sphere = isinstance(nu, SphereMeasure)
+            # the odd part of a measure of full order fails the classes that allow no odd symmetry
+            for mu in (nu, nu - nu.reflect(full)):
+                assert mu.order_of() == full
+                reports.append(decide_universal_rn(mu, full_support(n, sphere), pair))
+                reports += [decide_special(mu, klass, scope) for klass in CLASSES for scope in ("full", "top-order")]
+                if not sphere:
+                    reports.append(decide_special(mu, "unconditional", "positive-orthant"))
+    for report in reports:
+        report.to_json()
+        report.to_json_text()
+    assert not built
+    assert any(r.universal for r in reports) and any(not r.universal for r in reports)
+    for report in reports:
+        assert len(report.conditions) == len(built) == len(report.outcomes) > 0
+        built.clear()
+    with pytest.raises(AttributeError):
+        reports[0].conditions = []
 
 
 def test_reports_of_one_plan_keep_their_own_lists():
@@ -651,9 +709,14 @@ def test_plan_cache_stays_bounded():
         decide_universal_rn(nu, full_support(n), pair)
         assert plan.cache_info().currsize <= maxsize
     assert plan.cache_info().currsize == maxsize
-    store = universality._records(n)
-    records = {id(r) for condition in store.values() for r in condition[:2]}
-    assert 0 < len(records) <= 2 * 3**n
+    # the cached plans hold the table's masks and J bits, no record
+    family = sum(1 << e.bits for e in full_support(n))
+    hits = plan.cache_info().hits
+    cached = [plan(family, pair) for pair in pairs[-maxsize:]]
+    assert plan.cache_info().hits == hits + maxsize
+    for skipped, groups in cached:
+        assert all(type(e) is SubsetMask for e in skipped)
+        assert all(type(e) is SubsetMask and all(type(j) is int for j in js) for e, js in groups)
 
 
 def test_condition_records_stay_frozen():
@@ -734,15 +797,22 @@ _E2 = SubsetMask.full(2)
         (lambda: class_pair("foo", 2), "unknown symmetry class 'foo'"),
         (lambda: decide_special(_NU2, "unconditional", scope="bar"), "unknown scope 'bar'"),
         (
-            lambda: UniversalityReport(True, [ConditionRecord(_E2, _E2, False)], None),
+            lambda: UniversalityReport(2, ((_E2, (_E2.bits,)),), b"\1\1", None),
             "decision inconsistent with the condition list",
         ),
         (
-            lambda: UniversalityReport(False, [ConditionRecord(_E2, _E2, False)], None),
+            lambda: UniversalityReport(2, ((_E2, (_E2.bits,)),), b"\2", None),
+            "decision inconsistent with the condition list",
+        ),
+        (
+            lambda: UniversalityReport(2, ((_E2, (_E2.bits,)),), b"\0", None),
             "negative decision without a witness",
         ),
     ],
-    ids=["decide-pair-dim", "obstruction-pair-dim", "class-name", "scope", "report-inconsistent", "report-no-witness"],
+    ids=[
+        "decide-pair-dim", "obstruction-pair-dim", "class-name", "scope",
+        "report-inconsistent", "report-bad-outcome", "report-no-witness",
+    ],
 )
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
