@@ -38,7 +38,14 @@ output:
   weights as text), ``weight_at`` at each support location,
   ``total_mass``, ``tv_norm`` and ``jordan``, and once the message of a
   sphere weight whose norm is too large to factor (``moment_g`` is left
-  out, as its floats may differ between Python versions).
+  out, as its floats may differ between Python versions);
+- ``codec``: seeded payloads in every form the readers accept (as
+  ``to_json`` writes them, with ints among the strings, weights of several
+  terms, repeats that cancel, zero coefficients, multiples of a ray and
+  other number forms) and each bad value of the codec tests at each slot
+  (point coordinate, ray entry, coefficient, radicand), read by
+  ``from_json`` and by the public constructor: ``atoms`` in insertion order
+  and ``to_json()``, or the exception's type and message.
 
 The cli requests run in-process in a temporary directory, with relative
 file names, so the output does not depend on where that directory is.
@@ -56,6 +63,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 from fractions import Fraction
 
@@ -326,6 +334,87 @@ def surface(group: Group, n: int) -> None:
         group.add(["factor-limit", outcome(radial_project, Measure(4, {x: 1}))])
 
 
+CODEC_FORMS = ("written", "ints", "several-terms", "cancelling", "zero", "ray-multiple", "other-forms")
+BAD_VALUES = ("1/0", "1e5", "1/-2", "1 /2", "1/ 2", "", "--1", "abc", "1/", 0.5, True, None, [1])
+
+
+def codec_payload(seed: int, n: int, form: str) -> tuple[type, dict]:
+    """A seeded payload in the written form, then changed into ``form``."""
+    rng = random.Random(f"codec:{seed}:{n}:{form}")
+    cls = SphereMeasure if form == "ray-multiple" or rng.random() < 0.5 else Measure
+    field = cls._loc_field
+
+    def ratio(low, high, den):
+        return f"{rng.randrange(low, high)}/{rng.randrange(1, den)}"
+
+    atoms = []
+    for k in range(1 + seed % 6):
+        loc = [str(rng.randrange(-4, 5)) if cls is SphereMeasure else ratio(-4, 5, 4) for _ in range(n)]
+        loc[k % n] = str(rng.randrange(1, 9))  # never the zero ray
+        atoms.append({field: loc, "weight": [[ratio(-9, 10, 5), rng.choice((1, 2, 3, 6))]]})
+    data = cls.from_json({"dim": n, "atoms": atoms}).to_json()
+    atoms = data["atoms"] or [{field: ["1"] * n, "weight": [["1", 1]]}]
+    data["atoms"] = atoms
+    for atom in atoms:
+        loc, weight = atom[field], atom["weight"]
+        if form == "ints":
+            atom[field] = [int(c) if "/" not in c and rng.random() < 0.5 else c for c in loc]
+        elif form == "several-terms" and rng.random() < 0.7:
+            weight.insert(0, [ratio(-5, 6, 4), rng.choice((1, 2, 5, 6, 10))])
+        elif form == "zero" and rng.random() < 0.4:
+            weight[0][0] = rng.choice(("0", "-0/3"))
+        elif form == "other-forms":
+            atom[field] = [rng.choice(("+3", " 7 ", "6/4", "1_000", "-0", "1.25", c)) for c in loc]
+            weight[0][0] = rng.choice(("+2", "0.5", "4/6", weight[0][0]))
+    for atom in list(atoms):
+        if form == "cancelling" and rng.random() < 0.6:
+            atoms.append({field: atom[field], "weight": [[str(-Fraction(c)), r] for c, r in atom["weight"]]})
+        elif form == "ray-multiple" and rng.random() < 0.6:
+            atoms.append({field: [str(3 * int(c)) for c in atom[field]], "weight": [["1/2", 3]]})
+    rng.shuffle(atoms)
+    return cls, data
+
+
+def read_outcome(call, *args):
+    """``atoms`` in insertion order and ``to_json()`` of the measure read,
+    or the type and message of the exception raised."""
+    try:
+        mu = call(*args)
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    return [[[str(c) for c in loc] for loc in mu.atoms], mu.to_json()]
+
+
+def read_both_ways(group: Group, label: list, cls: type, data: dict) -> None:
+    """``data`` read by ``from_json`` and, with each weight read by
+    ``Surd.from_json``, by the constructor."""
+    def construct():
+        field = cls._loc_field
+        return cls(data["dim"], [(tuple(atom[field]), Surd.from_json(atom["weight"])) for atom in data["atoms"]])
+
+    group.add(label + ["from_json", read_outcome(cls.from_json, data)])
+    group.add(label + ["constructor", read_outcome(construct)])
+
+
+def codec(group: Group, n: int) -> None:
+    for seed in range(SEEDS):
+        for form in CODEC_FORMS:
+            cls, data = codec_payload(seed, n, form)
+            read_both_ways(group, [n, seed, form], cls, data)
+    good = ["1"] * n
+    for bad in BAD_VALUES:
+        for slot in ("point", "ray", "coefficient", "radicand"):
+            cls = SphereMeasure if slot == "ray" else Measure
+            field = cls._loc_field
+            loc = good[:-1] + [bad] if slot in ("point", "ray") else good
+            weight = [[bad, 1]] if slot == "coefficient" else [["1/2", bad]] if slot == "radicand" else [["1", 1]]
+            data = {"dim": n, "atoms": [{field: good, "weight": [["1", 2]]}, {field: loc, "weight": weight}]}
+            read_both_ways(group, [n, repr(bad), slot], cls, data)
+        # the constructor reads a weight given as the bad value itself
+        rows = [(tuple(good), 1), (tuple(good), bad)]
+        group.add([n, repr(bad), "weight", read_outcome(Measure, n, rows)])
+
+
 def subset_arg(mask: SubsetMask) -> str:
     return ",".join(str(i) for i in mask.indices()) or "0"
 
@@ -453,7 +542,7 @@ def main():
     parser.add_argument("--max-dim", type=int, default=3)
     max_dim = parser.parse_args().max_dim
     names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra", "linear", "surds",
-             "surface")
+             "surface", "codec")
     groups = {name: Group() for name in names}
     for n in range(1, max_dim + 1):
         decisions(groups["decisions"], n)
@@ -465,6 +554,7 @@ def main():
         linear(groups["linear"], n)
         surds(groups["surds"], n)
         surface(groups["surface"], n)
+        codec(groups["codec"], n)
     for name in names:
         print(f"{name} {groups[name].count} {groups[name].hash.hexdigest()}")
 

@@ -14,7 +14,9 @@ sphere decision: ``component_patterns`` and ``SphereMeasure.from_json``
 of its JSON.  The codec cases read and write a 60-atom n = 3 point measure
 whose coordinates are distinct signed primes over distinct prime
 denominators (``from_json`` of its JSON, the text writer ``to_json_text``
-and ``json.dumps`` of ``to_json()``), and write that witness both ways.
+and ``json.dumps`` of ``to_json()``), and write that witness both ways;
+one more ``from_json`` reads that measure's JSON with one coordinate
+written as a JSON int and one weight given a second term.
 The decision cases run ``decide_universal_rn`` on one
 10-atom point measure over the full support with 40 distinct
 ``harness.gen_pair`` pairs, at n = 4 and n = 8, twice: cold, with the
@@ -33,7 +35,8 @@ result is compared with a per-atom reference
 atoms, for ``mconv``; its radial projection for ``sconv`` of projected
 points; the double loop over the decoded sphere atoms for ``sconv`` of
 several parts; one zero pattern per atom; the measure itself for
-``from_json``; for the writers, the bytes of the other writer and the
+``from_json``, and the per-atom reader ``_from_atoms`` for the mixed
+payload; for the writers, the bytes of the other writer and the
 measure read back; for the decisions, each report's JSON with that of the
 same decision in the other mode), and the script exits 1 on a mismatch.
 
@@ -229,6 +232,11 @@ def cases():
     mu = distinct_measure(4, 3, 60)
     text = json.loads(dumps(mu))
     yield ("from_json n=3 60 distinct", lambda: Measure.from_json(text), lambda r: r == mu)
+    # no other coordinate is an int: each has a prime denominator
+    mixed = json.loads(dumps(mu))
+    mixed["atoms"][0]["point"][0] = 1
+    mixed["atoms"][1]["weight"].append(["1/7", 2])
+    yield ("from_json n=3 60 mixed", lambda: Measure.from_json(mixed), lambda r: r == Measure._from_atoms(mixed))
     yield from writers("n=3 60 distinct", mu)
     for dim in (4, 8):
         cold, warm = decisions(dim)

@@ -29,16 +29,16 @@ tuples of ints and adds and multiplies ints, once per part (per pair of
 parts for a product); locations are decoded to ``Fraction`` points, and
 weights to :class:`Surd` values, only at the public surface, where the
 weight at ``v`` is the stored mass times the root of ``v``'s squared norm
-(``_norms``; 1 for points) in both settings.  The JSON codec builds neither, and reads and writes whole
-columns of values rather than one atom at a time.  ``from_json`` reads a
-payload in the form ``to_json`` writes (one weight term per atom, distinct
-locations) with one regex match over the distinct ``"p/q"`` texts of the
-coordinates and one over those of the coefficients, C-level ``int`` maps,
-one lcm scaling and ``dict(zip(keys, coefficients))``; anything else goes
-to the per-atom reader, which refuses each error with its message in the
-constructor's order.  ``to_json`` and the compact text writer
-``to_json_text`` share one pass that writes each distinct value's reduced
-``"p/q"`` text once.
+(``_norms``; 1 for points) in both settings.  The JSON codec builds
+neither, and reads and writes whole columns of values.  The constructor
+and both JSON readers end in one builder, ``_build``, on int columns of one
+row per weight term.  ``from_json`` reads ``"p/q"`` strings and ints with
+one regex match over the distinct texts of the coordinates and one over
+those of the coefficients and C-level ``int`` maps; a payload holding
+another number form or a value to refuse goes to the per-atom reader,
+which refuses each error with its message in the constructor's order.
+``to_json`` and the compact text writer ``to_json_text`` share one pass
+that writes each distinct value's reduced ``"p/q"`` text once.
 """
 
 from __future__ import annotations
@@ -49,13 +49,12 @@ from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import add, eq, floordiv, ge, itemgetter, lshift, mul, ne, neg, not_, sub
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .points import Point, make_point, point_values
 from .scalars import (
     Surd,
     SurdLike,
-    _accumulate,
     _canonical,
     _json_terms,
     _ratio_text,
@@ -114,31 +113,21 @@ def _root_product(s: int, r: int) -> tuple[int, int]:
     return g, (s // g) * (r // g)
 
 
-def _times_root(n: int, coeffs: Iterable[tuple[int, object]]) -> list[tuple[int, int, object]]:
-    """Each ``(s, x)`` as ``(t, m, x)`` for ``sqrt(s) * sqrt(n) = m * sqrt(t)``:
-    with ``n = k**2 f`` and ``sqrt(s) sqrt(f) = g sqrt(t)``, ``m = g * k``.
-    The map from ``s`` to ``t`` is one-to-one."""
-    k, f = square_free_decompose(n)
-    out = []
-    for s, x in coeffs:
-        g, t = _root_product(s, f)
-        out.append((t, g * k, x))
-    return out
-
-
-def _root_columns(rads: Iterable[int], norms: Iterable[int]) -> tuple[list[int], list[int]]:
-    """``_times_root`` on columns: for each ``(s, n)`` the ``(t, m)`` with
-    ``sqrt(s) * sqrt(n) = m * sqrt(t)``, as a column of ``t`` and one of
-    ``m``, each distinct ``(s, n)`` decomposed once, in order of first
-    appearance."""
+def _root_columns(rads: Iterable[int], coeffs: Iterable[int], norms: Iterable[int]) -> tuple[tuple, list[int]]:
+    """Nonempty columns of terms ``c sqrt(s)`` times ``sqrt(n)``, one ``n`` per
+    term, as columns of ``t`` and ``c m`` for ``sqrt(s) sqrt(n) = m sqrt(t)``
+    (``m = g k`` for ``n = k**2 f`` and ``g = gcd(s, f)``, as the product of
+    coprime square-free numbers is square-free), each distinct norm factored
+    once.  For one ``n``, ``s`` to ``t`` is one-to-one."""
     pairs = list(zip(rads, norms))
+    factors = {}
     roots = {}
     for s, n in dict.fromkeys(pairs):
-        k, f = square_free_decompose(n)
-        g, t = _root_product(s, f)
-        roots[s, n] = t, g * k
+        k, f = factors.get(n) or factors.setdefault(n, square_free_decompose(n))
+        g = math.gcd(s, f)
+        roots[s, n] = (s // g) * (f // g), g * k
     ts, ms = zip(*map(roots.__getitem__, pairs))
-    return list(ts), list(ms)
+    return ts, list(map(mul, coeffs, ms))
 
 
 def _rows(values: Iterable, dim: int) -> list[tuple]:
@@ -221,12 +210,12 @@ class AtomicMeasure:
     a key held by several parts at its first.
 
     The public constructor checks every weight, then normalises every
-    location and checks its dimension, merges repeats and divides each
-    weight by that root on ints; it is the entry for user
-    input, and ``from_json`` reads JSON in the same order without building
-    a ``Fraction`` or a :class:`Surd` per atom.  Parts the library built
-    itself, of the right dimension and keyed over a common denominator, go
-    through the trusted constructor ``_of`` instead.
+    location and checks its dimension; it is the entry for user input, and
+    ``from_json`` reads JSON in the same order without building a
+    ``Fraction`` or a :class:`Surd` per atom.  Both end in ``_build``, which
+    divides each weight by that root on ints and merges repeats.  Parts the
+    library built itself, of the right dimension and keyed over a common
+    denominator, go through the trusted constructor ``_of`` instead.
     """
 
     __slots__ = ("dim", "_parts", "_den", "_wden")
@@ -242,31 +231,56 @@ class AtomicMeasure:
         items = atoms.items() if isinstance(atoms, Mapping) else atoms
         self._assemble(dim, [(loc, _surd_terms(w)) for loc, w in items])
 
-    def _assemble(self, dim: int, rows: list[tuple[object, Terms]]) -> None:
+    def _assemble(self, dim: int, rows: list[tuple[object, Terms]]) -> Self:
         """Initialise from locations as given and checked ``(r, p, q)`` weight
-        terms: key the locations by ``_locate``, merge repeats, divide each
-        weight by the root of its key's ``_norms`` entry and split the masses
-        into parts."""
+        terms, keyed by ``_locate``, through ``_build`` on one row per term (a
+        weight with no term gives a zero term: its norm is still factored)."""
         keys, den = self._locate([loc for loc, _ in rows], dim)
-        merged: dict[Key, dict[int, tuple[int, int]]] = {}
-        for v, (_, terms) in zip(keys, rows):
-            acc = merged.get(v)
-            if acc is None:
-                acc = merged[v] = {}
-            for r, p, q in terms:
-                _accumulate(acc, r, p, q)
-        masses = []
-        for (v, acc), n in zip(merged.items(), self._norms(list(merged)) or repeat(1)):
-            if n != 1:
-                # (p/q) sqrt(r) / sqrt(n) = (p*m / (q*n)) sqrt(t)
-                acc = {t: (p * m, q * n) for t, m, (p, q) in _times_root(n, acc.items())}
-            masses.append((v, _canonical(acc)))
-        wden = math.lcm(*[q for _, terms in masses for _, _, q in terms])
-        parts: Parts = {}
-        for v, terms in masses:
-            for r, p, q in terms:
-                parts.setdefault(r, {})[v] = p * (wden // q)
+        weights = [terms or ((1, 0, 1),) for _, terms in rows]
+        terms = list(chain.from_iterable(weights))
+        if len(terms) != len(keys):
+            keys = list(chain.from_iterable(map(repeat, keys, map(len, weights))))
+        rads, nums, dens = list(zip(*terms)) or ((), (), ())
+        return self._build(dim, keys, rads, nums, dens, den)
+
+    def _build(self, dim: int, keys: list[Key], rads: Sequence[int], nums: Sequence[int],
+               dens: Sequence[int] | None, den: int) -> Self:
+        """Initialise from one row per weight term: its key over ``den``, its
+        square-free radicand and its coefficient, ``nums`` over ``dens`` (None
+        when all are 1), divided by the root of the key's ``_norms`` entry and
+        scaled over one lcm.  Where a key repeats or a coefficient is zero, the
+        terms are summed per key and radicand, zero sums dropped, and the parts
+        made key by key in radicand order, as a canonical weight lists them."""
+        norms = self._norms(keys)
+        if norms:  # none for points or no rows
+            # the mass is the weight over sqrt(n): (p/q) sqrt(r) = (p*m / (q*n)) sqrt(t)
+            rads, nums = _root_columns(rads, nums, norms)
+            dens = norms if dens is None else list(map(mul, dens, norms))
+        wden = 1 if dens is None else math.lcm(*dens)
+        if wden != 1:
+            nums = list(map(mul, nums, map(floordiv, repeat(wden), dens)))
+        parts: Parts | None = None
+        if all(nums):
+            if len(set(rads)) == 1:
+                part = dict(zip(keys, nums))
+                # a shorter dict means a repeated key
+                parts = {rads[0]: part} if len(part) == len(keys) else None
+            elif len(set(keys)) == len(keys):
+                parts = {}
+                for v, t, c in zip(keys, rads, nums):
+                    parts.setdefault(t, {})[v] = c
+        if parts is None:
+            sums: dict[Key, dict[int, int]] = {}
+            for v, t, c in zip(keys, rads, nums):
+                acc = sums.setdefault(v, {})
+                acc[t] = acc.get(t, 0) + c
+            parts = {}
+            for v, acc in sums.items():
+                for t in sorted(acc):
+                    if acc[t]:
+                        parts.setdefault(t, {})[v] = acc[t]
         self._init(dim, parts, den, wden)
+        return self
 
     @classmethod
     def _of(cls, dim: int, parts: Parts, den: int = 1, wden: int = 1) -> Self:
@@ -342,7 +356,8 @@ class AtomicMeasure:
         norms = self._norms([v]) if coeffs else None
         n = 1 if norms is None else norms[0]
         if n != 1:
-            coeffs = [(t, c * m) for t, m, c in _times_root(n, coeffs)]
+            rads, cs = zip(*coeffs)
+            coeffs = list(zip(*_root_columns(rads, cs, repeat(n))))
         coeffs.sort()
         return coeffs
 
@@ -588,8 +603,7 @@ class AtomicMeasure:
             return locs, [tuple([(_ratio_text(c, wden), t) for t, c in self._weight(v)]) for v in keys]
         norms = self._norms(keys)
         if norms is not None:
-            rads, ms = _root_columns(rads, norms)
-            coeffs = list(map(mul, coeffs, ms))
+            rads, coeffs = _root_columns(rads, coeffs, norms)
         return locs, list(zip(zip(map(_text_of(coeffs, wden), coeffs), rads)))
 
     def to_json(self) -> dict:
@@ -624,21 +638,18 @@ class AtomicMeasure:
         field = cls._loc_field
         entries = [(entry[field], _json_terms(entry["weight"])) for entry in data.get("atoms", [])]
         dim = _positive(json_dim(data))
-        out = cls.__new__(cls)
-        out._assemble(dim, entries)
-        return out
+        return cls.__new__(cls)._assemble(dim, entries)
 
     @classmethod
     def _from_columns(cls, data) -> Self | None:
-        """``from_json`` on coordinate columns, for payloads in the form that
-        ``to_json`` writes: every location a list of ``dim`` entries, every
-        weight one ``[coefficient, radicand]`` term, the locations read by
-        ``_locate_entries``, the coefficients by ``_rational_column`` and
-        nonzero, the radicands square-free ints, and no two atoms at one
-        location.  Keys and coefficients are scaled by C-level maps and the
-        parts built with no per-atom merge; ``_init`` reduces ``_den`` and
-        ``_wden``.  None for any other payload, which ``from_json`` then reads
-        atom by atom, so that every refusal keeps its type, message and order."""
+        """``from_json`` on coordinate columns: locations of ``dim`` entries
+        read by ``_locate_entries``, weights of ``[coefficient, radicand]``
+        terms, the coefficients read by ``_rational_column`` and the radicands
+        square-free ints, flattened to one row per term for ``_build``.  None
+        for a payload holding a value this reader cannot read (another number
+        form, a value to refuse, a ray that ``int`` refuses, a weight with no
+        terms), which ``from_json`` then reads atom by atom, so that every
+        refusal keeps its type, message and order."""
         if type(data) is not dict:
             return None
         dim, atoms = data.get("dim"), data.get("atoms")
@@ -651,9 +662,9 @@ class AtomicMeasure:
             return None
         if set(map(type, locs)) != {list} or set(map(len, locs)) != {dim}:
             return None
-        if set(map(type, weights)) != {list} or set(map(len, weights)) != {1}:
+        if set(map(type, weights)) != {list} or not all(weights):
             return None
-        terms = list(map(itemgetter(0), weights))
+        terms = list(chain.from_iterable(weights))
         if set(map(type, terms)) != {list} or set(map(len, terms)) != {2}:
             return None
         coeffs, rads = zip(*terms)
@@ -661,35 +672,15 @@ class AtomicMeasure:
         read = _rational_column(coeffs)
         if located is None or read is None or set(map(type, rads)) != {int}:
             return None
-        keys, den = located
-        nums, dens = read
         try:
-            if not all(nums) or not all([r == 1 or r > 1 and square_free_decompose(r)[1] == r for r in set(rads)]):
+            if not all([r == 1 or r > 1 and square_free_decompose(r)[1] == r for r in set(rads)]):
                 return None
-            norms = cls._norms(keys)
-            if norms is not None:
-                # the mass is the weight over sqrt(n): (p/q) sqrt(r) = (p*m / (q*n)) sqrt(t)
-                rads, ms = _root_columns(rads, norms)
-                nums = list(map(mul, nums, ms))
-                dens = norms if dens is None else list(map(mul, dens, norms))
         except ValueError:  # a factor beyond the trial-division bound
             return None
-        wden = 1 if dens is None else math.lcm(*dens)
-        if wden != 1:
-            nums = list(map(mul, nums, map(floordiv, repeat(wden), dens)))
-        if len(set(rads)) == 1:
-            parts = {rads[0]: dict(zip(keys, nums))}
-            if len(parts[rads[0]]) != len(keys):
-                return None  # atoms merge
-        else:
-            if len(set(keys)) != len(keys):
-                return None  # atoms merge
-            parts = {}
-            for v, t, c in zip(keys, rads, nums):
-                parts.setdefault(t, {})[v] = c
-        out = cls.__new__(cls)
-        out._init(dim, parts, den, wden)
-        return out
+        keys, den = located
+        if len(terms) != len(keys):
+            keys = list(chain.from_iterable(map(repeat, keys, map(len, weights))))
+        return cls.__new__(cls)._build(dim, keys, rads, *read, den)
 
 
 class Measure(AtomicMeasure):

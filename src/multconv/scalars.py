@@ -177,30 +177,36 @@ _ONE = {"": "1"}
 
 def _rational_column(values: Sequence) -> tuple[Sequence[int], Sequence[int] | None] | None:
     """A column of rationals as numerators and denominators, not reduced,
-    the denominators ``None`` when every one is 1: for a column of ints, or
-    of the strings that ``_rational_pair`` reads straight.  Each distinct
-    string is read once: all are checked by one match on their joined text
-    and parsed by C-level maps.  ``None`` for any other column (mixed types,
-    other forms, a zero denominator, a number over the int digit limit),
-    which the per-value readers then refuse or read."""
+    the denominators ``None`` when every one is 1: for a column of ints and
+    of the strings that ``_rational_pair`` reads straight, in any mix.  Each
+    distinct string is read once: all are checked by one match on their
+    joined text and parsed by C-level maps.  ``None`` for any other column
+    (other types or forms, a zero denominator, a number over the int digit
+    limit), which the per-value readers then refuse or read."""
     types = set(map(type, values))
     if types == {int}:
         return values, None
-    if types != {str}:
+    if not types <= {int, str}:
         return None
     distinct = list(set(values))
+    ints = [v for v in distinct if type(v) is int] if int in types else ()
+    if ints:
+        distinct = [v for v in distinct if type(v) is str]
     text = ",".join(distinct) + ","
     # a comma inside a value would split it in two
     if text.count(",") != len(distinct) or not _RATIONALS.fullmatch(text):
         return None
     try:
         if "/" not in text:
-            return list(map(dict(zip(distinct, map(int, distinct))).__getitem__, values)), None
+            # an int is its own numerator
+            return list(map(dict(zip(distinct, map(int, distinct))).get, values, values)), None
         split = list(map(str.partition, distinct, repeat("/")))
         dens = list(map(itemgetter(2), split))
         pairs = dict(zip(distinct, zip(map(int, map(itemgetter(0), split)), map(int, map(_ONE.get, dens, dens)))))
     except ValueError:  # over the digit limit
         return None
+    if ints:
+        pairs.update(zip(ints, zip(ints, repeat(1))))
     nums, dens = zip(*map(pairs.__getitem__, values))
     return nums, dens
 

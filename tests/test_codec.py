@@ -344,9 +344,9 @@ def test_report_text_writer_is_byte_equal_to_json_dumps():
 
 
 def _column_payloads(seed):
-    """A payload in the form ``to_json`` writes, mostly, with the forms the
-    column reader leaves to the per-atom reader mixed in at random: repeats,
-    several terms, zero and odd coefficients, ints, other number forms."""
+    """A payload in the form ``to_json`` writes, mostly, with other forms
+    that the column reader reads mixed in at random: repeats, several
+    terms, zero and unreduced coefficients, ints among strings."""
     rng = random.Random(seed)
     sphere = rng.random() < 0.5
     dim = rng.randrange(1, 5)
@@ -383,44 +383,99 @@ def test_column_reader_equals_the_per_atom_reader():
             assert (got._den, got._wden) == (ref._den, ref._wden), seed
         assert cls.from_json(payload) == ref
         assert _stored_order(cls.from_json(payload)) == _stored_order(ref)
-    # both readers ran on a good share of the payloads
-    assert 150 < read < 350, read
+    # the column reader read every payload
+    assert read == 400, read
 
 
 def _atoms(field, *atoms):
     return {"dim": 2, "atoms": [{field: loc, "weight": weight} for loc, weight in atoms]}
 
 
-# payloads the column reader leaves to the per-atom reader, one per reason
-LEFT_TO_THE_PER_ATOM_READER = {
-    # a zero weight would make the part of its radicand first
+# the squared norm of the ray (2000000009, 1), whose prime factor is beyond the
+# trial-division bound
+BEYOND = 2000000009**2 + 1
+
+# payloads outside the written form that the column reader reads, one per
+# form, each as the per-atom reader reads it or with the same refusal
+READ_BY_COLUMNS = {
+    # a zero weight must not make the part of its radicand first
     "zero-coefficient": _atoms("point", (["1", "2"], [["0", 2]]), (["1", "3"], [["1", 3]]), (["2", "3"], [["1", 2]])),
     "repeat": _atoms("point", (["1", "2"], [["1", 1]]), (["2/2", "2"], [["1", 1]])),
     "repeat-across-radicands": _atoms("point", (["1", "2"], [["1", 3]]), (["1", "2"], [["1", 2]])),
     "several-terms": _atoms("point", (["1", "2"], [["1", 3], ["1", 2]]),),
-    "no-term": _atoms("point", (["1", "2"], []),),
     "mixed-types": _atoms("point", ([1, "2"], [["1", 1]]), (["1/2", "2"], [["1", 1]])),
+    "ray-multiple": _atoms("ray", (["1", "2"], [["1", 1]]), (["2", "4"], [["1", 1]])),
+    # a squared norm with a prime factor beyond the trial-division bound
+    "ray-norm-beyond-the-bound": _atoms("ray", ([2000000009, 1], [["1", 1]]),),
+}
+
+# payloads the column reader leaves to the per-atom reader, one per reason
+LEFT_TO_THE_PER_ATOM_READER = {
+    "no-term": _atoms("point", (["1", "2"], []),),
     "other-form": _atoms("point", (["+1", "2"], [["1", 1]]),),
     "zero-denominator": _atoms("point", (["1/00", "2"], [["1", 1]]),),
     "comma": _atoms("point", (["1,2", "2"], [["1", 1]]),),
     "not-square-free": _atoms("point", (["1", "2"], [["1", 4]]),),
+    # a radicand beyond the bound, and one refused before it
+    "radicand-beyond-the-bound": _atoms("point", (["1", "2"], [["1", 2]]), (["1", "3"], [["1", BEYOND]])),
+    "not-square-free-first": _atoms("point", (["1", "2"], [["1", 4]]), (["1", "3"], [["1", BEYOND]])),
     "ray-fraction": _atoms("ray", (["1/1", "2"], [["1", 1]]),),
-    "ray-multiple": _atoms("ray", (["1", "2"], [["1", 1]]), (["2", "4"], [["1", 1]])),
     "ray-zero": _atoms("ray", (["0", "-0"], [["1", 1]]),),
-    "ray-norm-beyond-the-bound": _atoms("ray", ([2000000009, 1], [["1", 1]]),),
     "no-atoms": {"dim": 2},
     "bool-dim": {"dim": True, "atoms": [{"point": ["1"], "weight": [["1", 1]]}]},
 }
 
+FORMS = {**READ_BY_COLUMNS, **LEFT_TO_THE_PER_ATOM_READER}
 
-@pytest.mark.parametrize("payload", list(LEFT_TO_THE_PER_ATOM_READER.values()), ids=list(LEFT_TO_THE_PER_ATOM_READER))
-def test_the_column_reader_leaves_other_forms_to_the_per_atom_reader(payload):
+
+@pytest.mark.parametrize("name", list(FORMS), ids=list(FORMS))
+def test_the_column_reader_leaves_other_forms_to_the_per_atom_reader(name):
+    # the forms of READ_BY_COLUMNS are read by columns as the per-atom reader
+    # reads them, the others left to it
+    payload = FORMS[name]
     cls = SphereMeasure if "ray" in str(payload) else Measure
-    assert cls._from_columns(payload) is None
     expected = _outcome(cls._from_atoms, payload)
+    if name in READ_BY_COLUMNS:
+        assert _outcome(cls._from_columns, payload) == expected
+        if expected is None:
+            got, ref = cls._from_columns(payload), cls._from_atoms(payload)
+            assert got == ref
+            assert _stored_order(got) == _stored_order(ref)
+            assert (got._den, got._wden) == (ref._den, ref._wden)
+    else:
+        assert cls._from_columns(payload) is None
     assert _outcome(cls.from_json, payload) == expected
+    assert _outcome(measure_from_json, cls, payload) == expected
     if expected is None:
-        assert _stored_order(cls.from_json(payload)) == _stored_order(cls._from_atoms(payload))
+        ref = _stored_order(measure_from_json(cls, payload))
+        assert _stored_order(cls.from_json(payload)) == _stored_order(cls._from_atoms(payload)) == ref
+
+
+@pytest.mark.parametrize("cls", [Measure, SphereMeasure], ids=["point", "sphere"])
+def test_merged_parts_follow_the_fraction_route_order(cls):
+    # a first atom whose weight is zero, key A whose radicand-3 term cancels
+    # later, key B at radicand 2, key C at radicand 3 with terms not sorted:
+    # parts made as the rows come would put the zero and cancelled terms'
+    # radicands first
+    field = cls._loc_field
+    a, b, c, z = ["1", "2"], ["3", "1"], ["1", "1"], ["2", "5"]
+    atoms = [
+        (z, [["0", 5]]),
+        (a, [["1", 3], ["2", 7]]),
+        (b, [["1", 2]]),
+        (c, [["5", 6], ["-1/2", 3]]),
+        (a, [["-1", 3]]),
+    ]
+    payload = {"dim": 2, "atoms": [{field: loc, "weight": weight} for loc, weight in atoms]}
+    expected = _stored_order(measure_from_json(cls, payload))
+    assert cls._from_columns(payload) is not None
+    assert _stored_order(cls.from_json(payload)) == expected
+    rows = [(tuple(loc), surd_from_json(weight)) for loc, weight in atoms]
+    assert _stored_order(cls(2, rows)) == expected
+    # the zero weight leaves no atom, and A keeps only its radicand-7 term
+    mu = cls.from_json(payload)
+    assert mu.atom_count() == 3
+    assert len(mu.atoms[1, 2].terms) == 1
 
 
 @pytest.mark.parametrize("cls", [Measure, SphereMeasure], ids=["point", "sphere"])
