@@ -45,7 +45,13 @@ output:
   other number forms) and each bad value of the codec tests at each slot
   (point coordinate, ray entry, coefficient, radicand), read by
   ``from_json`` and by the public constructor: ``atoms`` in insertion order
-  and ``to_json()``, or the exception's type and message.
+  and ``to_json()``, or the exception's type and message;
+- ``dense``: ``to_json_text()`` of ``decide_special`` at full scope on
+  every named class, for seeded measures at n = 6, 7, 8 with 40, 100 and
+  250 atoms, with few or many zero coordinates, as point measures and
+  radially projected, and at n = 6 and 7 also made even under a
+  reflection, alone and with three atoms at coordinates 0 and +-3 added.
+  These sizes run whatever ``--max-dim`` is.
 
 The cli requests run in-process in a temporary directory, with relative
 file names, so the output does not depend on where that directory is.
@@ -415,6 +421,30 @@ def codec(group: Group, n: int) -> None:
         group.add([n, repr(bad), "weight", read_outcome(Measure, n, rows)])
 
 
+# (dimension, atoms): many atoms per support set, beyond ``--max-dim 5``
+DENSE = ((6, 40), (7, 100), (8, 250))
+# one zero coordinate in seven, or one in two
+DENSE_POOLS = (("few-zeros", NONZERO + (F(0), F(-1, 2))), ("many-zeros", NONZERO + (F(0),) * 5))
+
+
+def dense(group: Group) -> None:
+    for n, atoms in DENSE:
+        for pool_name, pool in DENSE_POOLS:
+            mu = gen_measure(n, n, atoms, coordinate_pool=pool)
+            inputs = [("random", mu)]
+            if n < 8:
+                # conditions fail on the classes that do not allow the
+                # reflection, except where one of three added atoms at
+                # coordinates +-3 is alone
+                even = mu + mu.reflect(gen_mask(atoms, n))
+                few = gen_measure(atoms, n, 3, coordinate_pool=(F(0), F(3), F(-3)))
+                inputs += [("reflection-even", even), ("even-plus-three", even + few)]
+            for kind, base in inputs:
+                for setting, nu in (("point", base), ("sphere", radial_project(base))):
+                    for klass in CLASSES:
+                        group.add([n, atoms, pool_name, kind, setting, klass, decide_special(nu, klass).to_json_text()])
+
+
 def subset_arg(mask: SubsetMask) -> str:
     return ",".join(str(i) for i in mask.indices()) or "0"
 
@@ -542,7 +572,7 @@ def main():
     parser.add_argument("--max-dim", type=int, default=3)
     max_dim = parser.parse_args().max_dim
     names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra", "linear", "surds",
-             "surface", "codec")
+             "surface", "codec", "dense")
     groups = {name: Group() for name in names}
     for n in range(1, max_dim + 1):
         decisions(groups["decisions"], n)
@@ -555,6 +585,7 @@ def main():
         surds(groups["surds"], n)
         surface(groups["surface"], n)
         codec(groups["codec"], n)
+    dense(groups["dense"])
     for name in names:
         print(f"{name} {groups[name].count} {groups[name].hash.hexdigest()}")
 

@@ -25,10 +25,13 @@ plans cached (the first of the ``REPEAT`` calls fills the cache).
 
 Prints one line per case: the best time of ``REPEAT`` calls, the result's
 atom count (for the decisions, their condition count) and the SHA-256 of
-its JSON.  A first line gives the bytes that a full plan cache retains:
-the tracemalloc size of the decider's 64 plans for 64 distinct
-``gen_pair`` pairs over the full support at n = 8, built cold before any
-case runs, whose garbage would refill the interpreter's free lists.  With
+its JSON.  A decision case also prints, in both modes, the support sets
+that one call's condition pass grouped over those its reports list, a
+count that does not drift with the machine as the times do.  A first
+line gives the bytes that a full plan cache retains: the tracemalloc size
+of the decider's 64 plans for 64 distinct ``gen_pair`` pairs over the
+full support at n = 8, built cold before any case runs, whose garbage
+would refill the interpreter's free lists.  With
 ``--check`` nothing is timed or traced: each case runs once and its
 result is compared with a per-atom reference
 (``harness.brute_force_convolution``, the double loop over the decoded
@@ -64,6 +67,7 @@ from multconv import (
     mconv,
     radial_project,
     sconv,
+    universality,
     zero_pattern,
 )
 from multconv.harness import brute_force_convolution, gen_interfering_measure, gen_measure, gen_pair
@@ -193,6 +197,24 @@ def plan_cache_bytes(dim: int = 8) -> tuple[int, int]:
     return count, retained
 
 
+def grouped_listed(call) -> tuple[int, int]:
+    """Over one call of a decision case: the support sets that the
+    condition pass grouped, and the distinct support sets its reports list."""
+    grouped = []
+    classes = universality._classes
+
+    def counting(code, bits, sphere):
+        grouped.append(bits)
+        return classes(code, bits, sphere)
+
+    universality._classes = counting
+    try:
+        reports = call()
+    finally:
+        universality._classes = classes
+    return len(grouped), sum(len({e.bits for e, _ in r.groups}) for r in reports)
+
+
 def same_reports(a: list, b: list) -> bool:
     return [r.to_json() for r in a] == [r.to_json() for r in b]
 
@@ -263,10 +285,11 @@ def main() -> int:
         count, retained = plan_cache_bytes()
         print(f"{f'plan cache n=8 {count} cold':32s} retained_mb={retained / 1e6:.2f}")
     for name, call, check in cases():
+        grouped = " grouped=%d/%d" % grouped_listed(call) if name.startswith("decide") else ""
         if args.check:
             ok = check(call())
             failed += not ok
-            print(f"{name:32s} {'ok' if ok else 'MISMATCH'}")
+            print(f"{name:32s} {'ok' if ok else 'MISMATCH'}{grouped}")
             continue
         best = float("inf")
         for _ in range(REPEAT):
@@ -280,7 +303,7 @@ def main() -> int:
         else:
             size = len(result) if isinstance(result, frozenset) else result.atom_count()
         digest = hashlib.sha256(render(result).encode()).hexdigest()[:16]
-        print(f"{name:32s} best_ms={best * 1e3:9.3f} size={size} sha256={digest}")
+        print(f"{name:32s} best_ms={best * 1e3:9.3f} size={size} sha256={digest}{grouped}")
     return 1 if failed else 0
 
 

@@ -25,19 +25,22 @@ The top-order scope lists its groups in the same form.  A report keeps
 the groups and one outcome byte per condition; it builds
 ``ConditionRecord`` values only when a caller reads them.
 
-One condition pass evaluates the groups E by E, by these class sums, on
-ints, giving each J's outcome: each atom is coded once per decision
-and part by its nonzero and negative coordinate masks, its absolute
-coordinates over one common denominator, its radicand and its int
-coefficient; once per E, the atoms nonzero on all of E are grouped by
-radicand and by their absolute coordinates there.  By the linear
+One condition pass evaluates the groups by these class sums, on ints,
+giving each J's outcome: each atom is coded once per decision, in the list
+of its part (its radicand), by its nonzero and negative coordinate masks,
+its absolute coordinates over one common denominator and its int
+coefficient; the distinct E are visited by ascending size, and on each E
+the atoms nonzero on all of E are grouped per part by their absolute
+coordinates there, each class holding the atoms' rows.  By the linear
 independence of square roots over the rationals, the sum at a location is
 nonzero exactly when one of its radicands' classes is, and the common
 weight denominator never enters the zero test.  On the sphere an atom is
 read as its stored point mass ``w/|r|`` at the integer ray ``r``, and the
 projection onto E gathers it at the primitive ray through its coordinates
 there; scaling each class member by the gcd of those coordinates puts
-every member at one ray, whose norm never enters the zero test.
+every member at one ray, whose norm never enters the zero test.  A class
+of one atom proves every (E, J), and that atom stays alone on every larger
+F inside its nonzero pattern, so those F are proved without being grouped.
 
 On a negative decision the counterexample is proved by its factors: it is
 either the parity basis measure of J (convolved with the whole measure to
@@ -47,6 +50,9 @@ annihilated because the probe's factors have zero mass, which kills every
 lower-order atom, and the top-order part is killed by the failing
 condition.  That is checked by convolution on the ``2**|E|``-atom parity
 factor, independently of the class sums; convolution serves nothing else.
+The parity factor and its class check depend only on E, J, the pair and
+the setting, so checked factors are cached, at most 64; the convolutions
+and the probe run on every decision.
 """
 
 from __future__ import annotations
@@ -179,6 +185,18 @@ def _probe_product(e: SubsetMask, j: SubsetMask, cls: type[AtomicMeasure] = Meas
     return _parity_grid(e, j, _PROBE, 1 << e.size, cls)
 
 
+@lru_cache(maxsize=64)
+def _parity_factor(e: SubsetMask, j: SubsetMask, pair: GeneratingPair, cls: type[AtomicMeasure]) -> AtomicMeasure:
+    """The parity basis measure of J on E built in the setting ``cls``,
+    checked to lie in the class of ``pair``.  A function of its arguments
+    alone, so factors are cached, at most 64; a factor outside the class
+    raises and is not cached."""
+    parity = _parity_grid(e, j, _PARITY, 1 << e.size, cls)
+    if not _in_class(parity, pair, e):
+        raise RuntimeError("witness construction left the symmetry class")
+    return parity
+
+
 def _witness(
     nu: AtomicMeasure, pair: GeneratingPair, e: SubsetMask, j: SubsetMask
 ) -> AtomicMeasure:
@@ -192,15 +210,13 @@ def _witness(
     of the probe vanishes, which kills the lower-order atoms; and the
     top-order part annihilates the parity factor, which is the failing
     condition, checked here by convolution.  Class membership is checked on
-    the parity factor: reflections act on one factor of a product.  Both
-    factors are grids of integer vectors built in the setting of ``nu`` by
-    one builder, so the witness is a function of E, J, its factor and the
-    setting alone.
+    the parity factor, once per cached factor (``_parity_factor``):
+    reflections act on one factor of a product.  Both factors are grids of
+    integer vectors built in the setting of ``nu`` by one builder, so the
+    witness is a function of E, J, its factor and the setting alone.
     """
     conv = sconv if isinstance(nu, SphereMeasure) else mconv
-    parity = _parity_grid(e, j, _PARITY, 1 << e.size, type(nu))
-    if not _in_class(parity, pair, e):
-        raise RuntimeError("witness construction left the symmetry class")
+    parity = _parity_factor(e, j, pair, type(nu))
     if not conv(nu, parity):
         return parity
     if conv(nu.project(e).restrict_order(e), parity):
@@ -225,15 +241,15 @@ def _conclude(
     return UniversalityReport(pair.dim, groups, outcomes, witness, list(skipped))
 
 
-# an atom once per decision and part: nonzero mask, negative mask, absolute
-# coordinates as integers, radicand, coefficient
-_Code = list[tuple[int, int, tuple[int, ...], int, int]]
-# the members of a class: negative mask and coefficient
-_Class = list[tuple[int, int]]
+# an atom once per decision, in the list of its part: nonzero mask, negative
+# mask, absolute coordinates as integers, coefficient
+_Row = tuple[int, int, tuple[int, ...], int]
+# the members of a class: the rows of its atoms
+_Class = list[_Row]
 
 
-def _code(nu: AtomicMeasure) -> _Code:
-    """Encode every atom of ``nu`` once per part that holds it.
+def _code(nu: AtomicMeasure) -> list[list[_Row]]:
+    """Encode every atom of ``nu`` once per part that holds it, one list per part.
 
     Atoms are read as stored, at integer vectors over one common
     denominator: a point atom at its stored key, scaled by the measure's
@@ -241,8 +257,9 @@ def _code(nu: AtomicMeasure) -> _Code:
     ``w/|r|`` at the integer ray ``r``, with no root.  So absolute
     coordinates are integers, equal exactly when the locations' are.
     """
-    code: _Code = []
-    for s, part in nu._parts.items():
+    code = []
+    for part in nu._parts.values():
+        rows: list[_Row] = []
         for loc, c in part.items():
             nonzero = negative = 0
             for i, x in enumerate(loc):
@@ -250,8 +267,8 @@ def _code(nu: AtomicMeasure) -> _Code:
                     nonzero |= 1 << i
                     if x < 0:
                         negative |= 1 << i
-            absolute = tuple([abs(x) for x in loc])
-            code.append((nonzero, negative, absolute, s, c))
+            rows.append((nonzero, negative, tuple([abs(x) for x in loc]), c))
+        code.append(rows)
     return code
 
 
@@ -265,29 +282,32 @@ def _key_reader(bits: int) -> itemgetter:
     return itemgetter(slice(on_e[0], on_e[0] + 1) if on_e else slice(0))
 
 
-def _classes(code: _Code, e: SubsetMask, sphere: bool) -> list[_Class]:
-    """The top-order part of the projection onto ``e``, grouped.
+def _classes(code: list[list[_Row]], bits: int, sphere: bool) -> list[_Class]:
+    """The top-order part of the projection onto the set ``bits``, grouped.
 
-    Atoms nonzero on all of ``e`` sharing their radicand and their absolute
-    coordinates there form a class; each member keeps its negative mask and
-    its coefficient.  On the sphere the key is divided by its gcd g: the
-    member's projected vector is g times the class's primitive ray, so its
-    mass there is g times its own, as in the sphere's ``_gather``.
+    Atoms of one part nonzero on all of the set sharing their absolute
+    coordinates there form a class, whose members are their rows.  On the
+    sphere the key is divided by its gcd g: the member's projected vector
+    is g times the class's primitive ray, so its mass there is g times its
+    own, as in the sphere's ``_gather``, and the member is its row with the
+    coefficient times g.
     """
-    bits = e.bits
     read = _key_reader(bits)
-    classes: dict[tuple[int, tuple[int, ...]], _Class] = {}
-    for nonzero, negative, absolute, s, c in code:
-        if nonzero & bits != bits:
-            continue  # a lower-order atom of the projection
-        key = read(absolute)
-        if sphere:
-            g = math.gcd(*key)
-            if g != 1:
-                key = tuple([v // g for v in key])
-                c *= g
-        classes.setdefault((s, key), []).append((negative, c))
-    return list(classes.values())
+    out: list[_Class] = []
+    for rows in code:
+        classes: dict[tuple[int, ...], _Class] = {}
+        for row in rows:
+            if row[0] & bits != bits:
+                continue  # a lower-order atom of the projection
+            key = read(row[2])
+            if sphere:
+                g = math.gcd(*key)
+                if g != 1:
+                    key = tuple([v // g for v in key])
+                    row = (row[0], row[1], row[2], row[3] * g)
+            classes.setdefault(key, []).append(row)
+        out += classes.values()
+    return out
 
 
 def _satisfied(classes: list[_Class], j: int) -> bool:
@@ -296,7 +316,7 @@ def _satisfied(classes: list[_Class], j: int) -> bool:
     signed by the parity of their negative coordinates inside ``j``."""
     for members in classes:
         total = 0
-        for negative, c in members:
+        for _, negative, _, c in members:
             total += -c if (negative & j).bit_count() & 1 else c
         if total:
             return True
@@ -306,20 +326,34 @@ def _satisfied(classes: list[_Class], j: int) -> bool:
 def _evaluate(nu: AtomicMeasure, groups: tuple[_Group, ...]) -> bytes:
     """One outcome byte per J of each group, by the class sums: the one condition pass.
 
-    The atoms are grouped once per distinct E, whatever the group order.
+    The distinct E are grouped once at most, by ascending size.  A class of
+    one atom has a nonzero sum under every J, so it proves every (E, J).
+    That atom also stays alone on every F between E and its nonzero
+    pattern: the atoms nonzero on F are among those nonzero on E, and a key
+    on F refines the key on E (equal primitive rays on F restrict to equal
+    rays on E).  So those F hold too and are not grouped.
     """
     sphere = isinstance(nu, SphereMeasure)
     code = _code(nu)
-    groupings: dict[int, tuple[list[_Class], bool]] = {}
+    held: set[int] = set()
+    groupings: dict[int, list[_Class]] = {}
+    for bits in sorted({e.bits for e, _ in groups}, key=int.bit_count):
+        if bits in held:
+            continue
+        classes = _classes(code, bits, sphere)
+        lone = {members[0][0] for members in classes if len(members) == 1}
+        if not lone:
+            groupings[bits] = classes
+        for pattern in lone:
+            # every strict superset of E inside the pattern, by its submasks
+            free = sub = pattern & ~bits
+            while sub:
+                held.add(bits | sub)
+                sub = (sub - 1) & free
     outcomes: list[bytes] = []
     for e, js in groups:
-        grouping = groupings.get(e.bits)
-        if grouping is None:
-            classes = _classes(code, e, sphere)
-            # a class of one atom has a nonzero sum under every J
-            grouping = groupings[e.bits] = (classes, 1 in map(len, classes))
-        classes, single = grouping
-        if single:
+        classes = groupings.get(e.bits)
+        if classes is None:
             outcomes.append(b"\1" * len(js))
         else:
             outcomes.append(bytes([_satisfied(classes, j) for j in js]))

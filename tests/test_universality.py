@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -534,26 +535,150 @@ def test_special_top_order_sphere_axis_conditions(n):
 
 @pytest.mark.parametrize("sphere", [False, True])
 def test_condition_pass_groups_each_support_once(monkeypatch, sphere):
-    # the sphere's top-order scope lists (axis, {}) before (J, J), so a
-    # support set can come back after another one
+    # each support set is grouped at most once, and not at all when a lone
+    # atom on a smaller set already proves its conditions; the sphere's
+    # top-order scope lists (axis, {}) before (J, J), so a support set can
+    # come back after another one
     grouped = []
     classes = universality._classes
 
-    def counting(code, e, on_sphere):
-        grouped.append(e)
-        return classes(code, e, on_sphere)
+    def counting(code, bits, on_sphere):
+        grouped.append(bits)
+        return classes(code, bits, on_sphere)
+
+    def check(report):
+        supports = {c.support.bits for c in report.conditions}
+        assert len(grouped) == len(set(grouped))
+        assert set(grouped) <= supports
+        assert all(c.satisfied for c in report.conditions if c.support.bits not in grouped)
+        return len(grouped), len(supports)
 
     monkeypatch.setattr(universality, "_classes", counting)
     n = 3
     nu = _top_order_measure(14_000, n)
     nu = radial_project(nu) if sphere else nu
     assert nu.order_of() == SubsetMask.full(n)
-    for klass in ("unconditional", "symmetric", "antisymmetric", "none"):
+    counts = []
+    for klass in CLASSES:
         for scope in ("full", "top-order"):
             grouped.clear()
-            report = decide_special(nu, klass, scope)
-            assert len(grouped) == len(set(grouped))
-            assert set(grouped) == {c.support for c in report.conditions}
+            counts.append(check(decide_special(nu, klass, scope)))
+    assert sum(g for g, _ in counts) < sum(s for _, s in counts)
+    # the atom at 3 (on the sphere the one atom off the plane x_1 = 0) is
+    # alone on {1} and has full pattern, so no strict superset of {1} is
+    # grouped; the other atoms share their absolute coordinates on {2}, {3}
+    # and {2, 3} (sphere weights times each ray's norm keep one radicand)
+    if sphere:
+        r2, r3 = Surd.sqrt(2), Surd.sqrt(3)
+        lone = SphereMeasure(n, {(1, 1, 1): r3, (0, 1, 1): r2, (0, -1, 1): 2 * r2, (0, 1, -1): -r2})
+        assert len(lone._parts) == 1
+    else:
+        lone = Measure(n, {(3, 1, 1): 1, (1, 1, 1): 1, (-1, -1, -1): 2, (1, -1, 1): -1})
+    e = SubsetMask.single(n, 1)
+    for klass in CLASSES:
+        grouped.clear()
+        groupings, supports = check(decide_special(lone, klass))
+        assert e.bits in grouped and SubsetMask.from_indices(n, [2, 3]).bits in grouped
+        assert not [bits for bits in grouped if bits != e.bits and bits & e.bits == e.bits]
+        assert groupings < supports
+
+
+def _reference_pass(nu, groups):
+    """The condition pass grouping every support set: atoms nonzero on all
+    of E sharing their radicand and absolute coordinates there (on the
+    sphere, their primitive ray, the coefficient times the gcd) form a
+    class; a class of one atom proves every (E, J), and otherwise J holds
+    when some class has a nonzero sum of coefficients signed by the parity
+    of their negative coordinates inside J."""
+    sphere = isinstance(nu, SphereMeasure)
+    out = bytearray()
+    for e, js in groups:
+        on_e = [i for i in range(nu.dim) if e.bits >> i & 1]
+        classes = {}
+        for s, part in nu._parts.items():
+            for loc, c in part.items():
+                if not all(loc[i] for i in on_e):
+                    continue
+                key = [abs(loc[i]) for i in on_e]
+                if sphere:
+                    g = math.gcd(*key)
+                    key, c = [v // g for v in key], c * g
+                negative = sum(1 << i for i in on_e if loc[i] < 0)
+                classes.setdefault((s, tuple(key)), []).append((negative, c))
+        if any(len(members) == 1 for members in classes.values()):
+            out += b"\1" * len(js)
+            continue
+        for j in js:
+            out.append(any(
+                sum(-c if (negative & j).bit_count() % 2 else c for negative, c in members)
+                for members in classes.values()
+            ))
+    return bytes(out)
+
+
+_PRIMES = [p for p in range(2, 4000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def _reference_measures(n):
+    """Seeded point measures of 0-60 atoms and their radial projections:
+    zero coordinates with probability 0.1-0.6; coordinates from a pool of
+    one or three absolute values or distinct signed primes; some weights
+    carrying sqrt(2) or sqrt(3); one in three made even under a reflection,
+    so conditions fail.  Then small sphere measures on colliding rays."""
+    rng = random.Random(f"condition-pass:{n}")
+    pools = ((F(-1), F(1)), (F(-2), F(-1), F(-1, 2), F(1, 2), F(1), F(2)), None)
+    weights = (F(1), F(-2), F(3, 2), 1 + Surd.sqrt(2), Surd.sqrt(3), 1 - Surd.sqrt(2))
+    for trial in range(12):
+        size = (0, 1, 4, 10, 25, 60)[trial % 6]
+        zero = rng.choice((0.1, 0.25, 0.4, 0.6))
+        pool = pools[trial % 3]
+        primes = iter(rng.sample(_PRIMES, n * size))
+        atoms = {}
+        for _ in range(size):
+            point = tuple(
+                F(0) if rng.random() < zero
+                else rng.choice(pool) if pool else F(rng.choice((-1, 1)) * next(primes))
+                for _ in range(n)
+            )
+            atoms[point] = rng.choice(weights[:3] if trial % 4 else weights)
+        nu = Measure(n, atoms)
+        if trial % 3 == 1:
+            nu = nu + nu.reflect(SubsetMask(rng.randrange(1, 1 << n), n))
+        yield nu
+        yield radial_project(nu)
+    # sphere masses +-1 at rays of entries +-1, +-2, whose restrictions
+    # share primitive rays at different gcds
+    for trial in range(12):
+        rays = {tuple(rng.choice((0, 0, 1, -1, 2, -2)) for _ in range(n)) for _ in range(2 + trial % 5)}
+        rays.discard((0,) * n)
+        yield SphereMeasure(n, {r: rng.choice((1, -1)) * Surd.sqrt(sum(x * x for x in r)) for r in rays})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_condition_pass_matches_the_per_support_reference(n):
+    pairs = [class_pair(klass, n) for klass in CLASSES] + [gen_pair(seed, n, 4) for seed in range(3)]
+    full = SubsetMask.full(n)
+    rng = random.Random(n)
+    held = failed = 0
+    for nu in _reference_measures(n):
+        everything = full_support(n, isinstance(nu, SphereMeasure))
+        families = (everything, rng.sample(everything, min(5, len(everything))))
+        for pair in pairs:
+            for support in families:
+                report = decide_universal_rn(nu, support, pair)
+                expected = _reference_pass(nu, report.groups)
+                assert report.outcomes == expected
+                held += expected.count(1)
+                failed += expected.count(0)
+        # the top-order scope on the part of full order, and its groups on the whole measure
+        top = nu.restrict_order(full)
+        if not top:
+            continue
+        for klass in CLASSES:
+            report = decide_special(top, klass, "top-order")
+            assert report.outcomes == _reference_pass(top, report.groups)
+            assert universality._evaluate(nu, report.groups) == _reference_pass(nu, report.groups)
+    assert held and failed
 
 
 def _index_set_by_definition(e, pair):
@@ -610,7 +735,8 @@ def assert_readers_agree(nu, pair, report):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_plan_cache_leaves_every_report_unchanged(n):
-    # a report made on a cached plan equals the one made after clearing the cache
+    # a report made on a cached plan and parity factor equals the one made
+    # after clearing both caches
     plan = universality._plan
     pairs = [gen_pair(seed, n, m) for seed in range(12) for m in (3, 5)]
     pairs += [class_pair(klass, n) for klass in CLASSES]
@@ -633,6 +759,7 @@ def test_plan_cache_leaves_every_report_unchanged(n):
             warm = call()
             assert plan.cache_info().hits == hits + 1
             plan.cache_clear()
+            universality._parity_factor.cache_clear()
             cold = call()
             assert warm.conditions == cold.conditions
             assert warm.to_json() == cold.to_json()
@@ -717,6 +844,51 @@ def test_plan_cache_stays_bounded():
     for skipped, groups in cached:
         assert all(type(e) is SubsetMask for e in skipped)
         assert all(type(e) is SubsetMask and all(type(j) is int for j in js) for e, js in groups)
+
+
+def test_parity_factor_cache_stays_bounded():
+    factor = universality._parity_factor
+    factor.cache_clear()
+    n = 4
+    pair = class_pair("none", n)
+    keys = [(e, j) for e in all_subsets(n) for j in subsets_of(e)]
+    assert len(keys) > factor.cache_info().maxsize == 64
+    for e, j in keys:
+        assert factor(e, j, pair, Measure) == delta_ej(e, j)
+        assert factor.cache_info().currsize <= 64
+    assert factor.cache_info().currsize == 64
+    e, j = keys[-1]
+    assert factor(e, j, pair, Measure) is factor(e, j, pair, Measure)
+    # a setting is part of the key
+    assert type(factor(e, j, pair, SphereMeasure)) is SphereMeasure
+
+
+def test_parity_factor_is_checked_once_per_key_and_refused_when_cold(monkeypatch):
+    n = 3
+    full = SubsetMask.full(n)
+    base = gen_measure(7, n, 5)
+    nu = base + base.reflect(full)
+    pair = class_pair("none", n)
+    checks = []
+    in_class = universality._in_class
+
+    def counting(*args):
+        checks.append(args)
+        return in_class(*args)
+
+    monkeypatch.setattr(universality, "_in_class", counting)
+    universality._parity_factor.cache_clear()
+    first = decide_universal_rn(nu, full_support(n), pair)
+    assert not first.universal and len(checks) == 1
+    assert decide_universal_rn(nu, full_support(n), pair).to_json() == first.to_json()
+    assert len(checks) == 1
+    # on a cold cache a factor outside the class is refused, and not cached
+    universality._parity_factor.cache_clear()
+    monkeypatch.setattr(universality, "_in_class", lambda *args: False)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="witness construction left the symmetry class"):
+            decide_universal_rn(nu, full_support(n), pair)
+    assert universality._parity_factor.cache_info().currsize == 0
 
 
 def test_condition_records_stay_frozen():
