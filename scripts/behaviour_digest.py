@@ -15,7 +15,8 @@ output:
   lift round trip;
 - ``cli``: stdout, stderr and exit code of well-formed command-line
   requests on seeded files;
-- ``cli-malformed``: the same for malformed input files and arguments;
+- ``cli-malformed``: the same for malformed input files and arguments,
+  and for argv that the command table refuses;
 - ``groups``: the closure ``gamma`` of seeded pairs (both parts and
   ``proper``), ``gen_subgroup``, ``is_group`` on subgroups, on closures and
   on families one member away from them, and ``j_dual``;
@@ -535,6 +536,17 @@ def cli_requests(n: int, seed: int):
         ["verify", "--suite", "field-laws", "--trials", "0"],
         ["verify", "--suite", "field-laws", "--trials", "-1"],
         ["frobnicate", "a.json"],
+        # argv the command table refuses
+        ["convolve", "a.json"],
+        ["project", "a.json"],
+        ["zonoid", "z.json", "--check", "nope"],
+        ["--format", "yaml", "decompose", "a.json"],
+        ["verify", "--suite", "field-laws", "--seed", "x"],
+        ["decompose", "a.json", "--bogus"],
+        ["universal", "a.json", "--s", "top"],
+        ["convolve", "a.json", "b.json", "c.json"],
+        ["project", "a.json", "--E"],
+        ["decompose", "a.json", "--format", "pretty"],
     ]
     return [(False, argv) for argv in ok] + [(True, argv) for argv in malformed], files
 
@@ -544,8 +556,6 @@ def run_cli(argv: list[str]) -> list:
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main(argv)
-    except SystemExit as exc:
-        code = exc.code
     except Exception as exc:  # a traceback escaping main()
         code = f"escaped: {type(exc).__name__}"
     return [code, out.getvalue(), err.getvalue()]

@@ -16,7 +16,9 @@ whose coordinates are distinct signed primes over distinct prime
 denominators (``from_json`` of its JSON, the text writer ``to_json_text``
 and ``json.dumps`` of ``to_json()``), and write that witness both ways;
 one more ``from_json`` reads that measure's JSON with one coordinate
-written as a JSON int and one weight given a second term.
+written as a JSON int, one weight given a second term and one atom
+repeated, and another with every weight one term over radicands 1, 2 and
+3, the first of radicand 3 zero.
 The decision cases run ``decide_universal_rn`` on one
 10-atom point measure over the full support with 40 distinct
 ``harness.gen_pair`` pairs, at n = 4 and n = 8, twice: cold, with the
@@ -37,9 +39,10 @@ result is compared with a per-atom reference
 (``harness.brute_force_convolution``, the double loop over the decoded
 atoms, for ``mconv``; its radial projection for ``sconv`` of projected
 points; the double loop over the decoded sphere atoms for ``sconv`` of
-several parts; one zero pattern per atom; the measure itself for
-``from_json``, and the per-atom reader ``_from_atoms`` for the mixed
-payload; for the writers, the bytes of the other writer and the
+several parts; one zero pattern per atom; for ``from_json``, the atoms
+and their stored order as ``read_atoms`` reads the JSON through
+``Fraction`` and ``Surd`` alone, with no measure built; for the
+writers, the bytes of the other writer and the
 measure read back; for the decisions, each report's JSON with that of the
 same decision in the other mode), and the script exits 1 on a mismatch.
 
@@ -49,11 +52,13 @@ same decision in the other mode), and the script exits 1 on a mismatch.
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 from multconv import (
@@ -139,6 +144,38 @@ def sphere_product(a: SphereMeasure, b: SphereMeasure) -> dict:
             ray = primitive_ray(v)
             acc[ray] = acc.get(ray, Surd(0)) + wd * we * norm
     return {ray: w for ray, w in acc.items() if w}
+
+
+def read_atoms(data: dict) -> dict:
+    """The atoms of a measure's JSON read one by one through ``Fraction``
+    and ``Surd`` alone: a point by ``Fraction`` coordinates, a ray divided
+    by the gcd of its entries, a weight as the sum of its terms
+    ``Fraction(c) * sqrt(r)``, repeats summed and zero weights dropped.
+    They are listed in a measure's stored order: its parts (one per
+    radicand of the stored masses, on the sphere the weight over the ray's
+    norm) are made location by location, each location's terms in
+    radicand order, and the locations listed part by part."""
+    weights: dict = {}
+    for atom in data["atoms"]:
+        if "ray" in atom:
+            entries = [int(c) for c in atom["ray"]]
+            g = math.gcd(*entries)
+            loc = tuple(c // g for c in entries)
+        else:
+            loc = tuple(Fraction(c) for c in atom["point"])
+        w = sum((Surd(Fraction(c)) * Surd.sqrt(r) for c, r in atom["weight"]), Surd(0))
+        weights[loc] = weights.get(loc, Surd(0)) + w
+    parts: dict = {}
+    for loc, w in weights.items():
+        mass = w * Surd.sqrt(Fraction(1, sum(c * c for c in loc))) if "ray" in data["atoms"][0] else w
+        for r, _ in mass.terms:
+            parts.setdefault(r, []).append(loc)
+    return {loc: weights[loc] for loc in dict.fromkeys(chain.from_iterable(parts.values()))}
+
+
+def same_atoms(mu, data: dict) -> bool:
+    """Whether ``mu`` holds the atoms of ``read_atoms(data)``, in its order."""
+    return list(mu.atoms.items()) == list(read_atoms(data).items())
 
 
 def witness(dim: int) -> SphereMeasure:
@@ -249,16 +286,23 @@ def cases():
         w.component_patterns,
         lambda r: r == frozenset(zero_pattern(v) for v in w.atoms),
     )
-    yield ("from_json witness n=8", lambda: SphereMeasure.from_json(data), lambda r: r == w)
+    yield ("from_json witness n=8", lambda: SphereMeasure.from_json(data), lambda r: same_atoms(r, data))
     yield from writers("witness n=8", w)
     mu = distinct_measure(4, 3, 60)
     text = json.loads(dumps(mu))
-    yield ("from_json n=3 60 distinct", lambda: Measure.from_json(text), lambda r: r == mu)
+    yield ("from_json n=3 60 distinct", lambda: Measure.from_json(text), lambda r: same_atoms(r, text))
     # no other coordinate is an int: each has a prime denominator
     mixed = json.loads(dumps(mu))
     mixed["atoms"][0]["point"][0] = 1
     mixed["atoms"][1]["weight"].append(["1/7", 2])
-    yield ("from_json n=3 60 mixed", lambda: Measure.from_json(mixed), lambda r: r == Measure._from_atoms(mixed))
+    mixed["atoms"].append(dict(mixed["atoms"][3]))
+    yield ("from_json n=3 60 mixed", lambda: Measure.from_json(mixed), lambda r: same_atoms(r, mixed))
+    # one term per weight, over three radicands, an early one zero
+    zero = json.loads(dumps(mu))
+    zero["atoms"][1]["weight"] = [["0", 3]]
+    zero["atoms"][2]["weight"] = [["1/7", 2]]
+    zero["atoms"][5]["weight"] = [["-2/3", 3]]
+    yield ("from_json n=3 60 zero", lambda: Measure.from_json(zero), lambda r: same_atoms(r, zero))
     yield from writers("n=3 60 distinct", mu)
     for dim in (4, 8):
         cold, warm = decisions(dim)

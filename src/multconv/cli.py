@@ -5,16 +5,48 @@ line are 1-based comma lists, families are semicolon-separated, and the
 literal token ``0`` names the empty set (``--odds 0`` prescribes the
 empty set as an odd generator, omitting the flag prescribes none).
 
-Exit codes: 0 success (and universal decisions), 3 negative universality
-decision, 2 malformed input or violated precondition, 1 failed
-verification suite.
+The argv grammar is ``multconv [--format {json,pretty}] <command> ...``,
+read by one table, ``COMMANDS`` (each command's positionals, options,
+handler and help line), and one reader, ``parse_args``, which accepts and
+refuses what the argparse tree it replaced did:
+
+- ``--opt value`` and ``--opt=value``; a unique prefix of an option name,
+  an ambiguous one being an error;
+- options before, between or after the positionals, the last of a
+  repeated option winning; an int option reads ``int(text)``;
+- a word that looks like a negative number (``-1``, ``-2.5``) or holds a
+  space is a value; any other word starting with ``-`` is an option, and
+  an unknown one an error;
+- ``--`` ends the options: every later word is a positional.  As in
+  argparse, the ``--`` itself is an unknown word when every positional
+  was given before the last option (or the command has none);
+- ``--format`` goes before the command; after it, it is unknown;
+- ``-h`` or ``--help`` (or ``-hh``, or a prefix such as ``--he``) prints
+  help generated from the table to stdout and returns 0, unless an
+  ambiguous prefix appears anywhere before ``--``, or an error that
+  argparse raised on the spot (a missing or refused value, a value given
+  to a flag) comes first.
+
+The reader departs from argparse in two corners: ``-hx`` is an error, as
+on Python 3.10-3.12 (3.13 prints help), and a second ``--`` is a
+positional (argparse gave that positional an empty list).  A usage error
+writes the usage line of the program or of the command and then
+``multconv: error: <what>`` to stderr, nothing to stdout, with the same
+text on every Python.
+
+Exit codes: 0 success (and universal decisions, and help), 3 negative
+universality decision, 2 malformed input, violated precondition or usage
+error, 1 failed verification suite.  ``main`` returns the code and
+raises no ``SystemExit``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .lifting import lift, lift_inverse
 from .measures import AtomicMeasure, Measure, mconv, symmetrize
@@ -221,84 +253,325 @@ def _cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="multconv",
-        description="exact multiplicative-convolution algebra of atomic measures",
-    )
-    parser.add_argument(
-        "--format", choices=("pretty", "json"), default="json", help="output style"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option(NamedTuple):
+    """An option of a command: where its value goes, its kind (``flag``,
+    ``text`` or ``int``), its default, the values it accepts (any when
+    empty), whether it must be given, and its help text."""
 
-    p = sub.add_parser("convolve", help="convolve two measures")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--sphere", action="store_true", help="use the sphere product")
-    p.set_defaults(func=_cmd_convolve)
-
-    p = sub.add_parser("project", help="project onto a coordinate subspace or subsphere")
-    p.add_argument("input")
-    p.add_argument("--E", required=True, help="1-based comma list; 0 means the empty set")
-    p.add_argument("--sphere", action="store_true")
-    p.set_defaults(func=_cmd_project)
-
-    p = sub.add_parser("decompose", help="coordinate decomposition with order and degree")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("symmetrize", help="apply the even/odd symmetrisation of a pair")
-    p.add_argument("input")
-    p.add_argument("--evens", default=None, help="semicolon-separated subsets")
-    p.add_argument("--odds", default=None, help="semicolon-separated subsets")
-    p.set_defaults(func=_cmd_symmetrize)
-
-    p = sub.add_parser("lift", help="lift a point measure to a symmetric sphere measure")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_lift)
-
-    p = sub.add_parser("lift-inverse", help="invert the lift")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_lift_inverse)
-
-    p = sub.add_parser("universal", help="decide universality; exit 0 universal, 3 not")
-    p.add_argument("input")
-    p.add_argument("--evens", default=None)
-    p.add_argument("--odds", default=None)
-    p.add_argument("--support", default="all", help="all, top, or semicolon-separated subsets")
-    p.add_argument("--sphere", action="store_true")
-    p.set_defaults(func=_cmd_universal)
-
-    p = sub.add_parser("zonoid", help="checks on a zonotope's generating measure")
-    p.add_argument("input")
-    p.add_argument(
-        "--check",
-        choices=("d-universal", "unc-d-universal", "singleton-support"),
-        required=True,
-    )
-    p.set_defaults(func=_cmd_zonoid)
-
-    p = sub.add_parser("verify", help="run a property suite; exit 0 iff it passes")
-    p.add_argument("--suite", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(func=_cmd_verify)
-
-    return parser
+    dest: str
+    kind: str
+    default: object = None
+    choices: tuple[str, ...] = ()
+    required: bool = False
+    help: str = ""
 
 
-# built on the first call of ``main`` and reused: ``parse_args`` keeps no
-# state between calls
-_parser: argparse.ArgumentParser | None = None
+class Command(NamedTuple):
+    """A command: its positionals in order, its options by name, its
+    handler and its help line."""
+
+    positionals: tuple[str, ...]
+    options: dict[str, Option]
+    handler: Callable
+    help: str
+
+
+PROG = "multconv"
+DESCRIPTION = "exact multiplicative-convolution algebra of atomic measures"
+EXIT_CODES = (
+    "exit codes: 0 success or a universal decision, 3 a negative decision, "
+    "1 a failed verification suite, 2 malformed input or a usage error"
+)
+# read before the command
+GLOBAL_OPTIONS = {"--format": Option("format", "text", "json", ("json", "pretty"), help="output style")}
+_EVENS = Option("evens", "text", help="even generators: semicolon-separated subsets")
+_ODDS = Option("odds", "text", help="odd generators: semicolon-separated subsets")
+COMMANDS = {
+    "convolve": Command(
+        ("a", "b"), {"--sphere": Option("sphere", "flag", False, help="use the sphere product")},
+        _cmd_convolve, "convolve two measures",
+    ),
+    "project": Command(
+        ("input",),
+        {
+            "--E": Option("E", "text", required=True, help="1-based comma list; 0 means the empty set"),
+            "--sphere": Option("sphere", "flag", False, help="project the radial projection of a point measure"),
+        },
+        _cmd_project, "project onto a coordinate subspace or subsphere",
+    ),
+    "decompose": Command(("input",), {}, _cmd_decompose, "coordinate decomposition with order and degree"),
+    "symmetrize": Command(
+        ("input",), {"--evens": _EVENS, "--odds": _ODDS}, _cmd_symmetrize, "apply the even/odd symmetrisation of a pair"
+    ),
+    "lift": Command(("input",), {}, _cmd_lift, "lift a point measure to a symmetric sphere measure"),
+    "lift-inverse": Command(("input",), {}, _cmd_lift_inverse, "invert the lift"),
+    "universal": Command(
+        ("input",),
+        {
+            "--evens": _EVENS,
+            "--odds": _ODDS,
+            "--support": Option("support", "text", "all", help="all, top, or semicolon-separated subsets"),
+            "--sphere": Option("sphere", "flag", False, help="decide on the sphere (a sphere measure input)"),
+        },
+        _cmd_universal, "decide universality; exit 0 universal, 3 not",
+    ),
+    "zonoid": Command(
+        ("input",),
+        {
+            "--check": Option(
+                "check", "text", choices=("d-universal", "unc-d-universal", "singleton-support"), required=True,
+                help="the check to run",
+            ),
+        },
+        _cmd_zonoid, "checks on a zonotope's generating measure",
+    ),
+    "verify": Command(
+        (),
+        {
+            "--suite": Option("suite", "text", required=True, help="the property suite"),
+            "--seed": Option("seed", "int", 0, help="seed of the trials"),
+            "--trials": Option("trials", "int", 100, help="number of trials"),
+        },
+        _cmd_verify, "run a property suite; exit 0 iff it passes",
+    ),
+}
+
+
+def _prefixes(options: dict[str, Option]) -> dict[str, tuple[str, ...]]:
+    """Every prefix of ``--help`` and of the options, from ``--`` on, to
+    the names it begins; an exact name to itself alone."""
+    names = ("--help", *options)
+    table: dict[str, tuple[str, ...]] = {}
+    for name in names:
+        for end in range(2, len(name)):
+            table[name[:end]] = table.get(name[:end], ()) + (name,)
+    table.update((name, (name,)) for name in names)
+    return table
+
+
+_GLOBAL_PREFIXES = _prefixes(GLOBAL_OPTIONS)
+_PREFIXES = {name: _prefixes(command.options) for name, command in COMMANDS.items()}
+# argparse's negative number: a word of this form is a value, not an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class UsageError(Exception):
+    """A word the command table refuses, with the command whose usage line
+    goes before the message (None for the program's)."""
+
+    def __init__(self, message: str, command: str | None = None):
+        super().__init__(message)
+        self.command = command
+
+
+def _option(word: str, prefixes: dict[str, tuple[str, ...]]) -> tuple[str | None, str | None] | None:
+    """None for a word that is a value; for an option word, its full name
+    (None for an unknown option) and the text after its ``=`` (None
+    without one).  A prefix of several names is refused; ``-h`` followed
+    by more ``h`` is help, by anything else help with a value."""
+    if word[:1] != "-" or word == "-":
+        return None
+    if word[:2] == "--":
+        name, eq, value = word.partition("=")
+        names = prefixes.get(name)
+        if names:
+            if len(names) > 1:
+                raise UsageError(f"ambiguous option: {word} could match {', '.join(names)}")
+            return names[0], value if eq else None
+    elif word[:2] == "-h":
+        return "--help", None if word.strip("h") == "-" else word[2:].removeprefix("=")
+    if _NEGATIVE.match(word) or " " in word:
+        return None
+    return None, None
+
+
+def _read_option(options: dict[str, Option], name: str, text: str | None, following: str | None,
+                 values: dict) -> bool:
+    """Store the option ``name`` in ``values``, with its ``=`` text or else
+    the ``following`` word (None when the next word is not a value), and
+    return whether it took that word."""
+    option = options[name]
+    if option.kind == "flag":
+        if text is not None:
+            raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
+        values[option.dest] = True
+        return False
+    took = text is None
+    if took:
+        if following is None:
+            raise UsageError(f"argument {name}: expected one argument")
+        text = following
+    if option.kind == "int":
+        try:
+            values[option.dest] = int(text)
+        except ValueError:
+            raise UsageError(f"argument {name}: invalid int value: {text!r}") from None
+    elif option.choices and text not in option.choices:
+        raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(option.choices)})")
+    else:
+        values[option.dest] = text
+    return took
+
+
+def _help(command: str | None, text: str | None, words: list[str]) -> int:
+    """Print the help of the program or of a command, unless help was given
+    a value or ``words`` (up to ``--``) hold a prefix of both global
+    options (a word ``--=...``), which argparse refused before reading any
+    word."""
+    if text is not None:
+        raise UsageError(f"argument -h/--help: ignored explicit argument {text!r}")
+    for word in words:
+        if word == "--":
+            break
+        _global(word)
+    sys.stdout.write(help_text(command))
+    return 0
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | int:
+    """The request in ``argv`` read by the command table, or the exit code
+    after printing help (0, to stdout) or a usage error (2, to stderr)."""
+    try:
+        return _read(list(argv))
+    except UsageError as exc:
+        sys.stderr.write(f"{usage(exc.command)}\n{PROG}: error: {exc}\n")
+        return 2
+
+
+def _global(word: str) -> tuple[str | None, str | None] | None:
+    """``_option`` of a word before the command, where ``--`` is a value:
+    as in argparse, it is read as the command, which no command is."""
+    return None if word == "--" else _option(word, _GLOBAL_PREFIXES)
+
+
+def _read(words: list[str]) -> SimpleNamespace | int:
+    """Read the global options up to the first value (or ``--``), which
+    names the command, then the command's words."""
+    values = {"format": "json"}
+    extras: list[str] = []
+    i, count = 0, len(words)
+    while i < count:
+        kind = _global(words[i])
+        if kind is None:
+            break
+        name, text = kind
+        i += 1
+        if name is None:
+            extras.append(words[i - 1])
+        elif name == "--help":
+            return _help(None, text, words[i:])
+        else:
+            following = words[i] if i < count and _global(words[i]) is None else None
+            i += _read_option(GLOBAL_OPTIONS, name, text, following, values)
+    else:
+        raise UsageError("the following arguments are required: command")
+    name = words[i]
+    command = COMMANDS.get(name)
+    if command is None:
+        raise UsageError(f"invalid command: {name!r} (choose from {', '.join(COMMANDS)})")
+    values["command"] = name
+    try:
+        return _read_command(name, command, words[i + 1:], values, extras)
+    except UsageError as exc:
+        exc.command = name
+        raise
+
+
+def _read_command(name: str, command: Command, words: list[str], values: dict,
+                  extras: list[str]) -> SimpleNamespace | int:
+    """Read a command's words into ``values``, after the words before it
+    left the unknown ``extras``.  Every word before ``--`` is looked up
+    first, so that an ambiguous prefix is refused even after help."""
+    options, positionals = command.options, command.positionals
+    stop = words.index("--") if "--" in words else len(words)
+    prefixes = _PREFIXES[name]
+    kinds = [_option(word, prefixes) for word in words[:stop]]
+    for option in options.values():
+        values[option.dest] = option.default
+    given: list[str] = []  # the positional words, in order
+    # the positionals given before the last option: a "--" after it begins
+    # a run of words that no positional takes if they were all given
+    before = 0
+    i = 0
+    while i < stop:
+        kind = kinds[i]
+        i += 1
+        if kind is None:
+            given.append(words[i - 1])
+            continue
+        before = len(given)
+        opt, text = kind
+        if opt is None:
+            extras.append(words[i - 1])
+        elif opt == "--help":
+            return _help(name, text, words)
+        else:
+            following = words[i] if i < stop and kinds[i] is None else None
+            i += _read_option(options, opt, text, following, values)
+    if stop < len(words):
+        if before >= len(positionals):
+            extras.append("--")
+        given += words[stop + 1:]
+    missing = list(positionals[len(given):])
+    # a required option has no default, and every value read is text
+    missing += [opt for opt, option in options.items() if option.required and values[option.dest] is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    extras += given[len(positionals):]
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
+
+
+def _label(name: str, option: Option) -> str:
+    """An option as the usage line and the help show it."""
+    if option.kind == "flag":
+        return name
+    return f"{name} {{{','.join(option.choices)}}}" if option.choices else f"{name} {option.dest.upper()}"
+
+
+def usage(command: str | None = None) -> str:
+    """The usage line of the program or of one command."""
+    if command is None:
+        words, options, positionals = [PROG], GLOBAL_OPTIONS, ("<command> [<args>]",)
+    else:
+        words, options, positionals = [PROG, command], COMMANDS[command].options, COMMANDS[command].positionals
+    words.append("[-h]")
+    for name, option in options.items():
+        text = _label(name, option)
+        words.append(text if option.required else f"[{text}]")
+    return "usage: " + " ".join(words + list(positionals))
+
+
+def help_text(command: str | None = None) -> str:
+    """The help of the program (its commands and global options) or of one
+    command (its positionals and options), from the command table."""
+    rows = [("-h, --help", "show this help and exit")]
+    if command is None:
+        head = [DESCRIPTION, "", "commands:"] + [f"  {name:14s}{c.help}" for name, c in COMMANDS.items()]
+        options = GLOBAL_OPTIONS
+        tail = ["", f"Run '{PROG} <command> -h' for the options of a command; --format goes before it.", EXIT_CODES]
+    else:
+        head = [COMMANDS[command].help]
+        if COMMANDS[command].positionals:
+            head += ["", "positional arguments: " + " ".join(COMMANDS[command].positionals)]
+        options = COMMANDS[command].options
+        tail = []
+    for name, option in options.items():
+        default = "" if option.required or option.kind == "flag" or option.default is None else f" (default {option.default})"
+        rows.append((_label(name, option), option.help + (" (required)" if option.required else default)))
+    width = max(len(label) for label, _ in rows) + 2
+    lines = [usage(command), ""] + head + ["", "options:"] + [f"  {label:{width}s}{text}" for label, text in rows]
+    return "\n".join(lines + tail) + "\n"
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, int):  # help was printed, or a usage error
+        return args
     try:
-        return args.func(args)
+        return COMMANDS[args.command].handler(args)
     except ValueError as exc:  # an InputError is a ValueError too
         print(f"error: {exc}", file=sys.stderr)
         return 2

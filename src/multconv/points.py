@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .scalars import _coerce_rational, _refuse_long
+from .scalars import _NUMBER_TYPES, _coerce_rational, _refuse_long
 from .subsets import SubsetMask
 
 Point = tuple[Fraction, ...]
@@ -28,13 +28,14 @@ def refuse_text(loc) -> None:
 
 def point_values(coords: Iterable) -> tuple:
     """The coordinates of a point as given, after the checks that do not
-    read a value: not text, not empty, no float or bool entry."""
+    read a value: not text, not empty, no float, bool or other entry that
+    is not a number."""
     refuse_text(coords)
     values = tuple(coords)
     if not values:
         raise ValueError("points must have dimension >= 1")
     for c in values:
-        if isinstance(c, (float, bool)):
+        if isinstance(c, (float, bool)) or not isinstance(c, _NUMBER_TYPES):
             raise TypeError(
                 f"refusing {type(c).__name__} coordinates; use Fraction, int, or 'p/q' strings"
             )
@@ -79,7 +80,9 @@ def primitive_ray(v: Iterable[int]) -> Ray:
             i = int(c)
         except ValueError as exc:
             _refuse_long(exc, c)
-            raise
+            raise ValueError(f"ray entry {c!r} is not an integer") from None
+        except TypeError:
+            raise TypeError(f"refusing {type(c).__name__} ray entries; use integers") from None
         # int() truncates a Fraction; a string is parsed as an integer or refused
         if i != c and not isinstance(c, str):
             raise ValueError(f"ray entry {c} is not an integer")

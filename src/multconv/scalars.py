@@ -14,8 +14,10 @@ import functools
 import math
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
+from numbers import Rational
 from operator import itemgetter
 from typing import Sequence, Union
 
@@ -102,10 +104,16 @@ def _canonical(acc: dict[int, tuple[int, int]]) -> tuple[tuple[int, int, int], .
     return out
 
 
+# the types ``Fraction`` reads: a rational, its text, a float or a decimal
+_NUMBER_TYPES = (Rational, str, float, Decimal)
+
+
 def _coerce_rational(value) -> Fraction:
     # a bool is an int to Python: True would read as 1
     if isinstance(value, (float, bool)):
         raise TypeError(f"refusing {type(value).__name__} input; use Fraction or int for exactness")
+    if not isinstance(value, _NUMBER_TYPES):
+        raise TypeError(f"refusing {type(value).__name__} input; use Fraction, int, or 'p/q' strings")
     # Fraction parses "1e10000000" by building the power, which takes seconds
     if isinstance(value, str) and ("e" in value or "E" in value):
         raise ValueError(f"refusing exponent notation {value!r}; write 'p/q' or a plain decimal")
@@ -225,6 +233,8 @@ def _json_terms(data) -> list[tuple[int, int, int]]:
         # a bool is an int to Python, and a float would be truncated
         if isinstance(coeff, bool):
             raise TypeError(f"refusing bool coefficient {coeff!r}")
+        if not isinstance(coeff, _NUMBER_TYPES):
+            raise TypeError(f"refusing {type(coeff).__name__} coefficients; use Fraction, int, or 'p/q' strings")
         if isinstance(r, bool) or not isinstance(r, int):
             raise TypeError(f"radicand must be an integer, got {r!r}")
         if r < 1:

@@ -11,7 +11,9 @@ bytes, and the same exceptions with the same messages.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
+from numbers import Rational
 
 from multconv.points import make_point, primitive_ray, ray_norm_sq
 from multconv.scalars import Surd, _coerce_rational, square_free_decompose
@@ -24,6 +26,8 @@ def surd_from_json(data) -> Surd:
     for coeff, r in data:
         if isinstance(coeff, bool):
             raise TypeError(f"refusing bool coefficient {coeff!r}")
+        if not isinstance(coeff, (Rational, str, float, Decimal)):
+            raise TypeError(f"refusing {type(coeff).__name__} coefficients; use Fraction, int, or 'p/q' strings")
         if isinstance(r, bool) or not isinstance(r, int):
             raise TypeError(f"radicand must be an integer, got {r!r}")
         if r < 1:

@@ -1,6 +1,10 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -359,16 +363,7 @@ def test_zonoid_dimension_bound_checked_before_enumeration(tmp_path, capsys, mon
     assert "dimension 16 exceeds the enumeration bound 8" in err
 
 
-def fresh_run(capsys, monkeypatch, *argv):
-    """``run`` with a parser built for this call alone."""
-    monkeypatch.setattr(cli, "_parser", None)
-    try:
-        return run(capsys, *argv)
-    finally:
-        monkeypatch.setattr(cli, "_parser", None)
-
-
-def test_main_builds_one_parser_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+def test_main_keeps_no_state_between_requests(tmp_path, capsys):
     a = write_json(tmp_path / "a.json", dirac(2, -1))
     b = write_json(tmp_path / "b.json", dirac(3, 3))
     requests = [
@@ -376,37 +371,259 @@ def test_main_builds_one_parser_and_keeps_no_state(tmp_path, capsys, monkeypatch
         ["decompose", a],
         ["convolve", a, b, "--sphere"],
         ["convolve", a, b],
-        ["project", a],  # argparse exits 2: --E is required
+        ["project", a],  # exits 2: --E is required
         ["project", a, "--E", "1"],
         ["frobnicate"],
         ["universal", a],
     ]
-    expected = []
-    for argv in requests:
-        try:
-            expected.append(fresh_run(capsys, monkeypatch, *argv))
-        except SystemExit as exc:
-            expected.append((exc.code, *capsys.readouterr()))
-    built = []
-    build = cli.build_parser
-
-    def counting_build():
-        built.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "build_parser", counting_build)
-    for _ in range(2):
-        for argv, want in zip(requests, expected):
-            try:
-                got = run(capsys, *argv)
-            except SystemExit as exc:
-                got = (exc.code, *capsys.readouterr())
-            assert got == want, argv
-    assert len(built) == 1
+    expected = [run(capsys, *argv) for argv in requests]
+    # the same requests again, in order and in reverse
+    for order in (requests, requests[::-1]):
+        for argv in order:
+            assert run(capsys, *argv) == expected[requests.index(argv)], argv
     # the pretty request did not stick, nor did --sphere or the exits
     assert expected[1][1] == json.dumps(json.loads(expected[1][1]), separators=(",", ":")) + "\n"
     assert "point" in expected[3][1]
     assert expected[4][0] == 2 and expected[6][0] == 2 and expected[5][0] == 0
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse tree that read the cli's argv before the command table,
+    declaration for declaration: the oracle of ``cli.parse_args``."""
+    parser = argparse.ArgumentParser(
+        prog="multconv",
+        description="exact multiplicative-convolution algebra of atomic measures",
+    )
+    parser.add_argument(
+        "--format", choices=("pretty", "json"), default="json", help="output style"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("convolve", help="convolve two measures")
+    p.add_argument("a")
+    p.add_argument("b")
+    p.add_argument("--sphere", action="store_true", help="use the sphere product")
+    p.set_defaults(func=cli._cmd_convolve)
+
+    p = sub.add_parser("project", help="project onto a coordinate subspace or subsphere")
+    p.add_argument("input")
+    p.add_argument("--E", required=True, help="1-based comma list; 0 means the empty set")
+    p.add_argument("--sphere", action="store_true")
+    p.set_defaults(func=cli._cmd_project)
+
+    p = sub.add_parser("decompose", help="coordinate decomposition with order and degree")
+    p.add_argument("input")
+    p.set_defaults(func=cli._cmd_decompose)
+
+    p = sub.add_parser("symmetrize", help="apply the even/odd symmetrisation of a pair")
+    p.add_argument("input")
+    p.add_argument("--evens", default=None, help="semicolon-separated subsets")
+    p.add_argument("--odds", default=None, help="semicolon-separated subsets")
+    p.set_defaults(func=cli._cmd_symmetrize)
+
+    p = sub.add_parser("lift", help="lift a point measure to a symmetric sphere measure")
+    p.add_argument("input")
+    p.set_defaults(func=cli._cmd_lift)
+
+    p = sub.add_parser("lift-inverse", help="invert the lift")
+    p.add_argument("input")
+    p.set_defaults(func=cli._cmd_lift_inverse)
+
+    p = sub.add_parser("universal", help="decide universality; exit 0 universal, 3 not")
+    p.add_argument("input")
+    p.add_argument("--evens", default=None)
+    p.add_argument("--odds", default=None)
+    p.add_argument("--support", default="all", help="all, top, or semicolon-separated subsets")
+    p.add_argument("--sphere", action="store_true")
+    p.set_defaults(func=cli._cmd_universal)
+
+    p = sub.add_parser("zonoid", help="checks on a zonotope's generating measure")
+    p.add_argument("input")
+    p.add_argument(
+        "--check",
+        choices=("d-universal", "unc-d-universal", "singleton-support"),
+        required=True,
+    )
+    p.set_defaults(func=cli._cmd_zonoid)
+
+    p = sub.add_parser("verify", help="run a property suite; exit 0 iff it passes")
+    p.add_argument("--suite", required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=100)
+    p.set_defaults(func=cli._cmd_verify)
+
+    return parser
+
+
+REFERENCE = reference_parser()
+
+
+def reference_read(argv):
+    """The reference's fields for ``argv`` (the handler checked against the
+    table's and dropped), or its exit code with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            ns = REFERENCE.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    fields = vars(ns)
+    assert fields.pop("func") is cli.COMMANDS[ns.command].handler
+    return fields
+
+
+# values that argparse reads as values in both spellings (a negative number,
+# a word with a space), and more that only follow an "=" or a "--"
+VALUES = ["1", "1,2", "0", "1;2,3", "all", "top", "-1", "-2.5", "a b", "x"]
+AFTER_EQUALS = VALUES + ["-x", "--sphere", "", "-h"]
+FILES = ["a.json", "m.json", "-3", "-", "x y.json"]
+AFTER_DASHES = FILES + ["-a.json", "--sphere", "-h"]
+
+
+def _spellings(name: str, names) -> list[str]:
+    """``name`` and each of its prefixes that no other option name of
+    ``names`` (``--help`` among them) begins with."""
+    return [name[:k] for k in range(3, len(name) + 1) if not any(o.startswith(name[:k]) for o in names if o != name)]
+
+
+def _spell(rng, name: str, option, names) -> list[str]:
+    word = rng.choice(_spellings(name, names))
+    if option.kind == "flag":
+        return [word]
+    if option.choices:
+        value = rng.choice(option.choices)
+    elif option.kind == "int":
+        value = str(rng.randrange(-20, 200))
+    else:
+        value = rng.choice(VALUES)
+    if rng.random() < 0.3:
+        return [f"{word}={rng.choice(AFTER_EQUALS) if option.kind == 'text' and not option.choices else value}"]
+    return [word, value]
+
+
+def valid_argv(rng) -> list[str]:
+    """A request the reference accepts: ``--format`` zero to two times
+    (the last wins), then a command whose options, each given zero to two
+    times (required ones at least once), in any spelling (``=`` or not, a
+    unique prefix), sit before, between or after its positionals, with a
+    ``--`` before the positionals after the last option now and then."""
+    words = []
+    for _ in range(rng.randrange(3)):
+        words += _spell(rng, "--format", cli.GLOBAL_OPTIONS["--format"], ("--help", "--format"))
+    name = rng.choice(list(cli.COMMANDS))
+    command = cli.COMMANDS[name]
+    names = ("--help", *command.options)
+    options = []
+    for opt, option in command.options.items():
+        for _ in range(option.required + rng.randrange(2) + (rng.random() < 0.2)):
+            options.append(_spell(rng, opt, option, names))
+    slots = [[] for _ in range(len(command.positionals) + 1)]
+    for spelled in options:
+        slots[rng.randrange(len(slots))].append(spelled)
+    last = max([k for k, slot in enumerate(slots) if slot], default=0)
+    dashes = last < len(command.positionals) and rng.random() < 0.4
+    words.append(name)
+    for k, slot in enumerate(slots):
+        for spelled in slot:
+            words += spelled
+        if k == last and dashes:
+            words.append("--")
+        if k < len(command.positionals):
+            words.append(rng.choice(AFTER_DASHES if dashes and k >= last else FILES))
+    return words
+
+
+def test_parse_args_reads_what_argparse_reads():
+    rng = random.Random(11)
+    commands = set()
+    for _ in range(3000):
+        argv = valid_argv(rng)
+        want = reference_read(argv)
+        assert isinstance(want, dict), (argv, want)
+        got = cli.parse_args(argv)
+        assert isinstance(got, cli.SimpleNamespace), argv
+        assert vars(got) == want, argv
+        commands.add(want["command"])
+    assert commands == set(cli.COMMANDS)
+
+
+def malformed_argv(rng):
+    """``(kind, argv)`` pairs that the reference refuses, for every command."""
+    for name, command in cli.COMMANDS.items():
+        files = [rng.choice(FILES) for _ in command.positionals]
+        required = []
+        for opt, option in command.options.items():
+            if option.required:
+                required += [opt, option.choices[0] if option.choices else "1"]
+        good = [name, *files, *required]
+        yield "unknown-command", [rng.choice(["frobnicate", "Convolve", "lift_inverse", "-1"]), *good[1:]]
+        yield "unknown-option", good + [rng.choice(["--bogus", "-x", "--bogus=1", "--format"])]
+        yield "format-after-command", good + ["--format", rng.choice(["json", "pretty"])]
+        yield "format-after-command", [name, "--format=json", *good[1:]]
+        yield "extra-positional", good + ["extra.json"]
+        yield "bad-format", ["--format", "yaml", *good]
+        if files:
+            yield "missing-positional", [name, *files[:-1], *required]
+        for k in range(0, len(required), 2):
+            yield "missing-option", good[:len(good) - len(required)] + required[:k] + required[k + 2:]
+            yield "option-without-value", good[:-1]
+            yield "option-without-value", good[:-1] + ["--help" if len(command.options) == 1 else "--sphere"]
+        for opt, option in command.options.items():
+            if option.choices:
+                yield "bad-choice", good + [opt, "nope"]
+            if option.kind == "int":
+                yield "non-int", good + [f"{opt}={rng.choice(['x', '1.5', '-1.5', '0x10'])}"]
+                yield "non-int", good + [opt, "seven"]
+            if option.kind == "flag":
+                yield "flag-with-value", good + [f"{opt}=1"]
+        shared = [p for p in ("--s", "--e", "--o") if sum(o.startswith(p) for o in command.options) > 1]
+        for prefix in shared:
+            yield "ambiguous-option", good + [prefix, "1"]
+    yield "no-command", []
+    yield "no-command", ["--format", "pretty"]
+    yield "option-without-value", ["--format"]
+    yield "option-without-value", ["--format", "--", "decompose", "a.json"]
+
+
+def test_parse_args_refuses_what_argparse_refuses(capsys):
+    rng = random.Random(11)
+    kinds = set()
+    for kind, argv in malformed_argv(rng):
+        code, out, _ = reference_read(argv)
+        assert (code, out) == (2, ""), (kind, argv)
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (2, ""), (kind, argv)
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: multconv") and lines[-1].startswith("multconv: error: "), (kind, argv)
+        kinds.add(kind)
+    assert {"unknown-command", "missing-positional", "missing-option", "bad-choice", "non-int", "unknown-option",
+            "ambiguous-option", "extra-positional", "option-without-value", "format-after-command"} <= kinds
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_names_every_command_and_option(capsys, monkeypatch, flag):
+    for argv in ([flag], ["--format", "pretty", flag, "frobnicate"]):
+        assert reference_read(argv)[0] == 0
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: multconv") and "--format" in out
+        assert all(name in out for name in cli.COMMANDS)
+    for name, command in cli.COMMANDS.items():
+        for argv in ([name, flag], [name, "--bogus", flag, "extra"]):
+            assert reference_read(argv)[0] == 0, argv
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out.startswith(f"usage: multconv {name}")
+            assert all(word in out for word in [*command.positionals, *command.options, "--help"])
+    # without argv, main reads the process's
+    monkeypatch.setattr(sys, "argv", ["multconv", "verify", flag])
+    assert main() == 0
+    assert "--trials" in capsys.readouterr().out
+
+
+def test_cli_reads_argv_without_argparse():
+    assert "argparse" not in vars(cli)
+    assert not hasattr(cli, "build_parser")
 
 
 def test_known_escapes_still_escape_main(tmp_path, capsys):

@@ -215,6 +215,38 @@ def test_malformed_payloads_raise_as_the_fraction_route(cls, payload):
 
 
 @pytest.mark.parametrize(
+    "slot, bad, exc, message",
+    [
+        ("ray", "1.25", ValueError, "ray entry '1.25' is not an integer"),
+        ("ray", "6/4", ValueError, "ray entry '6/4' is not an integer"),
+        ("ray", "", ValueError, "ray entry '' is not an integer"),
+        ("ray", None, TypeError, "refusing NoneType ray entries; use integers"),
+        ("ray", [1], TypeError, "refusing list ray entries; use integers"),
+        ("point", None, TypeError, "refusing NoneType coordinates; use Fraction, int, or 'p/q' strings"),
+        ("point", [1], TypeError, "refusing list coordinates; use Fraction, int, or 'p/q' strings"),
+        ("coefficient", None, TypeError, "refusing NoneType coefficients; use Fraction, int, or 'p/q' strings"),
+        ("coefficient", [1], TypeError, "refusing list coefficients; use Fraction, int, or 'p/q' strings"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_refusals_name_the_field_and_the_rule(slot, bad, exc, message):
+    # the same text from ``from_json``, the constructor and ``Surd.from_json``
+    cls = SphereMeasure if slot == "ray" else Measure
+    loc = ["1", bad] if slot in ("point", "ray") else ["1", "2"]
+    weight = [["1", 2], [bad, 1]] if slot == "coefficient" else [["1", 1]]
+    payload = {"dim": 2, "atoms": [{cls._loc_field: ["1", "1"], "weight": [["1", 1]]}, {cls._loc_field: loc, "weight": weight}]}
+    calls = [lambda: cls.from_json(payload)]
+    if slot == "coefficient":
+        calls.append(lambda: Surd.from_json(weight))
+    else:
+        calls.append(lambda: cls(2, [(tuple(loc), 1)]))
+    for call in calls:
+        with pytest.raises(exc) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "text", ["0", "-0", "+3", " 7 ", "12", "-12", "6/4", "-6/4", "0/5", "1.25", "1_000", "١٢", "²",
              "1/0", "1e5", "1/-2", "1 /2", "", "-", "--1", "1/", "/2", "1/2/3", "9" * 5000],
 )
