@@ -47,6 +47,15 @@ output:
   (point coordinate, ray entry, coefficient, radicand), read by
   ``from_json`` and by the public constructor: ``atoms`` in insertion order
   and ``to_json()``, or the exception's type and message;
+- ``refusals``: the malformed payloads of the codec tests, and locations
+  that mix types or hold equal values of different types in one column
+  (``(1, True)``, ``(1, 1.0)``, ``Decimal("1.5")`` beside ``Fraction(3,
+  2)``, digit groups, a generator, ...), read by ``from_json`` (where JSON
+  can hold them), by the public constructor and, location by location, by
+  ``weight_at``: the measure read, or the exception's type and message;
+  each payload that JSON holds also goes through ``universal <file>`` in
+  the cli (exit code, stdout and stderr).  It runs once, whatever
+  ``--max-dim`` is;
 - ``dense``: ``to_json_text()`` of ``decide_special`` at full scope on
   every named class, for seeded measures at n = 6, 7, 8 with 40, 100 and
   250 atoms, with few or many zero coordinates, as point measures and
@@ -72,6 +81,7 @@ import json
 import os
 import random
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 
 from multconv import (
@@ -422,6 +432,129 @@ def codec(group: Group, n: int) -> None:
         group.add([n, repr(bad), "weight", read_outcome(Measure, n, rows)])
 
 
+def _atoms(field, *atoms, dim=2):
+    return {"dim": dim, "atoms": [{field: loc, "weight": weight} for loc, weight in atoms]}
+
+
+# the malformed payloads of ``tests/test_codec.py``
+MALFORMED = (
+    (Measure, [{"point": ["1"], "weight": [["1", 1]]}]),
+    (Measure, {"dim": 2, "atoms": 5}),
+    (Measure, {"dim": 2, "atoms": [5]}),
+    (Measure, {"dim": 2, "atoms": [{"weight": [["1", 1]]}]}),
+    (Measure, {"dim": 2, "atoms": [{"point": ["1", "1"]}]}),
+    (Measure, {"atoms": [{"point": ["1", "1"], "weight": [["1", 1]]}]}),
+    (Measure, {"dim": "2", "atoms": []}),
+    (Measure, {"dim": 0, "atoms": []}),
+    (Measure, {"dim": True, "atoms": []}),
+    (Measure, _atoms("point", (["1/2", "3"], [["1", 1]]), dim=3)),
+    (Measure, _atoms("point", (["1/2", "x"], [["1", 1]]), dim=3)),
+    (Measure, _atoms("point", ([], [["1", 1]]), dim=1)),
+    (Measure, _atoms("point", ("12", [["1", 1]]))),
+    (Measure, _atoms("point", (12, [["1", 1]]))),
+    (Measure, _atoms("point", (["1", 0.5], [["1/0", 1]]))),
+    (Measure, _atoms("point", (["1/0", 0.5], [["1", 1]]))),
+    (Measure, _atoms("point", (["1", "1"], [["1", 4]]))),
+    (Measure, _atoms("point", (["1", "1"], [["1", 0]]))),
+    (Measure, _atoms("point", (["1", "1"], [["1", 2.0]]))),
+    (Measure, _atoms("point", (["1", "1"], [["1", "2"]]))),
+    (Measure, _atoms("point", (["1", "1"], [["1", True]]))),
+    (Measure, _atoms("point", (["1", "1"], 5))),
+    (Measure, _atoms("point", (["1", "1"], [["1"]]))),
+    (Measure, _atoms("point", (["1", "1"], [["1", 1, 2]]))),
+    (Measure, _atoms("point", (["1", "x"], [["y", 1]]))),
+    (SphereMeasure, _atoms("ray", (["2", "4"], [["1", 1]]), dim=3)),
+    (SphereMeasure, _atoms("ray", (["0", "-0"], [["1", 1]]))),
+    (SphereMeasure, _atoms("ray", (["1/2", "1"], [["1", 1]]))),
+    (SphereMeasure, _atoms("ray", ("12", [["1", 1]]))),
+    (SphereMeasure, _atoms("point", (["1", "1"], [["1", 1]]))),
+    (SphereMeasure, _atoms("ray", ([2000000009, 1], [["1", 1]]))),
+)
+
+# locations of two coordinates that mix types, or hold equal values of
+# different types, in one column, and other number forms: each a function
+# giving the locations, since a generator is read once
+MIXED = (
+    (Measure, lambda: [(1, True)]),
+    (Measure, lambda: [(True, 1)]),
+    (Measure, lambda: [(1, 1.0)]),
+    (Measure, lambda: [(Fraction(1), True)]),
+    (Measure, lambda: [(1, 2), (True, 1)]),
+    (Measure, lambda: [(Decimal("1.5"), 1), (Fraction(3, 2), 2)]),
+    (Measure, lambda: [(Decimal("1"), 1), (1, 2)]),
+    (Measure, lambda: [("1_000", 1), (" 7 ", "+3"), ("1/2", 1000)]),
+    (Measure, lambda: [(c for c in (1, "1/2")), (1, 2)]),
+    (Measure, lambda: [("1/2", Decimal("0.5")), (F(1, 2), "2/4")]),
+    (SphereMeasure, lambda: [(1, True)]),
+    (SphereMeasure, lambda: [(1, 1.0)]),
+    (SphereMeasure, lambda: [(Decimal("2"), 4)]),
+    (SphereMeasure, lambda: [("1_000", " 7 "), ("+3", 1), (3, 1)]),
+    (SphereMeasure, lambda: [(c for c in (2, 4)), (1, 2)]),
+    (SphereMeasure, lambda: [(Fraction(4), "2"), (Decimal("2.5"), 1)]),
+)
+
+
+def json_holds(value) -> bool:
+    """Whether JSON can hold ``value`` as it is."""
+    if isinstance(value, (list, tuple)):
+        return all(map(json_holds, value))
+    return value is None or isinstance(value, (str, int, float, dict))
+
+
+def weight_at_outcomes(cls: type, locs) -> list:
+    """``weight_at`` of a fixed measure of dimension 2 at each location
+    that ``locs`` holds: the weight as text, or the exception's type and
+    message."""
+    probe = cls(2, {(1, 2): F(1, 3), (2, -1): Surd.sqrt(2), (3, 3): -1})
+    out = []
+    for loc in locs:
+        try:
+            out.append(str(probe.weight_at(loc)))
+        except Exception as exc:
+            out.append([type(exc).__name__, str(exc)])
+    return out
+
+
+def refusals(group: Group) -> None:
+    files = {}
+    for k, (cls, data) in enumerate(MALFORMED):
+        field = cls._loc_field
+
+        def construct(data=data, field=field):
+            return cls(data["dim"], [(atom[field], Surd.from_json(atom["weight"])) for atom in data["atoms"]])
+
+        locs = [atom[field] for atom in data.get("atoms", []) if isinstance(atom, dict) and field in atom] \
+            if isinstance(data, dict) and isinstance(data.get("atoms"), list) else []
+        group.add(["malformed", k, "from_json", read_outcome(cls.from_json, data)])
+        group.add(["malformed", k, "constructor", read_outcome(construct)])
+        group.add(["malformed", k, "weight_at", weight_at_outcomes(cls, locs)])
+        files[f"malformed-{k}.json"] = data
+    for k, (cls, make) in enumerate(MIXED):
+        rows = [(loc, F(j + 1, 2)) for j, loc in enumerate(make())]
+        group.add(["mixed", k, "constructor", read_outcome(cls, 2, rows)])
+        group.add(["mixed", k, "weight_at", weight_at_outcomes(cls, make())])
+        locs = [list(loc) for loc in make()]
+        if json_holds(locs):
+            data = _atoms(cls._loc_field, *[(loc, [["1/2", 1]]) for loc in locs])
+            group.add(["mixed", k, "from_json", read_outcome(cls.from_json, data)])
+            files[f"mixed-{k}.json"] = data
+    # a coefficient column of an int and a bool
+    data = _atoms("point", (["1", "2"], [[1, 1]]), (["2", "1"], [[True, 1]]))
+    group.add(["coefficients", "from_json", read_outcome(Measure.from_json, data)])
+    group.add(["coefficients", "constructor", read_outcome(Measure, 2, [((1, 2), 1), ((2, 1), True)])])
+    files["coefficients.json"] = data
+    with tempfile.TemporaryDirectory() as tmp:
+        home = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for name, payload in files.items():
+                with open(name, "w", encoding="utf-8") as fh:
+                    json.dump(payload, fh)
+                group.add(["cli", name, run_cli(["universal", name])])
+        finally:
+            os.chdir(home)
+
+
 # (dimension, atoms): many atoms per support set, beyond ``--max-dim 5``
 DENSE = ((6, 40), (7, 100), (8, 250))
 # one zero coordinate in seven, or one in two
@@ -582,7 +715,7 @@ def main():
     parser.add_argument("--max-dim", type=int, default=3)
     max_dim = parser.parse_args().max_dim
     names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra", "linear", "surds",
-             "surface", "codec", "dense")
+             "surface", "codec", "refusals", "dense")
     groups = {name: Group() for name in names}
     for n in range(1, max_dim + 1):
         decisions(groups["decisions"], n)
@@ -595,6 +728,7 @@ def main():
         surds(groups["surds"], n)
         surface(groups["surface"], n)
         codec(groups["codec"], n)
+    refusals(groups["refusals"])
     dense(groups["dense"])
     for name in names:
         print(f"{name} {groups[name].count} {groups[name].hash.hexdigest()}")

@@ -18,7 +18,11 @@ and ``json.dumps`` of ``to_json()``), and write that witness both ways;
 one more ``from_json`` reads that measure's JSON with one coordinate
 written as a JSON int, one weight given a second term and one atom
 repeated, and another with every weight one term over radicands 1, 2 and
-3, the first of radicand 3 zero.
+3, the first of radicand 3 zero.  The constructor case builds that measure
+with ``Measure(3, rows)`` from its atoms as ``Fraction`` locations and
+:class:`Surd` weights, sorted by location: the public entry reads the
+coordinates as one column, as ``from_json`` does, on values that do not
+repeat.
 The decision cases run ``decide_universal_rn`` on one
 10-atom point measure over the full support with 40 distinct
 ``harness.gen_pair`` pairs, at n = 4 and n = 8, twice: cold, with the
@@ -39,10 +43,10 @@ result is compared with a per-atom reference
 (``harness.brute_force_convolution``, the double loop over the decoded
 atoms, for ``mconv``; its radial projection for ``sconv`` of projected
 points; the double loop over the decoded sphere atoms for ``sconv`` of
-several parts; one zero pattern per atom; for ``from_json``, the atoms
-and their stored order as ``read_atoms`` reads the JSON through
-``Fraction`` and ``Surd`` alone, with no measure built; for the
-writers, the bytes of the other writer and the
+several parts; one zero pattern per atom; for ``from_json`` and the
+constructor, the atoms and their stored order as ``read_atoms`` reads the
+measure's JSON through ``Fraction`` and ``Surd`` alone, with no measure
+built; for the writers, the bytes of the other writer and the
 measure read back; for the decisions, each report's JSON with that of the
 same decision in the other mode), and the script exits 1 on a mismatch.
 
@@ -291,6 +295,8 @@ def cases():
     mu = distinct_measure(4, 3, 60)
     text = json.loads(dumps(mu))
     yield ("from_json n=3 60 distinct", lambda: Measure.from_json(text), lambda r: same_atoms(r, text))
+    rows = sorted(mu.atoms.items())
+    yield ("constructor n=3 60 distinct", lambda: Measure(3, rows), lambda r: same_atoms(r, text))
     # no other coordinate is an int: each has a prime denominator
     mixed = json.loads(dumps(mu))
     mixed["atoms"][0]["point"][0] = 1

@@ -31,14 +31,17 @@ weights to :class:`Surd` values, only at the public surface, where the
 weight at ``v`` is the stored mass times the root of ``v``'s squared norm
 (``_norms``; 1 for points) in both settings.  The JSON codec builds
 neither, and reads and writes whole columns of values.  The constructor
-and both JSON readers end in one builder, ``_build``, on int columns of one
-row per weight term.  ``from_json`` reads ``"p/q"`` strings and ints with
+and ``from_json`` end in one builder, ``_build``, on int columns of one row
+per weight term, whose locations a setting's one reader ``_locate`` keys as
+one column of entries.  ``from_json`` reads ``"p/q"`` strings and ints with
 one regex match over the distinct texts of the coordinates and one over
-those of the coefficients and C-level ``int`` maps; a payload holding
-another number form or a value to refuse goes to the per-atom reader,
-which refuses each error with its message in the constructor's order.
-``to_json`` and the compact text writer ``to_json_text`` share one pass
-that writes each distinct value's reduced ``"p/q"`` text once.
+those of the coefficients and C-level ``int`` maps
+(``scalars._rational_column``), other number forms once per distinct
+value; only where a column holds a value to refuse are its values walked
+one by one, to raise the first refusal with its message in the
+constructor's order.  ``to_json`` and the compact text writer
+``to_json_text`` share one pass that writes each distinct value's reduced
+``"p/q"`` text once.
 """
 
 from __future__ import annotations
@@ -51,15 +54,13 @@ from operator import add, eq, floordiv, ge, itemgetter, lshift, mul, ne, neg, no
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .points import Point, make_point, point_values
+from .points import Point, make_point
 from .scalars import (
     Surd,
     SurdLike,
     _canonical,
-    _json_terms,
     _ratio_text,
     _rational_column,
-    _rational_pair,
     as_surd,
     square_free_decompose,
 )
@@ -162,6 +163,47 @@ def _positive(dim: int) -> int:
     return dim
 
 
+def _weight_columns(weights: list) -> tuple | None:
+    """JSON weights, lists of ``[coefficient, radicand]`` terms, as the
+    columns of ``_build``: the terms per weight (None when each has one), the
+    radicands, checked square-free ints, and the coefficients read by
+    ``_rational_column`` as numerators and denominators; a weight with no
+    term is a zero term.  None for weights that hold a value to refuse, or
+    are not lists of such lists."""
+    if not set(map(type, weights)) <= {list}:
+        return None
+    if not all(weights):
+        weights = [w or [[0, 1]] for w in weights]
+    terms = list(chain.from_iterable(weights))
+    if not set(map(type, terms)) <= {list} or not set(map(len, terms)) <= {2}:
+        return None
+    coeffs, rads = list(zip(*terms)) or ((), ())
+    if not set(map(type, rads)) <= {int}:
+        return None
+    try:
+        if not all([r == 1 or r > 1 and square_free_decompose(r)[1] == r for r in set(rads)]):
+            return None
+    except ValueError:  # a factor beyond the trial-division bound
+        return None
+    read = _rational_column(coeffs)
+    if read is None:
+        return None
+    return None if len(terms) == len(weights) else list(map(len, weights)), rads, *read
+
+
+def _walk(locs: list, dim: int, read: Callable[[object], tuple], field: str) -> list[tuple]:
+    """Each location read by ``read`` (``make_point`` or ``primitive_ray``)
+    and its dimension checked, in turn: the walk of ``_locate`` that raises
+    the first refusal with its message."""
+    out = []
+    for loc in locs:
+        v = read(loc)
+        if len(v) != dim:
+            raise ValueError(f"{field} {v} has dimension {len(v)}, expected {dim}")
+        out.append(v)
+    return out
+
+
 def _sum_parts(lanes: Lanes) -> Parts:
     """Sum point masses per radicand and vector."""
     out: Parts = {}
@@ -179,12 +221,13 @@ class AtomicMeasure:
     The shared core of point and sphere measures.  A subclass fixes the
     location type through class attributes: ``_locate``, the one reader of
     locations (the constructor's, ``from_json``'s and ``weight_at``'s),
-    checks them and keys them over one denominator, ``_loc_field`` names
-    them in JSON, ``_decode`` turns a stored key back into a location;
-    ``_norms`` gives, per key, the square of the number a weight is divided
-    by to store it (1 for points); and its pushforward through
-    the trusted ``_gather``, which sums point masses per location: the one
-    hook that every projection, product and sum ends in.
+    reads their entries as one column, checks them and keys them over one
+    denominator, walking them one by one only to raise a refusal;
+    ``_loc_field`` names them in JSON, ``_decode`` turns a stored key back
+    into a location; ``_norms`` gives, per key, the square of the number a
+    weight is divided by to store it (1 for points); and its pushforward
+    through the trusted ``_gather``, which sums point masses per location:
+    the one hook that every projection, product and sum ends in.
 
     The measure is stored as parts, ``_parts[s]`` for each square-free
     radicand ``s`` that occurs: a dict from tuples of ints ``v`` to nonzero
@@ -213,44 +256,40 @@ class AtomicMeasure:
     location and checks its dimension; it is the entry for user input, and
     ``from_json`` reads JSON in the same order without building a
     ``Fraction`` or a :class:`Surd` per atom.  Both end in ``_build``, which
-    divides each weight by that root on ints and merges repeats.  Parts the
-    library built itself, of the right dimension and keyed over a common
-    denominator, go through the trusted constructor ``_of`` instead.
+    keys the locations, divides each weight by that root on ints and merges
+    repeats.  Parts the library built itself, of the right dimension and
+    keyed over a common denominator, go through the trusted constructor
+    ``_of`` instead.
     """
 
     __slots__ = ("dim", "_parts", "_den", "_wden")
     _locate: Callable[[list, int], tuple[list[Key], int]]
-    # ``_locate`` on the entries of JSON locations listed one after another,
-    # for the column reader: the keys and their denominator, or None for
-    # entries it does not read
-    _locate_entries: Callable[[list, int], tuple[list[Key], int] | None]
     _loc_field: str
 
     def __init__(self, dim: int, atoms: Mapping[tuple, SurdLike] | Iterable[tuple[tuple, SurdLike]] = ()):
         _positive(dim)
-        items = atoms.items() if isinstance(atoms, Mapping) else atoms
-        self._assemble(dim, [(loc, _surd_terms(w)) for loc, w in items])
-
-    def _assemble(self, dim: int, rows: list[tuple[object, Terms]]) -> Self:
-        """Initialise from locations as given and checked ``(r, p, q)`` weight
-        terms, keyed by ``_locate``, through ``_build`` on one row per term (a
-        weight with no term gives a zero term: its norm is still factored)."""
-        keys, den = self._locate([loc for loc, _ in rows], dim)
-        weights = [terms or ((1, 0, 1),) for _, terms in rows]
+        items = list(atoms.items() if isinstance(atoms, Mapping) else atoms)
+        # one row per weight term; a weight with no term gives a zero term,
+        # as its norm is still factored
+        weights = [_surd_terms(w) or ((1, 0, 1),) for _, w in items]
         terms = list(chain.from_iterable(weights))
-        if len(terms) != len(keys):
-            keys = list(chain.from_iterable(map(repeat, keys, map(len, weights))))
+        counts = None if len(terms) == len(weights) else list(map(len, weights))
         rads, nums, dens = list(zip(*terms)) or ((), (), ())
-        return self._build(dim, keys, rads, nums, dens, den)
+        self._build(dim, [loc for loc, _ in items], counts, rads, nums, dens)
 
-    def _build(self, dim: int, keys: list[Key], rads: Sequence[int], nums: Sequence[int],
-               dens: Sequence[int] | None, den: int) -> Self:
-        """Initialise from one row per weight term: its key over ``den``, its
-        square-free radicand and its coefficient, ``nums`` over ``dens`` (None
-        when all are 1), divided by the root of the key's ``_norms`` entry and
-        scaled over one lcm.  Where a key repeats or a coefficient is zero, the
-        terms are summed per key and radicand, zero sums dropped, and the parts
-        made key by key in radicand order, as a canonical weight lists them."""
+    def _build(self, dim: int, locs: list, counts: list[int] | None, rads: Sequence[int], nums: Sequence[int],
+               dens: Sequence[int] | None) -> Self:
+        """Initialise from locations as given, keyed by ``_locate``, and one
+        row per weight term, ``counts`` per location (None when each location
+        has one): its square-free radicand and its coefficient, ``nums`` over
+        ``dens`` (None when all are 1), divided by the root of the key's
+        ``_norms`` entry and scaled over one lcm.  Where a key repeats or a
+        coefficient is zero, the terms are summed per key and radicand, zero
+        sums dropped, and the parts made key by key in radicand order, as a
+        canonical weight lists them."""
+        keys, den = self._locate(locs, dim)
+        if counts is not None:
+            keys = list(chain.from_iterable(map(repeat, keys, counts)))
         norms = self._norms(keys)
         if norms:  # none for points or no rows
             # the mass is the weight over sqrt(n): (p/q) sqrt(r) = (p*m / (q*n)) sqrt(t)
@@ -627,60 +666,28 @@ class AtomicMeasure:
 
     @classmethod
     def from_json(cls, data: dict) -> Self:
-        out = cls._from_columns(data)
-        return cls._from_atoms(data) if out is None else out
-
-    @classmethod
-    def _from_atoms(cls, data: dict) -> Self:
-        """``from_json`` atom by atom, for any payload: the weights first, then
-        ``dim``, then the locations in ``_assemble``, each check raising what
-        the public constructor raises on the same values."""
+        """Read a payload as the constructor reads its values: the weights
+        first, then ``dim``, then the locations (``_locate``).  The weights
+        are read as columns (``_weight_columns``); only where that check
+        fails are the atoms walked one by one through ``Surd.from_json`` and
+        the constructor, which raise the first refusal with its message (and
+        read weights given as other sequences than lists)."""
         field = cls._loc_field
-        entries = [(entry[field], _json_terms(entry["weight"])) for entry in data.get("atoms", [])]
-        dim = _positive(json_dim(data))
-        return cls.__new__(cls)._assemble(dim, entries)
-
-    @classmethod
-    def _from_columns(cls, data) -> Self | None:
-        """``from_json`` on coordinate columns: locations of ``dim`` entries
-        read by ``_locate_entries``, weights of ``[coefficient, radicand]``
-        terms, the coefficients read by ``_rational_column`` and the radicands
-        square-free ints, flattened to one row per term for ``_build``.  None
-        for a payload holding a value this reader cannot read (another number
-        form, a value to refuse, a ray that ``int`` refuses, a weight with no
-        terms), which ``from_json`` then reads atom by atom, so that every
-        refusal keeps its type, message and order."""
-        if type(data) is not dict:
-            return None
-        dim, atoms = data.get("dim"), data.get("atoms")
-        if type(dim) is not int or dim < 1 or type(atoms) is not list or not atoms:
-            return None
+        atoms = data.get("atoms", [])
+        if type(atoms) is not list:  # read twice below
+            atoms = list(atoms)
         try:
-            locs = list(map(itemgetter(cls._loc_field), atoms))
-            weights = list(map(itemgetter("weight"), atoms))
-        except (KeyError, TypeError):
-            return None
-        if set(map(type, locs)) != {list} or set(map(len, locs)) != {dim}:
-            return None
-        if set(map(type, weights)) != {list} or not all(weights):
-            return None
-        terms = list(chain.from_iterable(weights))
-        if set(map(type, terms)) != {list} or set(map(len, terms)) != {2}:
-            return None
-        coeffs, rads = zip(*terms)
-        located = cls._locate_entries(list(chain.from_iterable(locs)), dim)
-        read = _rational_column(coeffs)
-        if located is None or read is None or set(map(type, rads)) != {int}:
-            return None
-        try:
-            if not all([r == 1 or r > 1 and square_free_decompose(r)[1] == r for r in set(rads)]):
-                return None
-        except ValueError:  # a factor beyond the trial-division bound
-            return None
-        keys, den = located
-        if len(terms) != len(keys):
-            keys = list(chain.from_iterable(map(repeat, keys, map(len, weights))))
-        return cls.__new__(cls)._build(dim, keys, rads, *read, den)
+            locs = list(map(itemgetter(field), atoms))
+            read = _weight_columns(list(map(itemgetter("weight"), atoms)))
+        except (LookupError, TypeError):
+            read = None
+        if read is None:
+            rows = [(entry[field], Surd.from_json(entry["weight"])) for entry in atoms]
+            return cls(json_dim(data), rows)
+        dim = data["dim"]
+        if type(dim) is not int or dim < 1:  # read, or refused, as json_dim reads it
+            dim = _positive(json_dim(data))
+        return cls.__new__(cls)._build(dim, locs, *read)
 
 
 class Measure(AtomicMeasure):
@@ -691,25 +698,17 @@ class Measure(AtomicMeasure):
 
     @staticmethod
     def _locate(locs: list, dim: int) -> tuple[list[Key], int]:
-        """Points of dimension ``dim`` as integer vectors over one common
-        denominator (not reduced), with ``make_point``'s refusals and messages."""
-        rows = []
-        for loc in locs:
-            values = point_values(loc)
-            if len(values) != dim:
-                raise ValueError(f"point {make_point(values)} has dimension {len(values)}, expected {dim}")
-            rows.append([_rational_pair(c) for c in values])
-        den = math.lcm(*[q for pairs in rows for _, q in pairs])
-        return [tuple([p * (den // q) for p, q in pairs]) for pairs in rows], den
-
-    @staticmethod
-    def _locate_entries(entries: list, dim: int) -> tuple[list[Key], int] | None:
-        """The points of coordinates read by ``_rational_column``, keyed over
-        their least common denominator (not reduced) as ``_locate`` keys
-        them; None for coordinates it does not read."""
-        read = _rational_column(entries)
+        """Points of dimension ``dim`` as integer vectors over their least
+        common denominator (not reduced), every coordinate read as one column
+        by ``_rational_column``.  Where the locations are not lists or tuples
+        of ``dim`` entries, or the column holds a value to refuse, each is
+        read by ``make_point`` and its dimension checked in turn, which raises
+        the first refusal with its message (or reads another iterable)."""
+        read = None
+        if set(map(type, locs)) <= {list, tuple} and set(map(len, locs)) <= {dim}:
+            read = _rational_column(list(chain.from_iterable(locs)))
         if read is None:
-            return None
+            read = _rational_column(list(chain.from_iterable(_walk(locs, dim, make_point, "point"))))
         nums, dens = read
         den = 1 if dens is None else math.lcm(*dens)
         if den != 1:

@@ -1,10 +1,10 @@
 """Location parsing and integer-vector helpers.
 
-``make_point`` reads a rational point of R^n (``point_values`` holds its
-checks that read no value, for readers of other number types) and
-``primitive_ray`` a primitive integer ray, the exact stand-in for a unit
-direction; the helpers act alike on ``Fraction`` points and the integer
-keys of measures.
+``make_point`` reads a rational point of R^n and ``primitive_ray`` a
+primitive integer ray, the exact stand-in for a unit direction: each is
+the per-value reader whose refusals the measures' column readers raise
+(``_locate``); the helpers act alike on ``Fraction`` points and the
+integer keys of measures.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ def refuse_text(loc) -> None:
         raise TypeError(f"a location must be a sequence of coordinates, got {loc!r}")
 
 
-def point_values(coords: Iterable) -> tuple:
-    """The coordinates of a point as given, after the checks that do not
-    read a value: not text, not empty, no float, bool or other entry that
-    is not a number."""
+def make_point(coords: Iterable) -> Point:
+    # every entry's type is checked before any value is read
     refuse_text(coords)
     values = tuple(coords)
     if not values:
@@ -39,11 +37,7 @@ def point_values(coords: Iterable) -> tuple:
             raise TypeError(
                 f"refusing {type(c).__name__} coordinates; use Fraction, int, or 'p/q' strings"
             )
-    return values
-
-
-def make_point(coords: Iterable) -> Point:
-    return tuple(_coerce_rational(c) for c in point_values(coords))
+    return tuple(_coerce_rational(c) for c in values)
 
 
 def reflect_point(x: Point, f: SubsetMask) -> Point:

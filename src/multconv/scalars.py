@@ -18,7 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import repeat
 from numbers import Rational
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -149,74 +149,63 @@ def _refuse_long(exc: ValueError, text) -> None:
         ) from None
 
 
-def _rational_pair(value) -> tuple[int, int]:
-    """``value`` read as a rational ``(p, q)`` with ``q > 0``, not reduced.
-
-    Ints, ``Fraction`` values and the strings ``"p"`` and ``"p/q"`` of ASCII
-    digits, with an optional minus on ``p`` and ``q`` nonzero, are read
-    straight to ints; anything else goes through :func:`_coerce_rational`,
-    so it is accepted, or refused with its message, exactly as there.
-    """
-    t = type(value)
-    if t is int:
-        return value, 1
-    if t is Fraction:
-        return value.numerator, value.denominator
-    if t is str and value.isascii():
-        num, slash, den = value.partition("/")
-        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
-            try:
-                q = int(den) if slash else 1
-                if q:
-                    return int(num), q
-            except ValueError as exc:
-                _refuse_long(exc, value)
-                raise
-    f = _coerce_rational(value)
-    return f.numerator, f.denominator
-
-
-# the strings that ``_rational_pair`` reads straight, each followed by a comma:
-# ASCII ``"p"`` or ``"p/q"`` with an optional minus on ``p`` and ``q`` nonzero
+# the strings that the column reader reads by one match, each followed by a
+# comma: ASCII ``"p"`` or ``"p/q"`` with an optional minus on ``p`` and ``q``
+# nonzero
 _RATIONALS = re.compile(r"(?:-?[0-9]+(?:/0*[1-9][0-9]*)?,)+")
 # ``get(d, d)`` reads a missing denominator "" as "1" and keeps any other
 _ONE = {"": "1"}
+_NUMERATOR = attrgetter("numerator")
+_DENOMINATOR = attrgetter("denominator")
 
 
 def _rational_column(values: Sequence) -> tuple[Sequence[int], Sequence[int] | None] | None:
     """A column of rationals as numerators and denominators, not reduced,
-    the denominators ``None`` when every one is 1: for a column of ints and
-    of the strings that ``_rational_pair`` reads straight, in any mix.  Each
-    distinct string is read once: all are checked by one match on their
-    joined text and parsed by C-level maps.  ``None`` for any other column
-    (other types or forms, a zero denominator, a number over the int digit
-    limit), which the per-value readers then refuse or read."""
+    the denominators ``None`` when every one is 1, for every value that
+    :func:`_coerce_rational` reads; ``None`` for a column holding a value it
+    refuses, which the caller then walks value by value to raise it.
+
+    Ints and ``Fraction`` values are read by their attributes.  The strings
+    ``"p"`` and ``"p/q"`` of ASCII digits are checked by one match on the
+    joined text of the distinct ones and parsed by C-level maps.  Any other
+    form (a ``Decimal``, digit groups, a sign or spaces, and a zero
+    denominator or a number over the int digit limit, which are refused) goes
+    through ``_coerce_rational`` once per distinct value, after the bool and
+    float types, which hash equal to ints, are refused."""
     types = set(map(type, values))
-    if types == {int}:
+    if types <= {int}:
         return values, None
-    if not types <= {int, str}:
-        return None
-    distinct = list(set(values))
-    ints = [v for v in distinct if type(v) is int] if int in types else ()
-    if ints:
-        distinct = [v for v in distinct if type(v) is str]
-    text = ",".join(distinct) + ","
-    # a comma inside a value would split it in two
-    if text.count(",") != len(distinct) or not _RATIONALS.fullmatch(text):
+    if types <= {int, str}:
+        distinct = list(set(values))
+        ints = [v for v in distinct if type(v) is int] if int in types else ()
+        if ints:
+            distinct = [v for v in distinct if type(v) is str]
+        text = ",".join(distinct) + ","
+        # a comma inside a value would split it in two
+        if text.count(",") == len(distinct) and _RATIONALS.fullmatch(text):
+            try:
+                if "/" not in text:
+                    # an int is its own numerator
+                    return list(map(dict(zip(distinct, map(int, distinct))).get, values, values)), None
+                split = list(map(str.partition, distinct, repeat("/")))
+                dens = list(map(itemgetter(2), split))
+                pairs = dict(zip(distinct, zip(map(int, map(itemgetter(0), split)), map(int, map(_ONE.get, dens, dens)))))
+            except ValueError:  # over the digit limit
+                return None
+            if ints:
+                pairs.update(zip(ints, zip(ints, repeat(1))))
+            nums, dens = zip(*map(pairs.__getitem__, values))
+            return nums, dens
+    if types <= {int, Fraction}:
+        return list(map(_NUMERATOR, values)), list(map(_DENOMINATOR, values))
+    if any([issubclass(t, (bool, float)) or not issubclass(t, _NUMBER_TYPES) for t in types]):
         return None
     try:
-        if "/" not in text:
-            # an int is its own numerator
-            return list(map(dict(zip(distinct, map(int, distinct))).get, values, values)), None
-        split = list(map(str.partition, distinct, repeat("/")))
-        dens = list(map(itemgetter(2), split))
-        pairs = dict(zip(distinct, zip(map(int, map(itemgetter(0), split)), map(int, map(_ONE.get, dens, dens)))))
-    except ValueError:  # over the digit limit
+        read = {v: _coerce_rational(v) for v in set(values)}
+    except (ArithmeticError, TypeError, ValueError):
         return None
-    if ints:
-        pairs.update(zip(ints, zip(ints, repeat(1))))
-    nums, dens = zip(*map(pairs.__getitem__, values))
-    return nums, dens
+    fractions = list(map(read.__getitem__, values))
+    return list(map(_NUMERATOR, fractions)), list(map(_DENOMINATOR, fractions))
 
 
 def _ratio_text(p: int, q: int) -> str:
@@ -241,7 +230,8 @@ def _json_terms(data) -> list[tuple[int, int, int]]:
             raise ValueError(f"radicand must be >= 1, got {r}")
         if r != 1 and square_free_decompose(r)[1] != r:
             raise ValueError(f"radicand {r} is not square-free")
-        out.append((r, *_rational_pair(coeff)))
+        f = _coerce_rational(coeff)
+        out.append((r, f.numerator, f.denominator))
     return out
 
 

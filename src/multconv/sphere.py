@@ -27,13 +27,26 @@ package: a numerical diagnostic that never feeds an exact decision.
 from __future__ import annotations
 
 import math
-from itertools import repeat, starmap
+from itertools import chain, repeat, starmap
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .measures import AtomicMeasure, Lanes, _products, _rows, _surd
+from .measures import AtomicMeasure, Lanes, _products, _rows, _surd, _walk
 from .points import Ray, primitive_ray, zero_pattern
 from .subsets import SubsetMask
+
+
+def _ray_entries(entries: list) -> Iterable[int] | None:
+    """Ray entries that are ints or strings as ints, each distinct one read
+    by ``int`` as ``primitive_ray`` reads it; None for any other entry or a
+    string that ``int`` refuses."""
+    if not set(map(type, entries)) <= {int, str}:
+        return None
+    distinct = set(entries)
+    try:
+        return map(dict(zip(distinct, map(int, distinct))).__getitem__, entries)
+    except ValueError:
+        return None
 
 
 class SphereMeasure(AtomicMeasure):
@@ -44,34 +57,25 @@ class SphereMeasure(AtomicMeasure):
 
     @staticmethod
     def _locate(locs: list, dim: int) -> tuple[list[Ray], int]:
-        rays = []
-        for loc in locs:
-            d = primitive_ray(loc)
-            if len(d) != dim:
-                raise ValueError(f"ray {d} has dimension {len(d)}, expected {dim}")
-            rays.append(d)
+        """Primitive rays of dimension ``dim``, every entry read as one
+        column (``_ray_entries``) with one gcd per ray.  Where the locations
+        are not lists or tuples of ``dim`` ints or strings, or the column
+        holds an entry to refuse or the zero vector, each is read by
+        ``primitive_ray`` and its dimension checked in turn, which raises
+        the first refusal with its message (or reads other entries)."""
+        rays = None
+        if set(map(type, locs)) <= {list, tuple} and set(map(len, locs)) <= {dim}:
+            entries = _ray_entries(list(chain.from_iterable(locs)))
+            if entries is not None:
+                rays = _rows(entries, dim)
+                gs = list(starmap(math.gcd, rays))
+                if 0 in gs:
+                    rays = None  # the zero vector spans no ray
+                elif gs.count(1) != len(gs):
+                    rays = [tuple([c // g for c in v]) for v, g in zip(rays, gs)]
+        if rays is None:
+            rays = _walk(locs, dim, primitive_ray, "ray")
         return rays, 1  # rays are integer keys already
-
-    @staticmethod
-    def _locate_entries(entries: list, dim: int) -> tuple[list[Ray], int] | None:
-        """The primitive rays of entries that are ints or strings, each
-        distinct one read by ``int`` as ``primitive_ray`` reads it, with one
-        gcd per ray; None for any other entry, a string ``int`` refuses, or
-        the zero vector."""
-        if not set(map(type, entries)) <= {int, str}:
-            return None
-        distinct = set(entries)
-        try:
-            ints = dict(zip(distinct, map(int, distinct)))
-        except ValueError:
-            return None
-        rays = _rows(map(ints.__getitem__, entries), dim)
-        gs = list(starmap(math.gcd, rays))
-        if 0 in gs:
-            return None
-        if gs.count(1) != len(gs):
-            rays = [tuple([c // g for c in v]) for v, g in zip(rays, gs)]
-        return rays, 1
 
     @staticmethod
     def _norms(keys: list[Ray]) -> list[int]:

@@ -1,13 +1,15 @@
 """The integer JSON codec of measures against the ``Fraction`` route it
 replaced (``fraction_codec``): equal measures in the same stored order,
 byte-equal output, and the same refusals with the same messages.  The
-column reader against the per-atom reader, and the text writers of measures
-and reports against ``json.dumps`` of their ``to_json()``."""
+column readers against that route and against ``_coerce_rational``, and the
+text writers of measures and reports against ``json.dumps`` of their
+``to_json()``."""
 
 import json
 import random
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,9 @@ from conftest import _check_trusted
 from fraction_codec import measure_from_json, measure_to_json, surd_from_json
 from multconv.harness import gen_measure, gen_pair, gen_sphere_measure
 from multconv.measures import Measure, mconv, symmetrize
-from multconv.scalars import FactorLimitError, Surd, _coerce_rational, _rational_pair
+from multconv.points import make_point, primitive_ray
+from multconv import measures, scalars, sphere
+from multconv.scalars import FactorLimitError, Surd, _coerce_rational, _rational_column
 from multconv.sphere import SphereMeasure, radial_project, sconv
 from multconv.subsets import GeneratingPair, SubsetMask, all_subsets
 from multconv.universality import class_pair, decide_special, decide_universal_rn
@@ -251,12 +255,18 @@ def test_refusals_name_the_field_and_the_rule(slot, bad, exc, message):
              "1/0", "1e5", "1/-2", "1 /2", "", "-", "--1", "1/", "/2", "1/2/3", "9" * 5000],
 )
 def test_rational_pair_reads_as_coerce_rational(text):
-    expected = _outcome(_coerce_rational, text)
-    if expected is None:
-        p, q = _rational_pair(text)
-        assert q > 0 and Fraction(p, q) == _coerce_rational(text)
-    else:
-        assert _outcome(_rational_pair, text) == expected
+    # ``_rational_column`` on the text alone and among ints and "p/q" texts:
+    # the values that ``_coerce_rational`` reads, or None for a text it refuses
+    refused = _outcome(_coerce_rational, text) is not None
+    for column in ([text], [text, 3, "1/2"], [1, "-2/3", text, text]):
+        read = _rational_column(column)
+        if refused:
+            assert read is None, column
+        else:
+            nums, dens = read
+            dens = dens or [1] * len(column)
+            assert all(q > 0 for q in dens)
+            assert list(map(Fraction, nums, dens)) == list(map(_coerce_rational, column))
 
 
 @pytest.mark.parametrize("cls", [Measure, SphereMeasure], ids=["point", "sphere"])
@@ -346,11 +356,8 @@ TEXT_CORPUS = _text_corpus()
 @pytest.mark.parametrize("name, mu", list(TEXT_CORPUS.items()), ids=list(TEXT_CORPUS))
 def test_text_writer_is_byte_equal_to_json_dumps(name, mu):
     assert mu.to_json_text() == _dumps(mu.to_json())
-    # the column reader takes what the writer writes with one term per weight
-    data = _written(mu.to_json())
-    if mu and all(len(atom["weight"]) == 1 for atom in data["atoms"]):
-        assert type(mu)._from_columns(data) == mu
-    assert type(mu).from_json(data) == mu
+    # the reader takes what the writer writes
+    assert type(mu).from_json(_written(mu.to_json())) == mu
 
 
 def test_report_text_writer_is_byte_equal_to_json_dumps():
@@ -402,21 +409,31 @@ def _column_payloads(seed):
     return (SphereMeasure if sphere else Measure), {"dim": dim, "atoms": atoms}
 
 
-def test_column_reader_equals_the_per_atom_reader():
-    read = 0
+@pytest.fixture
+def walks(monkeypatch):
+    """The values that the readers walk one by one, as they are walked: the
+    weights by ``_json_terms``, the locations by ``make_point`` and
+    ``primitive_ray``.  A payload read by columns walks none."""
+    walked = []
+    for module, name in ((scalars, "_json_terms"), (measures, "make_point"), (sphere, "primitive_ray")):
+        def walk(value, read=getattr(module, name)):
+            walked.append(value)
+            return read(value)
+        monkeypatch.setattr(module, name, walk)
+    return walked
+
+
+def test_column_reader_equals_the_per_atom_reader(walks):
+    # the payloads in and near the written form against the Fraction route
     for seed in range(400):
         cls, payload = _column_payloads(seed)
-        ref = cls._from_atoms(payload)
-        got = cls._from_columns(payload)
-        if got is not None:
-            read += 1
-            assert got == ref, seed
-            assert _stored_order(got) == _stored_order(ref), seed
-            assert (got._den, got._wden) == (ref._den, ref._wden), seed
-        assert cls.from_json(payload) == ref
-        assert _stored_order(cls.from_json(payload)) == _stored_order(ref)
-    # the column reader read every payload
-    assert read == 400, read
+        ref = measure_from_json(cls, payload)
+        got = cls.from_json(payload)
+        assert got == ref, seed
+        assert _stored_order(got) == _stored_order(ref), seed
+        assert (got._den, got._wden) == (ref._den, ref._wden), seed
+    # the columns read every payload
+    assert not walks
 
 
 def _atoms(field, *atoms):
@@ -427,8 +444,9 @@ def _atoms(field, *atoms):
 # trial-division bound
 BEYOND = 2000000009**2 + 1
 
-# payloads outside the written form that the column reader reads, one per
-# form, each as the per-atom reader reads it or with the same refusal
+# payloads outside the written form that the columns read with no value
+# walked, one per form, each as the Fraction route reads it or with the same
+# refusal
 READ_BY_COLUMNS = {
     # a zero weight must not make the part of its radicand first
     "zero-coefficient": _atoms("point", (["1", "2"], [["0", 2]]), (["1", "3"], [["1", 3]]), (["2", "3"], [["1", 2]])),
@@ -441,7 +459,8 @@ READ_BY_COLUMNS = {
     "ray-norm-beyond-the-bound": _atoms("ray", ([2000000009, 1], [["1", 1]]),),
 }
 
-# payloads the column reader leaves to the per-atom reader, one per reason
+# other payloads outside the written form, one per reason: most hold a value
+# to refuse, which the readers walk to raise in the Fraction route's order
 LEFT_TO_THE_PER_ATOM_READER = {
     "no-term": _atoms("point", (["1", "2"], []),),
     "other-form": _atoms("point", (["+1", "2"], [["1", 1]]),),
@@ -461,30 +480,24 @@ FORMS = {**READ_BY_COLUMNS, **LEFT_TO_THE_PER_ATOM_READER}
 
 
 @pytest.mark.parametrize("name", list(FORMS), ids=list(FORMS))
-def test_the_column_reader_leaves_other_forms_to_the_per_atom_reader(name):
-    # the forms of READ_BY_COLUMNS are read by columns as the per-atom reader
-    # reads them, the others left to it
+def test_the_column_reader_leaves_other_forms_to_the_per_atom_reader(name, walks):
+    # every form is read, or refused, as the Fraction route does; those of
+    # READ_BY_COLUMNS without walking a value
     payload = FORMS[name]
     cls = SphereMeasure if "ray" in str(payload) else Measure
-    expected = _outcome(cls._from_atoms, payload)
-    if name in READ_BY_COLUMNS:
-        assert _outcome(cls._from_columns, payload) == expected
-        if expected is None:
-            got, ref = cls._from_columns(payload), cls._from_atoms(payload)
-            assert got == ref
-            assert _stored_order(got) == _stored_order(ref)
-            assert (got._den, got._wden) == (ref._den, ref._wden)
-    else:
-        assert cls._from_columns(payload) is None
+    expected = _outcome(measure_from_json, cls, payload)
     assert _outcome(cls.from_json, payload) == expected
-    assert _outcome(measure_from_json, cls, payload) == expected
+    if name in READ_BY_COLUMNS:
+        assert not walks
     if expected is None:
-        ref = _stored_order(measure_from_json(cls, payload))
-        assert _stored_order(cls.from_json(payload)) == _stored_order(cls._from_atoms(payload)) == ref
+        got, ref = cls.from_json(payload), measure_from_json(cls, payload)
+        assert got == ref
+        assert _stored_order(got) == _stored_order(ref)
+        assert (got._den, got._wden) == (ref._den, ref._wden)
 
 
 @pytest.mark.parametrize("cls", [Measure, SphereMeasure], ids=["point", "sphere"])
-def test_merged_parts_follow_the_fraction_route_order(cls):
+def test_merged_parts_follow_the_fraction_route_order(cls, walks):
     # a first atom whose weight is zero, key A whose radicand-3 term cancels
     # later, key B at radicand 2, key C at radicand 3 with terms not sorted:
     # parts made as the rows come would put the zero and cancelled terms'
@@ -500,8 +513,9 @@ def test_merged_parts_follow_the_fraction_route_order(cls):
     ]
     payload = {"dim": 2, "atoms": [{field: loc, "weight": weight} for loc, weight in atoms]}
     expected = _stored_order(measure_from_json(cls, payload))
-    assert cls._from_columns(payload) is not None
     assert _stored_order(cls.from_json(payload)) == expected
+    # read by columns
+    assert not walks
     rows = [(tuple(loc), surd_from_json(weight)) for loc, weight in atoms]
     assert _stored_order(cls(2, rows)) == expected
     # the zero weight leaves no atom, and A keeps only its radicand-7 term
@@ -532,11 +546,9 @@ def test_refusals_keep_the_per_atom_order(cls, later):
                 elif later == "radicand":
                     atoms.append(atom(["3", "1", "1"], r=12))
                 payload = {"dim": 3, "atoms": atoms}
-                expected = _outcome(cls._from_atoms, payload)
+                expected = _outcome(measure_from_json, cls, payload)
                 assert _outcome(cls.from_json, payload) == expected, (bad, at, column)
-                if expected is not None:
-                    assert _outcome(measure_from_json, cls, payload) == expected, (bad, at, column)
-                    checked += 1
+                checked += expected is not None
     assert checked
 
 
@@ -546,3 +558,165 @@ def test_a_ray_norm_over_the_digit_limit_gets_the_library_message():
     message = "radicand of 4390 digits exceeds the trial-division bound 1000000"
     with pytest.raises(FactorLimitError, match=f"^{message}$"):
         SphereMeasure(2, {("7" * 2200, 1): 1})
+
+
+# -- one column of mixed and equal-valued types -------------------------------------
+
+# locations of two coordinates that mix types, or hold equal values of
+# different types, in one column: each a function giving the locations, since
+# a generator is read once.  A bool or a float hashes equal to its int, so a
+# reader that merged equal values before refusing would load them
+MIXED_COLUMNS = {
+    "int-bool": (Measure, lambda: [(1, True)]),
+    "bool-int": (Measure, lambda: [(True, 1)]),
+    "int-float": (Measure, lambda: [(1, 1.0)]),
+    "fraction-bool": (Measure, lambda: [(Fraction(1), True)]),
+    "bool-in-a-later-atom": (Measure, lambda: [(1, 2), (True, 1)]),
+    "decimal-beside-fraction": (Measure, lambda: [(Decimal("1.5"), 1), (Fraction(3, 2), 2)]),
+    "decimal-beside-int": (Measure, lambda: [(Decimal("1"), 1), (1, 2)]),
+    "written-forms": (Measure, lambda: [("1_000", 1), (" 7 ", "+3"), ("1/2", 1000)]),
+    "generator": (Measure, lambda: [(c for c in (1, "1/2")), (1, 2)]),
+    "ray-int-bool": (SphereMeasure, lambda: [(1, True)]),
+    "ray-int-float": (SphereMeasure, lambda: [(1, 1.0)]),
+    "ray-decimal": (SphereMeasure, lambda: [(Decimal("2"), 4)]),
+    "ray-written-forms": (SphereMeasure, lambda: [("1_000", " 7 "), ("+3", 1), (3, 1)]),
+    "ray-generator": (SphereMeasure, lambda: [(c for c in (2, 4)), (1, 2)]),
+    "ray-decimal-not-an-integer": (SphereMeasure, lambda: [(Fraction(4), "2"), (Decimal("2.5"), 1)]),
+}
+
+
+def _per_value(cls, locs, dim=2):
+    """The locations read one by one by ``make_point`` or ``primitive_ray``,
+    each then checked for its dimension."""
+    read = primitive_ray if cls is SphereMeasure else make_point
+    out = []
+    for loc in locs:
+        v = read(loc)
+        if len(v) != dim:
+            raise ValueError(f"{cls._loc_field} {v} has dimension {len(v)}, expected {dim}")
+        out.append(v)
+    return out
+
+
+def _json_holds(value):
+    if isinstance(value, (list, tuple)):
+        return all(map(_json_holds, value))
+    return isinstance(value, (str, int, float))
+
+
+@pytest.mark.parametrize("name", list(MIXED_COLUMNS))
+def test_a_column_of_mixed_types_reads_as_each_value_alone(name):
+    cls, make = MIXED_COLUMNS[name]
+    expected = _outcome(_per_value, cls, make())
+    weights = [Fraction(k + 1, 2) for k in range(len(make()))]
+    # the constructor, and its measure against the per-value locations
+    assert _outcome(cls, 2, list(zip(make(), weights))) == expected
+    if expected is None:
+        got = cls(2, list(zip(make(), weights)))
+        ref = {}
+        for v, w in zip(_per_value(cls, make()), weights):
+            ref[v] = ref.get(v, Surd(0)) + w
+        assert dict(got.atoms) == {v: w for v, w in ref.items() if w}
+        _check_trusted({name: got})
+    # ``from_json``, where JSON holds the values
+    locs = [list(loc) for loc in make()]
+    if _json_holds(locs):
+        payload = {"dim": 2, "atoms": [{cls._loc_field: loc, "weight": [[str(w), 1]]} for loc, w in zip(locs, weights)]}
+        assert _outcome(cls.from_json, payload) == expected
+        assert _outcome(measure_from_json, cls, payload) == expected
+        if expected is None:
+            mu, ref = cls.from_json(payload), measure_from_json(cls, payload)
+            assert mu == ref == got
+            assert _stored_order(mu) == _stored_order(ref)
+            assert (mu._den, mu._wden) == (ref._den, ref._wden)
+    # ``weight_at``, location by location
+    probe = cls(2, {(1, 2): Fraction(1, 3), (3, 2): Surd.sqrt(2), (1000, 1): -1})
+    for k in range(len(make())):
+        refused = _outcome(_per_value, cls, [make()[k]])
+        if refused is not None:
+            assert _outcome(probe.weight_at, make()[k]) == refused
+        else:
+            (v,) = _per_value(cls, [make()[k]])
+            assert probe.weight_at(make()[k]) == probe.atoms.get(v, Surd(0))
+
+
+def test_a_coefficient_column_refuses_a_bool_beside_an_int():
+    payload = {"dim": 2, "atoms": [{"point": ["1", "2"], "weight": [[1, 1]]},
+                                   {"point": ["2", "1"], "weight": [[True, 1]]}]}
+    expected = (TypeError, "refusing bool coefficient True")
+    assert _outcome(measure_from_json, Measure, payload) == expected
+    assert _outcome(Measure.from_json, payload) == expected
+    assert _outcome(Measure, 2, [((1, 2), 1), ((2, 1), True)]) == _outcome(Surd, True)
+
+
+# -- seeded mutations against the Fraction route -------------------------------------
+
+# non-int values of a dim, and atoms that are not objects
+BAD_DIMS = ["2", 2.0, True, None, [2]]
+NOT_OBJECTS = [5, "point", None, [1, 2], [], True]
+
+
+def _mutated(seed):
+    """A payload of either setting with one to three mutations: dropped keys,
+    values of the wrong type or form at any slot, wrong dims, malformed
+    weights and radicands, and locations of the wrong dimension."""
+    rng = random.Random(f"mutate:{seed}")
+    cls, payload_of = (Measure, _point_payload) if seed % 2 == 0 else (SphereMeasure, _ray_payload)
+    data = payload_of(seed // 2 + 1000)
+    field = cls._loc_field
+    for _ in range(rng.randrange(1, 4)):
+        atoms = data.get("atoms")
+        objects = [a for a in atoms if isinstance(a, dict)] if isinstance(atoms, list) else []
+        atom = rng.choice(objects) if objects else {}
+        loc, weight = atom.get(field), atom.get("weight")
+        terms = [t for t in weight if isinstance(t, list) and t] if isinstance(weight, list) else []
+        kind = rng.randrange(12)
+        if kind == 0 and atom:
+            atom.pop(rng.choice([field, "weight"]), None)
+        elif kind == 1:
+            data.pop("dim", None)
+        elif kind == 2 and rng.random() < 0.3:
+            data["atoms"] = rng.choice([5, "atoms", None, {field: ["1"], "weight": [["1", 1]]}, tuple(objects)])
+        elif kind == 3 and isinstance(atoms, list) and atoms:
+            atoms[rng.randrange(len(atoms))] = rng.choice(NOT_OBJECTS)
+        elif kind in (4, 5) and isinstance(loc, list) and loc:
+            loc[rng.randrange(len(loc))] = rng.choice(BAD_VALUES)
+        elif kind == 6 and terms:
+            rng.choice(terms)[0] = rng.choice(BAD_VALUES)
+        elif kind == 7 and terms:
+            rng.choice(terms)[-1] = rng.choice(BAD_VALUES)
+        elif kind == 8:
+            dim = data.get("dim")
+            data["dim"] = rng.choice(BAD_DIMS) if rng.random() < 0.5 else rng.choice([0, -1, 1, 2, 3, 5])
+        elif kind == 9 and atom:
+            atom["weight"] = rng.choice([5, "1", None, {"1": 1}, [], [["1"]], [["1", 1, 1]], [[]]])
+        elif kind == 10 and terms:
+            # the bound's trial division takes tens of milliseconds: seldom
+            beyond = rng.random() < 0.02
+            rng.choice(terms)[-1] = BEYOND if beyond else rng.choice([4, 8, 12, 18, 50, 0, -3])
+        elif kind == 11 and isinstance(loc, list):
+            if loc and rng.random() < 0.5:
+                loc.pop()
+            else:
+                loc.append(rng.choice(["1", 2, "3/4"]))
+    return cls, data
+
+
+def _read_outcome(read, data):
+    try:
+        mu = read(data)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return _stored_order(mu), mu._parts, mu._den, mu._wden
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_mutated_payloads_read_as_the_fraction_route(block):
+    refused = 0
+    for seed in range(300 * block, 300 * block + 300):
+        cls, data = _mutated(seed)
+        expected = _read_outcome(lambda d: measure_from_json(cls, d), data)
+        assert _read_outcome(cls.from_json, data) == expected, seed
+        refused += isinstance(expected[0], type)
+    # most payloads are refused, some read
+    assert 100 < refused < 300, refused
