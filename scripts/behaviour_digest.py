@@ -53,7 +53,8 @@ output:
   2)``, digit groups, a generator, ...), read by ``from_json`` (where JSON
   can hold them), by the public constructor and, location by location, by
   ``weight_at``: the measure read, or the exception's type and message;
-  each payload that JSON holds also goes through ``universal <file>`` in
+  one payload per setting with an atom that is not an object, read by
+  ``from_json`` alone; each payload that JSON holds also goes through ``universal <file>`` in
   the cli (exit code, stdout and stderr).  It runs once, whatever
   ``--max-dim`` is;
 - ``dense``: ``to_json_text()`` of ``decide_special`` at full scope on
@@ -471,6 +472,14 @@ MALFORMED = (
     (SphereMeasure, _atoms("ray", ([2000000009, 1], [["1", 1]]))),
 )
 
+# atoms that are not objects, one payload per setting, which ``from_json``
+# refuses by index: read by it and the cli only, since the constructor
+# takes no atom objects
+NON_OBJECTS = (
+    (Measure, {"dim": 2, "atoms": [{"point": ["1", "2"], "weight": [["1", 1]]}, "x"]}),
+    (SphereMeasure, {"dim": 2, "atoms": ["ray"]}),
+)
+
 # locations of two coordinates that mix types, or hold equal values of
 # different types, in one column, and other number forms: each a function
 # giving the locations, since a generator is read once
@@ -529,6 +538,9 @@ def refusals(group: Group) -> None:
         group.add(["malformed", k, "constructor", read_outcome(construct)])
         group.add(["malformed", k, "weight_at", weight_at_outcomes(cls, locs)])
         files[f"malformed-{k}.json"] = data
+    for k, (cls, data) in enumerate(NON_OBJECTS):
+        group.add(["non-object", k, "from_json", read_outcome(cls.from_json, data)])
+        files[f"non-object-{k}.json"] = data
     for k, (cls, make) in enumerate(MIXED):
         rows = [(loc, F(j + 1, 2)) for j, loc in enumerate(make())]
         group.add(["mixed", k, "constructor", read_outcome(cls, 2, rows)])

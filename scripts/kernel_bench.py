@@ -18,7 +18,9 @@ and ``json.dumps`` of ``to_json()``), and write that witness both ways;
 one more ``from_json`` reads that measure's JSON with one coordinate
 written as a JSON int, one weight given a second term and one atom
 repeated, and another with every weight one term over radicands 1, 2 and
-3, the first of radicand 3 zero.  The constructor case builds that measure
+3, the first of radicand 3 zero.  The lift cases run ``lift`` and
+``lift_inverse`` (on the lift) of such measures at n = 3 with 60 atoms and
+at n = 8 with 24.  The constructor case builds that measure
 with ``Measure(3, rows)`` from its atoms as ``Fraction`` locations and
 :class:`Surd` weights, sorted by location: the public entry reads the
 coordinates as one column, as ``from_json`` does, on values that do not
@@ -46,7 +48,10 @@ points; the double loop over the decoded sphere atoms for ``sconv`` of
 several parts; one zero pattern per atom; for ``from_json`` and the
 constructor, the atoms and their stored order as ``read_atoms`` reads the
 measure's JSON through ``Fraction`` and ``Surd`` alone, with no measure
-built; for the writers, the bytes of the other writer and the
+built; for ``lift``, the composed definition
+``radial_project(msym(tensor(dirac([1]), mu)))`` in its stored order; for
+``lift_inverse``, the measure lifted, in its stored order, whose composed
+lift is the input; for the writers, the bytes of the other writer and the
 measure read back; for the decisions, each report's JSON with that of the
 same decision in the other mode), and the script exits 1 on a mismatch.
 
@@ -73,9 +78,13 @@ from multconv import (
     Surd,
     all_subsets,
     decide_universal_sphere,
+    lift,
+    lift_inverse,
     mconv,
+    msym,
     radial_project,
     sconv,
+    tensor,
     universality,
     zero_pattern,
 )
@@ -180,6 +189,18 @@ def read_atoms(data: dict) -> dict:
 def same_atoms(mu, data: dict) -> bool:
     """Whether ``mu`` holds the atoms of ``read_atoms(data)``, in its order."""
     return list(mu.atoms.items()) == list(read_atoms(data).items())
+
+
+def composed_lift(mu: Measure) -> SphereMeasure:
+    """``lift`` by its definition: a unit leading coordinate, the origin
+    average, the radial projection."""
+    return radial_project(msym(tensor(Measure.dirac([1]), mu)))
+
+
+def same_order(mu, nu) -> bool:
+    """Whether two measures are equal and store their parts and keys in the
+    same order."""
+    return mu == nu and [list(part) for part in mu._parts.values()] == [list(part) for part in nu._parts.values()]
 
 
 def witness(dim: int) -> SphereMeasure:
@@ -310,6 +331,19 @@ def cases():
     zero["atoms"][5]["weight"] = [["-2/3", 3]]
     yield ("from_json n=3 60 zero", lambda: Measure.from_json(zero), lambda r: same_atoms(r, zero))
     yield from writers("n=3 60 distinct", mu)
+    for dim, size in ((3, 60), (8, 24)):
+        nu = distinct_measure(5, dim, size)
+        lifted = lift(nu)
+        yield (
+            f"lift n={dim} {size} distinct",
+            lambda nu=nu: lift(nu),
+            lambda r, nu=nu: same_order(r, composed_lift(nu)),
+        )
+        yield (
+            f"lift_inverse n={dim} {size} distinct",
+            lambda lifted=lifted: lift_inverse(lifted),
+            lambda r, nu=nu, lifted=lifted: same_order(r, nu) and composed_lift(r) == lifted,
+        )
     for dim in (4, 8):
         cold, warm = decisions(dim)
         yield (f"decide cold n={dim} 40 pairs", cold, lambda r, warm=warm: same_reports(r, warm()))

@@ -8,12 +8,14 @@ symmetrisation operators they induce, the signed atomic basis measures of
 the symmetry decomposition, and the alternating projection sum used as a
 top-order criterion.  The parity basis measures, the alternating top-order
 probe and their product are signed grids, all built by one product
-builder, ``_parity_grid``.  Every pushforward, and the sum of two
-measures, moves the stored point masses and sums them per location through
-a setting's one hook, ``_gather``.  The per-atom key transforms (products,
-projections, reflections, the order and orthant restrictions, the
-symmetrisation passes, zero patterns and rescaling) run on coordinate
-columns through one helper, ``_columns``: a part's keys are transposed
+builder, ``_parity_grid``.  Every pushforward that can merge atoms, and
+the sum of two measures, moves the stored point masses and sums them per
+location through a setting's one hook, ``_gather``; a map that is
+one-to-one on locations (a reflection, the symmetry tests, the lift pair)
+builds each part with ``dict(zip(...))`` and the trusted ``_of``.  The
+per-atom key transforms (products, projections, reflections, the order and
+orthant restrictions, the symmetrisation passes, zero patterns and
+rescaling) run on coordinate columns through one helper, ``_columns``: a part's keys are transposed
 once, each column is mapped at C level and the keys are rebuilt, so a
 Python loop runs only where atoms merge and their masses must be summed.
 The product kernel ``_products`` under ``mconv`` and the sphere product
@@ -97,6 +99,12 @@ def _columns(cols: Iterable[Iterable[int]], op: Callable, args: Iterable[Iterabl
 def _flipped(keys: Iterable[Key], f: SubsetMask) -> Iterator[Key]:
     """The keys reflected in the coordinates of ``f``."""
     return _columns(zip(*keys), mul, [repeat(-1 if f.bits >> i & 1 else 1) for i in range(f.dim)])
+
+
+def _reflected(part: dict[Key, int], f: SubsetMask, sign: int = 1) -> dict[Key, int]:
+    """A part reflected in the coordinates of ``f``, its coefficients times
+    ``sign`` in {1, -1}: a bijection on locations, so no two atoms merge."""
+    return dict(zip(_flipped(part, f), part.values() if sign > 0 else map(neg, part.values())))
 
 
 def _compared(keys: Iterable[Key], op: Callable[[int, int], bool]) -> Iterator[tuple[bool, ...]]:
@@ -554,8 +562,7 @@ class AtomicMeasure:
 
     def reflect(self, f: SubsetMask) -> Self:
         self._check_mask(f)
-        # a bijection on locations: no two atoms merge
-        parts = {s: dict(zip(_flipped(part, f), part.values())) for s, part in self._parts.items()}
+        parts = {s: _reflected(part, f) for s, part in self._parts.items()}
         return self._of(self.dim, parts, self._den, self._wden)
 
     def _filter(self, keep: Callable[[dict[Key, int]], Iterable[bool]]) -> Self:
@@ -611,10 +618,16 @@ class AtomicMeasure:
     # -- symmetry tests ----------------------------------------------------------
 
     def is_even_under(self, f: SubsetMask) -> bool:
-        return self.reflect(f) == self
+        return self._reflects_to(f, 1)
 
     def is_odd_under(self, f: SubsetMask) -> bool:
-        return self.reflect(f) == -self
+        return self._reflects_to(f, -1)
+
+    def _reflects_to(self, f: SubsetMask, sign: int) -> bool:
+        """``reflect(f) == sign * self``, part by part on the stored keys: a
+        reflection keeps both denominators."""
+        self._check_mask(f)
+        return all([_reflected(part, f, sign) == part for part in self._parts.values()])
 
     # -- serialization -------------------------------------------------------------
 
@@ -671,7 +684,8 @@ class AtomicMeasure:
         are read as columns (``_weight_columns``); only where that check
         fails are the atoms walked one by one through ``Surd.from_json`` and
         the constructor, which raise the first refusal with its message (and
-        read weights given as other sequences than lists)."""
+        read weights given as other sequences than lists); an atom that is
+        not an object is refused there by its index."""
         field = cls._loc_field
         atoms = data.get("atoms", [])
         if type(atoms) is not list:  # read twice below
@@ -682,7 +696,15 @@ class AtomicMeasure:
         except (LookupError, TypeError):
             read = None
         if read is None:
-            rows = [(entry[field], Surd.from_json(entry["weight"])) for entry in atoms]
+            rows = []
+            for k, entry in enumerate(atoms):
+                # a subscript of a string or a list would raise Python's own
+                # error, whose text differs between versions
+                if not isinstance(entry, Mapping):
+                    raise TypeError(
+                        f'atom {k} must be an object with "{field}" and "weight" fields, got {type(entry).__name__}'
+                    )
+                rows.append((entry[field], Surd.from_json(entry["weight"])))
             return cls(json_dim(data), rows)
         dim = data["dim"]
         if type(dim) is not int or dim < 1:  # read, or refused, as json_dim reads it

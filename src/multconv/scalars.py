@@ -135,6 +135,8 @@ def _coerce_rational(value) -> Fraction:
     except ValueError as exc:
         _refuse_long(exc, value)
         raise
+    except OverflowError:  # a Decimal infinity; a NaN raises ValueError
+        raise ValueError(f"refusing {value!r}: an infinity is not a rational") from None
 
 
 def _refuse_long(exc: ValueError, text) -> None:

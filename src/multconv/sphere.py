@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, repeat, starmap
-from operator import mul
+from operator import floordiv, mul
 from typing import Iterable, Sequence
 
 from .measures import AtomicMeasure, Lanes, _products, _rows, _surd, _walk
@@ -94,7 +94,8 @@ class SphereMeasure(AtomicMeasure):
         at the origin is dropped.  As ``|v| = g * |r|``, that is the mass
         ``m * g`` at ``r``: the coefficients times ``g`` accumulate per
         radicand and ray, and the scale ``1/den`` joins the weight
-        denominator, with no root.
+        denominator, with no root.  ``_radial_columns`` is the same
+        reweighting where no two vectors share a ray.
         """
         acc: dict[int, dict[Ray, int]] = {}
         for s, masses in lanes:
@@ -109,6 +110,18 @@ class SphereMeasure(AtomicMeasure):
                     c *= g
                 part[v] = get(v, 0) + c
         return cls._of(dim, acc, 1, wden * den)
+
+
+def _radial_columns(cols: list[list[int]], masses: list[int]) -> tuple[list[list[int]], list[int]]:
+    """``_gather``'s reweighting of nonzero integer vectors, no two on one
+    ray, given as coordinate columns: each vector divided by its gcd ``g``,
+    the primitive ray through it, and its mass times ``g``.  The rays come
+    back as columns, in the order of the vectors."""
+    gs = list(map(math.gcd, *cols))
+    if gs.count(1) != len(gs):
+        cols = [list(map(floordiv, col, gs)) for col in cols]
+        masses = list(map(mul, masses, gs))
+    return cols, masses
 
 
 def radial_project(mu: AtomicMeasure) -> SphereMeasure:

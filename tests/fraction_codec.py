@@ -5,12 +5,15 @@ before the integer codec: every coordinate and coefficient parsed by
 ``Fraction``, every weight a :class:`Surd`, repeats merged per ``Fraction``
 location, and the output written from the decoded ``atoms``.  The tests
 keep it as an oracle for the integer codec: the same measures, the same
-bytes, and the same exceptions with the same messages.
+bytes, and the same exceptions with the same messages.  An atom that is
+not an object is refused by its index, as the integer codec refuses it,
+rather than with the subscript error of the Python version.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
@@ -43,7 +46,13 @@ def measure_from_json(cls, data: dict):
     """``cls.from_json(data)`` built by way of ``Fraction`` locations and
     ``Surd`` weights, stored through the trusted constructor."""
     field = cls._loc_field
-    atoms = [(entry[field], surd_from_json(entry["weight"])) for entry in data.get("atoms", [])]
+    atoms = []
+    for k, entry in enumerate(data.get("atoms", [])):
+        if not isinstance(entry, Mapping):
+            raise TypeError(
+                f'atom {k} must be an object with "{field}" and "weight" fields, got {type(entry).__name__}'
+            )
+        atoms.append((entry[field], surd_from_json(entry["weight"])))
     dim = json_dim(data)
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")

@@ -180,6 +180,9 @@ def test_bad_values_raise_as_the_fraction_route(slot, bad):
         (Measure, [{"point": ["1"], "weight": [["1", 1]]}]),
         (Measure, {"dim": 2, "atoms": 5}),
         (Measure, {"dim": 2, "atoms": [5]}),
+        (Measure, {"dim": 2, "atoms": [{"point": ["1", "2"], "weight": [["1", 1]]}, "x"]}),
+        (SphereMeasure, {"dim": 2, "atoms": ["ray"]}),
+        (SphereMeasure, {"dim": 2, "atoms": [["1", "2"]]}),
         (Measure, {"dim": 2, "atoms": [{"weight": [["1", 1]]}]}),
         (Measure, {"dim": 2, "atoms": [{"point": ["1", "1"]}]}),
         (Measure, {"atoms": [{"point": ["1", "1"], "weight": [["1", 1]]}]}),
@@ -522,6 +525,20 @@ def test_merged_parts_follow_the_fraction_route_order(cls, walks):
     mu = cls.from_json(payload)
     assert mu.atom_count() == 3
     assert len(mu.atoms[1, 2].terms) == 1
+
+
+@pytest.mark.parametrize("cls", [Measure, SphereMeasure], ids=["point", "sphere"])
+@pytest.mark.parametrize("atom", ["x", 5, None, ["1", "2"], [{"weight": [["1", 1]]}]], ids=repr)
+def test_an_atom_that_is_not_an_object_is_refused_by_index(cls, atom):
+    field = cls._loc_field
+    good = {field: ["1", "2"], "weight": [["1", 1]]}
+    message = f'atom 1 must be an object with "{field}" and "weight" fields, got {type(atom).__name__}'
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        cls.from_json({"dim": 2, "atoms": [good, atom, good]})
+    # an earlier atom's bad weight is refused first
+    bad = {field: ["1", "2"], "weight": [["1", 4]]}
+    with pytest.raises(ValueError, match="radicand 4 is not square-free"):
+        cls.from_json({"dim": 2, "atoms": [bad, atom]})
 
 
 @pytest.mark.parametrize("cls", [Measure, SphereMeasure], ids=["point", "sphere"])

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -5,13 +6,14 @@ import pytest
 
 from multconv.harness import gen_measure, gen_pair
 from multconv.lifting import lift, lift_class, lift_inverse
-from multconv.measures import Measure, mconv, sigma0
+from multconv.measures import Measure, mconv, msym, sigma0, tensor
 from multconv.scalars import Surd
-from multconv.sphere import SphereMeasure, sconv
+from multconv.sphere import SphereMeasure, radial_project, sconv
 from multconv.subsets import GeneratingPair, SubsetMask, all_subsets, gamma, lift_set
 from multconv.universality import decide_universal_rn, decide_universal_sphere
 
 F = Fraction
+PRIMES = [p for p in range(2, 2000) if all(p % d for d in range(2, int(p**0.5) + 1))]
 
 
 def dirac(*coords):
@@ -176,9 +178,69 @@ def test_lift_inverse_refuses_point_measures():
 
 @pytest.mark.parametrize(
     "call, message",
-    [(lambda: lift_inverse(SphereMeasure(1, {(1,): 1})), "lifted measures have dimension >= 2")],
-    ids=["lift-inverse-dim-1"],
+    [
+        (lambda: lift_inverse(SphereMeasure(1, {(1,): 1})), "lifted measures have dimension >= 2"),
+        (lambda: lift(SphereMeasure(2, {(1, 1): 1})), "expected a point measure, got SphereMeasure"),
+        # the equator is checked before the symmetry, its first ray in atom order
+        (lambda: lift_inverse(SphereMeasure._of(2, {1: {(1, 1): 1, (0, 1): 1}, 2: {(0, -1): 1}})),
+         "atom at ray (0, 1) sits on the equator of the lifted coordinate"),
+        (lambda: lift_inverse(SphereMeasure._of(2, {1: {(1, 1): 1}, 2: {(0, -1): 1, (0, 1): 1}})),
+         "atom at ray (0, -1) sits on the equator of the lifted coordinate"),
+        # symmetric in one part, not in the other
+        (lambda: lift_inverse(SphereMeasure._of(2, {1: {(1, 1): 1, (-1, -1): 1}, 2: {(1, 2): 1, (-1, -2): -1}})),
+         "measure is not origin-symmetric"),
+    ],
+    ids=["lift-inverse-dim-1", "lift-sphere", "lift-inverse-equator-first-part", "lift-inverse-equator-second-part",
+         "lift-inverse-odd-part"],
 )
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def composed_lift(mu):
+    """``lift`` by its definition."""
+    return radial_project(msym(tensor(Measure.dirac([1]), mu)))
+
+
+def stored(mu):
+    """The stored form, the order of parts and keys included."""
+    return mu.dim, mu._den, mu._wden, [(s, list(part.items())) for s, part in mu._parts.items()]
+
+
+def distinct_primes(seed, dim, size):
+    """Coordinates that are distinct signed primes over distinct prime
+    denominators, no prime used twice, with rational weights."""
+    rng = random.Random(seed)
+    primes = iter(rng.sample(PRIMES, 2 * dim * size))
+    atoms = {}
+    for _ in range(size):
+        point = tuple(F(rng.choice((-1, 1)) * next(primes), next(primes)) for _ in range(dim))
+        atoms[point] = F(rng.choice((-1, 1)) * rng.randrange(1, 10), rng.randrange(1, 6))
+    return Measure(dim, atoms)
+
+
+LIFT_INPUTS = {
+    "zero-1": Measure.zero(1),
+    "zero-3": Measure.zero(3),
+    "unit": dirac(1),
+    # keys (2, 2) and (2, 1) over 2: one ray divides by its gcd
+    "shared-gcd": Measure(1, {(F(1, 2),): 3, (1,): -1}),
+    # even coefficients: the origin average's half cancels
+    "even-weights": Measure(2, {(1, 2): 2, (-3, F(1, 3)): 4}),
+    "radicands": Measure(2, {(1, F(-1, 2)): 1 + Surd.sqrt(2), (F(2, 3), 3): Surd.sqrt(3) - F(1, 2),
+                             (0, 5): Surd.sqrt(6), (-2, 0): 1}),
+    "distinct-primes-3": distinct_primes(1, 3, 30),
+    "distinct-primes-5": distinct_primes(2, 5, 12),
+}
+LIFT_INPUTS.update({f"seeded-{seed}": gen_measure(seed, 1 + seed % 3, 1 + seed % 6) for seed in range(6)})
+
+
+@pytest.mark.parametrize("mu", LIFT_INPUTS.values(), ids=LIFT_INPUTS.keys())
+def test_lift_is_the_composed_definition_in_stored_order(mu, assert_trusted):
+    lifted = lift(mu)
+    assert stored(lifted) == stored(composed_lift(mu))
+    if mu.atom_count() < 10:  # the rays of the others have norms too large to factor
+        assert_trusted({"lift": lifted})
+    back = lift_inverse(lifted)
+    assert stored(back) == stored(mu)

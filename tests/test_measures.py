@@ -526,6 +526,54 @@ def test_even_and_odd_for_zero_measure():
         assert zero.is_odd_under(f)
 
 
+def _symmetry_inputs():
+    """Point and sphere measures, some even or odd under a reflection, some
+    with several parts, and zero measures."""
+    out = []
+    for seed in range(8):
+        n = 1 + seed % 3
+        f = SubsetMask(seed % (1 << n), n)
+        mu = gen_measure(seed + 40, n, 2 + seed % 5)
+        if seed % 2:
+            mu = mu + mu.reflect(f) * Surd.sqrt(2)
+        out += [mu, mu + mu.reflect(f), mu - mu.reflect(f), Measure.zero(n)]
+    rays = SphereMeasure(2, {(1, 2): 1, (-1, -2): 1, (1, 0): 3, (-1, 0): -3, (2, -1): F(1, 2)})
+    out += [radial_project(mu) for mu in out if mu.dim > 1] + [rays, rays.reflect(SubsetMask.full(2)) + rays]
+    return out
+
+
+@pytest.mark.parametrize("mu", _symmetry_inputs(), ids=repr)
+def test_even_and_odd_tests_are_reflection_comparisons(mu):
+    for f in all_subsets(mu.dim):
+        assert mu.is_even_under(f) == (mu.reflect(f) == mu)
+        assert mu.is_odd_under(f) == (mu.reflect(f) == -mu)
+    wrong = SubsetMask.full(mu.dim + 1)
+    message = f"dimension mismatch: measure {mu.dim} vs mask {mu.dim + 1}"
+    for test in (mu.is_even_under, mu.is_odd_under, mu.reflect):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            test(wrong)
+
+
+@pytest.mark.parametrize(
+    "parts, den, wden, expected",
+    [
+        # the first key and coefficient share factors with both
+        # denominators, so only the others decide the reduction
+        ({1: {(2, 4): 6, (3, 6): 9}}, 6, 12, (6, 4, {1: {(2, 4): 2, (3, 6): 3}})),
+        ({1: {(2, 4): 6, (4, 6): 2}}, 4, 8, (2, 4, {1: {(1, 2): 3, (2, 3): 1}})),
+        ({1: {(2, 4): 6}, 2: {(3, 2): 4}}, 2, 4, (2, 2, {1: {(2, 4): 3}, 2: {(3, 2): 2}})),
+        ({1: {(0, 0): 4, (5, 10): 10}}, 5, 4, (1, 2, {1: {(0, 0): 2, (1, 2): 5}})),
+        # a zero coefficient is dropped before the reduction
+        ({1: {(1, 1): 0, (2, 4): 4}}, 2, 2, (1, 1, {1: {(1, 2): 2}})),
+        ({1: {(2, 2): 0}}, 2, 2, (1, 1, {})),
+    ],
+)
+def test_trusted_constructor_reduces_by_every_key(parts, den, wden, expected, assert_trusted):
+    mu = Measure._of(2, parts, den, wden)
+    assert (mu._den, mu._wden, mu._parts) == expected
+    assert_trusted({"of": mu})
+
+
 def test_sigma_sym_is_symmetric():
     for n in (1, 2, 3):
         assert sigma_sym(n).is_even_under(SubsetMask.full(n))

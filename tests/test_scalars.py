@@ -488,3 +488,24 @@ def test_digit_groups_past_the_int_digit_limit_raise_as_without_groups():
 def test_refusals(call):
     with pytest.raises(TypeError, match="unsupported operand"):
         call()
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda x: Measure(2, {(x, 1): 1}),
+        lambda x: Measure(2, {(1, 2): 1}).weight_at((1, x)),
+        lambda x: Measure(1, {(1,): x}),
+        Surd,
+        Surd.sqrt,
+    ],
+    ids=["constructor-point", "weight_at", "constructor-weight", "surd", "sqrt"],
+)
+def test_decimal_infinity_is_refused_by_value(read, text):
+    # as a NaN is, with a ValueError, not Fraction's OverflowError
+    value = decimal.Decimal(text)
+    with pytest.raises(ValueError, match=re.escape(f"refusing {value!r}: an infinity is not a rational")):
+        read(value)
+    with pytest.raises(ValueError, match="cannot convert NaN"):
+        read(decimal.Decimal("NaN"))
