@@ -1,5 +1,12 @@
 """Exact algebra of finitely-atomic signed measures under componentwise
-multiplicative convolution, on Euclidean space and on the sphere."""
+multiplicative convolution, on Euclidean space and on the sphere.
+
+``import multconv`` loads the core modules: ``scalars``, ``subsets``,
+``points``, ``measures``, ``sphere``, ``lifting`` and ``universality``.
+The zonoid layer (``zonoids``) and the seeded generators and property
+suites (``harness``) load on first access to one of their names or to the
+submodule, so a process that only decides or convolves never compiles
+them."""
 
 from .scalars import FactorLimitError, Surd, square_free_decompose
 from .subsets import (
@@ -55,22 +62,47 @@ from .universality import (
     decide_universal_sphere,
     symmetry_obstruction,
 )
-from .zonoids import (
-    Zonotope,
-    decide_d_universal,
-    generating_measure,
-    k_transform,
-    k_transform_direct,
-    singleton_support_check,
-    support_function,
-)
-from .harness import (
-    brute_force_convolution,
-    gen_measure,
-    gen_pair,
-    gen_sphere_measure,
-    gen_subgroup,
-    run_property_suite,
-)
 
 __version__ = "0.1.0"
+
+# The zonoid layer and the seeded generators and property suites serve the
+# `zonoid` and `verify` commands and users, not the deciders or the algebra,
+# so they are imported on first access (PEP 562) and cached here.
+_LAZY = {
+    "zonoids": "zonoids",
+    "Zonotope": "zonoids",
+    "decide_d_universal": "zonoids",
+    "generating_measure": "zonoids",
+    "k_transform": "zonoids",
+    "k_transform_direct": "zonoids",
+    "singleton_support_check": "zonoids",
+    "support_function": "zonoids",
+    "harness": "harness",
+    "brute_force_convolution": "harness",
+    "gen_measure": "harness",
+    "gen_pair": "harness",
+    "gen_sphere_measure": "harness",
+    "gen_subgroup": "harness",
+    "run_property_suite": "harness",
+}
+
+# every public name, the core submodules and the lazy names included, so
+# that `from multconv import *` binds what it bound before they were lazy
+__all__ = sorted([name for name in globals() if not name.startswith("_")] + list(_LAZY))
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

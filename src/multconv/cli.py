@@ -53,13 +53,7 @@ from .measures import AtomicMeasure, Measure, mconv, symmetrize
 from .subsets import GeneratingPair, SubsetMask, gamma, mask_sort_key
 from .sphere import SphereMeasure, radial_project, sconv
 from .universality import UniversalityReport, _check_dim, _whole_space, decide_universal_rn
-from .harness import run_property_suite
-from .zonoids import (
-    Zonotope,
-    decide_d_universal,
-    generating_measure,
-    singleton_support_check,
-)
+
 
 class InputError(ValueError):
     pass
@@ -223,6 +217,10 @@ def _cmd_universal(args) -> int:
 
 
 def _cmd_zonoid(args) -> int:
+    # imported here, like the suites in _cmd_verify, so that no other
+    # command compiles them
+    from .zonoids import Zonotope, decide_d_universal, generating_measure, singleton_support_check
+
     data = _load_json(args.input)
     try:
         z = Zonotope.from_json(data)
@@ -245,6 +243,8 @@ def _cmd_zonoid(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .harness import run_property_suite
+
     try:
         report = run_property_suite(args.suite, args.seed, args.trials)
     except ValueError as exc:

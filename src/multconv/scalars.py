@@ -203,7 +203,9 @@ def _rational_column(values: Sequence) -> tuple[Sequence[int], Sequence[int] | N
     if any([issubclass(t, (bool, float)) or not issubclass(t, _NUMBER_TYPES) for t in types]):
         return None
     try:
-        read = {v: _coerce_rational(v) for v in set(values)}
+        # first-appearance order, so the values read before a refusal do
+        # not depend on the string hash seed
+        read = {v: _coerce_rational(v) for v in dict.fromkeys(values)}
     except (ArithmeticError, TypeError, ValueError):
         return None
     fractions = list(map(read.__getitem__, values))

@@ -643,9 +643,13 @@ def test_entry_point_in_a_fresh_process_matches_main(tmp_path, capsys):
     b = write_json(tmp_path / "b.json", dirac("1/2", 3))
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 2, "atoms": [')
+    cube = write_json(tmp_path / "cube.json", Zonotope.cube(2).to_json())
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    for argv in (["convolve", a, b], ["--format", "pretty", "decompose", a], ["project", str(bad), "--E", "1"]):
+    # verify and zonoid import their modules inside the handler
+    for argv in (["convolve", a, b], ["--format", "pretty", "decompose", a], ["project", str(bad), "--E", "1"],
+                 ["verify", "--suite", "banach-norm", "--seed", "1", "--trials", "3"], ["verify", "--suite", "nope"],
+                 ["zonoid", cube, "--check", "d-universal"], ["zonoid", str(bad), "--check", "singleton-support"]):
         proc = subprocess.run([sys.executable, "-m", "multconv.cli", *argv], capture_output=True, text=True,
                               env=env, timeout=120)
         code, out, err = run(capsys, *argv)

@@ -1,11 +1,15 @@
 import decimal
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import multconv
 from multconv.measures import Measure
 from multconv.scalars import (
     FactorLimitError,
@@ -509,3 +513,33 @@ def test_decimal_infinity_is_refused_by_value(read, text):
         read(value)
     with pytest.raises(ValueError, match="cannot convert NaN"):
         read(decimal.Decimal("NaN"))
+
+
+# Fraction.__new__ calls while the constructor refuses a column of decimal
+# texts with one bad value among them
+_COUNT_REFUSAL = """import sys
+from fractions import Fraction
+from multconv.measures import Measure
+
+values = [f"{k}.5" for k in range(12)] + ["x"] + [f"{k}.25" for k in range(12)]
+new = Fraction.__new__.__code__
+calls = []
+sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code is new and calls.append(1))
+try:
+    Measure(1, {(v,): 1 for v in values})
+except ValueError as exc:
+    sys.setprofile(None)
+    print(len(calls), exc)
+"""
+
+
+def test_refused_column_reads_the_same_values_under_every_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(multconv.__file__)))
+    outs = {
+        subprocess.run([sys.executable, "-c", _COUNT_REFUSAL], capture_output=True, text=True, timeout=120, check=True,
+                       env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))).stdout
+        for seed in range(4)
+    }
+    # the values before the refused one, in order, once by the column reader
+    # and once by the walk that raises
+    assert outs == {"26 Invalid literal for Fraction: 'x'\n"}
