@@ -57,6 +57,13 @@ output:
   ``from_json`` alone; each payload that JSON holds also goes through ``universal <file>`` in
   the cli (exit code, stdout and stderr).  It runs once, whatever
   ``--max-dim`` is;
+- ``decider-refusals``: the type and message of each refusal of the
+  deciders (``decide_universal_rn``, ``decide_special``, ``class_pair`` and
+  ``symmetry_obstruction``): pairs and support sets of another dimension,
+  the empty pattern on the sphere, a measure past ``MAX_DECIDER_DIM``, an
+  unknown class or scope and the refusals of the ``positive-orthant`` and
+  ``top-order`` scopes, alone and two at a time, so the order of the
+  checks shows.  It runs once, whatever ``--max-dim`` is;
 - ``dense``: ``to_json_text()`` of ``decide_special`` at full scope on
   every named class, for seeded measures at n = 6, 7, 8 with 40, 100 and
   250 atoms, with few or many zero coordinates, as point measures and
@@ -92,6 +99,7 @@ from multconv import (
     SubsetMask,
     Surd,
     all_subsets,
+    class_pair,
     decide_special,
     decide_universal_rn,
     decide_universal_sphere,
@@ -107,6 +115,7 @@ from multconv import (
     sigma0_on,
     subsets_of,
     symmetrize,
+    symmetry_obstruction,
     tensor,
 )
 from multconv.cli import main as cli_main
@@ -567,6 +576,67 @@ def refusals(group: Group) -> None:
             os.chdir(home)
 
 
+def decider_refusals(group: Group) -> None:
+    """The type and message of each refusal of the deciders: the public
+    rows of the universality tests' refusal table, support sets of another
+    dimension, the empty pattern on the sphere, pairs of another dimension,
+    a measure past ``MAX_DECIDER_DIM`` and the scopes' own refusals, alone
+    and two at a time, so the order of the checks shows."""
+    point = Measure(2, {(1, 2): 1})
+    sphere = SphereMeasure(2, {(1, 2): 1})
+    mixed = Measure(2, {(1, 2): 1, (0, 3): 2})
+    big = Measure(9, {(1,) * 9: 1})
+
+    def mask(dim, *indices):
+        return SubsetMask.from_indices(dim, list(indices))
+
+    pair2, pair3 = GeneratingPair.make(2), GeneratingPair.make(3)
+    everything = list(all_subsets(2))
+    calls = [
+        ("decide-pair-dim", lambda: decide_universal_rn(point, everything, pair3)),
+        ("obstruction-pair-dim", lambda: symmetry_obstruction(point, pair3)),
+        ("obstruction-improper", lambda: symmetry_obstruction(point, GeneratingPair.make(2, evens=[mask(2, 1)], odds=[mask(2, 1)]))),
+        ("class-name", lambda: class_pair("foo", 2)),
+        ("scope", lambda: decide_special(point, "unconditional", scope="bar")),
+        ("scope-and-class", lambda: decide_special(point, "foo", scope="bar")),
+        ("dim-bound", lambda: decide_universal_rn(big, [], GeneratingPair.make(9))),
+        ("dim-bound-and-pair-dim", lambda: decide_universal_rn(big, [], pair2)),
+        ("dim-bound-special", lambda: decide_special(big, "none")),
+        ("dim-bound-and-scope", lambda: decide_special(big, "none", scope="bar")),
+        ("positive-orthant-sphere", lambda: decide_special(sphere, "unconditional", "positive-orthant")),
+        ("positive-orthant-sphere-class", lambda: decide_special(sphere, "none", "positive-orthant")),
+        ("positive-orthant-class", lambda: decide_special(point, "symmetric", "positive-orthant")),
+        ("top-order-mixed", lambda: decide_special(mixed, "none", "top-order")),
+        ("top-order-mixed-sphere", lambda: decide_special(radial_project(mixed), "symmetric", "top-order")),
+        ("top-order-zero", lambda: decide_special(Measure(2, {}), "none", "top-order")),
+    ]
+    for setting, nu in (("point", point), ("sphere", sphere)):
+        for name, support in (
+            ("one", [mask(2, 1, 2), mask(3, 1)]),
+            ("beyond", [mask(2, 1, 2), mask(4, 1, 2, 4)]),
+            ("several", [mask(3, 1), mask(2, 1), mask(4, 3), mask(3, 2, 3), mask(4, 1, 4), mask(3, 1, 2)]),
+            ("only", [mask(3, 1, 2, 3)]),
+            ("tie", [mask(4, 1, 2), mask(2, 1), mask(3, 1, 2)]),
+        ):
+            calls.append((f"support-dim-{name}-{setting}", lambda nu=nu, support=support: decide_universal_rn(nu, support, pair2)))
+        calls.append((f"support-and-pair-dim-{setting}", lambda nu=nu: decide_universal_rn(nu, [mask(3, 1)], pair3)))
+        calls.append((f"pair-dim-{setting}", lambda nu=nu: decide_universal_rn(nu, [mask(2, 1)], pair3)))
+    empty = SubsetMask.empty(2)
+    calls += [
+        ("sphere-empty-pattern", lambda: decide_universal_sphere(sphere, [mask(2, 1), empty], pair2)),
+        ("sphere-empty-pattern-and-pair-dim", lambda: decide_universal_sphere(sphere, [empty], pair3)),
+        ("sphere-empty-pattern-other-dim", lambda: decide_universal_sphere(sphere, [mask(2, 1), SubsetMask.empty(3)], pair2)),
+        ("sphere-empty-pattern-past-bound", lambda: decide_universal_rn(SphereMeasure(9, {(1,) * 9: 1}), [SubsetMask.empty(9)], pair2)),
+    ]
+    for label, call in calls:
+        try:
+            call()
+        except Exception as exc:
+            group.add([label, type(exc).__name__, str(exc)])
+        else:
+            group.add([label, "no refusal"])
+
+
 # (dimension, atoms): many atoms per support set, beyond ``--max-dim 5``
 DENSE = ((6, 40), (7, 100), (8, 250))
 # one zero coordinate in seven, or one in two
@@ -727,7 +797,7 @@ def main():
     parser.add_argument("--max-dim", type=int, default=3)
     max_dim = parser.parse_args().max_dim
     names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra", "linear", "surds",
-             "surface", "codec", "refusals", "dense")
+             "surface", "codec", "refusals", "decider-refusals", "dense")
     groups = {name: Group() for name in names}
     for n in range(1, max_dim + 1):
         decisions(groups["decisions"], n)
@@ -741,6 +811,7 @@ def main():
         surface(groups["surface"], n)
         codec(groups["codec"], n)
     refusals(groups["refusals"])
+    decider_refusals(groups["decider-refusals"])
     dense(groups["dense"])
     for name in names:
         print(f"{name} {groups[name].count} {groups[name].hash.hexdigest()}")

@@ -274,7 +274,7 @@ def grouped_listed(call) -> tuple[int, int]:
         reports = call()
     finally:
         universality._classes = classes
-    return len(grouped), sum(len({e.bits for e, _ in r.groups}) for r in reports)
+    return len(grouped), sum(len({e for e, _ in r.groups}) for r in reports)
 
 
 def same_reports(a: list, b: list) -> bool:

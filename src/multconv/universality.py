@@ -18,12 +18,12 @@ per-dimension table of shared masks.
 
 A decision is a plan, which does not read the measure, and a pass over
 the measure.  The plan depends only on the support family and the pair:
-the support sets skipped as not proper and, per other E, the bits of its
-J's, so it holds ints and the table's shared masks; plans are cached, at
-most 64 (an ``lru_cache`` keyed by the family's bit set and the pair).
-The top-order scope lists its groups in the same form.  A report keeps
-the groups and one outcome byte per condition; it builds
-``ConditionRecord`` values only when a caller reads them.
+the support sets skipped as not proper, as the table's shared masks, and
+per other E the bits of E and of its J's; plans are cached, at most 64 (an
+``lru_cache`` keyed by the family's bit set and the pair).  The top-order
+scope lists its groups in the same form.  A report keeps the groups and
+one outcome byte per condition; it reads the table's masks, and builds
+``ConditionRecord`` values, only when a caller reads them.
 
 One condition pass evaluates the groups by these class sums, on ints,
 giving each J's outcome: each atom is coded once per decision, in the list
@@ -85,11 +85,11 @@ class ConditionRecord:
     satisfied: bool
 
 
-# an (E, [J, ...]) group: E as the dimension's shared mask, then each J's bits
-_Group = tuple[SubsetMask, tuple[int, ...]]
+# an (E, [J, ...]) group: the bits of E, then each J's bits
+_Group = tuple[int, tuple[int, ...]]
 
 
-def _flat(groups: tuple[_Group, ...]) -> list[tuple[SubsetMask, int]]:
+def _flat(groups: tuple[_Group, ...]) -> list[tuple[int, int]]:
     """Each condition's E and J bits, in the order of its outcome."""
     return [(e, j) for e, js in groups for j in js]
 
@@ -115,7 +115,7 @@ class UniversalityReport:
     def universal(self) -> bool:
         return 0 not in self.outcomes
 
-    def _codes(self) -> Iterator[tuple[tuple[SubsetMask, int], int]]:
+    def _codes(self) -> Iterator[tuple[tuple[int, int], int]]:
         """Each condition's E, J bits and outcome, in the report's order."""
         return zip(_flat(self.groups), self.outcomes)
 
@@ -123,23 +123,23 @@ class UniversalityReport:
     def conditions(self) -> list[ConditionRecord]:
         """A fresh record per condition, in the report's order."""
         masks = _lex_table(self.dim)[0]
-        return [ConditionRecord(e, masks[j], ok == 1) for (e, j), ok in self._codes()]
+        return [ConditionRecord(masks[e], masks[j], ok == 1) for (e, j), ok in self._codes()]
 
     def failing(self) -> list[ConditionRecord]:
         masks = _lex_table(self.dim)[0]
-        return [ConditionRecord(e, masks[j], False) for (e, j), ok in self._codes() if not ok]
+        return [ConditionRecord(masks[e], masks[j], False) for (e, j), ok in self._codes() if not ok]
 
     def _lists(self, write) -> dict:
         """``write(mask)`` of each distinct E, J and skipped set, keyed by its bits."""
         masks = _lex_table(self.dim)[0]
-        bits = {e.bits for e in self.skipped_non_proper}.union(*[(e.bits, *js) for e, js in self.groups])
+        bits = {e.bits for e in self.skipped_non_proper}.union(*[(e, *js) for e, js in self.groups])
         return {b: write(masks[b]) for b in bits}
 
     def to_json(self) -> dict:
         lists = self._lists(SubsetMask.to_json)  # copied per use
         return {
             "universal": self.universal,
-            "conditions": [{"E": lists[e.bits][:], "J": lists[j][:], "ok": ok == 1} for (e, j), ok in self._codes()],
+            "conditions": [{"E": lists[e][:], "J": lists[j][:], "ok": ok == 1} for (e, j), ok in self._codes()],
             "witness": None if self.witness is None else self.witness.to_json(),
             "skipped": [lists[e.bits][:] for e in self.skipped_non_proper],
         }
@@ -151,7 +151,7 @@ class UniversalityReport:
         lists = self._lists(lambda m: "[" + ",".join(map(str, m.indices())) + "]")
         flag = ("false", "true")
         conditions = ",".join([
-            f'{{"E":{lists[e.bits]},"J":{lists[j]},"ok":{flag[ok]}}}' for (e, j), ok in self._codes()
+            f'{{"E":{lists[e]},"J":{lists[j]},"ok":{flag[ok]}}}' for (e, j), ok in self._codes()
         ])
         witness = "null" if self.witness is None else self.witness.to_json_text()
         skipped = ",".join([lists[e.bits] for e in self.skipped_non_proper])
@@ -237,7 +237,8 @@ def _conclude(
     witness = None
     if fail >= 0:
         e, j = _flat(groups)[fail]
-        witness = _witness(nu, pair, e, _lex_table(pair.dim)[0][j])
+        masks = _lex_table(pair.dim)[0]
+        witness = _witness(nu, pair, masks[e], masks[j])
     return UniversalityReport(pair.dim, groups, outcomes, witness, list(skipped))
 
 
@@ -337,7 +338,7 @@ def _evaluate(nu: AtomicMeasure, groups: tuple[_Group, ...]) -> bytes:
     code = _code(nu)
     held: set[int] = set()
     groupings: dict[int, list[_Class]] = {}
-    for bits in sorted({e.bits for e, _ in groups}, key=int.bit_count):
+    for bits in sorted({e for e, _ in groups}, key=int.bit_count):
         if bits in held:
             continue
         classes = _classes(code, bits, sphere)
@@ -352,7 +353,7 @@ def _evaluate(nu: AtomicMeasure, groups: tuple[_Group, ...]) -> bytes:
                 sub = (sub - 1) & free
     outcomes: list[bytes] = []
     for e, js in groups:
-        classes = groupings.get(e.bits)
+        classes = groupings.get(e)
         if classes is None:
             outcomes.append(b"\1" * len(js))
         else:
@@ -367,38 +368,27 @@ def _whole_space(dim: int, sphere: bool) -> list[SubsetMask]:
     return list(masks[1:] if sphere else masks)
 
 
-def _refuse_other_dims(support, n: int) -> None:
-    bad = sorted({e for e in support if e.dim != n}, key=lambda m: (-m.size, mask_sort_key(m)))
-    if bad:
-        raise ValueError(f"support set {bad[0]} has dimension {bad[0].dim}, expected {n}")
-
-
-def _index_sets(support, pair: GeneratingPair) -> list[tuple[SubsetMask, list[SubsetMask]]]:
-    """Each support set, by descending size then lex rank, with its index set.
-
-    The index set of (E, pair) is the members of the whole space's index set
-    inside E, so one is tested in all, on ints in the lex order of the
-    dimension's table (``subsets._lex_table``), whose masks the reports take.
-    """
-    n = pair.dim
-    _refuse_other_dims(support, n)
-    masks, order, rank = _lex_table(n)
-    whole = _index_bits(pair, order)
-    ordered = sorted({e.bits for e in support}, key=lambda e: (-e.bit_count(), rank[e]))
-    return [(masks[e], [masks[j] for j in whole if not j & ~e]) for e in ordered]
-
-
 @lru_cache(maxsize=64)
 def _plan(family: int, pair: GeneratingPair) -> tuple[tuple[SubsetMask, ...], tuple[_Group, ...]]:
     """What a decision over a support family and a pair needs before it
     reads the measure: the support sets skipped as not proper, and the
-    groups of the others.  The family has bit ``E.bits`` set per member."""
-    masks = _lex_table(pair.dim)[0]
-    groups = _index_sets([m for m in masks if family >> m.bits & 1], pair)
-    return (
-        tuple([e for e, js in groups if not js]),
-        tuple([(e, tuple([j.bits for j in js])) for e, js in groups if js]),
-    )
+    groups of the others.  The family has bit ``E.bits`` set per member.
+
+    Support sets go by descending size then lex rank.  The index set of
+    (E, pair) is the members of the whole space's index set inside E, so
+    one is tested in all, on ints in the lex order of the dimension's table
+    (``subsets._lex_table``), whose masks the skipped sets take.
+    """
+    masks, order, _ = _lex_table(pair.dim)
+    whole = _index_bits(pair, order)
+    skipped, groups = [], []
+    for e in sorted([e for e in order if family >> e & 1], key=int.bit_count, reverse=True):
+        js = tuple([j for j in whole if not j & ~e])
+        if js:
+            groups.append((e, js))
+        else:
+            skipped.append(masks[e])
+    return tuple(skipped), tuple(groups)
 
 
 def decide_universal_rn(nu: AtomicMeasure, support, pair: GeneratingPair) -> UniversalityReport:
@@ -421,7 +411,8 @@ def decide_universal_rn(nu: AtomicMeasure, support, pair: GeneratingPair) -> Uni
     family = 0
     for e in support:
         if e.dim != n:
-            _refuse_other_dims(support, n)
+            bad = min({m for m in support if m.dim != n}, key=lambda m: (-m.size, mask_sort_key(m)))
+            raise ValueError(f"support set {bad} has dimension {bad.dim}, expected {n}")
         family |= 1 << e.bits
     skipped, groups = _plan(family, pair)
     return _conclude(nu, pair, groups, _evaluate(nu, groups), skipped)
@@ -485,15 +476,14 @@ def decide_special(
     elif scope == "top-order":
         if nu.order_of() != full:
             raise ValueError("top-order scope requires a measure of full order")
-        masks, order, _ = _lex_table(n)
         top: list[_Group] = []
-        for j in _index_bits(pair, order):
+        for j in _index_bits(pair, _lex_table(n)[1]):
             if sphere and not j:
                 # the empty index collapses to one condition per axis
-                top.extend((masks[1 << i], (j,)) for i in range(n))
+                top.extend((1 << i, (j,)) for i in range(n))
             else:
                 # on a measure of full order, the (J, J) condition on its projection
-                top.append((masks[j], (j,)))
+                top.append((j, (j,)))
         groups = tuple(top)
         return _conclude(nu, pair, groups, _evaluate(nu, groups))
     elif scope != "full":

@@ -561,6 +561,8 @@ def malformed_argv(rng):
         yield "format-after-command", good + ["--format", rng.choice(["json", "pretty"])]
         yield "format-after-command", [name, "--format=json", *good[1:]]
         yield "extra-positional", good + ["extra.json"]
+        yield "unknown-before-command", ["--bogus", *good]
+        yield "help-with-value", good + ["--help=x"]
         yield "bad-format", ["--format", "yaml", *good]
         if files:
             yield "missing-positional", [name, *files[:-1], *required]
@@ -576,6 +578,9 @@ def malformed_argv(rng):
                 yield "non-int", good + [opt, "seven"]
             if option.kind == "flag":
                 yield "flag-with-value", good + [f"{opt}=1"]
+                if files:
+                    # a "--" after every positional, past the last option, is an extra word
+                    yield "dashes-after-positionals", good + [opt, "--"]
         shared = [p for p in ("--s", "--e", "--o") if sum(o.startswith(p) for o in command.options) > 1]
         for prefix in shared:
             yield "ambiguous-option", good + [prefix, "1"]
@@ -583,6 +588,7 @@ def malformed_argv(rng):
     yield "no-command", ["--format", "pretty"]
     yield "option-without-value", ["--format"]
     yield "option-without-value", ["--format", "--", "decompose", "a.json"]
+    yield "help-with-value", ["--help=x"]
 
 
 def test_parse_args_refuses_what_argparse_refuses(capsys):
@@ -597,19 +603,21 @@ def test_parse_args_refuses_what_argparse_refuses(capsys):
         assert lines[0].startswith("usage: multconv") and lines[-1].startswith("multconv: error: "), (kind, argv)
         kinds.add(kind)
     assert {"unknown-command", "missing-positional", "missing-option", "bad-choice", "non-int", "unknown-option",
-            "ambiguous-option", "extra-positional", "option-without-value", "format-after-command"} <= kinds
+            "ambiguous-option", "extra-positional", "option-without-value", "format-after-command",
+            "unknown-before-command", "help-with-value", "dashes-after-positionals"} <= kinds
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
 def test_help_names_every_command_and_option(capsys, monkeypatch, flag):
-    for argv in ([flag], ["--format", "pretty", flag, "frobnicate"]):
+    # help reads no word after "--" for a bad global option, as argparse did
+    for argv in ([flag], ["--format", "pretty", flag, "frobnicate"], [flag, "--", "x"]):
         assert reference_read(argv)[0] == 0
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert out.startswith("usage: multconv") and "--format" in out
         assert all(name in out for name in cli.COMMANDS)
     for name, command in cli.COMMANDS.items():
-        for argv in ([name, flag], [name, "--bogus", flag, "extra"]):
+        for argv in ([name, flag], [name, "--bogus", flag, "extra"], [name, flag, "--", "--x"]):
             assert reference_read(argv)[0] == 0, argv
             code, out, err = run(capsys, *argv)
             assert (code, err) == (0, ""), argv

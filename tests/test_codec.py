@@ -476,6 +476,12 @@ LEFT_TO_THE_PER_ATOM_READER = {
     "ray-fraction": _atoms("ray", (["1/1", "2"], [["1", 1]]),),
     "ray-zero": _atoms("ray", (["0", "-0"], [["1", 1]]),),
     "no-atoms": {"dim": 2},
+    # weights, or their terms, given as tuples, as a Python caller may pass
+    # them: the walk reads them and returns the measure
+    "tuple-weights": _atoms("point", (["1", "2"], (("1", 1), ("1/2", 2))), (["1/3", "2"], (("-2", 3),))),
+    "tuple-terms": _atoms("point", (["1", "2"], [("1", 1), ("1/2", 2)]), (["1/3", "2"], [("-2", 3)])),
+    "ray-tuple-weights": _atoms("ray", (["1", "2"], (("1", 1), ("1/2", 2))), (["3", "-1"], (("-2", 3),))),
+    "ray-tuple-terms": _atoms("ray", (["1", "2"], [("1", 1), ("1/2", 2)]), (["3", "-1"], [("-2", 3)])),
     "bool-dim": {"dim": True, "atoms": [{"point": ["1"], "weight": [["1", 1]]}]},
 }
 
@@ -497,6 +503,9 @@ def test_the_column_reader_leaves_other_forms_to_the_per_atom_reader(name, walks
         assert got == ref
         assert _stored_order(got) == _stored_order(ref)
         assert (got._den, got._wden) == (ref._den, ref._wden)
+        field = cls._loc_field
+        atoms = payload.get("atoms", [])
+        assert got == cls(payload["dim"], [(atom[field], surd_from_json(atom["weight"])) for atom in atoms])
 
 
 @pytest.mark.parametrize("cls", [Measure, SphereMeasure], ids=["point", "sphere"])

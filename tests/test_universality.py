@@ -593,7 +593,7 @@ def _reference_pass(nu, groups):
     sphere = isinstance(nu, SphereMeasure)
     out = bytearray()
     for e, js in groups:
-        on_e = [i for i in range(nu.dim) if e.bits >> i & 1]
+        on_e = [i for i in range(nu.dim) if e >> i & 1]
         classes = {}
         for s, part in nu._parts.items():
             for loc, c in part.items():
@@ -696,20 +696,28 @@ def _index_set_by_definition(e, pair):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
-def test_index_sets_match_the_definition(n):
+def test_plan_matches_the_index_set_definition(n):
+    # the plan's groups and skipped sets, support sets by descending size
+    # then lex rank: each E with the bits of its index set, or skipped when
+    # that set is empty
     pairs = [gen_pair(seed, n, m) for seed in range(12) for m in (3, 5)]
     pairs += [class_pair(klass, n) for klass in ("unconditional", "symmetric", "antisymmetric", "none")]
     everything = list(all_subsets(n))
     sparse = random.Random(n).sample(everything, min(3, len(everything)))
     supports = (full_support(n), full_support(n, sphere=True), sparse + sparse[:1])
+    masks = universality._lex_table(n)[0]
     for pair in pairs:
         by_definition = {e: _index_set_by_definition(e, pair) for e in everything}
         for e, indices in by_definition.items():
             assert index_set(e, pair) == frozenset(indices)
         for support in supports:
             ordered = sorted(set(support), key=lambda m: (-m.size, mask_sort_key(m)))
-            expected = [(e, by_definition[e]) for e in ordered]
-            assert universality._index_sets(support, pair) == expected
+            skipped, groups = universality._plan(sum(1 << e.bits for e in set(support)), pair)
+            assert skipped == tuple(e for e in ordered if not by_definition[e])
+            assert all(e is masks[e.bits] for e in skipped)
+            assert groups == tuple(
+                (e.bits, tuple(j.bits for j in by_definition[e])) for e in ordered if by_definition[e]
+            )
 
 
 CLASSES = ("unconditional", "symmetric", "antisymmetric", "none")
@@ -836,14 +844,16 @@ def test_plan_cache_stays_bounded():
         decide_universal_rn(nu, full_support(n), pair)
         assert plan.cache_info().currsize <= maxsize
     assert plan.cache_info().currsize == maxsize
-    # the cached plans hold the table's masks and J bits, no record
+    # the cached plans hold E and J bits, and the table's masks for the skipped sets
     family = sum(1 << e.bits for e in full_support(n))
     hits = plan.cache_info().hits
     cached = [plan(family, pair) for pair in pairs[-maxsize:]]
     assert plan.cache_info().hits == hits + maxsize
+    masks = universality._lex_table(n)[0]
+    assert any(skipped for skipped, _ in cached)
     for skipped, groups in cached:
-        assert all(type(e) is SubsetMask for e in skipped)
-        assert all(type(e) is SubsetMask and all(type(j) is int for j in js) for e, js in groups)
+        assert all(e is masks[e.bits] for e in skipped)
+        assert all(type(e) is int and all(type(j) is int for j in js) for e, js in groups)
 
 
 def test_parity_factor_cache_stays_bounded():
@@ -958,7 +968,7 @@ def test_condition_holds_on_one_radicand_while_another_cancels():
 
 
 _NU2 = Measure(2, {(1, 2): 1})
-_E2 = SubsetMask.full(2)
+_E2 = SubsetMask.full(2).bits
 
 
 @pytest.mark.parametrize(
@@ -969,15 +979,15 @@ _E2 = SubsetMask.full(2)
         (lambda: class_pair("foo", 2), "unknown symmetry class 'foo'"),
         (lambda: decide_special(_NU2, "unconditional", scope="bar"), "unknown scope 'bar'"),
         (
-            lambda: UniversalityReport(2, ((_E2, (_E2.bits,)),), b"\1\1", None),
+            lambda: UniversalityReport(2, ((_E2, (_E2,)),), b"\1\1", None),
             "decision inconsistent with the condition list",
         ),
         (
-            lambda: UniversalityReport(2, ((_E2, (_E2.bits,)),), b"\2", None),
+            lambda: UniversalityReport(2, ((_E2, (_E2,)),), b"\2", None),
             "decision inconsistent with the condition list",
         ),
         (
-            lambda: UniversalityReport(2, ((_E2, (_E2.bits,)),), b"\0", None),
+            lambda: UniversalityReport(2, ((_E2, (_E2,)),), b"\0", None),
             "negative decision without a witness",
         ),
     ],
