@@ -64,6 +64,12 @@ output:
   unknown class or scope and the refusals of the ``positive-orthant`` and
   ``top-order`` scopes, alone and two at a time, so the order of the
   checks shows.  It runs once, whatever ``--max-dim`` is;
+- ``module-refusals``: the type and message of each refusal in the public
+  rows of the ``test_refusals`` tables of the measures, subsets, points,
+  zonoids, lifting, harness and scalars tests, and of ``lift_inverse`` on
+  sphere measures with an atom on the equator or without origin symmetry,
+  built by the public constructor.  It runs once, whatever ``--max-dim``
+  is;
 - ``dense``: ``to_json_text()`` of ``decide_special`` at full scope on
   every named class, for seeded measures at n = 6, 7, 8 with 40, 100 and
   250 atoms, with few or many zero coordinates, as point measures and
@@ -105,12 +111,17 @@ from multconv import (
     decide_universal_sphere,
     delta_ej,
     gamma,
+    group_average,
+    index_set,
+    inner,
     lift,
+    lift_family,
     lift_inverse,
     mconv,
     msym,
     munc,
     radial_project,
+    reflect_point,
     sconv,
     sigma0_on,
     subsets_of,
@@ -120,6 +131,7 @@ from multconv import (
 )
 from multconv.cli import main as cli_main
 from multconv.harness import (
+    brute_force_convolution,
     gen_interfering_measure,
     gen_mask,
     gen_measure,
@@ -129,6 +141,7 @@ from multconv.harness import (
 )
 from multconv.subsets import is_group, j_dual
 from multconv.universality import _probe_product
+from multconv.zonoids import Zonotope, k_transform_direct, support_function
 
 F = Fraction
 SEEDS = 16
@@ -576,6 +589,18 @@ def refusals(group: Group) -> None:
             os.chdir(home)
 
 
+def add_refusals(group: Group, calls) -> None:
+    """Record each labelled call's exception type and message, or that it
+    refused nothing."""
+    for label, call in calls:
+        try:
+            call()
+        except Exception as exc:
+            group.add([label, type(exc).__name__, str(exc)])
+        else:
+            group.add([label, "no refusal"])
+
+
 def decider_refusals(group: Group) -> None:
     """The type and message of each refusal of the deciders: the public
     rows of the universality tests' refusal table, support sets of another
@@ -628,13 +653,46 @@ def decider_refusals(group: Group) -> None:
         ("sphere-empty-pattern-other-dim", lambda: decide_universal_sphere(sphere, [mask(2, 1), SubsetMask.empty(3)], pair2)),
         ("sphere-empty-pattern-past-bound", lambda: decide_universal_rn(SphereMeasure(9, {(1,) * 9: 1}), [SubsetMask.empty(9)], pair2)),
     ]
-    for label, call in calls:
-        try:
-            call()
-        except Exception as exc:
-            group.add([label, type(exc).__name__, str(exc)])
-        else:
-            group.add([label, "no refusal"])
+    add_refusals(group, calls)
+
+
+def module_refusals(group: Group) -> None:
+    """The type and message of each refusal in the public rows of the other
+    modules' refusal tables, and of ``lift_inverse`` on public sphere
+    measures that are not lifts."""
+    point = Measure(2, {(1, 2): 1})
+    rays = SphereMeasure(2, {(1, 0): 1, (-1, 0): 1})
+    calls = [
+        ("measures-project", lambda: point.project(SubsetMask(1, 3))),
+        ("measures-symmetrize", lambda: symmetrize(point, GeneratingPair.make(3))),
+        ("measures-group-average", lambda: group_average(point, [])),
+        ("measures-float-scalar", lambda: point * 0.5),
+        ("subsets-dim-0", lambda: SubsetMask(0, 0)),
+        ("subsets-bits-outside", lambda: SubsetMask(4, 2)),
+        ("subsets-single-index", lambda: SubsetMask.single(2, 3)),
+        ("subsets-or-dims", lambda: SubsetMask(1, 2) | SubsetMask(1, 3)),
+        ("subsets-pair-member-dim", lambda: GeneratingPair.make(2, evens=[SubsetMask(1, 3)])),
+        ("subsets-index-set-dims", lambda: index_set(SubsetMask(1, 2), GeneratingPair.make(3))),
+        ("subsets-lift-family-member", lambda: lift_family([SubsetMask(2, 2)], SubsetMask(1, 2))),
+        ("points-reflect-point", lambda: reflect_point((F(1), F(2)), SubsetMask(1, 3))),
+        ("points-inner", lambda: inner((F(1), F(2)), (F(1), F(2), F(3)))),
+        ("zonoids-generator-dim", lambda: Zonotope(2, [(1, 2, 3)])),
+        ("zonoids-support-function-dims", lambda: support_function(rays, (1, 2, 3))),
+        ("zonoids-k-transform-direct-asymmetric", lambda: k_transform_direct(rays, SphereMeasure(2, {(1, 0): 1}), (1, 0))),
+        ("zonoids-k-transform-direct-dims", lambda: k_transform_direct(rays, rays, (1, 2, 3))),
+        ("lifting-lift-inverse-dim-1", lambda: lift_inverse(SphereMeasure(1, {(1,): 1}))),
+        ("lifting-lift-sphere", lambda: lift(SphereMeasure(2, {(1, 1): 1}))),
+        ("lifting-lift-inverse-point", lambda: lift_inverse(Measure(2, {(1, 2): 1, (-1, -2): 1}))),
+        ("lifting-lift-inverse-equator", lambda: lift_inverse(SphereMeasure(2, {(1, 1): 1, (0, 1): 1, (0, -1): 2}))),
+        ("lifting-lift-inverse-equator-irrational", lambda: lift_inverse(SphereMeasure(2, [((1, 1), 1), ((0, -1), Surd.sqrt(2)), ((0, 1), 1)]))),
+        ("lifting-lift-inverse-odd", lambda: lift_inverse(SphereMeasure(2, {(1, 1): 1, (-1, -1): 1, (1, 2): 1, (-1, -2): -1}))),
+        ("lifting-lift-inverse-odd-irrational", lambda: lift_inverse(SphereMeasure(2, [((1, 2), Surd.sqrt(2)), ((-1, -2), -Surd.sqrt(2))]))),
+        ("harness-generator-dim", lambda: gen_measure(0, 9, 1)),
+        ("harness-grid-too-small", lambda: gen_measure(0, 1, 8)),
+        ("harness-brute-force-dims", lambda: brute_force_convolution(point, Measure(3, {(1, 2, 3): 1}))),
+        ("scalars-float-addend", lambda: Surd(1) + 0.5),
+    ]
+    add_refusals(group, calls)
 
 
 # (dimension, atoms): many atoms per support set, beyond ``--max-dim 5``
@@ -797,7 +855,7 @@ def main():
     parser.add_argument("--max-dim", type=int, default=3)
     max_dim = parser.parse_args().max_dim
     names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra", "linear", "surds",
-             "surface", "codec", "refusals", "decider-refusals", "dense")
+             "surface", "codec", "refusals", "decider-refusals", "module-refusals", "dense")
     groups = {name: Group() for name in names}
     for n in range(1, max_dim + 1):
         decisions(groups["decisions"], n)
@@ -812,6 +870,7 @@ def main():
         codec(groups["codec"], n)
     refusals(groups["refusals"])
     decider_refusals(groups["decider-refusals"])
+    module_refusals(groups["module-refusals"])
     dense(groups["dense"])
     for name in names:
         print(f"{name} {groups[name].count} {groups[name].hash.hexdigest()}")

@@ -16,10 +16,12 @@ refuses what the argparse tree it replaced did:
   repeated option winning; an int option reads ``int(text)``;
 - a word that looks like a negative number (``-1``, ``-2.5``) or holds a
   space is a value; any other word starting with ``-`` is an option, and
-  an unknown one an error;
-- ``--`` ends the options: every later word is a positional.  As in
-  argparse, the ``--`` itself is an unknown word when every positional
-  was given before the last option (or the command has none);
+  an unknown one an error, which lists the unknown words in argv order;
+- ``--`` ends a command's options: every later word is a positional (an
+  unknown one past the positionals).  As in argparse, the ``--`` itself
+  is an unknown word when every positional was given before the last
+  option (or the command has none).  Before the command, ``--`` is read
+  as the command, or as no command if it is the last word;
 - ``--format`` goes before the command; after it, it is unknown;
 - ``-h`` or ``--help`` (or ``-hh``, or a prefix such as ``--he``) prints
   help generated from the table to stdout and returns 0, unless an
@@ -334,20 +336,6 @@ COMMANDS = {
 }
 
 
-def _prefixes(options: dict[str, Option]) -> dict[str, tuple[str, ...]]:
-    """Every prefix of ``--help`` and of the options, from ``--`` on, to
-    the names it begins; an exact name to itself alone."""
-    names = ("--help", *options)
-    table: dict[str, tuple[str, ...]] = {}
-    for name in names:
-        for end in range(2, len(name)):
-            table[name[:end]] = table.get(name[:end], ()) + (name,)
-    table.update((name, (name,)) for name in names)
-    return table
-
-
-_GLOBAL_PREFIXES = _prefixes(GLOBAL_OPTIONS)
-_PREFIXES = {name: _prefixes(command.options) for name, command in COMMANDS.items()}
 # argparse's negative number: a word of this form is a value, not an option
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
@@ -361,19 +349,23 @@ class UsageError(Exception):
         self.command = command
 
 
-def _option(word: str, prefixes: dict[str, tuple[str, ...]]) -> tuple[str | None, str | None] | None:
+def _option(word: str, options: dict[str, Option]) -> tuple[str | None, str | None] | None:
     """None for a word that is a value; for an option word, its full name
-    (None for an unknown option) and the text after its ``=`` (None
-    without one).  A prefix of several names is refused; ``-h`` followed
-    by more ``h`` is help, by anything else help with a value."""
+    among ``--help`` and ``options`` (None for an unknown option) and the
+    text after its ``=`` (None without one).  A ``--`` word up to its ``=``
+    is that name if it is one, else the names it begins, of which several
+    are refused; ``-h`` followed by more ``h`` is help, by anything else
+    help with a value."""
     if word[:1] != "-" or word == "-":
         return None
     if word[:2] == "--":
         name, eq, value = word.partition("=")
-        names = prefixes.get(name)
+        if name == "--help" or name in options:
+            return name, value if eq else None
+        names = [n for n in ("--help", *options) if n.startswith(name)]
+        if len(names) > 1:
+            raise UsageError(f"ambiguous option: {word} could match {', '.join(names)}")
         if names:
-            if len(names) > 1:
-                raise UsageError(f"ambiguous option: {word} could match {', '.join(names)}")
             return names[0], value if eq else None
     elif word[:2] == "-h":
         return "--help", None if word.strip("h") == "-" else word[2:].removeprefix("=")
@@ -438,16 +430,18 @@ def parse_args(argv: list[str]) -> SimpleNamespace | int:
 def _global(word: str) -> tuple[str | None, str | None] | None:
     """``_option`` of a word before the command, where ``--`` is a value:
     as in argparse, it is read as the command, which no command is."""
-    return None if word == "--" else _option(word, _GLOBAL_PREFIXES)
+    return None if word == "--" else _option(word, GLOBAL_OPTIONS)
 
 
 def _read(words: list[str]) -> SimpleNamespace | int:
     """Read the global options up to the first value (or ``--``), which
-    names the command, then the command's words."""
+    names the command, then the command's words.  A ``--`` that ends the
+    words names no command, as in argparse."""
     values = {"format": "json"}
     extras: list[str] = []
     i, count = 0, len(words)
-    while i < count:
+    end = count - (words[-1:] == ["--"])
+    while i < end:
         kind = _global(words[i])
         if kind is None:
             break
@@ -481,8 +475,7 @@ def _read_command(name: str, command: Command, words: list[str], values: dict,
     first, so that an ambiguous prefix is refused even after help."""
     options, positionals = command.options, command.positionals
     stop = words.index("--") if "--" in words else len(words)
-    prefixes = _PREFIXES[name]
-    kinds = [_option(word, prefixes) for word in words[:stop]]
+    kinds = [_option(word, options) for word in words[:stop]]
     for option in options.values():
         values[option.dest] = option.default
     given: list[str] = []  # the positional words, in order
@@ -494,7 +487,8 @@ def _read_command(name: str, command: Command, words: list[str], values: dict,
         kind = kinds[i]
         i += 1
         if kind is None:
-            given.append(words[i - 1])
+            # a value past the positionals is unknown where it stands
+            (given if len(given) < len(positionals) else extras).append(words[i - 1])
             continue
         before = len(given)
         opt, text = kind
@@ -514,7 +508,7 @@ def _read_command(name: str, command: Command, words: list[str], values: dict,
     missing += [opt for opt, option in options.items() if option.required and values[option.dest] is None]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
-    extras += given[len(positionals):]
+    extras += given[len(positionals):]  # the words after "--" that no positional takes
     if extras:
         raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
     values.update(zip(positionals, given))

@@ -116,8 +116,6 @@ def _compared(keys: Iterable[Key], op: Callable[[int, int], bool]) -> Iterator[t
 def _root_product(s: int, r: int) -> tuple[int, int]:
     """``sqrt(s) * sqrt(r)`` as ``(g, t)`` for ``g * sqrt(t)``, with ``g``
     the gcd: the product of coprime square-free numbers is square-free."""
-    if s == 1 or r == 1:
-        return 1, s * r
     g = math.gcd(s, r)
     return g, (s // g) * (r // g)
 
@@ -147,11 +145,8 @@ def _rows(values: Iterable, dim: int) -> list[tuple]:
 
 def _text_of(values: Iterable[int], den: int) -> Callable[[int], str]:
     """The reduced ``"p/q"`` text of each of ``values`` over ``den``, from a
-    table of one ``_ratio_text`` (``str`` over 1) per distinct value."""
-    distinct = set(values)
-    if den == 1:
-        return dict(zip(distinct, map(str, distinct))).__getitem__
-    return {c: _ratio_text(c, den) for c in distinct}.__getitem__
+    table of one ``_ratio_text`` per distinct value."""
+    return {c: _ratio_text(c, den) for c in set(values)}.__getitem__
 
 
 def _surd(coeffs: Iterable[tuple[int, int | Fraction]], wden: int = 1) -> Surd:
@@ -291,10 +286,11 @@ class AtomicMeasure:
         row per weight term, ``counts`` per location (None when each location
         has one): its square-free radicand and its coefficient, ``nums`` over
         ``dens`` (None when all are 1), divided by the root of the key's
-        ``_norms`` entry and scaled over one lcm.  Where a key repeats or a
-        coefficient is zero, the terms are summed per key and radicand, zero
-        sums dropped, and the parts made key by key in radicand order, as a
-        canonical weight lists them."""
+        ``_norms`` entry and scaled over one lcm.  Rows of one radicand,
+        distinct keys and nonzero coefficients are its part as they stand;
+        any others are summed per key and radicand, zero sums dropped, and
+        the parts made key by key in radicand order, as a canonical weight
+        lists them."""
         keys, den = self._locate(locs, dim)
         if counts is not None:
             keys = list(chain.from_iterable(map(repeat, keys, counts)))
@@ -307,15 +303,10 @@ class AtomicMeasure:
         if wden != 1:
             nums = list(map(mul, nums, map(floordiv, repeat(wden), dens)))
         parts: Parts | None = None
-        if all(nums):
-            if len(set(rads)) == 1:
-                part = dict(zip(keys, nums))
-                # a shorter dict means a repeated key
-                parts = {rads[0]: part} if len(part) == len(keys) else None
-            elif len(set(keys)) == len(keys):
-                parts = {}
-                for v, t, c in zip(keys, rads, nums):
-                    parts.setdefault(t, {})[v] = c
+        if all(nums) and len(set(rads)) == 1:
+            part = dict(zip(keys, nums))
+            # a shorter dict means a repeated key
+            parts = {rads[0]: part} if len(part) == len(keys) else None
         if parts is None:
             sums: dict[Key, dict[int, int]] = {}
             for v, t, c in zip(keys, rads, nums):

@@ -167,35 +167,30 @@ def _rational_column(values: Sequence) -> tuple[Sequence[int], Sequence[int] | N
     :func:`_coerce_rational` reads; ``None`` for a column holding a value it
     refuses, which the caller then walks value by value to raise it.
 
-    Ints and ``Fraction`` values are read by their attributes.  The strings
-    ``"p"`` and ``"p/q"`` of ASCII digits are checked by one match on the
-    joined text of the distinct ones and parsed by C-level maps.  Any other
-    form (a ``Decimal``, digit groups, a sign or spaces, and a zero
-    denominator or a number over the int digit limit, which are refused) goes
-    through ``_coerce_rational`` once per distinct value, after the bool and
-    float types, which hash equal to ints, are refused."""
+    Ints and ``Fraction`` values are read by their attributes.  A column of
+    the strings ``"p"`` and ``"p/q"`` of ASCII digits alone is checked by
+    one match on the joined text of the distinct ones and parsed by C-level
+    maps.  Any other column (ints among those strings, a ``Decimal``, digit
+    groups, a sign or spaces, and a zero denominator or a number over the
+    int digit limit, which are refused) goes through ``_coerce_rational``
+    once per distinct value, after the bool and float types, which hash
+    equal to ints, are refused."""
     types = set(map(type, values))
     if types <= {int}:
         return values, None
-    if types <= {int, str}:
+    if types <= {str}:
         distinct = list(set(values))
-        ints = [v for v in distinct if type(v) is int] if int in types else ()
-        if ints:
-            distinct = [v for v in distinct if type(v) is str]
         text = ",".join(distinct) + ","
         # a comma inside a value would split it in two
         if text.count(",") == len(distinct) and _RATIONALS.fullmatch(text):
             try:
                 if "/" not in text:
-                    # an int is its own numerator
-                    return list(map(dict(zip(distinct, map(int, distinct))).get, values, values)), None
+                    return list(map(dict(zip(distinct, map(int, distinct))).__getitem__, values)), None
                 split = list(map(str.partition, distinct, repeat("/")))
                 dens = list(map(itemgetter(2), split))
                 pairs = dict(zip(distinct, zip(map(int, map(itemgetter(0), split)), map(int, map(_ONE.get, dens, dens)))))
             except ValueError:  # over the digit limit
                 return None
-            if ints:
-                pairs.update(zip(ints, zip(ints, repeat(1))))
             nums, dens = zip(*map(pairs.__getitem__, values))
             return nums, dens
     if types <= {int, Fraction}:

@@ -128,12 +128,11 @@ def mask_sort_key(mask: SubsetMask):
 
 
 @cache
-def _lex_table(dim: int) -> tuple[tuple[SubsetMask, ...], tuple[int, ...], tuple[int, ...]]:
-    """One shared mask per bits of {1,..,dim}, the bits in ``mask_sort_key``
-    order and their ranks in it; kept per dimension, so callers bound ``dim``."""
+def _lex_table(dim: int) -> tuple[tuple[SubsetMask, ...], tuple[int, ...]]:
+    """One shared mask per bits of {1,..,dim} and the bits in
+    ``mask_sort_key`` order; kept per dimension, so callers bound ``dim``."""
     masks = tuple(all_subsets(dim))
-    order = tuple(sorted(range(1 << dim), key=lambda bits: mask_sort_key(masks[bits])))
-    return masks, order, tuple(sorted(range(1 << dim), key=order.__getitem__))
+    return masks, tuple(sorted(range(1 << dim), key=lambda bits: mask_sort_key(masks[bits])))
 
 
 def _coerce_family(dim: int, members: Iterable[SubsetMask]) -> frozenset[SubsetMask]:

@@ -379,7 +379,7 @@ def _plan(family: int, pair: GeneratingPair) -> tuple[tuple[SubsetMask, ...], tu
     one is tested in all, on ints in the lex order of the dimension's table
     (``subsets._lex_table``), whose masks the skipped sets take.
     """
-    masks, order, _ = _lex_table(pair.dim)
+    masks, order = _lex_table(pair.dim)
     whole = _index_bits(pair, order)
     skipped, groups = [], []
     for e in sorted([e for e in order if family >> e & 1], key=int.bit_count, reverse=True):

@@ -607,6 +607,25 @@ def test_parse_args_refuses_what_argparse_refuses(capsys):
             "unknown-before-command", "help-with-value", "dashes-after-positionals"} <= kinds
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "a.json", "x", "--bogus"],
+        ["convolve", "a", "b", "c", "--bogus", "d"],
+        ["lift", "a.json", "x", "-y", "--sphere"],
+        ["project", "a.json", "--E", "1", "b", "--x"],
+        ["--"],
+        ["--format", "json", "--"],
+    ],
+)
+def test_refusal_text_is_argparse_text(capsys, argv):
+    # unknown words in argv order, and a "--" that ends argv names no command
+    code, _, want = reference_read(argv)
+    got = run(capsys, *argv)
+    assert (got[0], code) == (2, 2)
+    assert got[2].splitlines()[-1].partition("error: ")[2] == want.splitlines()[-1].partition("error: ")[2]
+
+
 @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
 def test_help_names_every_command_and_option(capsys, monkeypatch, flag):
     # help reads no word after "--" for a bad global option, as argparse did
