@@ -436,7 +436,8 @@ def _global(word: str) -> tuple[str | None, str | None] | None:
 def _read(words: list[str]) -> SimpleNamespace | int:
     """Read the global options up to the first value (or ``--``), which
     names the command, then the command's words.  A ``--`` that ends the
-    words names no command, as in argparse."""
+    words names no command, and no ``--`` is an option's value, as in
+    argparse."""
     values = {"format": "json"}
     extras: list[str] = []
     i, count = 0, len(words)
@@ -452,7 +453,7 @@ def _read(words: list[str]) -> SimpleNamespace | int:
         elif name == "--help":
             return _help(None, text, words[i:])
         else:
-            following = words[i] if i < count and _global(words[i]) is None else None
+            following = words[i] if i < count and words[i] != "--" and _global(words[i]) is None else None
             i += _read_option(GLOBAL_OPTIONS, name, text, following, values)
     else:
         raise UsageError("the following arguments are required: command")
@@ -479,18 +480,20 @@ def _read_command(name: str, command: Command, words: list[str], values: dict,
     for option in options.values():
         values[option.dest] = option.default
     given: list[str] = []  # the positional words, in order
-    # the positionals given before the last option: a "--" after it begins
-    # a run of words that no positional takes if they were all given
-    before = 0
+    # the positionals free at the last option and the values since it: a
+    # "--" after it is an unknown word if none was free or the values
+    # outnumber them, else a positional next to it takes it
+    free, since = len(positionals), 0
     i = 0
     while i < stop:
         kind = kinds[i]
         i += 1
         if kind is None:
+            since += 1
             # a value past the positionals is unknown where it stands
             (given if len(given) < len(positionals) else extras).append(words[i - 1])
             continue
-        before = len(given)
+        free, since = len(positionals) - len(given), 0
         opt, text = kind
         if opt is None:
             extras.append(words[i - 1])
@@ -500,7 +503,7 @@ def _read_command(name: str, command: Command, words: list[str], values: dict,
             following = words[i] if i < stop and kinds[i] is None else None
             i += _read_option(options, opt, text, following, values)
     if stop < len(words):
-        if before >= len(positionals):
+        if not free or since > free:
             extras.append("--")
         given += words[stop + 1:]
     missing = list(positionals[len(given):])

@@ -567,6 +567,10 @@ class AtomicMeasure:
         pattern = tuple([e.bits >> i & 1 == 1 for i in range(self.dim)])
         return self._filter(lambda part: map(eq, _compared(part, ne), repeat(pattern)))
 
+    def restrict_positive(self) -> Self:
+        """Keep the atoms in the closed positive orthant."""
+        return self._filter(lambda part: map(all, _compared(part, ge)))
+
     def sign_density(self, j: SubsetMask) -> Self:
         """Multiply weights by the product of coordinate signs over ``j``.
 
@@ -743,10 +747,6 @@ class Measure(AtomicMeasure):
         vectors ``v`` of dimension ``dim`` and int coefficients over ``wden``."""
         return cls._of(dim, _sum_parts(lanes), den, wden)
 
-    def restrict_positive(self) -> "Measure":
-        """Keep the atoms in the closed positive orthant."""
-        return self._filter(lambda part: map(all, _compared(part, ge)))
-
 
 # -- multiplicative convolution and products --------------------------------------
 
@@ -804,19 +804,13 @@ def tensor(a: Measure, b: Measure) -> Measure:
     _check_points(a, b)
     den = math.lcm(a._den, b._den)
     right = b._over(den)
-    out: Parts = {}
+    lanes = []
     for s1, xs in a._over(den):
         for s2, ys in right:
             g, s = _root_product(s1, s2)
-            acc = out.setdefault(s, {})
-            get = acc.get
-            for x, wx in xs:
-                wx *= g
-                for y, wy in ys:
-                    # two pairs of parts may share a radicand and a key
-                    key = x + y
-                    acc[key] = get(key, 0) + wx * wy
-    return Measure._of(a.dim + b.dim, out, den, a._wden * b._wden)
+            # two pairs of parts may share a radicand and a key
+            lanes.append((s, [(x + y, wx * g * wy) for x, wx in xs for y, wy in ys]))
+    return Measure._gather(a.dim + b.dim, lanes, den, a._wden * b._wden)
 
 
 def unit(dim: int) -> Measure:
@@ -972,7 +966,7 @@ def munc(mu):
 
 def unc_forward(mu: Measure) -> Measure:
     """Spread a measure on the closed positive orthant over all orthants."""
-    if any(any(c < 0 for c in pt) for pt in mu._keys()):
+    if mu.restrict_positive() != mu:
         raise ValueError("measure has an atom outside the positive orthant")
     return munc(mu)
 
@@ -987,17 +981,13 @@ def unc_inverse(mu: Measure) -> Measure:
     for i in range(1, mu.dim + 1):
         if not mu.is_even_under(SubsetMask.single(mu.dim, i)):
             raise ValueError("measure is not unconditional")
+    positive = mu.restrict_positive()
     # the weight at ``v`` times 2 to the number of its nonzero coordinates
     parts = {
-        s: dict(
-            compress(
-                zip(part, map(lshift, part.values(), map(sum, _compared(part, ne)))),
-                map(all, _compared(part, ge)),
-            )
-        )
-        for s, part in mu._parts.items()
+        s: dict(zip(part, map(lshift, part.values(), map(sum, _compared(part, ne)))))
+        for s, part in positive._parts.items()
     }
-    return Measure._of(mu.dim, parts, mu._den, mu._wden)
+    return Measure._of(mu.dim, parts, positive._den, positive._wden)
 
 
 def phat(mu):

@@ -234,6 +234,7 @@ def _json_terms(data) -> list[tuple[int, int, int]]:
     return out
 
 
+@functools.total_ordering
 class Surd:
     """Exact value of the form ``sum_i (p_i/q_i) * sqrt(r_i)``.
 
@@ -382,27 +383,12 @@ class Surd:
     def __hash__(self) -> int:
         return hash(self._terms)
 
-    def _compare(self, other: SurdLike):
-        """The sign of ``self - other``, or ``NotImplemented`` for an operand
-        that is not exact, so that Python raises the ``TypeError``."""
-        other = as_surd(other)
-        return other if other is NotImplemented else (self - other).sign()
-
     def __lt__(self, other: SurdLike) -> bool:
-        s = self._compare(other)
-        return s if s is NotImplemented else s < 0
-
-    def __le__(self, other: SurdLike) -> bool:
-        s = self._compare(other)
-        return s if s is NotImplemented else s <= 0
-
-    def __gt__(self, other: SurdLike) -> bool:
-        s = self._compare(other)
-        return s if s is NotImplemented else s > 0
-
-    def __ge__(self, other: SurdLike) -> bool:
-        s = self._compare(other)
-        return s if s is NotImplemented else s >= 0
+        # ``total_ordering`` derives ``<=``, ``>`` and ``>=`` from this and
+        # ``__eq__``; ``NotImplemented`` for an operand that is not exact
+        # lets Python raise the ``TypeError``
+        other = as_surd(other)
+        return other if other is NotImplemented else (self - other).sign() < 0
 
     # -- conversions -------------------------------------------------------
 

@@ -32,8 +32,7 @@ from operator import floordiv, mul
 from typing import Iterable, Sequence
 
 from .measures import AtomicMeasure, Lanes, _products, _rows, _surd, _walk
-from .points import Ray, primitive_ray, zero_pattern
-from .subsets import SubsetMask
+from .points import Ray, primitive_ray
 
 
 def _ray_entries(entries: list) -> Iterable[int] | None:
@@ -164,8 +163,7 @@ def moment_g(mu: AtomicMeasure, alpha: Sequence[float]) -> float:
         raise ValueError("exponents must be non-negative")
     if sum(alpha) > 1 + 1e-12:
         raise ValueError("exponents must sum to at most 1")
-    full = SubsetMask.full(n)
-    bad = [v for v in mu._keys() if zero_pattern(v) != full]
+    bad = [v for v in mu._keys() if not all(v)]
     if bad:
         raise ValueError(f"atom at {mu._loc_field} {mu._decode(bad[0])} is not of full order")
     total = 0.0

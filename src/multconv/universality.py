@@ -434,16 +434,12 @@ _CLASS_PAIRS = {
 
 
 @lru_cache(maxsize=4 * MAX_DECIDER_DIM)
-def _class_pair(name: SymmetryClass, dim: int) -> GeneratingPair:
-    return _CLASS_PAIRS[name](dim)
-
-
 def class_pair(name: SymmetryClass, dim: int) -> GeneratingPair:
     """The generating pair cutting out a named symmetry class, one shared
-    instance per class and dimension."""
+    instance per class and dimension given by position."""
     if name not in _CLASS_PAIRS:
         raise ValueError(f"unknown symmetry class {name!r}")
-    return _class_pair(name, dim)
+    return _CLASS_PAIRS[name](dim)
 
 
 def decide_special(
@@ -452,15 +448,17 @@ def decide_special(
     """Decide universality on a named symmetry class.
 
     ``scope="full"`` decides on the whole space of the setting (sphere: all
-    nonempty patterns) with the general decider.  ``scope="top-order"`` uses
-    the simplified condition list available when ``nu`` itself has full
-    order, still deciding on the whole space; other inputs are rejected.
+    nonempty patterns) by the general decider's plan and condition pass.
+    ``scope="top-order"`` uses the simplified condition list available when
+    ``nu`` itself has full order, still deciding on the whole space; other
+    inputs are rejected.
     ``scope="positive-orthant"`` (point measures, unconditional class only)
     reports the sufficient condition transferred from the unconditional
     class, which is the full-scope decision.
 
     The decision always coincides with the general decider run on the
-    corresponding pair; the test suite enforces that equality.
+    corresponding pair, whose skipped sets a named class does not report;
+    the test suite enforces that equality.
     """
     n = nu.dim
     _check_dim(n)
@@ -488,10 +486,10 @@ def decide_special(
         return _conclude(nu, pair, groups, _evaluate(nu, groups))
     elif scope != "full":
         raise ValueError(f"unknown scope {scope!r}")
-    report = decide_universal_rn(nu, _whole_space(n, sphere), pair)
-    # a named class reports its conditions only
-    report.skipped_non_proper = []
-    return report
+    # the general decider's plan for the whole space; a named class reports
+    # its conditions only, so the skipped sets are not kept
+    _, groups = _plan(sum([1 << e.bits for e in _whole_space(n, sphere)]), pair)
+    return _conclude(nu, pair, groups, _evaluate(nu, groups))
 
 
 def symmetry_obstruction(nu: AtomicMeasure, pair: GeneratingPair) -> list[tuple[SubsetMask, str]]:

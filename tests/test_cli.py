@@ -616,10 +616,17 @@ def test_parse_args_refuses_what_argparse_refuses(capsys):
         ["project", "a.json", "--E", "1", "b", "--x"],
         ["--"],
         ["--format", "json", "--"],
+        ["decompose", "a.json", "x", "--"],
+        ["decompose", "a.json", "x", "--", "y"],
+        ["convolve", "a", "b", "x", "--"],
+        ["--format", "--"],
+        ["--format", "--", "decompose", "a.json"],
     ],
 )
 def test_refusal_text_is_argparse_text(capsys, argv):
-    # unknown words in argv order, and a "--" that ends argv names no command
+    # unknown words in argv order, and a "--" that ends argv names no command;
+    # a "--" after a value past the positionals is an unknown word, and no
+    # "--" is the value of an option
     code, _, want = reference_read(argv)
     got = run(capsys, *argv)
     assert (got[0], code) == (2, 2)

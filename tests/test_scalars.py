@@ -283,6 +283,25 @@ def test_ordering_via_sign():
     assert Surd.sqrt(2) < Surd.sqrt(3)
     assert Surd.sqrt(2) <= Surd.sqrt(2)
     assert Surd(3) > Surd.sqrt(8)
+    # ``<=``, ``>`` and ``>=`` are derived from ``<`` and ``==``, so all four
+    # are checked on equal and unequal values, with the Surd on either side
+    pairs = [
+        (Surd.sqrt(2), Surd.sqrt(3)),
+        (Surd(3), Surd.sqrt(8)),
+        (Surd.sqrt(2), Surd.sqrt(2)),
+        (Surd(1) + Surd.sqrt(2), Surd.sqrt(3) + Surd.sqrt(5) - Surd(2)),
+        (Surd.sqrt(2), 1),
+        (Surd.sqrt(2), 2),
+        (Surd(-3), -3),
+        (Surd.sqrt(Fraction(9, 4)), Fraction(3, 2)),
+        (Surd.sqrt(2), Fraction(7, 5)),
+        (Surd.sqrt(2), Fraction(3, 2)),
+    ]
+    for a, b in pairs:
+        s = (a - b).sign()
+        assert (a < b, a <= b, a > b, a >= b) == (s < 0, s <= 0, s > 0, s >= 0), (a, b)
+        assert (b < a, b <= a, b > a, b >= a) == (s > 0, s >= 0, s < 0, s <= 0), (a, b)
+        assert a == b if s == 0 else a != b
 
 
 @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])

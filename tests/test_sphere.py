@@ -9,7 +9,7 @@ from conftest import stored_mass
 from multconv import measures
 from multconv.harness import gen_measure, gen_pair, gen_sphere_measure
 from multconv.lifting import lift, lift_inverse
-from multconv.measures import Measure, mconv, msym, munc, phat, symmetrize, tensor, unc_inverse
+from multconv.measures import Measure, mconv, msym, munc, phat, symmetrize, tensor, unc_forward, unc_inverse
 from multconv.points import primitive_ray
 from multconv.scalars import FactorLimitError, Surd, as_surd
 from multconv.sphere import SphereMeasure, moment_g, radial_project, sconv
@@ -246,6 +246,17 @@ def test_point_products_refuse_sphere_measures(op):
     ray = SphereMeasure(2, {(1, 2): 1})
     with pytest.raises(ValueError, match="expected a point measure, got SphereMeasure"):
         op(ray, ray)
+
+
+def test_unc_forward_spreads_a_sphere_measure_on_the_positive_orthant():
+    # the orthant rule is the one ``restrict_positive`` of both settings
+    mu = SphereMeasure(2, {(1, 2): 1, (0, 1): Surd.sqrt(2), (3, 0): -1})
+    assert mu.restrict_positive() == mu
+    assert unc_forward(mu) == munc(mu)
+    outside = mu + SphereMeasure(2, {(1, -2): 3})
+    assert outside.restrict_positive() == mu
+    with pytest.raises(ValueError, match="outside the positive orthant"):
+        unc_forward(outside)
 
 
 def test_sphere_product_projects_mixed_settings_first():

@@ -46,6 +46,16 @@ def test_symdiff_examples():
     assert e ^ SubsetMask.empty(3) == e
 
 
+def test_union_beside_intersection_and_symdiff():
+    a, b = mask(3, 1, 2), mask(3, 2, 3)
+    assert (a | b, a & b, a ^ b) == (mask(3, 1, 2, 3), mask(3, 2), mask(3, 1, 3))
+    assert a | SubsetMask.empty(3) == a | a == a
+    for n in (1, 2, 3):
+        for x in all_subsets(n):
+            for y in all_subsets(n):
+                assert x | y == (x ^ y) ^ (x & y) == y | x
+
+
 def test_symdiff_dim_mismatch():
     with pytest.raises(ValueError):
         mask(2, 1) ^ mask(3, 1)

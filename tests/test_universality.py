@@ -261,6 +261,9 @@ def test_special_matches_general_full_scope():
             special = decide_special(nu, klass, "full")
             general = decide_universal_rn(nu, full_support(n), class_pair(klass, n))
             assert special.universal == general.universal
+            # the general decider's conditions and witness, without its skipped sets
+            assert (special.conditions, special.witness, special.skipped_non_proper) == (
+                general.conditions, general.witness, [])
             verify_rn_report(nu, class_pair(klass, n), special)
 
 
@@ -274,6 +277,8 @@ def test_special_matches_general_full_scope_sphere():
                 nu, full_support(n, sphere=True), class_pair(klass, n)
             )
             assert special.universal == general.universal
+            assert (special.conditions, special.witness, special.skipped_non_proper) == (
+                general.conditions, general.witness, [])
             verify_sphere_report(nu, class_pair(klass, n), special)
 
 
