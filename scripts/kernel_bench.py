@@ -5,7 +5,10 @@ Every coordinate of every input is a distinct prime, signed at random, so
 no two products of coordinates coincide and no per-value table could help:
 ``mconv`` on points over per-coordinate denominators (2, 3, 5, ...) and
 ``sconv`` on the radial projections of integer points, with 60 x 20 atoms
-at n = 3 and 16 x 16 atoms at n = 8.  One more ``sconv`` case takes
+at n = 3, 16 x 16 atoms at n = 8 and 3 x 3 atoms at n = 64, above
+``subsets.MAX_DIM``, where the product and gather loops are not compiled
+per dimension; ``mconv`` also of 2 x 2 and 4 x 4 atoms at n = 4, where a
+fixed cost per call or per left key would show.  One more ``sconv`` case takes
 sphere measures from the public constructor with rational weights at
 n = 3, 16 x 16 atoms on the first 96 primes: each mass is the weight over
 its ray's norm, so the measures hold about one part per atom.  Two more
@@ -33,7 +36,9 @@ plans cached (the first of the ``REPEAT`` calls fills the cache).
 
 Prints one line per case: the best time of ``REPEAT`` calls, the result's
 atom count (for the decisions, their condition count) and the SHA-256 of
-its JSON.  A decision case also prints, in both modes, the support sets
+its text: a measure's stored form (``stored_form``), which decodes no
+weight, so lifted distinct-prime measures, whose ray norms the weight
+decoder cannot factor, are written too; a report's JSON otherwise.  A decision case also prints, in both modes, the support sets
 that one call's condition pass grouped over those its reports list, a
 count that does not drift with the machine as the times do.  A first
 line gives the bytes that a full plan cache retains: the tracemalloc size
@@ -284,7 +289,14 @@ def same_reports(a: list, b: list) -> bool:
 def cases():
     """``(name, call, check)`` triples; ``check(result)`` is true when the
     result agrees with its reference."""
-    for dim, sizes in ((3, (60, 20)), (8, (16, 16))):
+    for dim, sizes in ((4, (2, 2)), (4, (4, 4))):
+        a, b = distinct_pair(1, dim, sizes, PRIMES[:dim])
+        yield (
+            f"mconv n={dim} {sizes[0]}x{sizes[1]}",
+            lambda a=a, b=b: mconv(a, b),
+            lambda r, a=a, b=b: r == brute_force_convolution(a, b),
+        )
+    for dim, sizes in ((3, (60, 20)), (8, (16, 16)), (64, (3, 3))):
         a, b = distinct_pair(1, dim, sizes, PRIMES[:dim])
         yield (
             f"mconv n={dim} {sizes[0]}x{sizes[1]}",
@@ -350,6 +362,19 @@ def cases():
         yield (f"decide warm n={dim} 40 pairs", warm, lambda r, cold=cold: same_reports(r, cold()))
 
 
+def stored_form(mu) -> dict:
+    """A measure as stored: its type, dimension, both denominators and its
+    parts in stored order, each key with its int coefficient.  Unlike
+    ``to_json`` it decodes no weight, so it is written for every measure."""
+    return {
+        "type": type(mu).__name__,
+        "dim": mu.dim,
+        "den": mu._den,
+        "wden": mu._wden,
+        "parts": [[s, [[list(v), c] for v, c in part.items()]] for s, part in mu._parts.items()],
+    }
+
+
 def render(result) -> str:
     if isinstance(result, str):
         return result
@@ -357,7 +382,7 @@ def render(result) -> str:
         return json.dumps(sorted(m.bits for m in result))
     if isinstance(result, list):
         return json.dumps([r.to_json() for r in result], separators=(",", ":"))
-    return json.dumps(result.to_json(), separators=(",", ":"))
+    return json.dumps(stored_form(result), separators=(",", ":"))
 
 
 def main() -> int:

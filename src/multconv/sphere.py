@@ -31,8 +31,9 @@ from itertools import chain, repeat, starmap
 from operator import floordiv, mul
 from typing import Iterable, Sequence
 
-from .measures import AtomicMeasure, Lanes, _products, _rows, _surd, _walk
+from .measures import AtomicMeasure, Lanes, _products, _rows, _surd, _unrolled, _walk
 from .points import Ray, primitive_ray
+from .subsets import MAX_DIM
 
 
 def _ray_entries(entries: list) -> Iterable[int] | None:
@@ -93,22 +94,48 @@ class SphereMeasure(AtomicMeasure):
         at the origin is dropped.  As ``|v| = g * |r|``, that is the mass
         ``m * g`` at ``r``: the coefficients times ``g`` accumulate per
         radicand and ray, and the scale ``1/den`` joins the weight
-        denominator, with no root.  ``_radial_columns`` is the same
-        reweighting where no two vectors share a ray.
+        denominator, with no root.  Each lane is summed by the radial loop
+        compiled for ``dim`` (``measures._unrolled``), which rebuilds a key
+        only where ``g`` is not 1; above ``MAX_DIM`` nothing is compiled
+        and ``_radial_sum`` does the same on keys of any length.
+        ``_radial_columns`` is the same reweighting where no two vectors
+        share a ray.
         """
         acc: dict[int, dict[Ray, int]] = {}
+        loop = _unrolled(_RADIAL_LOOP, dim) if dim <= MAX_DIM else _radial_sum
         for s, masses in lanes:
-            part = acc.setdefault(s, {})
-            get = part.get
-            for v, c in masses:
-                g = math.gcd(*v)
-                if g == 0:
-                    continue  # the origin spans no ray
-                if g != 1:
-                    v = tuple([x // g for x in v])
-                    c *= g
-                part[v] = get(v, 0) + c
+            loop(acc.setdefault(s, {}), masses)
         return cls._of(dim, acc, 1, wden * den)
+
+
+# the radial sum of one lane into ``part``: each nonzero vector's mass times
+# its gcd, at its primitive ray
+_RADIAL_LOOP = """def radial_loop(part, masses):
+    get = part.get
+    for v, c in masses:
+        {v#, } = v
+        g = gcd({v#, })
+        if g != 1:
+            if not g:
+                continue  # the origin spans no ray
+            v = ({v# // g, })
+            c *= g
+        part[v] = get(v, 0) + c
+"""
+
+
+def _radial_sum(part: dict[Ray, int], masses: Iterable[tuple[tuple[int, ...], int]]) -> None:
+    """The radial sum of one lane into ``part``, ``_RADIAL_LOOP`` on keys of
+    any length."""
+    get = part.get
+    for v, c in masses:
+        g = math.gcd(*v)
+        if g == 0:
+            continue  # the origin spans no ray
+        if g != 1:
+            v = tuple([x // g for x in v])
+            c *= g
+        part[v] = get(v, 0) + c
 
 
 def _radial_columns(cols: list[list[int]], masses: list[int]) -> tuple[list[list[int]], list[int]]:
@@ -144,7 +171,7 @@ def sconv(a: AtomicMeasure, b: AtomicMeasure) -> SphereMeasure:
     sa = radial_project(a)
     sb = radial_project(b)
     sa._check(sb)
-    lanes = [(s, part.items()) for s, part in _products(sa._parts, sb._parts).items()]
+    lanes = [(s, part.items()) for s, part in _products(sa.dim, sa._parts, sb._parts).items()]
     return SphereMeasure._gather(sa.dim, lanes, 1, sa._wden * sb._wden)
 
 

@@ -63,7 +63,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Literal, Optional
 
-from .measures import _PARITY, AtomicMeasure, Measure, _parity_grid, mconv
+from .measures import _PARITY, AtomicMeasure, Measure, _parity_grid, _unrolled, mconv
 from .subsets import (
     GeneratingPair,
     SubsetMask,
@@ -249,8 +249,21 @@ _Row = tuple[int, int, tuple[int, ...], int]
 _Class = list[_Row]
 
 
+# the ``_Row`` of each atom of one part: bit i of the masks set where
+# coordinate i is nonzero, and negative
+_CODE = """def code(part):
+    return [
+        ({(1 << # if v# else 0) | }0, {(1 << # if v# < 0 else 0) | }0, ({abs(v#), }), c)
+        for ({v#, }), c in part.items()
+    ]
+"""
+
+
 def _code(nu: AtomicMeasure) -> list[list[_Row]]:
-    """Encode every atom of ``nu`` once per part that holds it, one list per part.
+    """Encode every atom of ``nu`` once per part that holds it, one list per
+    part, each by one comprehension compiled for the dimension
+    (``measures._unrolled``), at most ``MAX_DECIDER_DIM`` of them, as the
+    deciders refuse higher dimensions.
 
     Atoms are read as stored, at integer vectors over one common
     denominator: a point atom at its stored key, scaled by the measure's
@@ -258,19 +271,8 @@ def _code(nu: AtomicMeasure) -> list[list[_Row]]:
     ``w/|r|`` at the integer ray ``r``, with no root.  So absolute
     coordinates are integers, equal exactly when the locations' are.
     """
-    code = []
-    for part in nu._parts.values():
-        rows: list[_Row] = []
-        for loc, c in part.items():
-            nonzero = negative = 0
-            for i, x in enumerate(loc):
-                if x:
-                    nonzero |= 1 << i
-                    if x < 0:
-                        negative |= 1 << i
-            rows.append((nonzero, negative, tuple([abs(x) for x in loc]), c))
-        code.append(rows)
-    return code
+    code = _unrolled(_CODE, nu.dim)
+    return [code(part) for part in nu._parts.values()]
 
 
 @lru_cache(maxsize=1 << MAX_DECIDER_DIM)
