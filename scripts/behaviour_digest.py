@@ -75,7 +75,14 @@ output:
   250 atoms, with few or many zero coordinates, as point measures and
   radially projected, and at n = 6 and 7 also made even under a
   reflection, alone and with three atoms at coordinates 0 and +-3 added.
-  These sizes run whatever ``--max-dim`` is.
+  These sizes run whatever ``--max-dim`` is;
+- ``wide``: at n = 63, 64 and 100, on both sides of ``subsets.MAX_DIM``,
+  the stored form (parts and keys in stored order, both denominators) and
+  ``to_json_text()`` of ``mconv``, ``sconv`` (of points, of public sphere
+  measures and mixed), ``radial_project``, ``lift`` and ``+`` on seeded
+  measures that share most coordinates, so products merge and cancel,
+  with weights over several radicands and one product through the
+  origin.  It runs once, whatever ``--max-dim`` is.
 
 The cli requests run in-process in a temporary directory, with relative
 file names, so the output does not depend on where that directory is.
@@ -719,6 +726,66 @@ def dense(group: Group) -> None:
                         group.add([n, atoms, pool_name, kind, setting, klass, decide_special(nu, klass).to_json_text()])
 
 
+# dimensions on both sides of ``subsets.MAX_DIM``
+WIDE = (63, 64, 100)
+
+
+def stored(mu) -> list:
+    """A measure as stored: its type, dimension, both denominators and its
+    parts in stored order, each key with its int coefficient."""
+    parts = [[s, [[list(v), c] for v, c in part.items()]] for s, part in mu._parts.items()]
+    return [type(mu).__name__, mu.dim, mu._den, mu._wden, parts]
+
+
+def wide_measure(rng: random.Random, n: int, size: int, base: tuple, cls=Measure) -> Measure:
+    """``size`` atoms that each change two of four coordinates of ``base``
+    (the first, the last and two between), with weights of several
+    radicands (rational on the sphere, whose masses carry the radicands of
+    the ray norms)."""
+    atoms = {}
+    for _ in range(size):
+        loc = list(base)
+        for i in rng.sample((0, n // 3, 2 * n // 3, n - 1), 2):
+            loc[i] = rng.choice((0, -1, 2, 3) if cls is SphereMeasure else (0, -1, 2, F(1, 2), F(-3, 2)))
+        weight = rng.choice((1, 2, -1)) if cls is SphereMeasure else rng.choice(SURDS)
+        atoms[tuple(loc)] = atoms.get(tuple(loc), 0) + weight
+    return cls(n, atoms)
+
+
+def wide(group: Group) -> None:
+    for n in WIDE:
+        for seed in range(SEEDS // 2):
+            rng = random.Random(f"wide:{n}:{seed}")
+            ones = (1,) * n
+            a = wide_measure(rng, n, 1 + seed % 6, ones)
+            b = wide_measure(rng, n, 2 + seed % 5, tuple(rng.choice((1, -1)) for _ in range(n)))
+            s = wide_measure(rng, n, 1 + seed % 5, ones, SphereMeasure)
+            t = wide_measure(rng, n, 2 + seed % 4, ones, SphereMeasure)
+            # an atom each whose product is the origin: a zero sum on the sphere
+            half = n // 2
+            a += Measure(n, {(1,) * half + (0,) * (n - half): 1 + Surd.sqrt(2)})
+            b += Measure(n, {(0,) * half + (F(1, 3),) * (n - half): -2})
+            results = (
+                ("inputs-a", a),
+                ("inputs-b", b),
+                ("inputs-s", s),
+                ("inputs-t", t),
+                ("mconv", mconv(a, b)),
+                ("mconv-self", mconv(b, b)),
+                ("sconv-points", sconv(a, b)),
+                ("sconv-sphere", sconv(s, t)),
+                ("sconv-mixed", sconv(a, t)),
+                ("radial_project", radial_project(mconv(a, b))),
+                ("lift", lift(a)),
+                ("add", a + b),
+                # cancel on every atom of a that b lacks
+                ("add-cancel", a + (b - a)),
+                ("add-sphere", s + t),
+            )
+            for name, mu in results:
+                group.add([n, seed, name, stored(mu), mu.to_json_text()])
+
+
 def subset_arg(mask: SubsetMask) -> str:
     return ",".join(str(i) for i in mask.indices()) or "0"
 
@@ -855,7 +922,7 @@ def main():
     parser.add_argument("--max-dim", type=int, default=3)
     max_dim = parser.parse_args().max_dim
     names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra", "linear", "surds",
-             "surface", "codec", "refusals", "decider-refusals", "module-refusals", "dense")
+             "surface", "codec", "refusals", "decider-refusals", "module-refusals", "dense", "wide")
     groups = {name: Group() for name in names}
     for n in range(1, max_dim + 1):
         decisions(groups["decisions"], n)
@@ -872,6 +939,7 @@ def main():
     decider_refusals(groups["decider-refusals"])
     module_refusals(groups["module-refusals"])
     dense(groups["dense"])
+    wide(groups["wide"])
     for name in names:
         print(f"{name} {groups[name].count} {groups[name].hash.hexdigest()}")
 

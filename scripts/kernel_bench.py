@@ -5,9 +5,9 @@ Every coordinate of every input is a distinct prime, signed at random, so
 no two products of coordinates coincide and no per-value table could help:
 ``mconv`` on points over per-coordinate denominators (2, 3, 5, ...) and
 ``sconv`` on the radial projections of integer points, with 60 x 20 atoms
-at n = 3, 16 x 16 atoms at n = 8 and 3 x 3 atoms at n = 64, above
-``subsets.MAX_DIM``, where the product and gather loops are not compiled
-per dimension; ``mconv`` also of 2 x 2 and 4 x 4 atoms at n = 4, where a
+at n = 3, 16 x 16 atoms at n = 8 and 3 x 3 atoms at n = 64, past
+``subsets.MAX_DIM``, which bounds a ``SubsetMask`` but not the products;
+``mconv`` also of 2 x 2 and 4 x 4 atoms at n = 4, where a
 fixed cost per call or per left key would show.  One more ``sconv`` case takes
 sphere measures from the public constructor with rational weights at
 n = 3, 16 x 16 atoms on the first 96 primes: each mass is the weight over

@@ -57,9 +57,9 @@ def lift_inverse(mu: SphereMeasure) -> Measure:
     Each ray with positive leading coordinate is rescaled so that the
     leading coordinate becomes 1 and then dropped; the factor undoes both
     the radial reweighting and the symmetrisation half.  Inputs with mass
-    on the equator or without origin symmetry are rejected.  Distinct
-    primitive rays with a positive lead give distinct points, so each part
-    is built key by key, with no sum.
+    on the equator or without origin symmetry are rejected, in that order.
+    Distinct primitive rays with a positive lead give distinct points, so
+    each part is built key by key, with no sum.
     """
     if not isinstance(mu, SphereMeasure):
         raise ValueError(f"expected a sphere measure, got {type(mu).__name__}")
@@ -71,8 +71,11 @@ def lift_inverse(mu: SphereMeasure) -> Measure:
         if 0 in leads[s]:
             ray = list(part)[leads[s].index(0)]
             raise ValueError(f"atom at ray {ray} sits on the equator of the lifted coordinate")
-    if not mu.is_even_under(SubsetMask.full(mu.dim)):
-        raise ValueError("measure is not origin-symmetric")
+    # origin symmetry, part by part and with no mask, so at any dimension:
+    # each ray's antipode holds its mass
+    for part in mu._parts.values():
+        if dict(zip(_columns(zip(*part), mul, repeat(repeat(-1))), part.values())) != part:
+            raise ValueError("measure is not origin-symmetric")
     # each part is origin-symmetric, so it keeps a ray with positive lead
     kept = [
         (s, dict(compress(part.items(), map(gt, leads[s], repeat(0)))))

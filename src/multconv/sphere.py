@@ -33,7 +33,6 @@ from typing import Iterable, Sequence
 
 from .measures import AtomicMeasure, Lanes, _products, _rows, _surd, _unrolled, _walk
 from .points import Ray, primitive_ray
-from .subsets import MAX_DIM
 
 
 def _ray_entries(entries: list) -> Iterable[int] | None:
@@ -95,14 +94,13 @@ class SphereMeasure(AtomicMeasure):
         ``m * g`` at ``r``: the coefficients times ``g`` accumulate per
         radicand and ray, and the scale ``1/den`` joins the weight
         denominator, with no root.  Each lane is summed by the radial loop
-        compiled for ``dim`` (``measures._unrolled``), which rebuilds a key
-        only where ``g`` is not 1; above ``MAX_DIM`` nothing is compiled
-        and ``_radial_sum`` does the same on keys of any length.
+        compiled for ``dim`` (``measures._unrolled``), at any dimension,
+        which rebuilds a key only where ``g`` is not 1.
         ``_radial_columns`` is the same reweighting where no two vectors
         share a ray.
         """
         acc: dict[int, dict[Ray, int]] = {}
-        loop = _unrolled(_RADIAL_LOOP, dim) if dim <= MAX_DIM else _radial_sum
+        loop = _unrolled(_RADIAL_LOOP, dim)
         for s, masses in lanes:
             loop(acc.setdefault(s, {}), masses)
         return cls._of(dim, acc, 1, wden * den)
@@ -122,20 +120,6 @@ _RADIAL_LOOP = """def radial_loop(part, masses):
             c *= g
         part[v] = get(v, 0) + c
 """
-
-
-def _radial_sum(part: dict[Ray, int], masses: Iterable[tuple[tuple[int, ...], int]]) -> None:
-    """The radial sum of one lane into ``part``, ``_RADIAL_LOOP`` on keys of
-    any length."""
-    get = part.get
-    for v, c in masses:
-        g = math.gcd(*v)
-        if g == 0:
-            continue  # the origin spans no ray
-        if g != 1:
-            v = tuple([x // g for x in v])
-            c *= g
-        part[v] = get(v, 0) + c
 
 
 def _radial_columns(cols: list[list[int]], masses: list[int]) -> tuple[list[list[int]], list[int]]:

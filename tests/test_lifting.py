@@ -116,6 +116,20 @@ def test_lift_inverse_rejects_asymmetric_input():
         lift_inverse(bad)
 
 
+@pytest.mark.parametrize("n", [63, 64, 100])
+def test_lift_round_trip_past_the_mask_bound(n):
+    # the lift of dimension n + 1 >= 64 has no SubsetMask
+    rng = random.Random(f"wide-lift:{n}")
+    atoms = {}
+    for w in (1, Surd.sqrt(2), F(-2, 5), 1 + Surd.sqrt(3), -Surd.sqrt(6)):
+        atoms[tuple(rng.choice((0, 1, -2, F(1, 3), F(-3, 2))) for _ in range(n))] = w
+    mu = Measure(n, atoms)
+    lifted = lift(mu)
+    assert lifted.dim == n + 1
+    assert lift_inverse(lifted) == mu
+    assert lift(lift_inverse(lifted)) == lifted
+
+
 def test_lift_class_shapes():
     n = 2
     pair = GeneratingPair.make(n)
@@ -189,9 +203,13 @@ def test_lift_inverse_refuses_point_measures():
         # symmetric in one part, not in the other
         (lambda: lift_inverse(SphereMeasure._of(2, {1: {(1, 1): 1, (-1, -1): 1}, 2: {(1, 2): 1, (-1, -2): -1}})),
          "measure is not origin-symmetric"),
+        # past the bound of a SubsetMask, in the same order
+        (lambda: lift_inverse(SphereMeasure(65, {(1,) * 65: 1, (0,) + (1,) * 64: 1})),
+         "atom at ray (0, 1, 1, "),
+        (lambda: lift_inverse(SphereMeasure(65, {(1,) * 65: 1, (-1,) * 65: 2})), "measure is not origin-symmetric"),
     ],
     ids=["lift-inverse-dim-1", "lift-sphere", "lift-inverse-equator-first-part", "lift-inverse-equator-second-part",
-         "lift-inverse-odd-part"],
+         "lift-inverse-odd-part", "lift-inverse-equator-n-65", "lift-inverse-odd-n-65"],
 )
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -2,7 +2,8 @@
 the pair loop under ``mconv`` and ``sconv``, the sphere's radial gather and
 the decider's atom coding, each against a per-pair (or per-coordinate)
 reference on values and on stored atom order, on both sides of
-``subsets.MAX_DIM``, above which nothing is compiled."""
+``subsets.MAX_DIM`` and well above it, since every dimension is compiled;
+and the compile cache, once per (loop, dimension) within its bound."""
 
 import math
 import os
@@ -20,7 +21,7 @@ from multconv.scalars import Surd
 from multconv.sphere import SphereMeasure, radial_project, sconv
 from multconv.subsets import MAX_DIM
 
-DIMS = [*range(1, 9), MAX_DIM, MAX_DIM + 1]
+DIMS = [*range(1, 9), MAX_DIM, MAX_DIM + 1, 200]
 # weights over radicands 1, 2, 3 and 6, some of two terms
 WEIGHTS = [Surd(1), Surd(-2), Surd(Fraction(1, 3)), Surd.sqrt(2), -Surd.sqrt(3), Surd.sqrt(6) * 2,
            Surd(1) + Surd.sqrt(2), Surd(Fraction(-1, 2)) + Surd.sqrt(3)]
@@ -153,26 +154,51 @@ def test_code_matches_the_coordinate_loop(dim):
         ]
 
 
-def test_each_loop_compiles_once_per_dimension_and_none_above_the_cap(monkeypatch):
+@pytest.fixture
+def compiled(monkeypatch):
+    """The pseudo filenames of the loops compiled while the test runs, from
+    an empty compile cache, which is emptied again after it."""
     names = []
     real = compile
     monkeypatch.setattr(measures, "compile", lambda source, name, mode: names.append(name) or real(source, name, mode),
                         raising=False)
     _unrolled.cache_clear()
-    try:
-        for _ in range(2):
-            for dim in (1, 3, MAX_DIM, MAX_DIM + 1):
-                a, b = operand_pairs(dim)[1]
-                mconv(a, b)
-                sconv(a, b)
-                if dim <= 8:
-                    universality._code(a)
-    finally:
-        _unrolled.cache_clear()
-    assert sorted(names) == sorted(
-        [f"<multconv {loop} dim={dim}>" for loop in ("pair_loop", "radial_loop") for dim in (1, 3, MAX_DIM)]
+    yield names
+    _unrolled.cache_clear()
+
+
+def test_each_loop_compiles_once_per_dimension(compiled):
+    dims = (1, 3, MAX_DIM, MAX_DIM + 1, 200)
+    for _ in range(2):
+        for dim in dims:
+            a, b = operand_pairs(dim)[1]
+            mconv(a, b)
+            sconv(a, b)
+            if dim <= 8:
+                universality._code(a)
+    assert sorted(compiled) == sorted(
+        [f"<multconv {loop} dim={dim}>" for loop in ("pair_loop", "radial_loop") for dim in dims]
         + [f"<multconv code dim={dim}>" for dim in (1, 3)]
     )
+
+
+def test_the_compile_cache_stays_at_its_bound(compiled):
+    bound = _unrolled.cache_info().maxsize
+    dims = range(1, bound + 11)
+    for dim in dims:
+        one = Measure(dim, {(2,) * dim: 3})
+        assert mconv(one, one) == Measure(dim, {(4,) * dim: 9})
+    assert _unrolled.cache_info().currsize == bound
+    assert compiled == [f"<multconv pair_loop dim={dim}>" for dim in dims]
+    # the latest dimension stays cached; the first, evicted, compiles again
+    last = Measure(dims[-1], {(1,) * dims[-1]: 1})
+    mconv(last, last)
+    a, b = operand_pairs(1)[1]
+    expected = Measure._of(1, reference_products(a._parts, b._parts), a._den * b._den, a._wden * b._wden)
+    for _ in range(2):
+        assert stored(mconv(a, b)) == stored(expected)
+    assert compiled[len(dims):] == ["<multconv pair_loop dim=1>"]
+    assert _unrolled.cache_info().currsize == bound
 
 
 def test_import_compiles_no_loop():
