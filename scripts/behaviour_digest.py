@@ -82,7 +82,14 @@ output:
   measures and mixed), ``radial_project``, ``lift`` and ``+`` on seeded
   measures that share most coordinates, so products merge and cancel,
   with weights over several radicands and one product through the
-  origin.  It runs once, whatever ``--max-dim`` is.
+  origin.  It runs once, whatever ``--max-dim`` is;
+- ``report-readers``: on the reports of the ``decisions`` group, the
+  records of ``conditions`` and of ``failing()``, and
+  ``symmetry_obstruction`` of each input against its seeded pair and each
+  named class pair (or the message of its refusal);
+- ``wide-inverse``: the stored form and ``to_json_text()`` of
+  ``lift_inverse`` of each ``lift`` of the ``wide`` group.  It runs once,
+  whatever ``--max-dim`` is.
 
 The cli requests run in-process in a temporary directory, with relative
 file names, so the output does not depend on where that directory is.
@@ -193,7 +200,31 @@ def decision_inputs(seed: int, n: int):
     yield "interfering", gen_interfering_measure(seed, n, 1 + seed % 4)
 
 
-def decisions(group: Group, n: int) -> None:
+def records(conditions) -> list:
+    return [[c.support.to_json(), c.index.to_json(), c.satisfied] for c in conditions]
+
+
+def obstructions(nu, pair) -> list | str:
+    try:
+        return [[f.to_json(), kind] for f, kind in symmetry_obstruction(nu, pair)]
+    except ValueError as exc:
+        return f"error: {exc}"
+
+
+def decisions(groups: tuple[Group, Group], n: int) -> None:
+    """The ``decisions`` group, and the ``report-readers`` group of the same
+    reports: ``conditions`` and ``failing()``, and ``symmetry_obstruction``
+    of each input against the seeded pair and each class pair."""
+    group, readers = groups
+
+    def decided(label, call, *args):
+        try:
+            report = call(*args)
+        except ValueError as exc:
+            return f"error: {exc}"
+        readers.add(label + [records(report.conditions), records(report.failing())])
+        return report.to_json()
+
     supports = list(all_subsets(n))
     for seed in range(SEEDS):
         pair = gen_pair(seed, n)
@@ -206,12 +237,15 @@ def decisions(group: Group, n: int) -> None:
             )
             for setting, nu, decide, allowed in settings:
                 label = [n, seed, kind, setting]
+                readers.add(label + ["obstruction", obstructions(nu, pair)])
                 for name, family in (("all", supports), ("some", some)):
                     family = [e for e in family if allowed(e)]
-                    group.add(label + [name, outcome(decide, nu, family, pair)])
+                    group.add(label + [name, decided(label + [name], decide, nu, family, pair)])
                 for klass in CLASSES:
+                    readers.add(label + [klass, "obstruction", obstructions(nu, class_pair(klass, n))])
                     for scope in SCOPES:
-                        group.add(label + [klass, scope, outcome(decide_special, nu, klass, scope)])
+                        at = label + [klass, scope]
+                        group.add(at + [decided(at, decide_special, nu, klass, scope)])
 
 
 def grids(group: Group, n: int) -> None:
@@ -752,7 +786,9 @@ def wide_measure(rng: random.Random, n: int, size: int, base: tuple, cls=Measure
     return cls(n, atoms)
 
 
-def wide(group: Group) -> None:
+def wide(group: Group, inverse: Group) -> None:
+    """The ``wide`` group, and the ``wide-inverse`` group: ``lift_inverse``
+    of each lifted measure, which gives back its input."""
     for n in WIDE:
         for seed in range(SEEDS // 2):
             rng = random.Random(f"wide:{n}:{seed}")
@@ -784,6 +820,8 @@ def wide(group: Group) -> None:
             )
             for name, mu in results:
                 group.add([n, seed, name, stored(mu), mu.to_json_text()])
+            back = lift_inverse(dict(results)["lift"])
+            inverse.add([n, seed, "lift_inverse", stored(back), back.to_json_text()])
 
 
 def subset_arg(mask: SubsetMask) -> str:
@@ -922,10 +960,11 @@ def main():
     parser.add_argument("--max-dim", type=int, default=3)
     max_dim = parser.parse_args().max_dim
     names = ("decisions", "grids", "sphere", "cli", "cli-malformed", "groups", "algebra", "linear", "surds",
-             "surface", "codec", "refusals", "decider-refusals", "module-refusals", "dense", "wide")
+             "surface", "codec", "refusals", "decider-refusals", "module-refusals", "dense", "wide",
+             "report-readers", "wide-inverse")
     groups = {name: Group() for name in names}
     for n in range(1, max_dim + 1):
-        decisions(groups["decisions"], n)
+        decisions((groups["decisions"], groups["report-readers"]), n)
         grids(groups["grids"], n)
         sphere_layer(groups["sphere"], n)
         cli((groups["cli"], groups["cli-malformed"]), n)
@@ -939,7 +978,7 @@ def main():
     decider_refusals(groups["decider-refusals"])
     module_refusals(groups["module-refusals"])
     dense(groups["dense"])
-    wide(groups["wide"])
+    wide(groups["wide"], groups["wide-inverse"])
     for name in names:
         print(f"{name} {groups[name].count} {groups[name].hash.hexdigest()}")
 

@@ -22,8 +22,8 @@ one more ``from_json`` reads that measure's JSON with one coordinate
 written as a JSON int, one weight given a second term and one atom
 repeated, and another with every weight one term over radicands 1, 2 and
 3, the first of radicand 3 zero.  The lift cases run ``lift`` and
-``lift_inverse`` (on the lift) of such measures at n = 3 with 60 atoms and
-at n = 8 with 24.  The constructor case builds that measure
+``lift_inverse`` (on the lift) of such measures at n = 3 with 60 atoms, at
+n = 8 with 24 and at n = 64, past ``subsets.MAX_DIM``, with 3.  The constructor case builds that measure
 with ``Measure(3, rows)`` from its atoms as ``Fraction`` locations and
 :class:`Surd` weights, sorted by location: the public entry reads the
 coordinates as one column, as ``from_json`` does, on values that do not
@@ -343,7 +343,7 @@ def cases():
     zero["atoms"][5]["weight"] = [["-2/3", 3]]
     yield ("from_json n=3 60 zero", lambda: Measure.from_json(zero), lambda r: same_atoms(r, zero))
     yield from writers("n=3 60 distinct", mu)
-    for dim, size in ((3, 60), (8, 24)):
+    for dim, size in ((3, 60), (8, 24), (64, 3)):
         nu = distinct_measure(5, dim, size)
         lifted = lift(nu)
         yield (

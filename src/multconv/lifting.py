@@ -15,40 +15,39 @@ from __future__ import annotations
 
 import math
 from itertools import chain, compress, repeat
-from operator import floordiv, gt, itemgetter, mul, neg
+from operator import floordiv, gt, itemgetter, mul
 from typing import Iterable
 
-from .measures import Measure, _check_points, _columns
+from .measures import Measure, _check_points, _columns, _flipped, _reflected
 from .subsets import (
     GeneratingPair,
     SubsetMask,
     lift_pair,
     lift_set,
 )
-from .sphere import SphereMeasure, _radial_columns
+from .sphere import SphereMeasure
 
 
 def lift(mu: Measure) -> SphereMeasure:
     """Pin a unit leading coordinate, symmetrise, project radially.
 
-    In one pass on the stored columns: the point ``v / den`` becomes the
-    vector ``(den, v)``, which the sphere's ``_radial_columns`` carries to
-    its primitive ray ``(den, v) / g``, for ``g`` the gcd of its entries,
-    with the mass ``c * g``; that ray and its antipode each carry this mass
-    over the weight denominator ``2 * _wden * den``.  The map is one-to-one,
-    as distinct points with the same leading entry span distinct rays, so no
-    two atoms merge; the atoms come in the order of
+    One sphere gather (``SphereMeasure._gather``), one lane per part: the
+    point ``v / den`` becomes the vector ``(1, v / den)``, keyed
+    ``(den, v)`` over ``den``, and it and its antipode are pushed radially,
+    each with the stored mass over the weight denominator ``2 * _wden``,
+    the half of the origin average.  The map is one-to-one, as distinct
+    points with the same leading entry span distinct rays, so no two atoms
+    merge; the atoms come in the order of
     ``radial_project(msym(tensor(dirac([1]), mu)))``: per part, the rays,
     then their antipodes.
     """
     _check_points(mu)
-    den = mu._den
-    parts = {}
+    dim = mu.dim + 1
+    lanes = []
     for s, part in mu._parts.items():
-        cols, masses = _radial_columns([[den] * len(part), *zip(*part)], list(part.values()))
-        antipodes = zip(*map(map, repeat(neg), cols))
-        parts[s] = dict(zip(chain(zip(*cols), antipodes), masses * 2))
-    return SphereMeasure._of(mu.dim + 1, parts, 1, 2 * mu._wden * den)
+        vectors = list(zip(repeat(mu._den), *zip(*part)))
+        lanes.append((s, zip(chain(vectors, _flipped(vectors, (1 << dim) - 1)), [*part.values()] * 2)))
+    return SphereMeasure._gather(dim, lanes, mu._den, 2 * mu._wden)
 
 
 def lift_inverse(mu: SphereMeasure) -> Measure:
@@ -58,8 +57,10 @@ def lift_inverse(mu: SphereMeasure) -> Measure:
     leading coordinate becomes 1 and then dropped; the factor undoes both
     the radial reweighting and the symmetrisation half.  Inputs with mass
     on the equator or without origin symmetry are rejected, in that order.
-    Distinct primitive rays with a positive lead give distinct points, so
-    each part is built key by key, with no sum.
+    Origin symmetry is tested part by part with the origin reflection
+    on the stored keys (``_reflected``), at any dimension.  Distinct
+    primitive rays with a positive lead give distinct points, so each part
+    is built key by key, with no sum.
     """
     if not isinstance(mu, SphereMeasure):
         raise ValueError(f"expected a sphere measure, got {type(mu).__name__}")
@@ -71,10 +72,9 @@ def lift_inverse(mu: SphereMeasure) -> Measure:
         if 0 in leads[s]:
             ray = list(part)[leads[s].index(0)]
             raise ValueError(f"atom at ray {ray} sits on the equator of the lifted coordinate")
-    # origin symmetry, part by part and with no mask, so at any dimension:
-    # each ray's antipode holds its mass
+    full = (1 << mu.dim) - 1
     for part in mu._parts.values():
-        if dict(zip(_columns(zip(*part), mul, repeat(repeat(-1))), part.values())) != part:
+        if _reflected(part, full) != part:
             raise ValueError("measure is not origin-symmetric")
     # each part is origin-symmetric, so it keeps a ray with positive lead
     kept = [

@@ -8,11 +8,14 @@ symmetrisation operators they induce, the signed atomic basis measures of
 the symmetry decomposition, and the alternating projection sum used as a
 top-order criterion.  The parity basis measures, the alternating top-order
 probe and their product are signed grids, all built by one product
-builder, ``_parity_grid``.  Every pushforward that can merge atoms, and
-the sum of two measures, moves the stored point masses and sums them per
-location through a setting's one hook, ``_gather``; a map that is
-one-to-one on locations (a reflection, the symmetry tests, the lift pair)
-builds each part with ``dict(zip(...))`` and the trusted ``_of``.  The
+builder, ``_parity_grid``.  Every pushforward that can merge atoms, the
+sum of two measures, scalar ``*`` and the lift move the stored point
+masses and sum them per location through a setting's one hook,
+``_gather``; a map that is one-to-one on locations within a setting (a
+reflection, the symmetry tests, ``lift_inverse``) builds each part with
+``dict(zip(...))`` and the trusted ``_of``.  A reflection is given to the
+kernels (``_flipped``) by the bits of its coordinates, so the origin
+average ``msym`` and the lift pair work at any dimension.  The
 per-atom key transforms (projections, reflections, the order and orthant
 restrictions, the symmetrisation passes, zero patterns and rescaling) run
 on coordinate columns through one helper, ``_columns``: a part's keys are
@@ -55,7 +58,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, eq, floordiv, ge, itemgetter, lshift, mul, ne, neg, not_, sub
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -133,15 +136,18 @@ def _unrolled(template: str, dim: int) -> Callable:
     return namespace[name]
 
 
-def _flipped(keys: Iterable[Key], f: SubsetMask) -> Iterator[Key]:
-    """The keys reflected in the coordinates of ``f``."""
-    return _columns(zip(*keys), mul, [repeat(-1 if f.bits >> i & 1 else 1) for i in range(f.dim)])
+def _flipped(keys: Iterable[Key], bits: int) -> Iterator[Key]:
+    """The keys reflected in the coordinates ``i`` with bit ``i`` of ``bits``
+    set, at any dimension: one column of signs per coordinate, as many as
+    the keys have."""
+    return _columns(zip(*keys), mul, (repeat(-1 if bits >> i & 1 else 1) for i in count()))
 
 
-def _reflected(part: dict[Key, int], f: SubsetMask, sign: int = 1) -> dict[Key, int]:
-    """A part reflected in the coordinates of ``f``, its coefficients times
-    ``sign`` in {1, -1}: a bijection on locations, so no two atoms merge."""
-    return dict(zip(_flipped(part, f), part.values() if sign > 0 else map(neg, part.values())))
+def _reflected(part: dict[Key, int], bits: int, sign: int = 1) -> dict[Key, int]:
+    """A part reflected in the coordinates of ``bits`` (``_flipped``), its
+    coefficients times ``sign`` in {1, -1}: a bijection on locations, so no
+    two atoms merge."""
+    return dict(zip(_flipped(part, bits), part.values() if sign > 0 else map(neg, part.values())))
 
 
 def _compared(keys: Iterable[Key], op: Callable[[int, int], bool]) -> Iterator[tuple[bool, ...]]:
@@ -244,17 +250,6 @@ def _walk(locs: list, dim: int, read: Callable[[object], tuple], field: str) -> 
     return out
 
 
-def _sum_parts(lanes: Lanes) -> Parts:
-    """Sum point masses per radicand and vector."""
-    out: Parts = {}
-    for s, masses in lanes:
-        acc = out.setdefault(s, {})
-        get = acc.get
-        for v, c in masses:
-            acc[v] = get(v, 0) + c
-    return out
-
-
 class AtomicMeasure:
     """Signed measure with finitely many atoms at exact locations.
 
@@ -267,7 +262,8 @@ class AtomicMeasure:
     into a location; ``_norms`` gives, per key, the square of the number a
     weight is divided by to store it (1 for points); and its pushforward
     through the trusted ``_gather``, which sums point masses per location:
-    the one hook that every projection, product and sum ends in.
+    the one hook that every projection, product, sum and scalar multiple
+    ends in.
 
     The measure is stored as parts, ``_parts[s]`` for each square-free
     radicand ``s`` that occurs: a dict from tuples of ints ``v`` to nonzero
@@ -524,7 +520,7 @@ class AtomicMeasure:
                 g, u = _root_product(s, r)
                 k = p * (q // t) * g
                 lanes.append((u, zip(part, map(mul, part.values(), repeat(k)))))
-        return self._of(self.dim, _sum_parts(lanes), self._den, self._wden * q)
+        return self._gather(self.dim, lanes, self._den, self._wden * q)
 
     __rmul__ = __mul__
 
@@ -590,7 +586,7 @@ class AtomicMeasure:
 
     def reflect(self, f: SubsetMask) -> Self:
         self._check_mask(f)
-        parts = {s: _reflected(part, f) for s, part in self._parts.items()}
+        parts = {s: _reflected(part, f.bits) for s, part in self._parts.items()}
         return self._of(self.dim, parts, self._den, self._wden)
 
     def _filter(self, keep: Callable[[dict[Key, int]], Iterable[bool]]) -> Self:
@@ -659,7 +655,7 @@ class AtomicMeasure:
         """``reflect(f) == sign * self``, part by part on the stored keys: a
         reflection keeps both denominators."""
         self._check_mask(f)
-        return all([_reflected(part, f, sign) == part for part in self._parts.values()])
+        return all([_reflected(part, f.bits, sign) == part for part in self._parts.values()])
 
     # -- serialization -------------------------------------------------------------
 
@@ -782,7 +778,13 @@ class Measure(AtomicMeasure):
     def _gather(cls, dim: int, lanes: Lanes, den: int = 1, wden: int = 1) -> "Measure":
         """Sum point masses per radicand and point ``v / den``, for integer
         vectors ``v`` of dimension ``dim`` and int coefficients over ``wden``."""
-        return cls._of(dim, _sum_parts(lanes), den, wden)
+        out: Parts = {}
+        for s, masses in lanes:
+            acc = out.setdefault(s, {})
+            get = acc.get
+            for v, c in masses:
+                acc[v] = get(v, 0) + c
+        return cls._of(dim, out, den, wden)
 
 
 # -- multiplicative convolution and products --------------------------------------
@@ -935,17 +937,18 @@ def sigma_unc(dim: int) -> Measure:
 # -- symmetrisation operators -------------------------------------------------------
 
 
-def _reflection_average(mu, f: SubsetMask, sign: int):
-    """``(I + sign * T_F) / 2`` in one pass, for ``sign`` in {1, -1}: the
-    weight at ``x`` becomes ``(w_x + sign * w_{F x}) / 2``, per part, with the
-    half taken by the weight denominator.  Atoms come out in the order of
-    ``mu + sign * mu.reflect(f)``."""
-    mu._check_mask(f)
+def _reflection_average(mu, bits: int, sign: int):
+    """``(I + sign * T_F) / 2`` in one pass, for ``sign`` in {1, -1} and the
+    reflection ``F`` in the coordinates of ``bits`` (``_flipped``), at any
+    dimension: the weight at ``x`` becomes ``(w_x + sign * w_{F x}) / 2``,
+    per part, with the half taken by the weight denominator.  Atoms come out
+    in the order of ``mu + sign * mu.reflect(F)``.  The caller checks that
+    ``F`` fits the dimension."""
     combine = add if sign > 0 else sub
     parts: Parts = {}
     for s, atoms in mu._parts.items():
         ws = atoms.values()
-        ys = list(_flipped(atoms, f))
+        ys = list(_flipped(atoms, bits))
         # ``w_x + sign * w_{F x}`` at every ``x``, then ``sign * w_x`` at each
         # image ``F x`` that holds no atom, after them: a reflection is a
         # bijection, so no two images meet and none meets an ``x``
@@ -971,9 +974,9 @@ def symmetrize(mu, pair: GeneratingPair):
         return mu.zero(mu.dim)
     out = mu
     if odd is not None:
-        out = _reflection_average(out, SubsetMask(odd, mu.dim), -1)
+        out = _reflection_average(out, odd, -1)
     for f in basis:
-        out = _reflection_average(out, SubsetMask(f, mu.dim), 1)
+        out = _reflection_average(out, f, 1)
     return out
 
 
@@ -989,16 +992,17 @@ def group_average(mu, group: Iterable[SubsetMask]):
 
 
 def msym(mu):
-    """Average with the origin reflection."""
-    return _reflection_average(mu, SubsetMask.full(mu.dim), 1)
+    """Average with the origin reflection, at any dimension."""
+    return _reflection_average(mu, (1 << mu.dim) - 1, 1)
 
 
 def munc(mu):
     """Average over all multiple reflections: ``(I + T_{i})/2`` for each
-    coordinate ``i``, one pass per factor."""
+    coordinate ``i``, one pass per factor.  The result can hold ``2**dim``
+    atoms per atom, so the dimension stays bounded by ``SubsetMask``."""
     out = mu
     for i in range(1, mu.dim + 1):
-        out = _reflection_average(out, SubsetMask.single(mu.dim, i), 1)
+        out = _reflection_average(out, SubsetMask.single(mu.dim, i).bits, 1)
     return out
 
 

@@ -15,7 +15,8 @@ at integer vectors radially back to the sphere by their gcds alone, and
 takes the scale ``1/den`` into the weight denominator.  The radial
 projection from point measures, the induced product on the sphere
 (``_products`` on the stored parts), the coordinate-subsphere projections,
-sums and both witness factors are each one gather.  Weights meet ``|d|`` only
+sums, scalar multiples, both witness factors and the lift
+(``lifting.lift``) are each one gather.  Weights meet ``|d|`` only
 at the public surface, where ``_norms`` (each ray's ``ray_norm_sq``) gives
 the weight ``m * |d|`` by the integer weight coding that point measures
 share.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, repeat, starmap
-from operator import floordiv, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from .measures import AtomicMeasure, Lanes, _products, _rows, _surd, _unrolled, _walk
@@ -95,9 +96,8 @@ class SphereMeasure(AtomicMeasure):
         radicand and ray, and the scale ``1/den`` joins the weight
         denominator, with no root.  Each lane is summed by the radial loop
         compiled for ``dim`` (``measures._unrolled``), at any dimension,
-        which rebuilds a key only where ``g`` is not 1.
-        ``_radial_columns`` is the same reweighting where no two vectors
-        share a ray.
+        which rebuilds a key only where ``g`` is not 1.  ``lifting.lift``
+        is one such gather, one lane per part.
         """
         acc: dict[int, dict[Ray, int]] = {}
         loop = _unrolled(_RADIAL_LOOP, dim)
@@ -120,18 +120,6 @@ _RADIAL_LOOP = """def radial_loop(part, masses):
             c *= g
         part[v] = get(v, 0) + c
 """
-
-
-def _radial_columns(cols: list[list[int]], masses: list[int]) -> tuple[list[list[int]], list[int]]:
-    """``_gather``'s reweighting of nonzero integer vectors, no two on one
-    ray, given as coordinate columns: each vector divided by its gcd ``g``,
-    the primitive ray through it, and its mass times ``g``.  The rays come
-    back as columns, in the order of the vectors."""
-    gs = list(map(math.gcd, *cols))
-    if gs.count(1) != len(gs):
-        cols = [list(map(floordiv, col, gs)) for col in cols]
-        masses = list(map(mul, masses, gs))
-    return cols, masses
 
 
 def radial_project(mu: AtomicMeasure) -> SphereMeasure:

@@ -126,8 +126,7 @@ class UniversalityReport:
         return [ConditionRecord(masks[e], masks[j], ok == 1) for (e, j), ok in self._codes()]
 
     def failing(self) -> list[ConditionRecord]:
-        masks = _lex_table(self.dim)[0]
-        return [ConditionRecord(masks[e], masks[j], False) for (e, j), ok in self._codes() if not ok]
+        return [c for c in self.conditions if not c.satisfied]
 
     def _lists(self, write) -> dict:
         """``write(mask)`` of each distinct E, J and skipped set, keyed by its bits."""

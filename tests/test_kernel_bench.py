@@ -20,7 +20,7 @@ def kernel_bench():
     return module
 
 
-@pytest.mark.parametrize("dim, size", [(3, 60), (8, 24)])
+@pytest.mark.parametrize("dim, size", [(3, 60), (8, 24), (64, 3)])
 def test_render_writes_the_lift_cases_by_their_stored_form(kernel_bench, dim, size):
     # lifted distinct-prime measures: rays whose norms the weight decoder
     # may not factor, so ``to_json`` is not what the script writes

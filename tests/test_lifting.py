@@ -126,6 +126,8 @@ def test_lift_round_trip_past_the_mask_bound(n):
     mu = Measure(n, atoms)
     lifted = lift(mu)
     assert lifted.dim == n + 1
+    # the composed definition, whose origin average needs no SubsetMask either
+    assert stored(lifted) == stored(composed_lift(mu))
     assert lift_inverse(lifted) == mu
     assert lift(lift_inverse(lifted)) == lifted
 

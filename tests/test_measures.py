@@ -407,6 +407,27 @@ def test_msym_munc_via_convolution():
         assert munc(mu) == mconv(mu, sigma_unc(dim))
 
 
+@pytest.mark.parametrize("n", [64, 100])
+@pytest.mark.parametrize("cls", [Measure, SphereMeasure])
+def test_msym_past_the_mask_bound(cls, n):
+    # no SubsetMask has n coordinates; the origin reflection needs none
+    rng = random.Random(f"wide-msym:{n}")
+    coords = (1, -2, 3) if cls is SphereMeasure else (0, 1, -2, F(1, 3), F(-3, 2))
+    atoms = {}
+    for w in (1, Surd.sqrt(2), F(-2, 5), 1 + Surd.sqrt(3), -Surd.sqrt(6)):
+        x = tuple(rng.choice(coords) for _ in range(n))
+        atoms[x] = w
+        # its antipode at 3 * w (-1 beside the weight 1, so those halves
+        # cancel): the two halves of the average meet at every atom
+        atoms[tuple(-c for c in x)] = w * 3 if w != 1 else -w
+    mu = cls(n, atoms)
+    expected = {}
+    for x, w in mu.atoms.items():
+        for y in (x, tuple(-c for c in x)):
+            expected[y] = expected.get(y, Surd(0)) + w * HALF
+    assert dict(msym(mu).atoms) == {y: w for y, w in expected.items() if w}
+
+
 def test_munc_is_the_average_over_all_reflections():
     # the n one-coordinate factors give the same measure as the 2**n-term sum
     for seed in range(8):
@@ -825,7 +846,7 @@ def test_one_pass_reflection_average_matches_sum_and_half(n):
         for mu in _kernel_measures(seed + 10 * n, n):
             for f in all_subsets(n):
                 for sign in (1, -1):
-                    got = _reflection_average(mu, f, sign)
+                    got = _reflection_average(mu, f.bits, sign)
                     expected = (mu + mu.reflect(f) * sign) * HALF
                     assert got == expected
                     assert list(got.atoms) == list(expected.atoms)
